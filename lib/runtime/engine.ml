@@ -107,6 +107,11 @@ type t = {
   mutable events : int;
   mutable tripped : int;
   mutable retired_ok : int;
+  mutable live_pairs : int;
+      (* live (trace, monitor) pairs: the sum of [nlive] over the trace
+         table, kept exact wherever a live list changes (trace
+         (re)initialization, the two retirement branches, the parallel
+         join, restore) so [live] never walks the table *)
   mutable hook :
     (trace:int -> monitor:int -> position:int -> tripped:bool -> unit) option;
       (** incremental retirement callback; [None] (the default) keeps
@@ -179,7 +184,7 @@ let of_plan ?jobs ?(threshold = 65536) plan =
         Obs.Metrics.counter_child v_shard_events [ string_of_int s ])
   in
   { plan; jobs; threshold; traces = Array.make 4 None; ntraces = 0;
-    events = 0; tripped = 0; retired_ok = 0; hook = None;
+    events = 0; tripped = 0; retired_ok = 0; live_pairs = 0; hook = None;
     mtrips = Array.make mslots 0; mretires = Array.make mslots 0;
     mtrips0 = Array.make mslots 0; mretires0 = Array.make mslots 0;
     shard_scratch = Array.init jobs (fun _ -> Array.make (2 * mslots) 0);
@@ -197,6 +202,7 @@ let plan_alphabet plan = plan.alphabet
    starts live in the packed start state, except pre-tripped (empty
    property) monitors, which are born violated at position 0. *)
 let init_trace eng (tr : trace) =
+  eng.live_pairs <- eng.live_pairs - tr.nlive;
   tr.nlive <- 0;
   tr.events <- 0;
   Array.iteri
@@ -213,7 +219,8 @@ let init_trace eng (tr : trace) =
           tr.nlive <- tr.nlive + 1
         end
       end)
-    eng.plan.monitors
+    eng.plan.monitors;
+  eng.live_pairs <- eng.live_pairs + tr.nlive
 
 let mk_trace eng =
   let m = Array.length eng.plan.monitors in
@@ -274,6 +281,7 @@ let step_trace eng ~id (tr : trace) symbol =
       Array.unsafe_set tr.tripped_at m tr.events;
       eng.tripped <- eng.tripped + 1;
       eng.mtrips.(m) <- eng.mtrips.(m) + 1;
+      eng.live_pairs <- eng.live_pairs - 1;
       tr.nlive <- tr.nlive - 1;
       Array.unsafe_set tr.live !i (Array.unsafe_get tr.live tr.nlive);
       fire eng ~trace:id ~monitor:m ~position:tr.events ~tripped:true
@@ -284,6 +292,7 @@ let step_trace eng ~id (tr : trace) symbol =
       else begin
         eng.retired_ok <- eng.retired_ok + 1;
         eng.mretires.(m) <- eng.mretires.(m) + 1;
+        eng.live_pairs <- eng.live_pairs - 1;
         tr.nlive <- tr.nlive - 1;
         Array.unsafe_set tr.live !i (Array.unsafe_get tr.live tr.nlive);
         fire eng ~trace:id ~monitor:m ~position:tr.events ~tripped:false
@@ -367,11 +376,6 @@ let check_symbol eng symbol =
       (Printf.sprintf "Engine: symbol %d outside alphabet [0, %d)" symbol
          eng.plan.alphabet)
 
-let live_count eng =
-  let n = ref 0 in
-  Array.iter (function Some tr -> n := !n + tr.nlive | None -> ()) eng.traces;
-  !n
-
 (* Snapshot the per-monitor cumulative arrays into the epilogue scratch
    (callers do this only when collection is enabled, before stepping). *)
 let snapshot_monitors eng =
@@ -391,7 +395,7 @@ let record_chunk eng ~n ~t0_us ~mw0 ~tripped0 ~retired0 =
   Obs.Metrics.incr m_chunks;
   Obs.Metrics.add m_retired_tripped (eng.tripped - tripped0);
   Obs.Metrics.add m_retired_admissible (eng.retired_ok - retired0);
-  Obs.Metrics.set g_live (live_count eng);
+  Obs.Metrics.set g_live eng.live_pairs;
   Obs.Metrics.observe h_chunk_latency dt_ns;
   Obs.Metrics.observe h_stage_feed dt_ns;
   Obs.Metrics.observe h_chunk_events n;
@@ -406,18 +410,25 @@ let record_chunk eng ~n ~t0_us ~mw0 ~tripped0 ~retired0 =
 
 (* Per-shard event counts for the chunk: an O(n) pass over the chunk's
    trace ids, run only in the enabled epilogue — the shard split is a
-   pure function of the ids, so this stays out of the stepping loops. *)
+   pure function of the ids, so this stays out of the stepping loops.
+   A single-shard engine attributes the whole chunk to shard 0 without
+   the pass. *)
 let record_shard_events eng ~off ~n ~traces =
   let jobs = eng.jobs in
-  Array.fill eng.shard_counts 0 jobs 0;
-  for k = off to off + n - 1 do
-    let s = Array.unsafe_get traces k mod jobs in
-    eng.shard_counts.(s) <- eng.shard_counts.(s) + 1
-  done;
-  for s = 0 to jobs - 1 do
-    if eng.shard_counts.(s) > 0 then
-      Obs.Metrics.add eng.shard_children.(s) eng.shard_counts.(s)
-  done
+  if jobs = 1 then begin
+    if n > 0 then Obs.Metrics.add eng.shard_children.(0) n
+  end
+  else begin
+    Array.fill eng.shard_counts 0 jobs 0;
+    for k = off to off + n - 1 do
+      let s = Array.unsafe_get traces k mod jobs in
+      eng.shard_counts.(s) <- eng.shard_counts.(s) + 1
+    done;
+    for s = 0 to jobs - 1 do
+      if eng.shard_counts.(s) > 0 then
+        Obs.Metrics.add eng.shard_children.(s) eng.shard_counts.(s)
+    done
+  end
 
 let step eng ~trace ~symbol =
   check_symbol eng symbol;
@@ -492,6 +503,9 @@ let feed_parallel eng ~off ~n ~traces ~symbols =
   for shard = 0 to jobs - 1 do
     eng.tripped <- eng.tripped + tripped_by.(shard);
     eng.retired_ok <- eng.retired_ok + retired_by.(shard);
+    (* every shard retirement removed one live pair *)
+    eng.live_pairs <-
+      eng.live_pairs - tripped_by.(shard) - retired_by.(shard);
     let mcounts = eng.shard_scratch.(shard) in
     for m = 0 to nmon - 1 do
       eng.mtrips.(m) <- eng.mtrips.(m) + mcounts.(m);
@@ -575,10 +589,7 @@ let tripped eng = eng.tripped
 let retired_admissible eng = eng.retired_ok
 let nvacuous eng = eng.plan.nvacuous
 
-let live eng =
-  let n = ref 0 in
-  Array.iter (function Some tr -> n := !n + tr.nlive | None -> ()) eng.traces;
-  !n
+let live eng = eng.live_pairs
 
 let trace_events eng id =
   if id < 0 || id >= Array.length eng.traces then 0
@@ -718,11 +729,14 @@ let restore_trace eng id (ts : trace_state) =
     ts.ts_live;
   (* [get_trace] materializes (and init_trace-counts pre-tripped
      monitors into [eng.tripped]); the blits below overwrite the fresh
-     state, and [set_counters] afterwards overwrites the counters. *)
+     state, and [set_counters] afterwards overwrites the counters. The
+     live census is not a snapshot counter: it swaps the overwritten
+     list's length for the restored one here. *)
   let tr = get_trace eng id in
   Array.blit ts.ts_states 0 tr.states 0 m;
   Array.blit ts.ts_tripped_at 0 tr.tripped_at 0 m;
   Array.blit ts.ts_live 0 tr.live 0 (Array.length ts.ts_live);
+  eng.live_pairs <- eng.live_pairs - tr.nlive + Array.length ts.ts_live;
   tr.nlive <- Array.length ts.ts_live;
   tr.events <- ts.ts_events
 

@@ -124,7 +124,12 @@ val events : t -> int
 
 val trace_events : t -> int -> int
 val live : t -> int
-(** Live (still undecided) monitor instances across all traces. *)
+(** Live (still undecided) monitor instances across all traces. O(1):
+    the engine keeps the count as each trace's live list changes
+    (materialization, retirement, the parallel join), so it is exact
+    at every point — including after {!reset}, {!restore_trace} and a
+    reload carry-over — and never walks the trace table. Derived
+    state: snapshots neither save nor restore it. *)
 
 val tripped : t -> int
 (** Monitor instances retired by violation. *)

@@ -37,6 +37,7 @@ let m_stalled = Obs.Metrics.gauge "serve_backpressure_stalled"
 let m_reloads = Obs.Metrics.counter "serve_reloads_total"
 let m_reload_failures = Obs.Metrics.counter "serve_reload_failures_total"
 let m_conn_errors = Obs.Metrics.counter "serve_line_errors_total"
+let m_accept_errors = Obs.Metrics.counter "serve_accept_errors_total"
 
 (* Pipeline-stage timing: one observation per write pump (a connection
    draining its queue to the socket), the last stage of the serving
@@ -177,6 +178,10 @@ let run cfg =
           else Some (Introspect.conn_info_of_conn cl.conn))
         !clients);
   let rbuf = Bytes.create 65536 in
+  (* Set when accept ran out of descriptors: the next round leaves the
+     listeners out of the select (their backlog keeps them readable, so
+     polling them would spin) and waits at most 0.1 s for clients. *)
+  let accept_paused = ref false in
   let accept_all lfd ~listener =
     let continue = ref true in
     while !continue do
@@ -191,7 +196,15 @@ let run cfg =
           Obs.Metrics.incr m_conns_total
       | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
           continue := false
-      | exception Unix.Unix_error (EINTR, _, _) -> ()
+      (* a peer that reset before we got to it: skip it, keep accepting *)
+      | exception Unix.Unix_error ((EINTR | ECONNABORTED), _, _) -> ()
+      (* out of descriptors: the pending connection stays queued in the
+         listen backlog; stop accepting for this round and retry after
+         the next one rather than dying *)
+      | exception Unix.Unix_error ((EMFILE | ENFILE), _, _) ->
+          Obs.Metrics.incr m_accept_errors;
+          accept_paused := true;
+          continue := false
     done
   in
   let read_client cl =
@@ -268,8 +281,10 @@ let run cfg =
       hup := false;
       do_reload ()
     end;
+    let paused = !accept_paused in
+    accept_paused := false;
     let rfds =
-      List.map fst !listeners
+      (if paused then [] else List.map fst !listeners)
       @ List.filter_map
           (fun cl ->
             if (not cl.dead) && Conn.wants_read cl.conn then Some cl.fd
@@ -282,7 +297,8 @@ let run cfg =
           else None)
         !clients
     in
-    (match Unix.select rfds wfds [] 0.5 with
+    let timeout = if paused then 0.1 else 0.5 in
+    (match Unix.select rfds wfds [] timeout with
     | exception Unix.Unix_error (EINTR, _, _) -> ()
     | readable, writable, _ ->
         List.iter

@@ -7,16 +7,28 @@
    record. The string renderers below are thin wrappers over them, so
    there is exactly one source of truth for every record's bytes. *)
 
+(* True when no byte of [s] from [i] on needs escaping. *)
+let rec plain s i =
+  i >= String.length s
+  ||
+  match String.unsafe_get s i with
+  | '"' | '\\' | '\000' .. '\031' -> false
+  | _ -> plain s (i + 1)
+
+(* Trace and prop names almost never need escaping: those are copied
+   with one blit; the rest take the per-byte loop. *)
 let add_escape buf s =
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | ch when Char.code ch < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code ch))
-      | ch -> Buffer.add_char buf ch)
-    s
+  if plain s 0 then Buffer.add_string buf s
+  else
+    String.iter
+      (fun ch ->
+        match ch with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | ch when Char.code ch < 0x20 ->
+            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code ch))
+        | ch -> Buffer.add_char buf ch)
+      s
 
 let escape s =
   let buf = Buffer.create (String.length s) in

@@ -4,7 +4,9 @@
 # SLC_JOBS=4 so every parallel path runs sharded), run every example
 # program, exercise the CLI (including the observability surface:
 # --metrics / --trace-out, the -j byte-identity cross-checks, and the
-# daemon's /status introspection endpoints + slc top), then regenerate
+# daemon's /status introspection endpoints + slc top), drive the daemon
+# over its socket (reload, snapshot/resume, descriptor exhaustion, a
+# 1M-event soak), run the serving benchmark's selftest, then regenerate
 # the benchmark trajectory JSON (writes BENCH_PR9.json at the
 # repo root, with ratios against the most recent tracked BENCH_PR*.json).
 # Run from the repository root.
@@ -307,6 +309,39 @@ for j in 1 4; do
 done
 [ ! -S "$sock" ] || { echo "stale socket left behind"; exit 1; }
 
+# Descriptor exhaustion: under a low `ulimit -n` the daemon runs out of
+# descriptors while accepting. It must count the refused accepts, leave
+# the rest queued in the listen backlog, and accept again once clients
+# close — still up, and a fresh client's verdicts still byte-diff clean
+# against the offline report.
+echo "--- slc serve descriptor-exhaustion smoke"
+(ulimit -n 24; exec "$SLC" serve --props examples/monitor.props \
+  --socket "$sock" --quiet) 2>> "$servedir/serve.log" &
+daemon=$!
+wait_sock
+python3 -c '
+import socket, sys, time
+held = []
+for _ in range(48):
+    s = socket.socket(socket.AF_UNIX); s.settimeout(30)
+    s.connect(sys.argv[1]); held.append(s)
+time.sleep(1)  # the daemon hits its descriptor limit while these are open
+for s in held:
+    s.close()
+' "$sock"
+python3 scripts/serve_client.py "$sock" examples/monitor.events \
+  "$servedir/fd.out"
+scrape /metrics "$servedir/fd-metrics.out"
+kill -0 "$daemon" 2> /dev/null \
+  || { echo "daemon died under descriptor exhaustion"; exit 1; }
+grep -Eq "^serve_accept_errors_total [1-9]" "$servedir/fd-metrics.out" \
+  || { echo "descriptor limit never reached"; exit 1; }
+kill -TERM "$daemon"; wait "$daemon" \
+  || { echo "daemon did not shut down cleanly after exhaustion"; exit 1; }
+python3 scripts/serve_norm.py served "$servedir/fd.out" > "$servedir/fd.norm"
+diff "$servedir/offline.norm" "$servedir/fd.norm" \
+  || { echo "served verdicts differ from offline after exhaustion"; exit 1; }
+
 # Snapshot-then-restart: SIGTERM writes the session snapshot; a fresh
 # daemon --resume's it, takes the second half of the stream, and its
 # summary counters must equal the uninterrupted run's.
@@ -418,6 +453,13 @@ for j in 1 4; do
     || { echo "soak: served verdicts differ from offline at -j $j"; exit 1; }
 done
 rm -rf "$servedir"
+
+# The benchmark's selftest: short runs of every workload through a real
+# daemon with every verdict checked, plus corrupted streams the checker
+# must reject — a served-verdict regression fails here, not at the next
+# benchmark run.
+echo "--- perfbench selftest"
+python3 perfbench/run.py --selftest
 
 # Bench smoke + perf trajectory, then the warn-only regression report
 # against the previous PR's tracked trajectory (microbench noise on a

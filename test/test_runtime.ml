@@ -527,6 +527,92 @@ let test_end_to_end_report () =
   check "json violation position" true
     (contains json {|"verdict": "violation", "position": 4|})
 
+(* --- Live census --- *)
+
+(* [Engine.live] is a maintained count, not a walk of the trace table:
+   after every operation of a random mix — sequential and sharded
+   feeds, with and without a retire hook, single steps, resets, and
+   snapshot restores onto fresh and already-materialized ids — it must
+   equal the census recomputed from the table both per trace and per
+   monitor. *)
+let census_agrees eng =
+  let by_trace = ref 0 in
+  for id = 0 to Engine.ntraces eng - 1 do
+    match Engine.trace_summary eng id with
+    | Some (_, live, _) -> by_trace := !by_trace + live
+    | None -> ()
+  done;
+  let by_monitor =
+    Array.fold_left
+      (fun acc c -> acc + c.Engine.mc_live)
+      0 (Engine.monitor_counts eng)
+  in
+  Engine.live eng = !by_trace && Engine.live eng = by_monitor
+
+let prop_live_census_exact =
+  QCheck.Test.make
+    ~name:"Engine.live = trace-table census after any operation mix"
+    ~count:25
+    QCheck.(
+      pair (int_range 0 5000) (list_of_size Gen.(1 -- 16) (int_range 0 9)))
+    (fun (seed, ops) ->
+      (* the empty property (pre-tripped) and a pure liveness one
+         (vacuous) ride along: neither ever enters a live list *)
+      let monitors =
+        Array.append
+          [| Packed_dfa.of_buchi (Lexamples.automaton Lexamples.p0);
+             Packed_dfa.of_buchi (Lexamples.automaton Lexamples.p4) |]
+          (Array.init 4 (fun i ->
+               Packed_dfa.of_buchi
+                 (Buchi.random ~seed:(seed + (17 * i)) ~alphabet:2
+                    ~nstates:(3 + ((seed + i) mod 5)) ~density:0.2
+                    ~accepting_fraction:0.4 ())))
+      in
+      let run ~jobs ~hooked =
+        let eng = Engine.create ~jobs ~threshold:1 ~monitors () in
+        if hooked then
+          Engine.set_retire_hook eng
+            (Some (fun ~trace:_ ~monitor:_ ~position:_ ~tripped:_ -> ()));
+        let st = Random.State.make [| seed |] in
+        let ok = ref (census_agrees eng) in
+        let restore ~fresh =
+          let nt = Engine.ntraces eng in
+          if nt > 0 then
+            match Engine.export_trace eng (Random.State.int st nt) with
+            | None -> ()
+            | Some ts ->
+                let dst =
+                  if fresh then nt + Random.State.int st 3
+                  else Random.State.int st nt
+                in
+                Engine.restore_trace eng dst ts
+        in
+        List.iter
+          (fun op ->
+            (match op with
+            | 6 ->
+                Engine.step eng ~trace:(Random.State.int st 8)
+                  ~symbol:(Random.State.int st 2)
+            | 7 -> Engine.reset eng
+            | 8 -> restore ~fresh:true
+            | 9 -> restore ~fresh:false
+            | _ ->
+                let n = 1 + Random.State.int st 24 in
+                let traces = Array.init n (fun _ -> Random.State.int st 8) in
+                let symbols = Array.init n (fun _ -> Random.State.int st 2) in
+                Engine.feed eng ~n ~traces ~symbols ());
+            if not (census_agrees eng) then ok := false)
+          ops;
+        (!ok, Engine.live eng)
+      in
+      let results =
+        [ run ~jobs:1 ~hooked:false; run ~jobs:1 ~hooked:true;
+          run ~jobs:4 ~hooked:false; run ~jobs:4 ~hooked:true ]
+      in
+      (* the same operations at every pool width and hook setting *)
+      List.for_all fst results
+      && List.for_all (fun (_, live) -> live = snd (List.hd results)) results)
+
 let tests =
   [ Alcotest.test_case "packed compilation" `Quick test_packed_shape;
     Alcotest.test_case "vacuity on Rem p0-p6" `Quick
@@ -550,4 +636,5 @@ let tests =
       test_scanner_boundaries;
     QCheck_alcotest.to_alcotest prop_scanner_equals_reference;
     Alcotest.test_case "fused megatable layout" `Quick test_fuse_megatable;
-    Alcotest.test_case "end-to-end report" `Quick test_end_to_end_report ]
+    Alcotest.test_case "end-to-end report" `Quick test_end_to_end_report;
+    QCheck_alcotest.to_alcotest prop_live_census_exact ]

@@ -321,6 +321,14 @@ let test_backpressure () =
 
 (* {2 Hot reload} *)
 
+(* The engine's live count is maintained, never recomputed: wherever a
+   session is rebuilt (identical-registry round trip, per-monitor
+   carry-over, snapshot resume) it must still equal the census taken
+   from the trace table, per trace and per monitor. *)
+let check_live_census what eng =
+  check (what ^ ": live = trace-table census") true
+    (Test_runtime.census_agrees eng)
+
 let test_reload_identical () =
   let registry = mk_registry () in
   let session = Session.create ~jobs:1 ~threshold:1 ~registry () in
@@ -334,6 +342,10 @@ let test_reload_identical () =
   | Error e -> Alcotest.failf "identical reload refused: %s" e
   | Ok (s, carried) ->
       check_int "all monitors carried" (Registry.nmonitors registry) carried;
+      check_live_census "identical reload" (Session.engine s);
+      check_int "identical reload keeps the live count"
+        (Engine.live (Daemon.engine daemon))
+        (Engine.live (Session.engine s));
       Daemon.swap_session daemon s);
   (* the in-flight trace trips at position 3 across the swap *)
   Conn.on_bytes conn "t1 1\n";
@@ -362,6 +374,7 @@ let test_reload_carry_over () =
   | Error e -> Alcotest.failf "compatible reload refused: %s" e
   | Ok (s, carried) ->
       check_int "G a carried" 1 carried;
+      check_live_census "carry-over reload" (Session.engine s);
       Daemon.swap_session daemon s);
   Conn.on_bytes conn "x 1\n";
   Conn.on_eof conn;
@@ -377,6 +390,33 @@ let test_reload_carry_over () =
   check_int "one trip counted" 1 (Engine.tripped eng);
   check_int "one admissible retirement counted" 1
     (Engine.retired_admissible eng)
+
+(* Save mid-stream, resume into a fresh session (at another pool
+   width), and keep feeding: the live count is exact on the resumed
+   engine before and after the continuation. *)
+let test_resume_live_census () =
+  let registry = mk_registry () in
+  let daemon = Daemon.make (Session.create ~jobs:1 ~threshold:1 ~registry ()) in
+  let conn = Conn.create daemon in
+  Conn.on_bytes conn "t1 0\nt2 1\nt1 0\nt3 0\n";
+  let path = Filename.temp_file "slc-serve-test" ".snap" in
+  Session.save (Daemon.session daemon) ~path;
+  (match
+     Session.load ~jobs:4 ~threshold:1 ~registry:(mk_registry ()) ~path ()
+   with
+  | Error e ->
+      Alcotest.failf "resume failed: %s" (Session.restore_error_to_string e)
+  | Ok s ->
+      let eng = Session.engine s in
+      check_live_census "resumed" eng;
+      check_int "resume keeps the live count"
+        (Engine.live (Daemon.engine daemon))
+        (Engine.live eng);
+      let resumed = Daemon.make s in
+      let conn' = Conn.create resumed in
+      Conn.on_bytes conn' "t1 1\nt2 0\nt4 0\n";
+      check_live_census "resumed then fed" eng);
+  Sys.remove path
 
 let test_reload_alphabet_refused () =
   let registry = mk_registry () in
@@ -671,13 +711,60 @@ let test_jsonv () =
 
 (* {2 Records} *)
 
+(* The per-character escaper the record renderers must match byte for
+   byte, kept here as an independent reference for the fast path that
+   copies clean names whole. *)
+let reference_escape s =
+  let buf = Buffer.create (String.length s) in
+  String.iter
+    (fun ch ->
+      match ch with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | ch when Char.code ch < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code ch))
+      | ch -> Buffer.add_char buf ch)
+    s;
+  Buffer.contents buf
+
 let test_record_escaping () =
   let r = Records.error ~line:1 ~trace:(Some "a\"b\\c") ~reason:"tab\there" in
   check "quotes and backslashes escaped" true
     (find_sub r "a\\\"b\\\\c" <> None);
   check "control bytes escaped" true (find_sub r "tab\\u0009here" <> None);
   check "one line" true
-    (String.index r '\n' = String.length r - 1)
+    (String.index r '\n' = String.length r - 1);
+  (* names copied whole (no byte to escape) and names with a quote, a
+     backslash or a control byte at the first, middle and last position
+     render exactly as the per-character reference *)
+  let base = "req-42" in
+  let with_at pos c =
+    let n = String.length base and c = String.make 1 c in
+    match pos with
+    | `First -> c ^ base
+    | `Middle ->
+        String.sub base 0 (n / 2) ^ c ^ String.sub base (n / 2) (n - (n / 2))
+    | `Last -> base ^ c
+  in
+  let names =
+    [ ""; base; "\x7f\x80\xff utf8 \xc3\xa9"; "\"\\\001" ]
+    @ List.concat_map
+        (fun c ->
+          List.map (fun pos -> with_at pos c) [ `First; `Middle; `Last ])
+        [ '"'; '\\'; '\000'; '\t'; '\n'; '\031' ]
+  in
+  List.iter
+    (fun name ->
+      let what = String.escaped name in
+      check_str ("escape " ^ what) (reference_escape name)
+        (Records.escape name);
+      check_str ("verdict record " ^ what)
+        (Printf.sprintf
+           "{\"type\": \"verdict\", \"trace\": \"%s\", \"prop\": \"%s\", \
+            \"verdict\": \"admissible\", \"cause\": \"eof\"}\n"
+           (reference_escape name) (reference_escape name))
+        (Records.verdict_admissible ~trace:name ~prop:name ~cause:"eof"))
+    names
 
 let tests =
   [
@@ -701,6 +788,8 @@ let tests =
       test_reload_identical;
     Alcotest.test_case "reload: monitor carry-over" `Quick
       test_reload_carry_over;
+    Alcotest.test_case "resume: live census exact" `Quick
+      test_resume_live_census;
     Alcotest.test_case "reload: alphabet change refused" `Quick
       test_reload_alphabet_refused;
     Alcotest.test_case "reload: from props file" `Quick
