@@ -29,13 +29,28 @@ type mode =
   | Http  (* one-shot GET answered, ignoring further input *)
   | Done  (* EOF seen, draining *)
 
-(* Records rendered while processing one read accumulate in the
-   connection's scratch buffer and reach the output queue as a single
-   coalesced slab — one queue entry and one string per read (or per
-   [slab_cap] bytes within a pathological read) instead of one per
-   record. The scratch is always empty at the public API boundary, so
-   [pending_output]/[should_close]/[stalled] see every rendered byte. *)
+(* Output path. Records rendered while processing one read accumulate in
+   the scratch buffer and move into the connection's byte slab in one
+   blit, per read (or per [slab_cap] bytes within a pathological read);
+   the loop writes from the slab in place. The scratch is always empty
+   at the public API boundary, so [pending_output]/[should_close]/
+   [stalled] see every rendered byte.
+
+   The EOF dump is the one producer not driven by reads: it is frozen
+   at EOF as a {!Daemon.snapshot} and rendered a page at a time while
+   the slab holds less than [hwm], so the queue stays near [hwm] even
+   for a connection that touched many traces. *)
 let slab_cap = 65536
+
+(* Buffers of a released connection: never written, since a released
+   connection takes no more input and renders nothing. *)
+let released =
+  {
+    Daemon.chunk = Ingest.create_chunk 1;
+    scratch = Buffer.create 1;
+    slab = Bytes.empty;
+    touched = Daemon.Ids.create 1;
+  }
 
 type t = {
   id : int;  (* process-unique, for the /status connection table *)
@@ -45,15 +60,13 @@ type t = {
   listener : string;  (* "unix" | "tcp" | "local" (tests) *)
   http_handler : (string -> (string * string * string) option) option;
   buf : Buffer.t;  (* at most one partial line *)
-  scratch : Buffer.t;  (* records of the read being processed *)
+  mutable bufs : Daemon.bufs;  (* pooled; [released] once returned *)
   mutable oversized : bool;  (* discarding until the next newline *)
   mutable nlines : int;
   mutable mode : mode;
-  outq : string Queue.t;
-  mutable out_off : int;  (* written bytes of the queue head *)
-  mutable out_bytes : int;
-  chunk : Ingest.chunk;
-  touched : (int, unit) Hashtbl.t;
+  mutable out_off : int;  (* slab bytes [out_off, out_len) are unwritten *)
+  mutable out_len : int;
+  mutable dump : Daemon.snapshot option;  (* EOF dump still to render *)
   mutable greeted : bool;  (* hello queued (deferred past GET detection) *)
   mutable conn_events : int;
   mutable conn_errors : int;
@@ -63,15 +76,67 @@ type t = {
   err_child : Obs.Metrics.counter;
 }
 
-let enqueue c s =
-  Queue.push s c.outq;
-  c.out_bytes <- c.out_bytes + String.length s
+let pending_output c = c.out_len - c.out_off
+
+(* The slab's default capacity: a dump page stops at [hwm] plus one
+   record. A set whose slab had to grow past it is not pooled again. *)
+let max_slab c = c.hwm + slab_cap
+
+(* Make room for [n] more bytes at [out_len]: slide the unwritten bytes
+   to the front, or grow the slab (doubling, but not past [max_slab]
+   unless one batch needs more). *)
+let reserve c n =
+  let b = c.bufs in
+  if c.out_len + n > Bytes.length b.slab then begin
+    let pending = pending_output c in
+    let want = pending + n in
+    if want <= Bytes.length b.slab then
+      Bytes.blit b.slab c.out_off b.slab 0 pending
+    else begin
+      let doubled = 2 * Bytes.length b.slab in
+      let cap =
+        if want <= max_slab c then min (max_slab c) (max want doubled)
+        else max want doubled
+      in
+      let slab = Bytes.create cap in
+      Bytes.blit b.slab c.out_off slab 0 pending;
+      b.slab <- slab
+    end;
+    c.out_off <- 0;
+    c.out_len <- pending
+  end
 
 let flush_slab c =
-  if Buffer.length c.scratch > 0 then begin
-    enqueue c (Buffer.contents c.scratch);
-    Buffer.clear c.scratch
+  let scratch = c.bufs.scratch in
+  let n = Buffer.length scratch in
+  if n > 0 then begin
+    reserve c n;
+    Buffer.blit scratch 0 c.bufs.slab c.out_len n;
+    c.out_len <- c.out_len + n;
+    Buffer.clear scratch
   end
+
+let enqueue c s =
+  let n = String.length s in
+  reserve c n;
+  Bytes.blit_string s 0 c.bufs.slab c.out_len n;
+  c.out_len <- c.out_len + n
+
+(* Render the EOF dump's next pages while the slab holds less than
+   [hwm] (or nothing: a page always makes progress). *)
+let refill c =
+  match c.dump with
+  | None -> ()
+  | Some snap ->
+      let finished = ref false in
+      while
+        (not !finished) && (pending_output c < c.hwm || pending_output c = 0)
+      do
+        let limit = max 1 (min slab_cap (c.hwm - pending_output c)) in
+        finished := Daemon.render_page c.daemon snap c.bufs.scratch ~limit;
+        flush_slab c
+      done;
+      if !finished then c.dump <- None
 
 let next_id = ref 0
 
@@ -79,34 +144,43 @@ let create ?(max_line = 65536) ?(hwm = 262144) ?(listener = "local") ?http
     daemon =
   let id = !next_id in
   incr next_id;
-  let c =
-    {
-      id;
-      daemon;
-      max_line;
-      hwm;
-      listener;
-      http_handler = http;
-      buf = Buffer.create 256;
-      scratch = Buffer.create 4096;
-      oversized = false;
-      nlines = 0;
-      mode = Lines;
-      outq = Queue.create ();
-      out_off = 0;
-      out_bytes = 0;
-      chunk = Ingest.create_chunk 4096;
-      touched = Hashtbl.create 16;
-      greeted = false;
-      conn_events = 0;
-      conn_errors = 0;
-      draining = false;
-      feed_us = 0.;
-      ev_child = Obs.Metrics.counter_child v_conn_events [ listener ];
-      err_child = Obs.Metrics.counter_child v_conn_errors [ listener ];
-    }
-  in
-  c
+  {
+    id;
+    daemon;
+    max_line;
+    hwm;
+    listener;
+    http_handler = http;
+    buf = Buffer.create 256;
+    bufs = Daemon.take_bufs daemon;
+    oversized = false;
+    nlines = 0;
+    mode = Lines;
+    out_off = 0;
+    out_len = 0;
+    dump = None;
+    greeted = false;
+    conn_events = 0;
+    conn_errors = 0;
+    draining = false;
+    feed_us = 0.;
+    ev_child = Obs.Metrics.counter_child v_conn_events [ listener ];
+    err_child = Obs.Metrics.counter_child v_conn_errors [ listener ];
+  }
+
+let release c =
+  if c.bufs != released then begin
+    Daemon.give_bufs c.daemon ~max_slab:(max_slab c) c.bufs;
+    c.bufs <- released;
+    c.out_off <- 0;
+    c.out_len <- 0;
+    c.dump <- None;
+    c.mode <- Done;
+    c.draining <- true
+  end
+
+let should_close c =
+  c.draining && pending_output c = 0 && Option.is_none c.dump
 
 (* The greeting opens every NDJSON stream, but only once the first line
    has ruled out HTTP mode — a Prometheus scraper must see the status
@@ -115,7 +189,7 @@ let greet c =
   if not c.greeted then begin
     c.greeted <- true;
     let registry = Daemon.registry c.daemon in
-    Records.add_hello c.scratch ~version:"1.0.0"
+    Records.add_hello c.bufs.scratch ~version:"1.0.0"
       ~props:(Registry.nprops registry)
       ~monitors:(Registry.nmonitors registry)
       ~fingerprint:(Registry.fingerprint registry)
@@ -124,18 +198,19 @@ let greet c =
 let report c ~trace reason =
   c.conn_errors <- c.conn_errors + 1;
   Obs.Metrics.incr c.err_child;
-  Records.add_error c.scratch ~line:c.nlines ~trace ~reason
+  Records.add_error c.bufs.scratch ~line:c.nlines ~trace ~reason
 
 let flush_chunk c =
-  if c.chunk.Ingest.len > 0 then begin
+  let { Daemon.chunk; scratch; _ } = c.bufs in
+  if chunk.Ingest.len > 0 then begin
     (if Obs.is_enabled () then begin
        let t0 = Obs.Clock.now_us () in
-       Daemon.feed c.daemon ~buf:c.scratch c.chunk;
+       Daemon.feed c.daemon ~buf:scratch chunk;
        c.feed_us <- c.feed_us +. (Obs.Clock.now_us () -. t0);
-       Obs.Metrics.add c.ev_child c.chunk.Ingest.len
+       Obs.Metrics.add c.ev_child chunk.Ingest.len
      end
-     else Daemon.feed c.daemon ~buf:c.scratch c.chunk);
-    c.chunk.Ingest.len <- 0
+     else Daemon.feed c.daemon ~buf:scratch chunk);
+    chunk.Ingest.len <- 0
   end
 
 let http c line =
@@ -179,15 +254,16 @@ let process_slice c s off len =
     greet c;
     let ingest = Daemon.ingest c.daemon in
     let alphabet = Daemon.alphabet c.daemon in
+    let { Daemon.chunk; touched; scratch; _ } = c.bufs in
     let push id symbol =
-      Hashtbl.replace c.touched id ();
-      c.chunk.Ingest.trace_ids.(c.chunk.Ingest.len) <- id;
-      c.chunk.Ingest.symbols.(c.chunk.Ingest.len) <- symbol;
-      c.chunk.Ingest.len <- c.chunk.Ingest.len + 1;
+      Daemon.Ids.replace touched id ();
+      chunk.Ingest.trace_ids.(chunk.Ingest.len) <- id;
+      chunk.Ingest.symbols.(chunk.Ingest.len) <- symbol;
+      chunk.Ingest.len <- chunk.Ingest.len + 1;
       c.conn_events <- c.conn_events + 1;
-      if c.chunk.Ingest.len = Array.length c.chunk.Ingest.trace_ids then begin
+      if chunk.Ingest.len = Array.length chunk.Ingest.trace_ids then begin
         flush_chunk c;
-        if Buffer.length c.scratch >= slab_cap then flush_slab c
+        if Buffer.length scratch >= slab_cap then flush_slab c
       end
     in
     let id = Ingest.scan_event ingest ~alphabet s off len in
@@ -281,6 +357,17 @@ let on_bytes_raw c b off len =
     invalid_arg "Conn.on_bytes_raw";
   on_bytes_str c (Bytes.unsafe_to_string b) off len
 
+let touched_ids c =
+  let ids = Array.make (Daemon.Ids.length c.bufs.touched) 0 in
+  let n = ref 0 in
+  Daemon.Ids.iter
+    (fun id () ->
+      ids.(!n) <- id;
+      incr n)
+    c.bufs.touched;
+  Array.sort Int.compare ids;
+  ids
+
 let on_eof c =
   (match c.mode with
   | Lines ->
@@ -294,64 +381,48 @@ let on_eof c =
         process_slice c line 0 (String.length line);
         flush_chunk c
       end;
-      let ids =
-        Hashtbl.fold (fun id () acc -> id :: acc) c.touched []
-        |> List.sort compare
-      in
-      List.iter
-        (fun id ->
-          Daemon.dump c.daemon ~buf:c.scratch ~trace:id;
-          if Buffer.length c.scratch >= slab_cap then flush_slab c)
-        ids;
-      Daemon.add_summary c.daemon c.scratch ~conn_events:c.conn_events
-        ~conn_errors:c.conn_errors
+      c.dump <-
+        Some
+          (Daemon.snapshot c.daemon ~ids:(touched_ids c)
+             ~conn_events:c.conn_events ~conn_errors:c.conn_errors)
   | Http | Done -> ());
   c.mode <- Done;
   c.draining <- true;
-  flush_slab c
+  flush_slab c;
+  refill c
 
 let wants_read c =
   (match c.mode with Lines -> true | Http | Done -> false)
   && (not c.draining)
-  && c.out_bytes < c.hwm
+  && pending_output c < c.hwm
 
-let next_output c =
-  match Queue.peek_opt c.outq with
-  | None -> None
-  | Some s -> Some (s, c.out_off)
+let output c = (c.bufs.slab, c.out_off, pending_output c)
 
 let consumed c n =
-  (match Queue.peek_opt c.outq with
-  | None -> invalid_arg "Conn.consumed: no pending output"
-  | Some s ->
-      let off = c.out_off + n in
-      if off > String.length s then invalid_arg "Conn.consumed: past the head";
-      if off = String.length s then begin
-        ignore (Queue.pop c.outq);
-        c.out_off <- 0
-      end
-      else c.out_off <- off);
-  c.out_bytes <- c.out_bytes - n
-
-let pending_output c = c.out_bytes
-
-let should_close c = c.draining && c.out_bytes = 0
+  if n < 0 || n > pending_output c then
+    invalid_arg "Conn.consumed: past the pending output";
+  c.out_off <- c.out_off + n;
+  if c.out_off = c.out_len then begin
+    c.out_off <- 0;
+    c.out_len <- 0
+  end;
+  refill c;
+  if should_close c then release c
 
 let drain_output c =
-  let buf = Buffer.create (c.out_bytes + 16) in
-  Queue.iter
-    (fun s ->
-      if Buffer.length buf = 0 && c.out_off > 0 then
-        Buffer.add_substring buf s c.out_off (String.length s - c.out_off)
-      else Buffer.add_string buf s)
-    c.outq;
-  Queue.clear c.outq;
-  c.out_off <- 0;
-  c.out_bytes <- 0;
-  Buffer.contents buf
+  let out = Buffer.create (pending_output c + 16) in
+  let rec drain () =
+    Buffer.add_subbytes out c.bufs.slab c.out_off (pending_output c);
+    c.out_off <- 0;
+    c.out_len <- 0;
+    refill c;
+    if c.out_len > 0 then drain ()
+  in
+  drain ();
+  if should_close c then release c;
+  Buffer.contents out
 
-let touched c =
-  Hashtbl.fold (fun id () acc -> id :: acc) c.touched [] |> List.sort compare
+let touched c = Array.to_list (touched_ids c)
 
 let events c = c.conn_events
 let errors c = c.conn_errors
@@ -364,4 +435,4 @@ let mode_name c =
 
 (* Back-pressured: still streaming but over the high-water mark, so the
    loop has stopped selecting the socket for reads. *)
-let stalled c = c.mode = Lines && (not c.draining) && c.out_bytes >= c.hwm
+let stalled c = c.mode = Lines && (not c.draining) && pending_output c >= c.hwm

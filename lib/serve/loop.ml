@@ -170,13 +170,15 @@ let run cfg =
       | `Unix path -> note cfg "slc serve: listening on %s\n%!" path
       | `Tcp port -> note cfg "slc serve: listening on 127.0.0.1:%d\n%!" port)
     !listeners;
-  let clients = ref [] in
+  (* Live clients by descriptor: a ready fd finds its client in O(1). *)
+  let clients : (Unix.file_descr, client) Hashtbl.t = Hashtbl.create 64 in
+  (* /status lists connections newest first *)
   Introspect.set_conns introspect (fun () ->
-      List.filter_map
-        (fun cl ->
-          if cl.dead then None
-          else Some (Introspect.conn_info_of_conn cl.conn))
-        !clients);
+      Hashtbl.fold
+        (fun _ cl acc ->
+          if cl.dead then acc else Introspect.conn_info_of_conn cl.conn :: acc)
+        clients []
+      |> List.sort (fun (a : Introspect.conn_info) b -> compare b.ci_id a.ci_id));
   let rbuf = Bytes.create 65536 in
   (* Set when accept ran out of descriptors: the next round leaves the
      listeners out of the select (their backlog keeps them readable, so
@@ -192,7 +194,7 @@ let run cfg =
             Conn.create ~max_line:cfg.max_line ~hwm:cfg.hwm ~listener ~http
               daemon
           in
-          clients := { fd; conn; dead = false } :: !clients;
+          Hashtbl.replace clients fd { fd; conn; dead = false };
           Obs.Metrics.incr m_conns_total
       | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
           continue := false
@@ -228,19 +230,19 @@ let run cfg =
     in
     let continue = ref true in
     while !continue do
-      match Conn.next_output cl.conn with
-      | None -> continue := false
-      | Some (s, off) -> (
-          match Unix.write_substring cl.fd s off (String.length s - off) with
-          | 0 -> continue := false
-          | n ->
-              Conn.consumed cl.conn n;
-              Obs.Metrics.add m_bytes_out n
-          | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) ->
-              continue := false
-          | exception Unix.Unix_error ((EPIPE | ECONNRESET), _, _) ->
-              cl.dead <- true;
-              continue := false)
+      let slab, off, len = Conn.output cl.conn in
+      if len = 0 then continue := false
+      else
+        match Unix.single_write cl.fd slab off len with
+        | 0 -> continue := false
+        | n ->
+            Conn.consumed cl.conn n;
+            Obs.Metrics.add m_bytes_out n
+        | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) ->
+            continue := false
+        | exception Unix.Unix_error ((EPIPE | ECONNRESET), _, _) ->
+            cl.dead <- true;
+            continue := false
     done;
     if t0 > 0. then
       Obs.Metrics.observe h_stage_write
@@ -283,19 +285,15 @@ let run cfg =
     end;
     let paused = !accept_paused in
     accept_paused := false;
-    let rfds =
-      (if paused then [] else List.map fst !listeners)
-      @ List.filter_map
-          (fun cl ->
-            if (not cl.dead) && Conn.wants_read cl.conn then Some cl.fd
-            else None)
-          !clients
-    and wfds =
-      List.filter_map
-        (fun cl ->
-          if (not cl.dead) && Conn.pending_output cl.conn > 0 then Some cl.fd
-          else None)
-        !clients
+    let rfds, wfds =
+      Hashtbl.fold
+        (fun fd cl (rfds, wfds) ->
+          if cl.dead then (rfds, wfds)
+          else
+            ( (if Conn.wants_read cl.conn then fd :: rfds else rfds),
+              if Conn.pending_output cl.conn > 0 then fd :: wfds else wfds ))
+        clients
+        ((if paused then [] else List.map fst !listeners), [])
     in
     let timeout = if paused then 0.1 else 0.5 in
     (match Unix.select rfds wfds [] timeout with
@@ -306,34 +304,29 @@ let run cfg =
             match List.assoc_opt fd !listeners with
             | Some (`Unix _) -> accept_all fd ~listener:"unix"
             | Some (`Tcp _) -> accept_all fd ~listener:"tcp"
-            | None -> (
-                match List.find_opt (fun cl -> cl.fd == fd) !clients with
-                | Some cl -> read_client cl
-                | None -> ()))
+            | None -> Option.iter read_client (Hashtbl.find_opt clients fd))
           readable;
         List.iter
-          (fun fd ->
-            match List.find_opt (fun cl -> cl.fd == fd) !clients with
-            | Some cl -> write_client cl
-            | None -> ())
+          (fun fd -> Option.iter write_client (Hashtbl.find_opt clients fd))
           writable);
-    let closing, alive =
-      List.partition
-        (fun cl -> cl.dead || Conn.should_close cl.conn)
-        !clients
+    (* Close the finished and the dead; either way the connection's
+       buffers go back to the daemon's pool. *)
+    let closing, stalled =
+      Hashtbl.fold
+        (fun _ cl (closing, stalled) ->
+          if cl.dead || Conn.should_close cl.conn then (cl :: closing, stalled)
+          else if Conn.wants_read cl.conn then (closing, stalled)
+          else (closing, stalled + 1))
+        clients ([], 0)
     in
-    List.iter (fun cl -> try Unix.close cl.fd with Unix.Unix_error _ -> ())
+    List.iter
+      (fun cl ->
+        (try Unix.close cl.fd with Unix.Unix_error _ -> ());
+        Conn.release cl.conn;
+        Hashtbl.remove clients cl.fd)
       closing;
-    clients := alive;
-    Obs.Metrics.set m_conns (List.length alive);
-    Obs.Metrics.set m_stalled
-      (List.length
-         (List.filter
-            (fun cl ->
-              (not cl.dead)
-              && (not (Conn.wants_read cl.conn))
-              && not (Conn.should_close cl.conn))
-            alive))
+    Obs.Metrics.set m_conns (Hashtbl.length clients);
+    Obs.Metrics.set m_stalled stalled
   done;
   (* Graceful shutdown: stop accepting, snapshot, close. *)
   List.iter
@@ -343,9 +336,9 @@ let run cfg =
       | `Unix path -> ( try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ())
       | `Tcp _ -> ())
     !listeners;
-  List.iter
-    (fun cl -> try Unix.close cl.fd with Unix.Unix_error _ -> ())
-    !clients;
+  Hashtbl.iter
+    (fun fd _ -> try Unix.close fd with Unix.Unix_error _ -> ())
+    clients;
   match cfg.snapshot with
   | None -> 0
   | Some path -> (

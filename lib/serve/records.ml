@@ -35,7 +35,19 @@ let escape s =
   add_escape buf s;
   Buffer.contents buf
 
-let add_int buf n = Buffer.add_string buf (string_of_int n)
+(* Decimal digits of [m <= 0], most significant first. Working on the
+   non-positive side covers [min_int], whose magnitude has no positive
+   int. *)
+let rec add_digits buf m =
+  if m <= -10 then add_digits buf (m / 10);
+  Buffer.add_char buf (Char.unsafe_chr (Char.code '0' - (m mod 10)))
+
+let add_int buf n =
+  if n < 0 then begin
+    Buffer.add_char buf '-';
+    add_digits buf n
+  end
+  else add_digits buf (-n)
 
 let add_hello buf ~version ~props ~monitors ~fingerprint =
   Buffer.add_string buf

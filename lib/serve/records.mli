@@ -28,6 +28,10 @@ val escape : string -> string
 
 val add_escape : Buffer.t -> string -> unit
 
+val add_int : Buffer.t -> int -> unit
+(** The bytes of [string_of_int n], written straight into the buffer
+    without allocating. *)
+
 val add_hello :
   Buffer.t -> version:string -> props:int -> monitors:int ->
   fingerprint:string -> unit

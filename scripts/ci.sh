@@ -5,7 +5,8 @@
 # program, exercise the CLI (including the observability surface:
 # --metrics / --trace-out, the -j byte-identity cross-checks, and the
 # daemon's /status introspection endpoints + slc top), drive the daemon
-# over its socket (reload, snapshot/resume, descriptor exhaustion, a
+# over its socket (reload, a slow reader draining its EOF dump,
+# snapshot/resume, descriptor exhaustion, a
 # 1M-event soak), run the serving benchmark's selftest, then regenerate
 # the benchmark trajectory JSON (writes BENCH_PR9.json at the
 # repo root, with ratios against the most recent tracked BENCH_PR*.json).
@@ -341,6 +342,44 @@ kill -TERM "$daemon"; wait "$daemon" \
 python3 scripts/serve_norm.py served "$servedir/fd.out" > "$servedir/fd.norm"
 diff "$servedir/offline.norm" "$servedir/fd.norm" \
   || { echo "served verdicts differ from offline after exhaustion"; exit 1; }
+
+# Slow reader: a client touches 20k traces, half-closes, and reads its
+# EOF dump (over 10 MB) in 4 KiB reads with pauses. The dump is
+# rendered in pages as the client drains it, so a /status scrape taken
+# mid-drain must show that connection queueing at most hwm + 64 KiB
+# (default hwm 262144), and the stream must still byte-diff clean
+# against the offline report — at -j 1 and -j 4.
+echo "--- slc serve slow-reader smoke"
+python3 -c '
+import sys
+with open(sys.argv[1], "w") as f:
+    for i in range(20000):
+        f.write(f"slow{i} {i % 2}\n")
+        f.write(f"slow{i} {(i // 2) % 2}\n")
+' "$servedir/slow.events"
+for j in 1 4; do
+  status=0
+  "$SLC" monitor -j "$j" --props examples/monitor.props \
+    --trace "$servedir/slow.events" --json > "$servedir/slow.json" \
+    || status=$?
+  [ "$status" -le 1 ] || { echo "offline slow-reader run failed"; exit 1; }
+  python3 scripts/serve_norm.py offline "$servedir/slow.json" \
+    > "$servedir/slow-offline.norm"
+  "$SLC" serve -j "$j" --props examples/monitor.props --socket "$sock" \
+    --quiet 2>> "$servedir/serve.log" &
+  daemon=$!
+  wait_sock
+  python3 scripts/serve_client.py "$sock" "$servedir/slow.events" \
+    "$servedir/slow.out" --slow --status "$servedir/slow-status.out"
+  kill -TERM "$daemon"; wait "$daemon" \
+    || { echo "slow-reader daemon shutdown failed"; exit 1; }
+  python3 scripts/status_check.py draining "$servedir/slow-status.out" \
+    $((262144 + 65536))
+  python3 scripts/serve_norm.py served "$servedir/slow.out" \
+    > "$servedir/slow-served.norm"
+  diff "$servedir/slow-offline.norm" "$servedir/slow-served.norm" \
+    || { echo "slow reader: served verdicts differ at -j $j"; exit 1; }
+done
 
 # Snapshot-then-restart: SIGTERM writes the session snapshot; a fresh
 # daemon --resume's it, takes the second half of the stream, and its

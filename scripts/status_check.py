@@ -7,6 +7,10 @@
   status_check.py monitors FILE OFFLINE   GET /monitors body, cross-checked
                                           against the offline
                                           `slc monitor --json` report
+  status_check.py draining FILE LIMIT     GET /status body taken while a
+                                          connection drains its EOF dump:
+                                          some connection in mode "done"
+                                          has 0 < pending_out <= LIMIT
 
 FILE may be the raw JSON body or a full HTTP/1.0 response (headers are
 stripped). Each mode checks the schema tag and the field shape; the
@@ -126,6 +130,17 @@ def check_monitors(doc, offline_path):
     return f"monitors ok: {len(doc['monitors'])} rows match offline report"
 
 
+def check_draining(doc, limit):
+    check_status(doc)
+    pending = [c["pending_out"] for c in doc["connections"]
+               if c["mode"] == "done"]
+    assert pending, "no connection is draining"
+    assert any(p > 0 for p in pending), "the draining connection is drained"
+    assert max(pending) <= limit, \
+        f"draining connection queues {max(pending)} bytes > {limit}"
+    return f"draining ok: pending_out {max(pending)} <= {limit}"
+
+
 def main():
     mode, path = sys.argv[1], sys.argv[2]
     doc = body_of(path)
@@ -137,6 +152,8 @@ def main():
         msg = check_traces(doc)
     elif mode == "monitors":
         msg = check_monitors(doc, sys.argv[3])
+    elif mode == "draining":
+        msg = check_draining(doc, int(sys.argv[3]))
     else:
         print(f"unknown mode {mode}", file=sys.stderr)
         return 2

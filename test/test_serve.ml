@@ -319,6 +319,133 @@ let test_backpressure () =
   let _ = Conn.drain_output conn in
   check "drained: reads again" true (Conn.wants_read conn)
 
+(* {2 Paged EOF dump and pooled buffers} *)
+
+(* Write a connection's output the way the loop does — from the slab in
+   place, [step] bytes per write — checking the queue bound after every
+   write, until it closes or [limit] bytes are out. *)
+let pump ?(limit = max_int) ~step ~bound conn =
+  let out = Buffer.create 4096 in
+  let rec go () =
+    let slab, off, len = Conn.output conn in
+    let n = min (min len step) (limit - Buffer.length out) in
+    if n > 0 then begin
+      Buffer.add_subbytes out slab off n;
+      Conn.consumed conn n;
+      if Conn.pending_output conn > bound then
+        Alcotest.failf "%d bytes pending after a write, over the bound %d"
+          (Conn.pending_output conn) bound;
+      go ()
+    end
+  in
+  go ();
+  Buffer.contents out
+
+(* The dump as the daemon renders it eagerly: every touched trace's
+   verdicts in id order, then the summary. *)
+let eager_dump daemon conn =
+  let buf = Buffer.create 4096 in
+  List.iter (fun trace -> Daemon.dump daemon ~buf ~trace) (Conn.touched conn);
+  Daemon.add_summary daemon buf ~conn_events:(Conn.events conn)
+    ~conn_errors:(Conn.errors conn);
+  Buffer.contents buf
+
+let test_eof_dump_paged () =
+  let hwm = 4096 in
+  let bound = hwm + 65536 in
+  let daemon = mk_daemon () in
+  let conn = Conn.create ~hwm daemon in
+  Conn.on_bytes conn
+    (render_lines (List.init 400 (fun i -> (Printf.sprintf "trace-%d" i, i mod 2))));
+  ignore (Conn.drain_output conn);
+  let reference = eager_dump daemon conn in
+  check "the dump exceeds 4 x hwm" true (String.length reference > 4 * hwm);
+  Conn.on_eof conn;
+  check "pending within the bound at EOF" true
+    (Conn.pending_output conn <= bound);
+  check "pending actually bounded by the page size" true
+    (Conn.pending_output conn < String.length reference);
+  let out = pump ~step:1000 ~bound conn in
+  check_str "paged dump = eager dump at EOF" reference out;
+  check "drained conn closes" true (Conn.should_close conn)
+
+(* A's dump is frozen at its EOF: events fed later by B on A's traces
+   and a reload that changes the property set do not leak into it. *)
+let test_eof_dump_frozen () =
+  let daemon = mk_daemon () in
+  let a = Conn.create ~hwm:512 daemon in
+  let traces = List.init 60 (fun i -> Printf.sprintf "t%d" i) in
+  Conn.on_bytes a (render_lines (List.map (fun t -> (t, 0)) traces));
+  ignore (Conn.drain_output a);
+  let reference = eager_dump daemon a in
+  Conn.on_eof a;
+  let head = pump ~limit:700 ~step:100 ~bound:(512 + 65536) a in
+  let b = Conn.create daemon in
+  Conn.on_bytes b (render_lines (List.map (fun t -> (t, 1)) traces));
+  (match
+     Reload.carry_over ~old_session:(Daemon.session daemon)
+       ~registry:(mk_registry ~props:(props_src @ [ "G !a" ]) ())
+       ()
+   with
+  | Ok (s, _) -> Daemon.swap_session daemon s
+  | Error e -> Alcotest.failf "reload refused: %s" e);
+  Conn.on_bytes b (render_lines (List.map (fun t -> (t, 0)) traces));
+  Conn.on_eof b;
+  ignore (Conn.drain_output b);
+  check "B's events changed A's traces" true (eager_dump daemon a <> reference);
+  let rest = pump ~step:333 ~bound:(512 + 65536) a in
+  check_str "A's dump and summary = the EOF-time render" reference (head ^ rest)
+
+(* 500 connections in sequence on one daemon, drawing buffer sets from
+   its pool, against the same sequence on a twin daemon that gives every
+   connection fresh buffers: each stream must be byte-identical, so no
+   bytes of a previous owner survive in a recycled set. *)
+let test_pool_hygiene () =
+  Sl_obs.Obs.disable ();
+  let rng = Random.State.make [| 13 |] in
+  let pooled = mk_daemon () and fresh = Daemon.make ~pool:0
+      (Session.create ~jobs:1 ~threshold:1 ~registry:(mk_registry ()) ()) in
+  let slabs = ref [] and reused = ref 0 in
+  for i = 0 to 499 do
+    let hwm = [| 256; 4096; 262144 |].(Random.State.int rng 3) in
+    let max_line = if i mod 7 = 3 then 24 else 65536 in
+    let kind = Random.State.int rng 10 in
+    let input =
+      if kind = 0 then "GET /metrics HTTP/1.0\r\n\r\n"
+      else
+        String.concat ""
+          (List.init (Random.State.int rng 60) (fun _ ->
+               if Random.State.int rng 25 = 0 then
+                 "long-" ^ String.make (Random.State.int rng 60) 'x' ^ " 0\n"
+               else
+                 Printf.sprintf "tr%d %d\n" (Random.State.int rng 200)
+                   (Random.State.int rng 2)))
+    in
+    let cut = Random.State.int rng (String.length input + 1) in
+    let abandon = kind = 1 in
+    let limit = if abandon then Random.State.int rng 2000 else max_int in
+    let step = if abandon then 97 else 1 + Random.State.int rng 5000 in
+    let run daemon =
+      let conn = Conn.create ~hwm ~max_line daemon in
+      let slab, _, _ = Conn.output conn in
+      Conn.on_bytes conn (String.sub input 0 cut);
+      Conn.on_bytes conn (String.sub input cut (String.length input - cut));
+      Conn.on_eof conn;
+      let out = pump ~limit ~step ~bound:(hwm + 65536) conn in
+      if abandon then Conn.release conn;
+      check "closes once drained or released" true (Conn.should_close conn);
+      (slab, out)
+    in
+    let slab, out = run pooled in
+    let _, reference = run fresh in
+    let reference =
+      if abandon then String.sub reference 0 (String.length out) else reference
+    in
+    if List.memq slab !slabs then incr reused else slabs := slab :: !slabs;
+    check_str (Printf.sprintf "connection %d stream" i) reference out
+  done;
+  check "the pool recycles buffer sets" true (!reused > 400)
+
 (* {2 Hot reload} *)
 
 (* The engine's live count is maintained, never recomputed: wherever a
@@ -727,6 +854,19 @@ let reference_escape s =
     s;
   Buffer.contents buf
 
+let qcheck_add_int =
+  let gen =
+    QCheck.Gen.(
+      oneof
+        [ int; small_signed_int; oneofl [ 0; -1; max_int; min_int; min_int + 1 ] ])
+  in
+  QCheck.Test.make ~count:500 ~name:"Records.add_int = string_of_int"
+    (QCheck.make ~print:string_of_int gen) (fun n ->
+      let buf = Buffer.create 4 in
+      Buffer.add_char buf '<';
+      Records.add_int buf n;
+      Buffer.contents buf = "<" ^ string_of_int n)
+
 let test_record_escaping () =
   let r = Records.error ~line:1 ~trace:(Some "a\"b\\c") ~reason:"tab\there" in
   check "quotes and backslashes escaped" true
@@ -784,6 +924,11 @@ let tests =
     Alcotest.test_case "GET /metrics on the stream socket" `Quick
       test_http_metrics;
     Alcotest.test_case "back-pressure via wants_read" `Quick test_backpressure;
+    Alcotest.test_case "EOF dump paged within hwm" `Quick test_eof_dump_paged;
+    Alcotest.test_case "EOF dump frozen across feeds and reload" `Quick
+      test_eof_dump_frozen;
+    Alcotest.test_case "buffer pool hygiene over 500 connections" `Quick
+      test_pool_hygiene;
     Alcotest.test_case "reload: identical registry" `Quick
       test_reload_identical;
     Alcotest.test_case "reload: monitor carry-over" `Quick
@@ -805,4 +950,5 @@ let tests =
       test_obs_enabled_serve_identical;
     Alcotest.test_case "jsonv parser" `Quick test_jsonv;
     Alcotest.test_case "record escaping" `Quick test_record_escaping;
+    QCheck_alcotest.to_alcotest qcheck_add_int;
   ]
