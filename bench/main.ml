@@ -234,22 +234,18 @@ let monitor_engine =
     ()
 
 (* PARALLEL fixtures: the same 100-monitor fleet fed 10k events spread
-   round-robin over 16 concurrent traces (single-trace feeds cannot
-   shard — trace id is the unit of parallelism), one pre-built engine
-   per pool width so the series time stepping, not engine setup. The
-   jobs ladder is shared by all four parallelized paths. *)
+   round-robin over 16 concurrent traces, on one pre-built engine so the
+   series times stepping, not engine setup. The engine steps on the
+   calling domain at every [-j]; the jobs ladder drives the two
+   Pool-parallel paths (registry compile, closure theorems). *)
 let parallel_jobs_ladder = [ 1; 2; 4 ]
 
 let multi_trace_ids = Array.init 10_000 (fun i -> i mod 16)
 
-let monitor_engines_by_jobs =
-  List.map
-    (fun jobs ->
-      ( jobs,
-        Sl_runtime.Engine.create ~jobs
-          ~monitors:(Sl_runtime.Registry.monitors monitor_registry)
-          () ))
-    parallel_jobs_ladder
+let multi_trace_engine =
+  Sl_runtime.Engine.create
+    ~monitors:(Sl_runtime.Registry.monitors monitor_registry)
+    ()
 
 let fleet_named_props = List.map (fun f -> (None, f)) monitor_fleet_props
 let complement_input = Lexamples.automaton (Formula.parse_exn "F a")
@@ -315,7 +311,7 @@ let ensure_dir dir =
   end
 
 let session_fresh () =
-  let s = Sl_runtime.Session.create ~jobs:1 ~registry:monitor_registry () in
+  let s = Sl_runtime.Session.create ~registry:monitor_registry () in
   (* the 16 concurrent trace ids of the PARALLEL fixture, interned in
      the order the stream first sees them *)
   for i = 0 to 15 do
@@ -381,7 +377,7 @@ let serve_introspect_fixture =
      let c = Sl_serve.Conn.create d in
      Sl_serve.Conn.on_bytes c (Lazy.force serve_blob_all);
      ignore (Sl_serve.Conn.drain_output c);
-     let intro = Sl_serve.Introspect.create ~version:"bench" d in
+     let intro = Sl_serve.Introspect.create ~version:"bench" ~jobs:1 d in
      Sl_serve.Introspect.set_conns intro (fun () ->
          [ Sl_serve.Introspect.conn_info_of_conn c ]);
      intro)
@@ -616,30 +612,27 @@ let make_tests () =
             Ops.intersect_full (fst lockstep_pair) (snd lockstep_pair)) ];
       [ t "buchi/rank-complement-3-seedref" (fun () ->
             Complement.rank_based_ref (random_automaton 3)) ];
-      (* PARALLEL: the four Pool-parallelized hot paths at every rung of
-         the jobs ladder, identical inputs per rung — the scaling curves
-         the JSON trajectory records. On a 1-core container the curves
-         are flat-to-inverted (domains time-slice one CPU); the series
-         still pin the parallel paths' overhead and feed the
-         byte-identity cross-checks in CI. *)
-      List.concat_map
-        (fun jobs ->
-          let eng = List.assoc jobs monitor_engines_by_jobs in
-          [ t (Printf.sprintf "parallel/engine-100x10k-16tr/j%d" jobs)
-              (fun () ->
-                Sl_runtime.Engine.reset eng;
-                Sl_runtime.Engine.feed eng ~n:10_000
-                  ~traces:multi_trace_ids ~symbols:monitor_trace_syms ());
-            t (Printf.sprintf "parallel/registry-compile-100/j%d" jobs)
-              (fun () ->
-                let r = Sl_runtime.Registry.create ~alphabet:2 () in
-                Sl_runtime.Registry.compile_all ~jobs r fleet_named_props);
-            t (Printf.sprintf "parallel/rank-complement-Fa/j%d" jobs)
-              (fun () -> Complement.rank_based ~jobs complement_input);
-            t (Printf.sprintf "parallel/theorems-bool3/j%d" jobs)
-              (fun () ->
-                Finite_check.check_all_closures ~jobs (Named.boolean 3)) ])
-        parallel_jobs_ladder;
+      (* PARALLEL: the two Pool-parallelized paths at every rung of the
+         jobs ladder, identical inputs per rung — the scaling curves the
+         JSON trajectory records. The engine and rank-complement rows
+         have no parallel path; they keep their /j1 names so
+         bench_diff.py lines them up with the history. *)
+      [ t "parallel/engine-100x10k-16tr/j1" (fun () ->
+            Sl_runtime.Engine.reset multi_trace_engine;
+            Sl_runtime.Engine.feed multi_trace_engine ~n:10_000
+              ~traces:multi_trace_ids ~symbols:monitor_trace_syms ());
+        t "parallel/rank-complement-Fa/j1" (fun () ->
+            Complement.rank_based complement_input) ]
+      @ List.concat_map
+          (fun jobs ->
+            [ t (Printf.sprintf "parallel/registry-compile-100/j%d" jobs)
+                (fun () ->
+                  let r = Sl_runtime.Registry.create ~alphabet:2 () in
+                  Sl_runtime.Registry.compile_all ~jobs r fleet_named_props);
+              t (Printf.sprintf "parallel/theorems-bool3/j%d" jobs)
+                (fun () ->
+                  Finite_check.check_all_closures ~jobs (Named.boolean 3)) ])
+          parallel_jobs_ladder;
       (* CACHE: the 100-property fleet compile with an empty vs a
          prewarmed compile cache — the PR 6 acceptance pair (warm must
          be an order of magnitude under cold, DESIGN.md §6.10). *)
@@ -659,16 +652,14 @@ let make_tests () =
                ~path:snap_path));
         t "session/restore" (fun () ->
             match
-              Sl_runtime.Session.of_artifact ~jobs:1
-                ~registry:monitor_registry
+              Sl_runtime.Session.of_artifact ~registry:monitor_registry
                 (Lazy.force session_snapshot_blob)
             with
             | Ok s -> s
             | Error _ -> failwith "bench snapshot failed to restore");
         t "session/resume-feed-5k" (fun () ->
             match
-              Sl_runtime.Session.of_artifact ~jobs:1
-                ~registry:monitor_registry
+              Sl_runtime.Session.of_artifact ~registry:monitor_registry
                 (Lazy.force session_snapshot_blob)
             with
             | Ok s ->
@@ -1068,8 +1059,7 @@ let run_benchmarks_json ~path =
      each rung of the jobs ladder plus the j1-relative speedups. *)
   let scaling =
     let bases =
-      [ "parallel/engine-100x10k-16tr"; "parallel/registry-compile-100";
-        "parallel/rank-complement-Fa"; "parallel/theorems-bool3" ]
+      [ "parallel/registry-compile-100"; "parallel/theorems-bool3" ]
     in
     List.filter_map
       (fun base ->

@@ -115,22 +115,8 @@ let ranking_successors (b : Buchi.t) (st : Ranking.t) s =
    [Rtable] (constant-time amortized lookup with a whole-structure hash)
    where the seed threaded every lookup through a [Map.Make] balanced tree
    keyed by [Stdlib.compare]. Breadth-first, so state numbering matches
-   the seed reference exactly.
-
-   With [jobs > 1] the construction is level-synchronized: the frontier
-   (all interned-but-unexpanded states, in id order) has its
-   [ranking_successors] — the combinatorial enumeration that dominates
-   the cost — computed across the pool's domains into per-state slots,
-   then one sequential merge pass walks the slots in frontier order,
-   interning successors and emitting transition rows. Sequential FIFO
-   BFS processes states in exactly id order too, so the merge interns
-   every ranking at the same ordinal as the sequential loop and the
-   resulting automaton (numbering, rows, acceptance) is byte-identical
-   at every [jobs]. *)
-let rank_based ?(max_states = 200_000) ?jobs ?(threshold = 16) (b : Buchi.t) =
-  if threshold < 0 then
-    invalid_arg "Complement.rank_based: threshold must be >= 0";
-  let pool = Sl_core.Pool.create ?jobs () in
+   the seed reference exactly. *)
+let rank_based ?(max_states = 200_000) (b : Buchi.t) =
   let sp = Obs.Span.enter "buchi.rank_complement" in
   let max_rank = max_rank_of b in
   let interned = Rtable.create 256 in
@@ -155,23 +141,7 @@ let rank_based ?(max_states = 200_000) ?jobs ?(threshold = 16) (b : Buchi.t) =
   in
   let initial = initial_ranking b ~max_rank in
   let transitions = Hashtbl.create 256 in
-  let finish ~start =
-    let nstates = !count in
-    let all_states = Array.make nstates initial in
-    List.iter (fun st -> all_states.(Rtable.find interned st) <- st) !states;
-    let delta =
-      Array.init nstates (fun i ->
-          match Hashtbl.find_opt transitions i with
-          | Some row -> row
-          | None -> Array.make b.alphabet [])
-    in
-    let accepting =
-      Array.init nstates (fun i -> all_states.(i).Ranking.o = [])
-    in
-    Buchi.make ~alphabet:b.alphabet ~nstates ~start ~delta ~accepting
-  in
-  let build_seq () =
-    (* Breadth-first construction. *)
+  let build () =
     let queue = Queue.create () in
     let start = intern initial in
     Queue.push initial queue;
@@ -193,54 +163,19 @@ let rank_based ?(max_states = 200_000) ?jobs ?(threshold = 16) (b : Buchi.t) =
         Hashtbl.replace transitions i row
       end
     done;
-    finish ~start
-  in
-  let build_par () =
-    let start = intern initial in
-    let frontier = ref [ initial ] in
-    while !frontier <> [] do
-      let fr = Array.of_list !frontier in
-      let nf = Array.length fr in
-      let succs = Array.make nf [||] in
-      let expand i =
-        succs.(i) <-
-          Array.init b.alphabet (fun s -> ranking_successors b fr.(i) s)
-      in
-      (* Per-level work-size cutoff: a narrow frontier (BFS start-up and
-         tail levels) expands sequentially — the domain spawn costs more
-         than the few enumerations it would split. Either way the merge
-         below sees the same slots, so the automaton is unchanged. *)
-      if nf < threshold then
-        for i = 0 to nf - 1 do
-          expand i
-        done
-      else Sl_core.Pool.parallel_for pool ~n:nf expand;
-      (* Deterministic merge: intern in frontier order, symbol order,
-         successor-list order — the sequential loop's intern order. *)
-      let next = ref [] in
-      for i = 0 to nf - 1 do
-        let idx = Rtable.find interned fr.(i) in
-        let row =
-          Array.map
-            (fun sts ->
-              List.map
-                (fun st' ->
-                  let fresh = not (Rtable.mem interned st') in
-                  let j = intern st' in
-                  if fresh then next := st' :: !next;
-                  j)
-                sts
-              |> List.sort_uniq Stdlib.compare)
-            succs.(i)
-        in
-        Hashtbl.replace transitions idx row
-      done;
-      frontier := List.rev !next
-    done;
-    finish ~start
-  in
-  let build () =
-    if Sl_core.Pool.jobs pool = 1 then build_seq () else build_par ()
+    let nstates = !count in
+    let all_states = Array.make nstates initial in
+    List.iter (fun st -> all_states.(Rtable.find interned st) <- st) !states;
+    let delta =
+      Array.init nstates (fun i ->
+          match Hashtbl.find_opt transitions i with
+          | Some row -> row
+          | None -> Array.make b.alphabet [])
+    in
+    let accepting =
+      Array.init nstates (fun i -> all_states.(i).Ranking.o = [])
+    in
+    Buchi.make ~alphabet:b.alphabet ~nstates ~start ~delta ~accepting
   in
   match build () with
   | exception e ->

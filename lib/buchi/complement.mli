@@ -27,22 +27,13 @@ val complement_closed : Buchi.t -> Buchi.t
     empty language (complement = universal).
     @raise Invalid_argument if the automaton is neither. *)
 
-val rank_based :
-  ?max_states:int -> ?jobs:int -> ?threshold:int -> Buchi.t -> Buchi.t
+val rank_based : ?max_states:int -> Buchi.t -> Buchi.t
 (** Full complementation; the result accepts exactly [Σ^ω \ L(B)].
     Rank bound [2 (n - |F ∩ reachable|) ] with the even-rank restriction on
     accepting states. Ranking states are interned through a hashtable with
-    a whole-structure hash. [max_states] (default [200_000]) bounds the
-    explored complement automaton. @raise Too_large when exceeded.
-
-    With [jobs > 1] (default {!Sl_core.Pool.default_jobs}) the frontier's
-    ranking-successor enumeration is partitioned across a domain pool
-    level by level, with a sequential deterministic interning merge
-    between levels: the resulting automaton is byte-identical at every
-    [jobs]. [threshold] (default [16]) is the per-level work-size
-    cutoff: a BFS level narrower than that many frontier states expands
-    sequentially even on a wide pool, since the domain spawn would cost
-    more than the split saves. Never changes the automaton. *)
+    a whole-structure hash, in breadth-first order. [max_states] (default
+    [200_000]) bounds the explored complement automaton.
+    @raise Too_large when exceeded. *)
 
 val rank_based_ref : ?max_states:int -> Buchi.t -> Buchi.t
 (** The seed's [Map.Make]-interned construction, kept as the reference

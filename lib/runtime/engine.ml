@@ -38,12 +38,12 @@ let g_minor_words_per_event =
   Obs.Metrics.gauge ~help:"Minor-heap words per event, last chunk"
     "engine_minor_words_per_event"
 
-(* Labeled telemetry (PR 9). Per-monitor series are labeled by the
-   FNV-64 hash of the monitor's canonical key — stable across reloads
-   and processes, unlike the distinct-monitor index — and per-shard
-   series by [trace id mod jobs]. The hot loop only bumps plain int
-   arrays at retirements; label lookup and the counter writes happen in
-   the chunk epilogue, and only while collection is enabled. *)
+(* Labeled telemetry. Per-monitor series are labeled by the FNV-64
+   hash of the monitor's canonical key — stable across reloads and
+   processes, unlike the distinct-monitor index. The hot loop only
+   bumps plain int arrays at retirements; label lookup and the counter
+   writes happen in the chunk epilogue, and only while collection is
+   enabled. *)
 let v_monitor_trips =
   Obs.Metrics.counter_vec
     ~help:"Violation retirements per distinct monitor (canonical-key hash)"
@@ -54,11 +54,6 @@ let v_monitor_retires =
     ~help:"Admissible-forever retirements per distinct monitor \
            (canonical-key hash)"
     "engine_monitor_retires_total" ~labels:[ "monitor" ]
-
-let v_shard_events =
-  Obs.Metrics.counter_vec
-    ~help:"Events stepped per trace shard (trace id mod jobs)"
-    "engine_shard_events_total" ~labels:[ "shard" ]
 
 let h_stage_feed =
   Obs.Metrics.histogram
@@ -91,7 +86,7 @@ type plan = {
   (* Fused transition megatable (see [Packed_dfa.fuse]): all monitors'
      rows in one contiguous array, entries packing successor +
      can_trip/accepting bits, with per-monitor base offsets. The step
-     loops walk only these two arrays; [monitors] stays the canonical
+     loop walks only these two arrays; [monitors] stays the canonical
      per-monitor view (keys, state counts) for the session codec,
      reload carry-over and telemetry. *)
   mega : int array;
@@ -100,8 +95,6 @@ type plan = {
 
 type t = {
   plan : plan;
-  jobs : int;
-  threshold : int;
   mutable traces : trace option array;
   mutable ntraces : int;
   mutable events : int;
@@ -110,8 +103,8 @@ type t = {
   mutable live_pairs : int;
       (* live (trace, monitor) pairs: the sum of [nlive] over the trace
          table, kept exact wherever a live list changes (trace
-         (re)initialization, the two retirement branches, the parallel
-         join, restore) so [live] never walks the table *)
+         (re)initialization, the two retirement branches, restore) so
+         [live] never walks the table *)
   mutable hook :
     (trace:int -> monitor:int -> position:int -> tripped:bool -> unit) option;
       (** incremental retirement callback; [None] (the default) keeps
@@ -125,11 +118,8 @@ type t = {
   mretires : int array;  (* admissible-forever retirements *)
   mtrips0 : int array;  (* epilogue scratch: values at chunk start *)
   mretires0 : int array;
-  shard_scratch : int array array;  (* jobs x M, parallel-feed private *)
-  shard_counts : int array;  (* epilogue scratch: events per shard *)
   mtrip_children : Obs.Metrics.counter array;  (* label handles, per M *)
   mretire_children : Obs.Metrics.counter array;
-  shard_children : Obs.Metrics.counter array;  (* per shard *)
 }
 
 let plan_of_monitors monitors =
@@ -156,12 +146,7 @@ let plan_of_monitors monitors =
   { monitors; alphabet; nvacuous = !nvacuous; npretripped = !npretripped;
     mega; mbase }
 
-let of_plan ?jobs ?(threshold = 65536) plan =
-  let jobs =
-    match jobs with Some j -> j | None -> Sl_core.Pool.default_jobs ()
-  in
-  if jobs < 1 then invalid_arg "Engine.of_plan: jobs must be >= 1";
-  if threshold < 0 then invalid_arg "Engine.of_plan: threshold must be >= 0";
+let of_plan plan =
   let m = Array.length plan.monitors in
   let mslots = max m 1 in
   (* Label handles are interned eagerly: engine creation is a cold
@@ -179,20 +164,14 @@ let of_plan ?jobs ?(threshold = 65536) plan =
         Obs.Metrics.counter_child v_monitor_retires
           [ Sl_core.Wire.fnv64_hex pd.Packed_dfa.key ])
       plan.monitors
-  and shard_children =
-    Array.init jobs (fun s ->
-        Obs.Metrics.counter_child v_shard_events [ string_of_int s ])
   in
-  { plan; jobs; threshold; traces = Array.make 4 None; ntraces = 0;
+  { plan; traces = Array.make 4 None; ntraces = 0;
     events = 0; tripped = 0; retired_ok = 0; live_pairs = 0; hook = None;
     mtrips = Array.make mslots 0; mretires = Array.make mslots 0;
     mtrips0 = Array.make mslots 0; mretires0 = Array.make mslots 0;
-    shard_scratch = Array.init jobs (fun _ -> Array.make (2 * mslots) 0);
-    shard_counts = Array.make jobs 0; mtrip_children; mretire_children;
-    shard_children }
+    mtrip_children; mretire_children }
 
-let create ?jobs ?threshold ~monitors () =
-  of_plan ?jobs ?threshold (plan_of_monitors monitors)
+let create ~monitors () = of_plan (plan_of_monitors monitors)
 
 let plan eng = eng.plan
 let plan_monitors plan = plan.monitors
@@ -300,76 +279,6 @@ let step_trace eng ~id (tr : trace) symbol =
     end
   done
 
-(* Per-shard retirement log for the parallel feed: worker domains must
-   not call the hook (it belongs to the owning domain), so retirements
-   are recorded as flat int quadruples (trace, monitor, position,
-   tripped) and replayed after the join. Grows only at retirements,
-   which are bounded by monitors x traces over a whole run. *)
-type rvec = { mutable rbuf : int array; mutable rlen : int }
-
-let rvec_create () = { rbuf = Array.make 64 0; rlen = 0 }
-
-let rvec_push v ~trace ~monitor ~position ~tripped =
-  if v.rlen + 4 > Array.length v.rbuf then begin
-    let a = Array.make (2 * Array.length v.rbuf) 0 in
-    Array.blit v.rbuf 0 a 0 v.rlen;
-    v.rbuf <- a
-  end;
-  v.rbuf.(v.rlen) <- trace;
-  v.rbuf.(v.rlen + 1) <- monitor;
-  v.rbuf.(v.rlen + 2) <- position;
-  v.rbuf.(v.rlen + 3) <- (if tripped then 1 else 0);
-  v.rlen <- v.rlen + 4
-
-(* The same per-event walk for the sharded parallel feed: engine-global
-   counters go into per-shard refs (summed into the engine after the
-   join) instead of the shared engine fields, which worker domains must
-   not touch; retirements go into the shard's [rvec] (when a hook is
-   installed) for post-join replay. Per-trace state needs no such care
-   — each trace belongs to exactly one shard. *)
-let step_trace_sharded plan ~id (tr : trace) symbol ~tripped ~retired
-    ~mcounts ~nmon ~rvec =
-  tr.events <- tr.events + 1;
-  let mega = plan.mega in
-  let mbase = plan.mbase in
-  let alphabet = plan.alphabet in
-  let i = ref 0 in
-  while !i < tr.nlive do
-    let m = Array.unsafe_get tr.live !i in
-    let e =
-      Array.unsafe_get mega
-        (Array.unsafe_get mbase m
-        + (Array.unsafe_get tr.states m * alphabet)
-        + symbol)
-    in
-    if e land 1 = 0 then begin
-      Array.unsafe_set tr.tripped_at m tr.events;
-      incr tripped;
-      mcounts.(m) <- mcounts.(m) + 1;
-      tr.nlive <- tr.nlive - 1;
-      Array.unsafe_set tr.live !i (Array.unsafe_get tr.live tr.nlive);
-      (match rvec with
-      | None -> ()
-      | Some v ->
-          rvec_push v ~trace:id ~monitor:m ~position:tr.events ~tripped:true)
-    end
-    else begin
-      Array.unsafe_set tr.states m (e lsr 2);
-      if e land 2 <> 0 then incr i
-      else begin
-        incr retired;
-        mcounts.(nmon + m) <- mcounts.(nmon + m) + 1;
-        tr.nlive <- tr.nlive - 1;
-        Array.unsafe_set tr.live !i (Array.unsafe_get tr.live tr.nlive);
-        match rvec with
-        | None -> ()
-        | Some v ->
-            rvec_push v ~trace:id ~monitor:m ~position:tr.events
-              ~tripped:false
-      end
-    end
-  done
-
 let check_symbol eng symbol =
   if symbol < 0 || symbol >= eng.plan.alphabet then
     invalid_arg
@@ -408,28 +317,6 @@ let record_chunk eng ~n ~t0_us ~mw0 ~tripped0 ~retired0 =
     if dr > 0 then Obs.Metrics.add eng.mretire_children.(m) dr
   done
 
-(* Per-shard event counts for the chunk: an O(n) pass over the chunk's
-   trace ids, run only in the enabled epilogue — the shard split is a
-   pure function of the ids, so this stays out of the stepping loops.
-   A single-shard engine attributes the whole chunk to shard 0 without
-   the pass. *)
-let record_shard_events eng ~off ~n ~traces =
-  let jobs = eng.jobs in
-  if jobs = 1 then begin
-    if n > 0 then Obs.Metrics.add eng.shard_children.(0) n
-  end
-  else begin
-    Array.fill eng.shard_counts 0 jobs 0;
-    for k = off to off + n - 1 do
-      let s = Array.unsafe_get traces k mod jobs in
-      eng.shard_counts.(s) <- eng.shard_counts.(s) + 1
-    done;
-    for s = 0 to jobs - 1 do
-      if eng.shard_counts.(s) > 0 then
-        Obs.Metrics.add eng.shard_children.(s) eng.shard_counts.(s)
-    done
-  end
-
 let step eng ~trace ~symbol =
   check_symbol eng symbol;
   if not (Obs.is_enabled ()) then
@@ -440,114 +327,20 @@ let step eng ~trace ~symbol =
     let tripped0 = eng.tripped and retired0 = eng.retired_ok in
     snapshot_monitors eng;
     step_trace eng ~id:trace (get_trace eng trace) symbol;
-    record_chunk eng ~n:1 ~t0_us ~mw0 ~tripped0 ~retired0;
-    Obs.Metrics.incr eng.shard_children.(trace mod eng.jobs)
+    record_chunk eng ~n:1 ~t0_us ~mw0 ~tripped0 ~retired0
   end
-
-(* Sharded parallel feed. Traces are the independent unit — each owns
-   its packed state block and its events arrive in chunk order — so
-   shard [trace id mod jobs] assigns every trace to exactly one domain,
-   which replays the whole chunk filtered to its own traces. Per-trace
-   state evolves through the identical sequence of [step_trace] walks
-   as the sequential loop, so states, live lists and bad-prefix
-   positions are bit-identical at every [jobs]; the engine-global
-   counters are per-shard sums merged after the join, and integer
-   addition is commutative, so they match too.
-
-   A sequential pre-pass validates symbols and materializes trace
-   blocks first: trace allocation order (hence [ntraces] growth and
-   array doubling) stays deterministic, and the parallel phase then
-   never mutates the engine's trace table, only the per-trace blocks
-   its shard owns. *)
-let feed_parallel eng ~off ~n ~traces ~symbols =
-  for k = off to off + n - 1 do
-    check_symbol eng (Array.unsafe_get symbols k);
-    ignore (get_trace eng (Array.unsafe_get traces k))
-  done;
-  let jobs = eng.jobs in
-  let nmon = Array.length eng.plan.monitors in
-  let tripped_by = Array.make jobs 0 and retired_by = Array.make jobs 0 in
-  (* Per-shard monitor retirement counts live in the engine's reusable
-     shard-private scratch rows ([trips.(m); retires.(m)] packed as one
-     2M row per shard) — worker domains never write the shared
-     cumulative arrays. *)
-  for shard = 0 to jobs - 1 do
-    Array.fill eng.shard_scratch.(shard) 0 (2 * max nmon 1) 0
-  done;
-  let rvecs =
-    match eng.hook with
-    | None -> [||]
-    | Some _ -> Array.init jobs (fun _ -> rvec_create ())
-  in
-  let pool = Sl_core.Pool.create ~jobs () in
-  Sl_core.Pool.parallel_for ~chunk:1 pool ~n:jobs (fun shard ->
-      let tripped = ref 0 and retired = ref 0 in
-      let mcounts = eng.shard_scratch.(shard) in
-      let rvec =
-        if Array.length rvecs = 0 then None else Some rvecs.(shard)
-      in
-      let engine_traces = eng.traces in
-      for k = off to off + n - 1 do
-        let id = Array.unsafe_get traces k in
-        if id mod jobs = shard then
-          match Array.unsafe_get engine_traces id with
-          | Some tr ->
-              step_trace_sharded eng.plan ~id tr
-                (Array.unsafe_get symbols k) ~tripped ~retired ~mcounts ~nmon
-                ~rvec
-          | None -> ()
-      done;
-      tripped_by.(shard) <- !tripped;
-      retired_by.(shard) <- !retired);
-  eng.events <- eng.events + n;
-  for shard = 0 to jobs - 1 do
-    eng.tripped <- eng.tripped + tripped_by.(shard);
-    eng.retired_ok <- eng.retired_ok + retired_by.(shard);
-    (* every shard retirement removed one live pair *)
-    eng.live_pairs <-
-      eng.live_pairs - tripped_by.(shard) - retired_by.(shard);
-    let mcounts = eng.shard_scratch.(shard) in
-    for m = 0 to nmon - 1 do
-      eng.mtrips.(m) <- eng.mtrips.(m) + mcounts.(m);
-      eng.mretires.(m) <- eng.mretires.(m) + mcounts.(nmon + m)
-    done
-  done;
-  (* Replay the buffered retirements into the hook after the join, in
-     shard order — deterministic for a given [jobs], chronological
-     within each trace, and the engine's counters are already
-     consistent when the hook observes them. *)
-  match eng.hook with
-  | None -> ()
-  | Some h ->
-      Array.iter
-        (fun v ->
-          let i = ref 0 in
-          while !i < v.rlen do
-            h ~trace:v.rbuf.(!i) ~monitor:v.rbuf.(!i + 1)
-              ~position:v.rbuf.(!i + 2)
-              ~tripped:(v.rbuf.(!i + 3) = 1);
-            i := !i + 4
-          done)
-        rvecs
 
 let feed eng ?(off = 0) ~n ~traces ~symbols () =
   if off < 0 || n < 0 || off + n > Array.length traces
      || off + n > Array.length symbols
   then invalid_arg "Engine.feed: bad chunk bounds";
   let run () =
-    (* Work-size cutoff: stepping one event is ~tens of ns, so a chunk
-       needs tens of thousands of events before the per-feed domain
-       spawn pays for itself; smaller chunks take the sequential walk,
-       which by the sharding argument below yields the same verdicts. *)
-    if eng.jobs > 1 && n > 1 && n >= eng.threshold then
-      feed_parallel eng ~off ~n ~traces ~symbols
-    else
-      for k = off to off + n - 1 do
-        let symbol = Array.unsafe_get symbols k in
-        check_symbol eng symbol;
-        let id = Array.unsafe_get traces k in
-        step_trace eng ~id (get_trace eng id) symbol
-      done
+    for k = off to off + n - 1 do
+      let symbol = Array.unsafe_get symbols k in
+      check_symbol eng symbol;
+      let id = Array.unsafe_get traces k in
+      step_trace eng ~id (get_trace eng id) symbol
+    done
   in
   if not (Obs.is_enabled ()) then run ()
   else begin
@@ -562,7 +355,6 @@ let feed eng ?(off = 0) ~n ~traces ~symbols () =
         Obs.Span.exit sp;
         raise e);
     record_chunk eng ~n ~t0_us ~mw0 ~tripped0 ~retired0;
-    record_shard_events eng ~off ~n ~traces;
     Obs.Span.attr sp "events" n;
     Obs.Span.attr sp "tripped" (eng.tripped - tripped0);
     Obs.Span.attr sp "retired_admissible" (eng.retired_ok - retired0);
@@ -582,7 +374,6 @@ let reset eng =
 let set_retire_hook eng h = eng.hook <- h
 
 let nmonitors eng = Array.length eng.plan.monitors
-let jobs eng = eng.jobs
 let ntraces eng = eng.ntraces
 let events eng = eng.events
 let tripped eng = eng.tripped

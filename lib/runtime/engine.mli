@@ -23,7 +23,7 @@ type t
 type plan
 (** The immutable compiled plan: monitors, alphabet, the derived
     vacuous/pre-tripped census, and the fused transition megatable
-    ({!Packed_dfa.fuse}) the step loops walk — one contiguous array
+    ({!Packed_dfa.fuse}) the step loop walks — one contiguous array
     with per-monitor base offsets, so the per-event inner loop reads a
     single cache-friendly table instead of chasing M monitor records.
     A pure function of the registry's compiled monitors — shareable
@@ -37,31 +37,16 @@ val plan_of_monitors : Packed_dfa.t array -> plan
 (** All monitors must share an alphabet (the registry guarantees this).
     @raise Invalid_argument otherwise. *)
 
-val of_plan : ?jobs:int -> ?threshold:int -> plan -> t
-(** A fresh run (no traces, zero counters) over [plan]. [jobs] and
-    [threshold] as in {!create}. *)
+val of_plan : plan -> t
+(** A fresh run (no traces, zero counters) over [plan]. *)
 
 val plan : t -> plan
 val plan_monitors : plan -> Packed_dfa.t array
 val plan_alphabet : plan -> int
 
-val create :
-  ?jobs:int -> ?threshold:int -> monitors:Packed_dfa.t array -> unit -> t
+val create : monitors:Packed_dfa.t array -> unit -> t
 (** [plan_of_monitors] composed with [of_plan].
-    @raise Invalid_argument if the monitors disagree on alphabet.
-
-    [jobs] (default {!Sl_core.Pool.default_jobs}) sets the engine's
-    domain-pool width: {!feed} chunks shard their traces across [jobs]
-    domains ([trace id mod jobs], so a trace's events never leave its
-    shard) with per-shard counters merged deterministically after the
-    join. Verdicts, bad-prefix positions and counters are byte-identical
-    at every [jobs]; [jobs = 1] runs the exact sequential loop.
-
-    [threshold] (default [65536]) is the work-size cutoff: a {!feed}
-    chunk of fewer events than this steps sequentially even on a
-    multi-domain engine, since stepping an event costs tens of
-    nanoseconds and the per-feed domain spawn only amortizes over tens
-    of thousands of them. Never changes verdicts or counters. *)
+    @raise Invalid_argument if the monitors disagree on alphabet. *)
 
 val step : t -> trace:int -> symbol:int -> unit
 (** Feed one event. Trace ids are dense nonnegative ints (see
@@ -105,18 +90,15 @@ val set_retire_hook :
     monitors never pass through the hook — they retire at trace
     materialization, not at a step; callers see them in the plan.
 
-    Ordering: the sequential path fires the hook in exact event order.
-    The sharded parallel feed buffers retirements per shard during the
-    run and replays them after the join, shard 0 first — deterministic
-    for a given [jobs], chronological within each trace (a trace never
-    leaves its shard). The hook must not call back into the engine's
-    stepping API. Restoring a snapshot fires no hooks. *)
+    Ordering: the hook fires in exact event order, from inside the
+    step that retires the monitor, so {!feed} and the equivalent
+    sequence of {!step} calls fire the same sequence. The hook must not
+    call back into the engine's stepping API. Restoring a snapshot
+    fires no hooks. *)
 
 (** {1 Metrics counters} *)
 
 val nmonitors : t -> int
-val jobs : t -> int
-(** The pool width this engine was created with. *)
 
 val ntraces : t -> int
 val events : t -> int
@@ -126,7 +108,7 @@ val trace_events : t -> int -> int
 val live : t -> int
 (** Live (still undecided) monitor instances across all traces. O(1):
     the engine keeps the count as each trace's live list changes
-    (materialization, retirement, the parallel join), so it is exact
+    (materialization, retirement, restore), so it is exact
     at every point — including after {!reset}, {!restore_trace} and a
     reload carry-over — and never walks the trace table. Derived
     state: snapshots neither save nor restore it. *)

@@ -32,6 +32,7 @@ let traces_cap = 1000
 type t = {
   daemon : Daemon.t;
   version : string;
+  jobs : int;
   start_wall : float;
   resumed_from : string option;
   mutable snapshot_path : string option;
@@ -41,10 +42,11 @@ type t = {
   mutable nreload_failures : int;
 }
 
-let create ?resumed_from ?snapshot_path ~version daemon =
+let create ?resumed_from ?snapshot_path ~version ~jobs daemon =
   {
     daemon;
     version;
+    jobs;
     start_wall = Unix.gettimeofday ();
     resumed_from;
     snapshot_path;
@@ -115,7 +117,7 @@ let render_status t =
   p "\"props\": %d, \"monitors\": %d, \"jobs\": %d, "
     (Registry.nprops registry)
     (Registry.nmonitors registry)
-    (Engine.jobs eng);
+    t.jobs;
   p "\"traces\": %d, \"events\": %d, \"live\": %d, \"tripped\": %d, \
      \"retired_admissible\": %d, "
     (Engine.ntraces eng) (Engine.events eng) (Engine.live eng)

@@ -26,9 +26,10 @@ type t
 
 val create :
   ?resumed_from:string -> ?snapshot_path:string -> version:string ->
-  Daemon.t -> t
+  jobs:int -> Daemon.t -> t
 (** Uptime starts now. [resumed_from]/[snapshot_path] surface the
-    daemon's session-artifact configuration in [/status]. *)
+    daemon's session-artifact configuration in [/status]; [jobs] is the
+    process's pool width, reported as [/status] ["jobs"]. *)
 
 type conn_info = {
   ci_id : int;

@@ -6,7 +6,6 @@ type config = {
   unix_socket : string option;
   tcp_port : int option;
   jobs : int option;
-  threshold : int option;
   snapshot : string option;
   resume : string option;
   max_line : int;
@@ -20,7 +19,6 @@ let default_config ~props_file =
     unix_socket = None;
     tcp_port = None;
     jobs = None;
-    threshold = None;
     snapshot = None;
     resume = None;
     max_line = 65536;
@@ -88,11 +86,9 @@ let build_registry cfg =
 
 let build_session cfg registry =
   match cfg.resume with
-  | None -> Session.create ?jobs:cfg.jobs ?threshold:cfg.threshold ~registry ()
+  | None -> Session.create ~registry ()
   | Some path -> (
-      match
-        Session.load ?jobs:cfg.jobs ?threshold:cfg.threshold ~registry ~path ()
-      with
+      match Session.load ~registry ~path () with
       | Ok s ->
           note cfg "slc serve: resumed %s (%d traces, %d events)\n%!" path
             (Engine.ntraces (Session.engine s))
@@ -120,6 +116,16 @@ let listen_tcp port =
   Unix.set_nonblock fd;
   fd
 
+(* [Unix.select] takes only descriptors below FD_SETSIZE (1024 on
+   Linux) and fails with EINVAL on any other, so [accept_all] refuses
+   connections whose descriptor lands at or above it. On Unix a
+   [file_descr] is the descriptor number itself. *)
+let fd_setsize = 1024
+let fd_index (fd : Unix.file_descr) : int = Obj.magic fd
+
+let too_many =
+  Records.error ~line:0 ~trace:None ~reason:"too many connections"
+
 type client = {
   fd : Unix.file_descr;
   conn : Conn.t;
@@ -135,7 +141,9 @@ let run cfg =
   let daemon = Daemon.make session in
   let introspect =
     Introspect.create ?resumed_from:cfg.resume ?snapshot_path:cfg.snapshot
-      ~version:"1.0.0" daemon
+      ~version:"1.0.0"
+      ~jobs:(Option.value cfg.jobs ~default:(Sl_core.Pool.default_jobs ()))
+      daemon
   in
   let http = Introspect.handler introspect in
   install_signals ();
@@ -188,6 +196,16 @@ let run cfg =
     let continue = ref true in
     while !continue do
       match Unix.accept ~cloexec:true lfd with
+      | fd, _ when fd_index fd >= fd_setsize ->
+          (* [Unix.select] cannot watch this descriptor: tell the client
+             why (best effort, one nonblocking write), then refuse it *)
+          Unix.set_nonblock fd;
+          (try
+             ignore
+               (Unix.write_substring fd too_many 0 (String.length too_many))
+           with Unix.Unix_error _ -> ());
+          (try Unix.close fd with Unix.Unix_error _ -> ());
+          Obs.Metrics.incr m_accept_errors
       | fd, _ ->
           Unix.set_nonblock fd;
           let conn =
@@ -251,7 +269,7 @@ let run cfg =
   let do_reload () =
     match
       Reload.from_props_file ~old_session:(Daemon.session daemon)
-        ~props_file:cfg.props_file ?jobs:cfg.jobs ?threshold:cfg.threshold ()
+        ~props_file:cfg.props_file ()
     with
     | Ok (s, carried, errs) ->
         List.iter prerr_endline errs;

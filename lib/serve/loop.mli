@@ -1,8 +1,7 @@
 (** The daemon event loop: a single-threaded [Unix.select] reactor.
 
-    One process, one {!Daemon} (so one engine — parallelism lives inside
-    the engine's domain pool, sharded by trace id, not in the I/O
-    layer), many connections. The loop owns all syscalls and signals;
+    One process, one {!Daemon} (so one engine, stepped on the loop's
+    own domain), many connections. The loop owns all syscalls and signals;
     protocol logic lives in {!Conn}, monitoring in {!Daemon}.
 
     Per round: commit any pending SIGHUP reload (between rounds every
@@ -14,6 +13,13 @@
     Reads are capped per round; writes pump until [EAGAIN]. Connections
     report EOF/reset to {!Conn.on_eof} and close once drained.
 
+    Accept failures never stop the loop. Out of descriptors
+    ([EMFILE]/[ENFILE]), the listeners rest for one round. A
+    connection whose descriptor is at or above [FD_SETSIZE] (1024),
+    which [Unix.select] cannot watch, gets one best-effort [error]
+    record ("too many connections") and is closed. Both count in
+    [serve_accept_errors_total].
+
     SIGTERM/SIGINT initiate graceful shutdown: stop accepting, write the
     [--snapshot] session artifact (if configured), close everything,
     exit 0 — restarting with [--resume] on that artifact continues the
@@ -23,8 +29,9 @@ type config = {
   props_file : string;
   unix_socket : string option;
   tcp_port : int option;  (** bound on loopback *)
-  jobs : int option;  (** engine pool width; default [Pool.default_jobs] *)
-  threshold : int option;  (** engine work-size cutoff *)
+  jobs : int option;
+      (** registry compile pool width, reported by [/status]; default
+          [Pool.default_jobs] *)
   snapshot : string option;  (** written on graceful shutdown *)
   resume : string option;  (** session artifact to restore at startup *)
   max_line : int;

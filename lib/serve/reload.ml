@@ -33,15 +33,13 @@ let carry_trace ~new_monitors ~(map : int option array)
     ts_tripped_at = tripped_at;
   }
 
-let carry_over ~old_session ~registry ?jobs ?threshold () =
+let carry_over ~old_session ~registry () =
   let old_registry = Session.registry old_session in
   let old_engine = Session.engine old_session in
-  let jobs = match jobs with Some j -> j | None -> Engine.jobs old_engine in
   if Registry.fingerprint old_registry = Registry.fingerprint registry then
     (* structurally identical: exact continuation via the snapshot codec *)
     match
-      Session.of_artifact ~jobs ?threshold ~registry
-        (Session.to_artifact old_session)
+      Session.of_artifact ~registry (Session.to_artifact old_session)
     with
     | Ok s -> Ok (s, Registry.nmonitors registry)
     | Error e -> Error (Session.restore_error_to_string e)
@@ -68,7 +66,7 @@ let carry_over ~old_session ~registry ?jobs ?threshold () =
     Array.iteri
       (fun j oi -> match oi with Some i -> inv.(i) <- Some j | None -> ())
       map;
-    let fresh = Session.create ~jobs ?threshold ~registry () in
+    let fresh = Session.create ~registry () in
     let new_ingest = Session.ingest fresh in
     Array.iter
       (fun name -> ignore (Ingest.intern new_ingest name))
@@ -100,7 +98,7 @@ let carry_over ~old_session ~registry ?jobs ?threshold () =
     Ok (fresh, carried)
   end
 
-let from_props_file ~old_session ~props_file ?jobs ?threshold () =
+let from_props_file ~old_session ~props_file () =
   let old_registry = Session.registry old_session in
   match open_in props_file with
   | exception Sys_error msg -> Error msg
@@ -118,7 +116,7 @@ let from_props_file ~old_session ~props_file ?jobs ?threshold () =
           (Printf.sprintf "%s: no well-formed properties; reload refused"
              props_file)
       else begin
-        match carry_over ~old_session ~registry ?jobs ?threshold () with
+        match carry_over ~old_session ~registry () with
         | Ok (s, carried) -> Ok (s, carried, errs)
         | Error e -> Error e
       end

@@ -1,15 +1,16 @@
 #!/bin/sh
 # CI smoke: build everything (library, CLI, examples, bench harness),
 # run the full test suite (once at the default pool width and once with
-# SLC_JOBS=4 so every parallel path runs sharded), run every example
+# SLC_JOBS=4 so every parallel path runs on a wide pool), run every example
 # program, exercise the CLI (including the observability surface:
 # --metrics / --trace-out, the -j byte-identity cross-checks, and the
 # daemon's /status introspection endpoints + slc top), drive the daemon
 # over its socket (reload, a slow reader draining its EOF dump,
-# snapshot/resume, descriptor exhaustion, a
-# 1M-event soak), run the serving benchmark's selftest, then regenerate
-# the benchmark trajectory JSON (writes BENCH_PR9.json at the
-# repo root, with ratios against the most recent tracked BENCH_PR*.json).
+# snapshot/resume, descriptor exhaustion, more than 1024 held
+# connections, a 1M-event soak), run the serving benchmark's selftest,
+# then regenerate the benchmark trajectory JSON (writes BENCH_PR10.json
+# at the repo root, with ratios against the most recent tracked
+# BENCH_PR*.json).
 # Run from the repository root.
 set -eu
 
@@ -17,8 +18,8 @@ dune build @runtest
 dune build bin examples bench
 
 # The whole suite again with the process-default pool width forced to 4:
-# every ?jobs-defaulted path (engine, registry, complementation, theorem
-# sweeps) now runs its parallel code under the existing pins.
+# every ?jobs-defaulted path (registry compile, theorem sweeps) now runs
+# its parallel code under the existing pins.
 echo "--- dune runtest with SLC_JOBS=4"
 SLC_JOBS=4 dune runtest --force
 
@@ -51,7 +52,7 @@ echo "$out" | grep -Fq 'props: 5 loaded, 3 distinct monitor(s), 2 vacuous'
 # produce byte-for-byte identical reports (modulo the wall-clock
 # events_per_s rate, which differs between any two runs), and the
 # rank-based complement must print the identical automaton. These are
-# the end-to-end form of the jobs-invariance QCheck pins.
+# the end-to-end form of the jobs-invariance pins.
 echo "--- slc -j byte-identity smoke"
 j1=$(mktemp /tmp/slc-ci.XXXXXX.j1) ; j4=$(mktemp /tmp/slc-ci.XXXXXX.j4)
 for j in 1 4; do
@@ -342,6 +343,59 @@ kill -TERM "$daemon"; wait "$daemon" \
 python3 scripts/serve_norm.py served "$servedir/fd.out" > "$servedir/fd.norm"
 diff "$servedir/offline.norm" "$servedir/fd.norm" \
   || { echo "served verdicts differ from offline after exhaustion"; exit 1; }
+
+# More than FD_SETSIZE connections: under `ulimit -n 4096` the daemon
+# can accept past descriptor 1023, which `Unix.select` cannot watch.
+# Each such connection must get one "too many connections" error record
+# and be closed and counted, never kill the daemon; once the held
+# connections close, a fresh client's verdicts still byte-diff clean
+# against the offline report.
+echo "--- slc serve >1024-connection smoke"
+(ulimit -n 4096; exec "$SLC" serve --props examples/monitor.props \
+  --socket "$sock" --quiet) 2>> "$servedir/serve.log" &
+daemon=$!
+wait_sock
+(ulimit -n 4096; exec python3 -c '
+import socket, sys, time
+held = []
+deadline = time.time() + 60
+while len(held) < 1100:
+    s = socket.socket(socket.AF_UNIX); s.settimeout(30)
+    try:
+        s.connect(sys.argv[1])
+    except BlockingIOError:  # listen backlog full: let the daemon accept
+        s.close()
+        assert time.time() < deadline, "daemon stopped accepting"
+        time.sleep(0.01)
+        continue
+    held.append(s)
+time.sleep(1)
+refused = 0
+for s in held:
+    s.setblocking(False)
+    try:
+        if b"\"reason\": \"too many connections\"" in s.recv(4096):
+            refused += 1
+    except BlockingIOError:
+        pass
+assert refused > 0, "no connection was refused past FD_SETSIZE"
+print(f"{len(held)} connections held, {refused} refused past FD_SETSIZE")
+for s in held:
+    s.close()
+' "$sock")
+python3 scripts/serve_client.py "$sock" examples/monitor.events \
+  "$servedir/many.out"
+scrape /metrics "$servedir/many-metrics.out"
+kill -0 "$daemon" 2> /dev/null \
+  || { echo "daemon died past FD_SETSIZE connections"; exit 1; }
+grep -Eq "^serve_accept_errors_total [1-9]" "$servedir/many-metrics.out" \
+  || { echo "no accept past FD_SETSIZE was counted"; exit 1; }
+kill -TERM "$daemon"; wait "$daemon" \
+  || { echo "daemon did not shut down cleanly after 1100 connections"; exit 1; }
+python3 scripts/serve_norm.py served "$servedir/many.out" \
+  > "$servedir/many.norm"
+diff "$servedir/offline.norm" "$servedir/many.norm" \
+  || { echo "served verdicts differ from offline after 1100 connections"; exit 1; }
 
 # Slow reader: a client touches 20k traces, half-closes, and reads its
 # EOF dump (over 10 MB) in 4 KiB reads with pauses. The dump is

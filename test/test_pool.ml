@@ -1,19 +1,15 @@
-(* The domain pool and the determinism contract of every parallel call
-   site: jobs must never be observable. The unit tests pin the pool's
+(* The domain pool and the determinism contract of its parallel call
+   sites: jobs must never be observable. The unit tests pin the pool's
    edge semantics (empty ranges, oversized chunks, exception and
-   nested-region behaviour); the QCheck pins run the engine, the
-   registry compiler and the rank-based complementation at jobs = 1 and
-   jobs = 4 on the same random inputs and require identical results —
-   the executable form of DESIGN.md §6.9's determinism argument. *)
+   nested-region behaviour); the QCheck pin runs the registry compiler
+   at jobs = 1 and jobs = 4 on the same random inputs and requires
+   identical results — the executable form of DESIGN.md §6.9's
+   determinism argument. *)
 
 module Pool = Sl_core.Pool
-module Buchi = Sl_buchi.Buchi
-module Complement = Sl_buchi.Complement
 module Formula = Sl_ltl.Formula
-module Lexamples = Sl_ltl.Examples
 module Packed_dfa = Sl_runtime.Packed_dfa
 module Registry = Sl_runtime.Registry
-module Engine = Sl_runtime.Engine
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -115,44 +111,6 @@ let test_map_reduce_order () =
 
 (* --- Determinism pins: jobs = 1 vs jobs = 4 --- *)
 
-let engine_fingerprint eng ~ntraces ~nmonitors =
-  let verdicts = ref [] in
-  for tr = ntraces - 1 downto 0 do
-    for m = nmonitors - 1 downto 0 do
-      verdicts := Engine.verdict eng ~trace:tr ~monitor:m :: !verdicts
-    done
-  done;
-  ( Engine.events eng, Engine.live eng, Engine.tripped eng,
-    Engine.retired_admissible eng, !verdicts )
-
-let prop_engine_jobs_invariant =
-  QCheck.Test.make ~name:"engine: jobs=4 = jobs=1 (verdicts and counters)"
-    ~count:30
-    QCheck.(int_range 0 5000)
-    (fun seed ->
-      let st = Random.State.make [| seed |] in
-      let monitors =
-        Array.init 5 (fun i ->
-            Packed_dfa.of_buchi
-              (Buchi.random ~seed:(seed + (17 * i)) ~alphabet:2
-                 ~nstates:(3 + ((seed + i) mod 6)) ~density:0.2
-                 ~accepting_fraction:0.4 ()))
-      in
-      let n = 96 and ntraces = 7 in
-      let traces = Array.init n (fun _ -> Random.State.int st ntraces) in
-      let symbols = Array.init n (fun _ -> Random.State.int st 2) in
-      (* threshold 1 forces the sharded parallel path at this chunk size
-         (the default cutoff would route 96 events sequentially);
-         running the default-threshold engine too pins that the cutoff
-         fallback itself changes nothing. *)
-      let run jobs threshold =
-        let eng = Engine.create ~jobs ~threshold ~monitors () in
-        Engine.feed eng ~n ~traces ~symbols ();
-        engine_fingerprint eng ~ntraces ~nmonitors:(Array.length monitors)
-      in
-      let reference = run 1 1 in
-      reference = run 4 1 && reference = run 4 65536)
-
 (* A pool of properties with deliberate hash-cons collisions (language-
    equal safety parts) so the parallel merge's interning order is
    actually exercised. *)
@@ -195,35 +153,6 @@ let prop_registry_jobs_invariant =
       let reference = run 1 1 in
       reference = run 4 1 && reference = run 4 1024)
 
-let prop_complement_jobs_invariant =
-  QCheck.Test.make
-    ~name:"complement: rank_based jobs=4 = jobs=1 (whole automaton)"
-    ~count:20
-    QCheck.(int_range 0 5000)
-    (fun seed ->
-      let b =
-        Buchi.random ~seed ~alphabet:2 ~nstates:(3 + (seed mod 2))
-          ~density:0.25 ~accepting_fraction:0.4 ()
-      in
-      (* The cap is part of the contract: a blow-up must raise at the
-         same point whatever the pool width, so Too_large outcomes must
-         match too. *)
-      (* threshold 1: every BFS level expands through the pool (the
-         default cutoff would run narrow levels sequentially); the
-         default-threshold run pins the per-level fallback. *)
-      let run jobs threshold =
-        match
-          Complement.rank_based ~max_states:10_000 ~jobs ~threshold b
-        with
-        | c ->
-            Ok
-              ( c.Buchi.nstates, c.Buchi.start, c.Buchi.delta,
-                c.Buchi.accepting )
-        | exception Complement.Too_large msg -> Error msg
-      in
-      let reference = run 1 1 in
-      reference = run 4 1 && reference = run 4 16)
-
 let tests =
   [ Alcotest.test_case "create validation and default" `Quick
       test_create_validation;
@@ -237,6 +166,4 @@ let tests =
       test_nested_region_rejected;
     Alcotest.test_case "map_reduce preserves order" `Quick
       test_map_reduce_order;
-    QCheck_alcotest.to_alcotest prop_engine_jobs_invariant;
-    QCheck_alcotest.to_alcotest prop_registry_jobs_invariant;
-    QCheck_alcotest.to_alcotest prop_complement_jobs_invariant ]
+    QCheck_alcotest.to_alcotest prop_registry_jobs_invariant ]

@@ -1,7 +1,7 @@
 (* The session layer: snapshot/restore of the runtime's mutable state.
 
    The contract under test is byte-identical continuation — feed k
-   events, snapshot, restore in a fresh session (any jobs, warm or cold
+   events, snapshot, restore in a fresh session (warm or cold
    registry), feed the rest, and the verdict report is the same string
    the uninterrupted run renders, for every k. The adversarial half is
    the codec: hostile bytes against every sl-artifact decoder in the
@@ -53,8 +53,7 @@ let feed_events session events =
       Engine.step engine ~trace:(Ingest.intern ingest name) ~symbol:sym)
     events
 
-(* The same events as one batched chunk, to reach the sharded parallel
-   feed on engines with jobs > 1 and a low threshold. *)
+(* The same events as one batched chunk. *)
 let feed_events_chunk session events =
   let ingest = Session.ingest session in
   let engine = Session.engine session in
@@ -123,11 +122,11 @@ let test_fingerprint_sensitivity () =
 
 let test_roundtrip () =
   let registry = Lazy.force registry in
-  let s = Session.create ~jobs:1 ~registry () in
+  let s = Session.create ~registry () in
   feed_events s
     [ ("t1", 0); ("t2", 0); ("t1", 1); ("t2", 0); ("t1", 0); ("t2", 1) ];
   let blob = Session.to_artifact s in
-  match Session.of_artifact ~jobs:1 ~registry blob with
+  match Session.of_artifact ~registry blob with
   | Error e -> Alcotest.fail (Session.restore_error_to_string e)
   | Ok s' ->
       check "counters survive" true (counters s = counters s');
@@ -140,32 +139,32 @@ let test_roundtrip () =
 
 let test_empty_roundtrip () =
   let registry = Lazy.force registry in
-  let s = Session.create ~jobs:1 ~registry () in
-  match Session.of_artifact ~jobs:1 ~registry (Session.to_artifact s) with
+  let s = Session.create ~registry () in
+  match Session.of_artifact ~registry (Session.to_artifact s) with
   | Error e -> Alcotest.fail (Session.restore_error_to_string e)
   | Ok s' -> check "empty session round-trips" true
       (String.equal (report s) (report s'))
 
 let test_file_roundtrip () =
   let registry = Lazy.force registry in
-  let s = Session.create ~jobs:1 ~registry () in
+  let s = Session.create ~registry () in
   feed_events s [ ("x", 0); ("y", 1); ("x", 1) ];
   let path = Filename.concat (fresh_dir ()) "run.slsession" in
   Session.save s ~path;
-  (match Session.load ~jobs:1 ~registry ~path () with
+  (match Session.load ~registry ~path () with
   | Error e -> Alcotest.fail (Session.restore_error_to_string e)
   | Ok s' -> check "file round trip" true (String.equal (report s) (report s')));
   (* stomped file loads as Corrupt, not an exception *)
   let oc = open_out_bin path in
   output_string oc "not an sl-artifact";
   close_out oc;
-  (match Session.load ~jobs:1 ~registry ~path () with
+  (match Session.load ~registry ~path () with
   | Error (Session.Corrupt _) -> ()
   | Error (Session.Fingerprint_mismatch _) ->
       Alcotest.fail "garbage misread as fingerprint mismatch"
   | Ok _ -> Alcotest.fail "garbage file restored");
   (* missing file too *)
-  match Session.load ~jobs:1 ~registry ~path:(path ^ ".missing") () with
+  match Session.load ~registry ~path:(path ^ ".missing") () with
   | Error (Session.Corrupt _) -> ()
   | _ -> Alcotest.fail "missing file did not load as Corrupt"
 
@@ -174,8 +173,8 @@ let test_file_roundtrip () =
 let prop_split_feed_equivalence =
   QCheck.Test.make
     ~name:
-      "session: feed k, snapshot, restore (jobs 1 and 4), feed rest = \
-       uninterrupted run"
+      "session: feed k, snapshot, restore (fresh engine), feed rest as \
+       one chunk = uninterrupted run"
     ~count:25
     QCheck.(pair (int_range 0 5000) (int_range 0 10_000))
     (fun (seed, kpick) ->
@@ -185,33 +184,30 @@ let prop_split_feed_equivalence =
       let events = random_events st n in
       let k = kpick mod (n + 1) in
       let full =
-        let s = Session.create ~jobs:1 ~registry () in
+        let s = Session.create ~registry () in
         feed_events s events;
         report s
       in
-      let s1 = Session.create ~jobs:1 ~registry () in
+      let s1 = Session.create ~registry () in
       feed_events s1 (take k events);
       let blob = Session.to_artifact s1 in
-      List.for_all
-        (fun jobs ->
-          match Session.of_artifact ~jobs ~threshold:1 ~registry blob with
-          | Error _ -> false
-          | Ok s2 ->
-              feed_events_chunk s2 (drop k events);
-              String.equal (report s2) full)
-        [ 1; 4 ])
+      match Session.of_artifact ~registry blob with
+      | Error _ -> false
+      | Ok s2 ->
+          feed_events_chunk s2 (drop k events);
+          String.equal (report s2) full)
 
 (* --- Refusal paths --- *)
 
 let test_fingerprint_mismatch_refuses () =
   let registry = Lazy.force registry in
-  let s = Session.create ~jobs:1 ~registry () in
+  let s = Session.create ~registry () in
   feed_events s [ ("t1", 0); ("t1", 1) ];
   let blob = Session.to_artifact s in
   let other = Registry.create ~alphabet:2 () in
   ignore
     (Registry.compile_all ~jobs:1 other [ (Some "G a", Formula.parse_exn "G a") ]);
-  match Session.of_artifact ~jobs:1 ~registry:other blob with
+  match Session.of_artifact ~registry:other blob with
   | Error (Session.Fingerprint_mismatch { snapshot; registry = reg }) ->
       check "mismatch reports both fingerprints" true (snapshot <> reg);
       check "snapshot side is the saving registry's" true
@@ -233,7 +229,7 @@ let prop_session_corruption_refused =
     (fun (seed, pos) ->
       let registry = Lazy.force registry in
       let st = Random.State.make [| seed |] in
-      let s = Session.create ~jobs:1 ~registry () in
+      let s = Session.create ~registry () in
       feed_events s (random_events st (1 + Random.State.int st 20));
       let blob = Session.to_artifact s in
       let cut = String.sub blob 0 (pos mod String.length blob) in
@@ -245,7 +241,7 @@ let prop_session_corruption_refused =
       in
       List.for_all
         (fun bad ->
-          match Session.of_artifact ~jobs:1 ~registry bad with
+          match Session.of_artifact ~registry bad with
           | Error _ -> true
           | Ok _ -> String.equal bad blob (* flip could be a no-op only never *)
           | exception _ -> false)
@@ -264,7 +260,7 @@ let prop_session_reseal_validated =
     (fun (seed, pos) ->
       let registry = Lazy.force registry in
       let st = Random.State.make [| seed |] in
-      let s = Session.create ~jobs:1 ~registry () in
+      let s = Session.create ~registry () in
       feed_events s (random_events st (1 + Random.State.int st 20));
       let blob = Session.to_artifact s in
       let body_len = String.length blob - 8 in
@@ -272,7 +268,7 @@ let prop_session_reseal_validated =
       let i = 13 + (pos mod (body_len - 13)) in
       Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl (seed mod 8))));
       let bad = reseal (Bytes.to_string b) in
-      match Session.of_artifact ~jobs:1 ~registry bad with
+      match Session.of_artifact ~registry bad with
       | Error _ -> true
       | exception _ -> false
       | Ok s' ->
@@ -291,7 +287,7 @@ let all_decoders registry : (string * (string -> bool)) list =
     ("digraph", fun s -> benign (fun () -> Digraph.of_artifact s));
     ("pack", fun s -> benign (fun () -> Pack.of_artifact s));
     ("session",
-     fun s -> benign (fun () -> Session.of_artifact ~jobs:1 ~registry s)) ]
+     fun s -> benign (fun () -> Session.of_artifact ~registry s)) ]
 
 let prop_hostile_bytes_all_decoders =
   QCheck.Test.make
@@ -305,7 +301,7 @@ let prop_hostile_bytes_all_decoders =
       let st = Random.State.make [| seed |] in
       (* a pool of valid artifacts of every kind, plus pure noise *)
       let session_blob =
-        let s = Session.create ~jobs:1 ~registry () in
+        let s = Session.create ~registry () in
         feed_events s (random_events st (1 + Random.State.int st 10));
         Session.to_artifact s
       in
@@ -348,12 +344,12 @@ let prop_hostile_bytes_all_decoders =
 
 let test_restore_trace_validates () =
   let registry = Lazy.force registry in
-  let s = Session.create ~jobs:1 ~registry () in
+  let s = Session.create ~registry () in
   (* "G a" trips on symbol 1; t1 ends with live and tripped monitors *)
   feed_events s [ ("t1", 0); ("t1", 1); ("t1", 0) ];
   let engine = Session.engine s in
   let ts = Option.get (Engine.export_trace engine 0) in
-  let target = Session.create ~jobs:1 ~registry () in
+  let target = Session.create ~registry () in
   let te = Session.engine target in
   let rejects what ts' =
     match Engine.restore_trace te 0 ts' with
@@ -397,10 +393,10 @@ let test_restore_trace_validates () =
 
 let test_set_counters_after_restore () =
   let registry = Lazy.force registry in
-  let s = Session.create ~jobs:1 ~registry () in
+  let s = Session.create ~registry () in
   feed_events s [ ("t1", 1); ("t2", 0) ];
   let c = counters s in
-  match Session.of_artifact ~jobs:1 ~registry (Session.to_artifact s) with
+  match Session.of_artifact ~registry (Session.to_artifact s) with
   | Error e -> Alcotest.fail (Session.restore_error_to_string e)
   | Ok s' ->
       check "counters exact after restore (pre-tripped not double-counted)"
@@ -448,7 +444,7 @@ let test_ingest_chunk_boundary () =
 
 let test_interner_roundtrip_through_codec () =
   let registry = Lazy.force registry in
-  let s = Session.create ~jobs:1 ~registry () in
+  let s = Session.create ~registry () in
   let lines = [ "zeta 0"; "alpha 1"; "zeta 1"; "mid 0"; "alpha 0" ] in
   let next =
     let rest = ref lines in
@@ -460,7 +456,7 @@ let test_interner_roundtrip_through_codec () =
       Engine.feed (Session.engine s) ~n:c.Ingest.len ~traces:c.Ingest.trace_ids
         ~symbols:c.Ingest.symbols ())
     ~on_error:(fun _ -> Alcotest.fail "unexpected ingest error");
-  match Session.of_artifact ~jobs:1 ~registry (Session.to_artifact s) with
+  match Session.of_artifact ~registry (Session.to_artifact s) with
   | Error e -> Alcotest.fail (Session.restore_error_to_string e)
   | Ok s' ->
       let i' = Session.ingest s' in
