@@ -22,6 +22,7 @@ let () =
       ("session", Test_session.tests);
       ("serve", Test_serve.tests);
       ("obs", Test_obs.tests);
+      ("json", Test_json.tests);
       ("acceptance", Test_acceptance.tests);
       ("properties", Test_properties.tests);
       ("integration", Test_integration.tests) ]
