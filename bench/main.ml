@@ -937,35 +937,29 @@ let span_summaries () =
   Obs.reset ();
   aggs
 
-(* The trajectory files are hand-rolled line-per-record JSON (written by
-   [run_benchmarks_json] below, in PR 1 and now); read a previous file's
-   "results" section back the same way, one line at a time, without
-   taking on a JSON dependency. Returns [None] when the file is absent
-   (e.g. running from a bare checkout). *)
+module Json = Sl_json.Json
+
+(* A previous trajectory file's "results" as (name, ns_per_run) pairs;
+   rows whose estimate is null carry no baseline. Returns [None] when
+   the file is absent (e.g. running from a bare checkout) or is not
+   JSON. *)
 let read_prev_results path =
   if not (Sys.file_exists path) then None
-  else begin
-    let ic = open_in path in
-    let acc = ref [] in
-    let in_results = ref false in
-    (try
-       while true do
-         let line = String.trim (input_line ic) in
-         if line = "\"results\": [" then in_results := true
-         else if !in_results && (line = "]," || line = "]") then
-           in_results := false
-         else if !in_results then
-           try
-             Scanf.sscanf line "{\"name\": %S, \"ns_per_run\": %f"
-               (fun name ns -> acc := (name, ns) :: !acc)
-           with Scanf.Scan_failure _ | Failure _ | End_of_file ->
-             (* null estimates and malformed lines carry no baseline *)
-             ()
-       done
-     with End_of_file -> ());
-    close_in ic;
-    Some (List.rev !acc)
-  end
+  else
+    match Json.parse (In_channel.with_open_bin path In_channel.input_all) with
+    | Error _ -> None
+    | Ok doc ->
+        let rows = Option.bind (Json.member "results" doc) Json.arr in
+        Some
+          (List.filter_map
+             (fun row ->
+               match
+                 ( Option.bind (Json.member "name" row) Json.str,
+                   Option.bind (Json.member "ns_per_run" row) Json.num )
+               with
+               | Some name, Some ns -> Some (name, ns)
+               | _ -> None)
+             (Option.value ~default:[] rows))
 
 (* Baseline chaining (the perf trajectory): prefer the previous PR's
    tracked file, fall back through the older ones so a pruned checkout
@@ -998,19 +992,6 @@ let jobs_of_bench_name name =
       | Some j when j >= 1 -> j
       | _ -> 1)
   | _ -> 1
-
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
 
 let run_benchmarks_json ~path =
   (* Open the output first: an unwritable path should fail before the
@@ -1076,113 +1057,74 @@ let run_benchmarks_json ~path =
                   (List.filter (fun j -> j > 1) parallel_jobs_ladder) ))
       bases
   in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"schema\": \"sl-bench-trajectory/1\",\n";
-  p "  \"pr\": \"PR10\",\n";
-  p "  \"config\": {\"quota_s\": 0.25, \"limit\": 1000, \"estimator\": \"ols\"},\n";
-  p "  \"cores\": %d,\n" (Domain.recommended_domain_count ());
-  p "  \"results\": [\n";
-  let sorted = List.sort (fun (a, _) (b, _) -> compare a b) estimates in
-  List.iteri
-    (fun i (name, est) ->
-      p "    {\"name\": \"%s\", \"ns_per_run\": %s, \"jobs\": %d}%s\n"
-        (json_escape name)
-        (match est with Some x -> Printf.sprintf "%.1f" x | None -> "null")
-        (jobs_of_bench_name name)
-        (if i = List.length sorted - 1 then "" else ","))
-    sorted;
-  p "  ],\n";
-  p "  \"counters\": [\n";
-  List.iteri
-    (fun i (name, v) ->
-      p "    {\"name\": \"%s\", \"value\": %d}%s\n" (json_escape name) v
-        (if i = List.length counters - 1 then "" else ","))
-    counters;
-  p "  ],\n";
-  p "  \"speedups_vs_seed\": [\n";
-  List.iteri
-    (fun i (name, ns, base, source, speedup) ->
-      p
-        "    {\"name\": \"%s\", \"ns_per_run\": %.1f, \"seed_ns_per_run\": \
-         %.1f, \"baseline_source\": \"%s\", \"speedup\": %.2f}%s\n"
-        (json_escape name) ns base (json_escape source) speedup
-        (if i = List.length speedups - 1 then "" else ","))
-    speedups;
-  p "  ],\n";
-  p "  \"baseline_file\": %s,\n"
-    (match baseline with
-    | Some (path, _) -> Printf.sprintf "\"%s\"" (json_escape path)
-    | None -> "null");
-  p "  \"speedups_vs_pr9\": [\n";
-  List.iteri
-    (fun i (name, ns, base, ratio) ->
-      p
-        "    {\"name\": \"%s\", \"ns_per_run\": %.1f, \"prev_ns_per_run\": \
-         %.1f, \"speedup\": %.2f}%s\n"
-        (json_escape name) ns base ratio
-        (if i = List.length vs_prev - 1 then "" else ","))
-    vs_prev;
-  p "  ],\n";
-  p "  \"parallel_scaling\": [\n";
-  List.iteri
-    (fun i (base, ns1, rungs) ->
-      let rung_fields =
-        String.concat ""
-          (List.map
-             (fun (j, ns, sp) ->
-               Printf.sprintf
-                 ", \"ns_j%d\": %.1f, \"speedup_j%d\": %.2f" j ns j sp)
-             rungs)
-      in
-      p "    {\"name\": \"%s\", \"ns_j1\": %.1f%s}%s\n" (json_escape base)
-        ns1 rung_fields
-        (if i = List.length scaling - 1 then "" else ","))
-    scaling;
-  p "  ],\n";
+  let num = Json.opt (Json.fixed 1) in
+  let ratio digits a b =
+    match (a, b) with
+    | Some x, Some y when y > 0.0 -> Json.fixed digits (x /. y)
+    | _ -> Json.Null
+  in
+  let named name fields = Json.Obj (("name", Json.Str name) :: fields) in
+  let results =
+    List.map
+      (fun (name, est) ->
+        named name
+          [ ("ns_per_run", num est);
+            ("jobs", Json.int (jobs_of_bench_name name)) ])
+      (List.sort (fun (a, _) (b, _) -> compare a b) estimates)
+  in
+  let counter_rows =
+    List.map (fun (name, v) -> named name [ ("value", Json.int v) ]) counters
+  in
+  let speedup_rows =
+    List.map
+      (fun (name, ns, base, source, speedup) ->
+        named name
+          [ ("ns_per_run", Json.fixed 1 ns);
+            ("seed_ns_per_run", Json.fixed 1 base);
+            ("baseline_source", Json.Str source);
+            ("speedup", Json.fixed 2 speedup) ])
+      speedups
+  in
+  let prev_rows =
+    List.map
+      (fun (name, ns, base, r) ->
+        named name
+          [ ("ns_per_run", Json.fixed 1 ns);
+            ("prev_ns_per_run", Json.fixed 1 base);
+            ("speedup", Json.fixed 2 r) ])
+      vs_prev
+  in
+  let scaling_rows =
+    List.map
+      (fun (base, ns1, rungs) ->
+        named base
+          (("ns_j1", Json.fixed 1 ns1)
+          :: List.concat_map
+               (fun (j, ns, sp) ->
+                 [ (Printf.sprintf "ns_j%d" j, Json.fixed 1 ns);
+                   (Printf.sprintf "speedup_j%d" j, Json.fixed 2 sp) ])
+               rungs))
+      scaling
+  in
   (* The cold/warm cache pair, with the warm speedup the acceptance
      criterion reads off directly. *)
-  let num = function
-    | Some x -> Printf.sprintf "%.1f" x
-    | None -> "null"
-  in
   let cache_cold = lookup "cache/registry-compile-100-cold" in
   let cache_warm = lookup "cache/registry-compile-100-warm" in
-  p "  \"cache\": {\"cold_ns_per_run\": %s, \"warm_ns_per_run\": %s, \
-     \"warm_speedup\": %s},\n"
-    (num cache_cold) (num cache_warm)
-    (match (cache_cold, cache_warm) with
-    | Some c, Some w when w > 0.0 -> Printf.sprintf "%.2f" (c /. w)
-    | _ -> "null");
   (* The snapshot/restore/resume quartet: resume_speedup is replaying
      the full stream over finishing it from the midpoint snapshot. *)
   let snap_write = lookup "session/snapshot-write" in
   let snap_restore = lookup "session/restore" in
   let resume = lookup "session/resume-feed-5k" in
   let cold = lookup "session/cold-feed-10k" in
-  p "  \"session\": {\"snapshot_write_ns\": %s, \"restore_ns\": %s, \
-     \"resume_feed_5k_ns\": %s, \"cold_feed_10k_ns\": %s, \
-     \"resume_speedup\": %s},\n"
-    (num snap_write) (num snap_restore) (num resume) (num cold)
-    (match (resume, cold) with
-    | Some r, Some c when r > 0.0 -> Printf.sprintf "%.2f" (c /. r)
-    | _ -> "null");
   (* The ingest parse stage: the zero-copy scanner against the retained
      reference parser on the same 10k-line stream — the PR 10 acceptance
      pair (the scanner must be >= 2x the reference). *)
   let ingest_scan = lookup "ingest/scan-10k" in
   let ingest_ref = lookup "ingest/parse-ref-10k" in
   let events_per_s = function
-    | Some ns when ns > 0.0 -> Printf.sprintf "%.0f" (1e9 *. 10_000.0 /. ns)
-    | _ -> "null"
+    | Some ns when ns > 0.0 -> Json.fixed 0 (1e9 *. 10_000.0 /. ns)
+    | _ -> Json.Null
   in
-  p "  \"ingest\": {\"scan_10k_ns\": %s, \"parse_ref_10k_ns\": %s, \
-     \"parse_speedup\": %s, \"events_per_s_scan\": %s},\n"
-    (num ingest_scan) (num ingest_ref)
-    (match (ingest_scan, ingest_ref) with
-    | Some s, Some r when s > 0.0 -> Printf.sprintf "%.2f" (r /. s)
-    | _ -> "null")
-    (events_per_s ingest_scan);
   (* The serving path: events/s through the connection state machine at
      1 and 4 multiplexed clients, and the latency of committing a hot
      reload on the midpoint session (identical registry = snapshot
@@ -1191,11 +1133,6 @@ let run_benchmarks_json ~path =
   let serve4 = lookup "serve/conn-feed-10k-4conn" in
   let reload_id = lookup "serve/reload-identical-100p" in
   let reload_co = lookup "serve/reload-carryover-101p" in
-  p "  \"serve\": {\"feed_10k_1conn_ns\": %s, \"feed_10k_4conn_ns\": %s, \
-     \"events_per_s_1conn\": %s, \"events_per_s_4conn\": %s, \
-     \"reload_identical_ns\": %s, \"reload_carryover_ns\": %s},\n"
-    (num serve1) (num serve4) (events_per_s serve1) (events_per_s serve4)
-    (num reload_id) (num reload_co);
   (* The introspection layer: labeled-vs-flat recording (the child
      handle is supposed to be free), the per-child interning lookup,
      what a scrape renders, and the full obs-on serving overhead as a
@@ -1206,31 +1143,69 @@ let run_benchmarks_json ~path =
   let status_render = lookup "obs/status-render" in
   let monitors_render = lookup "obs/monitors-render" in
   let serve1_obs = lookup "serve/conn-feed-10k-1conn-obs" in
-  let ratio a b =
-    match (a, b) with
-    | Some x, Some y when y > 0.0 -> Printf.sprintf "%.3f" (x /. y)
-    | _ -> "null"
-  in
-  p "  \"obs_labels\": {\"flat_incr_x1k_ns\": %s, \
-     \"labeled_incr_x1k_ns\": %s, \"labeled_over_flat\": %s, \
-     \"child_lookup_ns\": %s, \"status_render_ns\": %s, \
-     \"monitors_render_ns\": %s, \"conn_feed_10k_obs_ns\": %s, \
-     \"obs_on_over_dark\": %s},\n"
-    (num flat1k) (num labeled1k)
-    (ratio labeled1k flat1k)
-    (num child_lookup) (num status_render) (num monitors_render)
-    (num serve1_obs)
-    (ratio serve1_obs serve1);
   let spans = span_summaries () in
-  p "  \"span_summaries\": [\n";
-  List.iteri
-    (fun i (name, count, total_us) ->
-      p "    {\"name\": \"%s\", \"count\": %d, \"total_us\": %.1f}%s\n"
-        (json_escape name) count total_us
-        (if i = List.length spans - 1 then "" else ","))
-    spans;
-  p "  ]\n";
-  p "}\n";
+  let span_rows =
+    List.map
+      (fun (name, count, total_us) ->
+        named name
+          [ ("count", Json.int count); ("total_us", Json.fixed 1 total_us) ])
+      spans
+  in
+  let doc =
+    Json.Obj
+      [ ("schema", Json.Str "sl-bench-trajectory/1");
+        ("pr", Json.Str "PR10");
+        ( "config",
+          Json.Obj
+            [ ("quota_s", Json.Num "0.25"); ("limit", Json.int 1000);
+              ("estimator", Json.Str "ols") ] );
+        ("cores", Json.int (Domain.recommended_domain_count ()));
+        ("results", Json.Arr results);
+        ("counters", Json.Arr counter_rows);
+        ("speedups_vs_seed", Json.Arr speedup_rows);
+        ( "baseline_file",
+          Json.opt (fun (path, _) -> Json.Str path) baseline );
+        ("speedups_vs_pr9", Json.Arr prev_rows);
+        ("parallel_scaling", Json.Arr scaling_rows);
+        ( "cache",
+          Json.Obj
+            [ ("cold_ns_per_run", num cache_cold);
+              ("warm_ns_per_run", num cache_warm);
+              ("warm_speedup", ratio 2 cache_cold cache_warm) ] );
+        ( "session",
+          Json.Obj
+            [ ("snapshot_write_ns", num snap_write);
+              ("restore_ns", num snap_restore);
+              ("resume_feed_5k_ns", num resume);
+              ("cold_feed_10k_ns", num cold);
+              ("resume_speedup", ratio 2 cold resume) ] );
+        ( "ingest",
+          Json.Obj
+            [ ("scan_10k_ns", num ingest_scan);
+              ("parse_ref_10k_ns", num ingest_ref);
+              ("parse_speedup", ratio 2 ingest_ref ingest_scan);
+              ("events_per_s_scan", events_per_s ingest_scan) ] );
+        ( "serve",
+          Json.Obj
+            [ ("feed_10k_1conn_ns", num serve1);
+              ("feed_10k_4conn_ns", num serve4);
+              ("events_per_s_1conn", events_per_s serve1);
+              ("events_per_s_4conn", events_per_s serve4);
+              ("reload_identical_ns", num reload_id);
+              ("reload_carryover_ns", num reload_co) ] );
+        ( "obs_labels",
+          Json.Obj
+            [ ("flat_incr_x1k_ns", num flat1k);
+              ("labeled_incr_x1k_ns", num labeled1k);
+              ("labeled_over_flat", ratio 3 labeled1k flat1k);
+              ("child_lookup_ns", num child_lookup);
+              ("status_render_ns", num status_render);
+              ("monitors_render_ns", num monitors_render);
+              ("conn_feed_10k_obs_ns", num serve1_obs);
+              ("obs_on_over_dark", ratio 3 serve1_obs serve1) ] );
+        ("span_summaries", Json.Arr span_rows) ]
+  in
+  output_string oc (Json.to_string ~layout:Json.Block doc);
   close_out oc;
   Format.printf
     "wrote %s (%d results, %d counters, %d speedups vs seed, %d vs %s, \

@@ -792,7 +792,7 @@ let serve_cmd =
    clients stream on and render a refreshing dashboard (or emit the raw
    sl-status/1 JSON with --once --json for scripting). *)
 let top_cmd =
-  let module J = Sl_serve.Jsonv in
+  let module J = Sl_json.Json in
   let http_get ~socket ~port path =
     let fd, addr =
       match (socket, port) with

@@ -66,19 +66,6 @@ module Clock = struct
   let reset_source () = set_source default_source
 end
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* ------------------------------------------------------------------ *)
 (* Metrics                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -607,41 +594,26 @@ module Span = struct
     |> List.sort compare
 
   let event_to_json ev =
-    let buf = Buffer.create 160 in
-    let p fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-    p "{\"name\": \"%s\", \"ph\": \"X\", \"pid\": 1, \"tid\": 1, \
-       \"ts\": %.3f, \"dur\": %.3f, \"args\": {"
-      (json_escape ev.name) ev.ts_us ev.dur_us;
-    let sep = ref "" in
-    let field k v =
-      p "%s\"%s\": %d" !sep (json_escape k) v;
-      sep := ", "
+    let module Json = Sl_json.Json in
+    let args =
+      (("depth", ev.depth) :: ev.attrs)
+      @ [ ("minor_words", ev.minor_words); ("major_words", ev.major_words);
+          ("minor_gcs", ev.minor_collections);
+          ("major_gcs", ev.major_collections);
+          ("heap_delta_words", ev.heap_delta_words) ]
     in
-    field "depth" ev.depth;
-    List.iter (fun (k, v) -> field k v) ev.attrs;
-    field "minor_words" ev.minor_words;
-    field "major_words" ev.major_words;
-    field "minor_gcs" ev.minor_collections;
-    field "major_gcs" ev.major_collections;
-    field "heap_delta_words" ev.heap_delta_words;
-    p "}}";
-    Buffer.contents buf
+    Json.to_string
+      (Json.Obj
+         [ ("name", Json.Str ev.name); ("ph", Json.Str "X");
+           ("pid", Json.int 1); ("tid", Json.int 1);
+           ("ts", Json.fixed 3 ev.ts_us); ("dur", Json.fixed 3 ev.dur_us);
+           ("args", Json.Obj (List.map (fun (k, v) -> (k, Json.int v)) args))
+         ])
 
   let write_jsonl oc =
-    List.iter
-      (fun ev ->
-        output_string oc (event_to_json ev);
-        output_char oc '\n')
-      (events ())
+    List.iter (fun ev -> output_string oc (event_to_json ev)) (events ())
 
-  let to_jsonl () =
-    let buf = Buffer.create 1024 in
-    List.iter
-      (fun ev ->
-        Buffer.add_string buf (event_to_json ev);
-        Buffer.add_char buf '\n')
-      (events ());
-    Buffer.contents buf
+  let to_jsonl () = String.concat "" (List.map event_to_json (events ()))
 
   let reset () =
     depth := 0;

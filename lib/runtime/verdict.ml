@@ -175,79 +175,70 @@ let pp_text fmt r =
     | Some r -> Printf.sprintf " events_per_s=%.0f" r
     | None -> "")
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | ch when Char.code ch < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code ch))
-      | ch -> Buffer.add_char buf ch)
-    s;
-  Buffer.contents buf
+module Json = Sl_json.Json
 
-let verdict_json = function
-  | Engine.Vacuous -> {|{"verdict": "vacuous"}|}
-  | Engine.Admissible -> {|{"verdict": "admissible"}|}
+let verdict_fields = function
+  | Engine.Vacuous -> [ ("verdict", Json.Str "vacuous") ]
+  | Engine.Admissible -> [ ("verdict", Json.Str "admissible") ]
   | Engine.Violation { position } ->
-      Printf.sprintf {|{"verdict": "violation", "position": %d}|} position
+      [ ("verdict", Json.Str "violation"); ("position", Json.int position) ]
 
 let to_json r =
-  let buf = Buffer.create 1024 in
-  let p fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let c = r.counters in
-  p "{\n";
-  p "  \"schema\": \"sl-monitor-report/1\",\n";
-  p "  \"counters\": {\"traces\": %d, \"events\": %d, \"props\": %d, \
-     \"distinct_monitors\": %d, \"violations\": %d, \"vacuous\": %d, \
-     \"live\": %d, \"tripped\": %d, \"retired_admissible\": %d%s},\n"
-    c.traces c.events c.props c.distinct_monitors c.violations
-    c.vacuous_props c.live c.tripped c.retired_admissible
-    (match c.events_per_s with
-    | Some r -> Printf.sprintf ", \"events_per_s\": %.1f" r
-    | None -> "");
+  let counters =
+    [ ("traces", Json.int c.traces); ("events", Json.int c.events);
+      ("props", Json.int c.props);
+      ("distinct_monitors", Json.int c.distinct_monitors);
+      ("violations", Json.int c.violations);
+      ("vacuous", Json.int c.vacuous_props); ("live", Json.int c.live);
+      ("tripped", Json.int c.tripped);
+      ("retired_admissible", Json.int c.retired_admissible) ]
+    @
+    match c.events_per_s with
+    | Some r -> [ ("events_per_s", Json.fixed 1 r) ]
+    | None -> []
+  in
   (* Present only when the run had observability enabled, so disabled-mode
      output stays byte-identical to the pre-telemetry schema. *)
-  (match r.engine_metrics with
-  | None -> ()
-  | Some m ->
-      p "  \"engine_metrics\": {\"events\": %d, \"chunks\": %d, \
-         \"retired_tripped\": %d, \"retired_admissible\": %d, \"live\": %d, \
-         \"vacuous\": %d, \"registry_props\": %d, \"distinct_monitors\": %d, \
-         \"hashcons_hits\": %d, \"chunk_latency_count\": %d, \
-         \"chunk_latency_sum_ns\": %d, \"minor_words_total\": %d},\n"
-        m.m_events m.m_chunks m.m_retired_tripped m.m_retired_admissible
-        m.m_live m.m_vacuous m.m_registry_props m.m_distinct_monitors
-        m.m_hashcons_hits m.m_chunk_latency_count m.m_chunk_latency_sum_ns
-        m.m_minor_words);
-  p "  \"props\": [\n";
-  List.iteri
-    (fun i s ->
-      p "    {\"name\": \"%s\", \"monitor\": %d, \"vacuous\": %b, \
-         \"trips\": %d}%s\n"
-        (json_escape s.prop.Registry.name)
-        s.prop.Registry.monitor s.vacuous s.trips
-        (if i = List.length r.prop_summaries - 1 then "" else ","))
-    r.prop_summaries;
-  p "  ],\n";
-  p "  \"traces\": [\n";
-  List.iteri
-    (fun i row ->
-      p "    {\"name\": \"%s\", \"events\": %d, \"verdicts\": [%s]}%s\n"
-        (json_escape row.trace) row.trace_events
-        (String.concat ", "
-           (List.map
-              (fun ((pr : Registry.prop), v) ->
-                Printf.sprintf {|{"prop": "%s", %s|}
-                  (json_escape pr.Registry.name)
-                  (* splice the verdict fields into the same object *)
-                  (let s = verdict_json v in
-                   String.sub s 1 (String.length s - 1)))
-              row.verdicts))
-        (if i = List.length r.rows - 1 then "" else ","))
-    r.rows;
-  p "  ]\n";
-  p "}\n";
-  Buffer.contents buf
+  let engine_metrics =
+    match r.engine_metrics with
+    | None -> []
+    | Some m ->
+        [ ( "engine_metrics",
+            Json.Obj
+              [ ("events", Json.int m.m_events);
+                ("chunks", Json.int m.m_chunks);
+                ("retired_tripped", Json.int m.m_retired_tripped);
+                ("retired_admissible", Json.int m.m_retired_admissible);
+                ("live", Json.int m.m_live); ("vacuous", Json.int m.m_vacuous);
+                ("registry_props", Json.int m.m_registry_props);
+                ("distinct_monitors", Json.int m.m_distinct_monitors);
+                ("hashcons_hits", Json.int m.m_hashcons_hits);
+                ("chunk_latency_count", Json.int m.m_chunk_latency_count);
+                ("chunk_latency_sum_ns", Json.int m.m_chunk_latency_sum_ns);
+                ("minor_words_total", Json.int m.m_minor_words) ] ) ]
+  in
+  let prop s =
+    Json.Obj
+      [ ("name", Json.Str s.prop.Registry.name);
+        ("monitor", Json.int s.prop.Registry.monitor);
+        ("vacuous", Json.Bool s.vacuous); ("trips", Json.int s.trips) ]
+  in
+  let trace row =
+    Json.Obj
+      [ ("name", Json.Str row.trace); ("events", Json.int row.trace_events);
+        ( "verdicts",
+          Json.Arr
+            (List.map
+               (fun ((p : Registry.prop), v) ->
+                 Json.Obj
+                   (("prop", Json.Str p.Registry.name) :: verdict_fields v))
+               row.verdicts) ) ]
+  in
+  Json.to_string ~layout:Json.Block
+    (Json.Obj
+       ([ ("schema", Json.Str "sl-monitor-report/1");
+          ("counters", Json.Obj counters) ]
+       @ engine_metrics
+       @ [ ("props", Json.Arr (List.map prop r.prop_summaries));
+           ("traces", Json.Arr (List.map trace r.rows)) ]))

@@ -75,5 +75,6 @@ val pp_text : Format.formatter -> report -> unit
     [summary: traces=... events=...] record (CI greps it). *)
 
 val to_json : report -> string
-(** Schema [sl-monitor-report/1]; hand-rolled like the bench trajectory
-    writer, no JSON dependency. *)
+(** Schema [sl-monitor-report/1], in the block layout of
+    {!Sl_json.Json}: one line per top-level member, one per property
+    and one per trace. Linear in the number of traces. *)

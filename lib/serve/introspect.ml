@@ -1,8 +1,8 @@
 (* Live introspection: the daemon's /status, /monitors, /traces and
    /healthz endpoints, answered on the same one-shot HTTP path as
-   /metrics (Conn's [http] handler). JSON is hand-rolled like Records —
-   no dependency, fixed field order (schema sl-status/1), strings
-   escaped through Records.escape.
+   /metrics (Conn's [http] handler). Each body is a Sl_json.Json value
+   with fixed field order (schema sl-status/1), written in the one-line
+   layout.
 
    Everything here is read-only over the daemon's live state: verdict
    counts come from Engine.monitor_counts / trace_summary (the trace
@@ -87,83 +87,68 @@ let uptime_s t = Unix.gettimeofday () -. t.start_wall
 (* Rendering                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let esc = Records.escape
+module Json = Sl_json.Json
 
-let opt_str buf = function
-  | None -> Buffer.add_string buf "null"
-  | Some s ->
-      Buffer.add_char buf '"';
-      Buffer.add_string buf (esc s);
-      Buffer.add_char buf '"'
-
-let bool_str b = if b then "true" else "false"
+let secs x = Json.fixed 3 x
 
 let render_healthz t =
-  Printf.sprintf
-    "{\"schema\": \"%s\", \"type\": \"healthz\", \"status\": \"ok\", \
-     \"uptime_s\": %.3f}\n"
-    schema (uptime_s t)
+  Json.Obj
+    [ ("schema", Json.Str schema); ("type", Json.Str "healthz");
+      ("status", Json.Str "ok"); ("uptime_s", secs (uptime_s t)) ]
 
 let render_status t =
   let d = t.daemon in
   let eng = Daemon.engine d in
   let registry = Daemon.registry d in
-  let buf = Buffer.create 1024 in
-  let p fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  p "{\"schema\": \"%s\", \"type\": \"status\", \"version\": \"%s\", " schema
-    (esc t.version);
-  p "\"uptime_s\": %.3f, " (uptime_s t);
-  p "\"fingerprint\": \"%s\", " (esc (Registry.fingerprint registry));
-  p "\"props\": %d, \"monitors\": %d, \"jobs\": %d, "
-    (Registry.nprops registry)
-    (Registry.nmonitors registry)
-    t.jobs;
-  p "\"traces\": %d, \"events\": %d, \"live\": %d, \"tripped\": %d, \
-     \"retired_admissible\": %d, "
-    (Engine.ntraces eng) (Engine.events eng) (Engine.live eng)
-    (Engine.tripped eng)
-    (Engine.retired_admissible eng);
   (* connection table, id order *)
-  let conns =
-    List.sort (fun a b -> compare a.ci_id b.ci_id) (t.conns ())
+  let conns = List.sort (fun a b -> compare a.ci_id b.ci_id) (t.conns ()) in
+  let conn ci =
+    Json.Obj
+      [ ("id", Json.int ci.ci_id); ("listener", Json.Str ci.ci_listener);
+        ("mode", Json.Str ci.ci_mode); ("lines", Json.int ci.ci_lines);
+        ("events", Json.int ci.ci_events); ("errors", Json.int ci.ci_errors);
+        ("pending_out", Json.int ci.ci_pending_out);
+        ("stalled", Json.Bool ci.ci_stalled) ]
   in
-  p "\"connections\": [";
-  List.iteri
-    (fun i ci ->
-      if i > 0 then p ", ";
-      p
-        "{\"id\": %d, \"listener\": \"%s\", \"mode\": \"%s\", \"lines\": %d, \
-         \"events\": %d, \"errors\": %d, \"pending_out\": %d, \"stalled\": %s}"
-        ci.ci_id (esc ci.ci_listener) (esc ci.ci_mode) ci.ci_lines ci.ci_events
-        ci.ci_errors ci.ci_pending_out (bool_str ci.ci_stalled))
-    conns;
-  p "], ";
-  p "\"reloads\": {\"count\": %d, \"failures\": %d, \"history\": [" t.nreloads
-    t.nreload_failures;
-  List.iteri
-    (fun i ev ->
-      if i > 0 then p ", ";
-      p "{\"at\": %.3f, \"ok\": %s, \"detail\": \"%s\"}" ev.re_at
-        (bool_str ev.re_ok) (esc ev.re_detail))
-    (List.rev t.reloads);
-  p "]}, ";
-  p "\"resumed_from\": ";
-  opt_str buf t.resumed_from;
-  p ", \"snapshot_path\": ";
-  opt_str buf t.snapshot_path;
+  let reload ev =
+    Json.Obj
+      [ ("at", secs ev.re_at); ("ok", Json.Bool ev.re_ok);
+        ("detail", Json.Str ev.re_detail) ]
+  in
   let hits = Cache.hit_count ()
   and misses = Cache.miss_count ()
   and stores = Cache.store_count () in
   let ratio =
     if hits + misses = 0 then 0. else float_of_int hits /. float_of_int (hits + misses)
   in
-  p ", \"cache\": {\"hits\": %d, \"misses\": %d, \"stores\": %d, \
-     \"hit_ratio\": %.4f}, "
-    hits misses stores ratio;
-  p "\"obs\": {\"enabled\": %s, \"spans_dropped\": %d}}\n"
-    (bool_str (Sl_obs.Obs.is_enabled ()))
-    (Sl_obs.Obs.Span.dropped ());
-  Buffer.contents buf
+  let str s = Json.Str s in
+  Json.Obj
+    [ ("schema", Json.Str schema); ("type", Json.Str "status");
+      ("version", Json.Str t.version); ("uptime_s", secs (uptime_s t));
+      ("fingerprint", Json.Str (Registry.fingerprint registry));
+      ("props", Json.int (Registry.nprops registry));
+      ("monitors", Json.int (Registry.nmonitors registry));
+      ("jobs", Json.int t.jobs); ("traces", Json.int (Engine.ntraces eng));
+      ("events", Json.int (Engine.events eng));
+      ("live", Json.int (Engine.live eng));
+      ("tripped", Json.int (Engine.tripped eng));
+      ("retired_admissible", Json.int (Engine.retired_admissible eng));
+      ("connections", Json.Arr (List.map conn conns));
+      ( "reloads",
+        Json.Obj
+          [ ("count", Json.int t.nreloads);
+            ("failures", Json.int t.nreload_failures);
+            ("history", Json.Arr (List.rev_map reload t.reloads)) ] );
+      ("resumed_from", Json.opt str t.resumed_from);
+      ("snapshot_path", Json.opt str t.snapshot_path);
+      ( "cache",
+        Json.Obj
+          [ ("hits", Json.int hits); ("misses", Json.int misses);
+            ("stores", Json.int stores); ("hit_ratio", Json.fixed 4 ratio) ] );
+      ( "obs",
+        Json.Obj
+          [ ("enabled", Json.Bool (Sl_obs.Obs.is_enabled ()));
+            ("spans_dropped", Json.int (Sl_obs.Obs.Span.dropped ())) ] ) ]
 
 let render_monitors t =
   let d = t.daemon in
@@ -175,34 +160,25 @@ let render_monitors t =
   let props_of = Array.make (Array.length monitors) [] in
   List.iter
     (fun (pr : Registry.prop) ->
-      props_of.(pr.monitor) <- pr.name :: props_of.(pr.monitor))
+      props_of.(pr.monitor) <- Json.Str pr.name :: props_of.(pr.monitor))
     (List.rev (Registry.props registry));
-  let buf = Buffer.create 1024 in
-  let p fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  p "{\"schema\": \"%s\", \"type\": \"monitors\", \"fingerprint\": \"%s\", \
-     \"traces\": %d, \"monitors\": ["
-    schema
-    (esc (Registry.fingerprint registry))
-    (Engine.ntraces eng);
-  Array.iteri
-    (fun i pd ->
-      if i > 0 then p ", ";
-      let c = counts.(i) in
-      p "{\"index\": %d, \"key\": \"%s\", \"props\": [" i
-        (Sl_core.Wire.fnv64_hex pd.Packed_dfa.key);
-      List.iteri
-        (fun j name ->
-          if j > 0 then p ", ";
-          p "\"%s\"" (esc name))
-        props_of.(i);
-      p "], \"vacuous\": %s, \"pre_tripped\": %s, \"live\": %d, \"tripped\": \
-         %d, \"retired_admissible\": %d}"
-        (bool_str pd.Packed_dfa.vacuous)
-        (bool_str pd.Packed_dfa.pre_tripped)
-        c.Engine.mc_live c.Engine.mc_tripped c.Engine.mc_retired)
-    monitors;
-  p "]}\n";
-  Buffer.contents buf
+  let monitor i pd =
+    let c = counts.(i) in
+    Json.Obj
+      [ ("index", Json.int i);
+        ("key", Json.Str (Sl_core.Wire.fnv64_hex pd.Packed_dfa.key));
+        ("props", Json.Arr props_of.(i));
+        ("vacuous", Json.Bool pd.Packed_dfa.vacuous);
+        ("pre_tripped", Json.Bool pd.Packed_dfa.pre_tripped);
+        ("live", Json.int c.Engine.mc_live);
+        ("tripped", Json.int c.Engine.mc_tripped);
+        ("retired_admissible", Json.int c.Engine.mc_retired) ]
+  in
+  Json.Obj
+    [ ("schema", Json.Str schema); ("type", Json.Str "monitors");
+      ("fingerprint", Json.Str (Registry.fingerprint registry));
+      ("traces", Json.int (Engine.ntraces eng));
+      ("monitors", Json.Arr (Array.to_list (Array.mapi monitor monitors))) ]
 
 let render_traces t =
   let d = t.daemon in
@@ -210,29 +186,21 @@ let render_traces t =
   let ing = Daemon.ingest d in
   let total = Engine.ntraces eng in
   let shown = min total traces_cap in
-  let buf = Buffer.create 1024 in
-  let p fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  p "{\"schema\": \"%s\", \"type\": \"traces\", \"total\": %d, \
-     \"truncated\": %s, \"traces\": ["
-    schema total
-    (bool_str (shown < total));
-  let first = ref true in
-  for id = 0 to shown - 1 do
-    match Engine.trace_summary eng id with
-    | None -> ()
-    | Some (events, live, tripped) ->
-        if not !first then p ", ";
-        first := false;
-        p "{\"id\": %d, \"name\": \"%s\", \"events\": %d, \"live\": %d, \
-           \"tripped\": %d}"
-          id
-          (esc (Ingest.name ing id))
-          events live tripped
-  done;
-  p "]}\n";
-  Buffer.contents buf
+  let trace id =
+    Option.map
+      (fun (events, live, tripped) ->
+        Json.Obj
+          [ ("id", Json.int id); ("name", Json.Str (Ingest.name ing id));
+            ("events", Json.int events); ("live", Json.int live);
+            ("tripped", Json.int tripped) ])
+      (Engine.trace_summary eng id)
+  in
+  Json.Obj
+    [ ("schema", Json.Str schema); ("type", Json.Str "traces");
+      ("total", Json.int total); ("truncated", Json.Bool (shown < total));
+      ("traces", Json.Arr (List.filter_map trace (List.init shown Fun.id))) ]
 
-let json body = Some ("200 OK", "application/json", body)
+let json body = Some ("200 OK", "application/json", Json.to_string body)
 
 let handler t path =
   match path with

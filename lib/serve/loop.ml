@@ -124,7 +124,9 @@ let fd_setsize = 1024
 let fd_index (fd : Unix.file_descr) : int = Obj.magic fd
 
 let too_many =
-  Records.error ~line:0 ~trace:None ~reason:"too many connections"
+  let buf = Buffer.create 64 in
+  Records.add_error buf ~line:0 ~trace:None ~reason:"too many connections";
+  Buffer.contents buf
 
 type client = {
   fd : Unix.file_descr;

@@ -106,6 +106,41 @@ print(f"trace JSONL ok: {len(lines)} events")
 ' "$trace_out"
 rm -f "$trace_out"
 
+# Report-size smoke: 40k traces of 4 events each. The --json report must
+# load as JSON and take under 4x the text report's wall time (best of
+# 3 each): writing the report is linear in the number of traces, like
+# the text rendering.
+echo "--- slc monitor --json 40k-trace smoke"
+big=$(mktemp -d /tmp/slc-ci-big.XXXXXX)
+python3 - "$big" <<'PY'
+import json, random, subprocess, sys, time
+d = sys.argv[1]
+rng = random.Random(20261017)
+with open(f"{d}/big.events", "w") as f:
+    for i in range(160_000):
+        f.write(f"t{i % 40_000} {rng.randrange(2)}\n")
+cmd = ["_build/default/bin/slc.exe", "monitor", "--props",
+       "examples/monitor.props", "--trace", f"{d}/big.events"]
+def best(args, out):
+    times = []
+    for _ in range(3):
+        with open(out, "wb") as f:
+            t0 = time.perf_counter()
+            rc = subprocess.run(args, stdout=f).returncode
+            times.append(time.perf_counter() - t0)
+        assert rc in (0, 1), f"{args} exited {rc}"
+    return min(times)
+text_s = best(cmd, f"{d}/big.txt")
+json_s = best(cmd + ["--json"], f"{d}/big.json")
+with open(f"{d}/big.json") as f:
+    report = json.load(f)
+assert len(report["traces"]) == 40_000, len(report["traces"])
+ratio = json_s / text_s
+print(f"40k traces: text {text_s:.3f}s, --json {json_s:.3f}s ({ratio:.1f}x)")
+assert ratio < 4, f"--json report is {ratio:.1f}x the text report"
+PY
+rm -rf "$big"
+
 # Compile-cache smoke: a cold run against an empty cache directory must
 # store entries and change nothing about the report; the warm rerun must
 # serve every probe from the cache (cache_hits_total = distinct sources,

@@ -626,19 +626,19 @@ let test_reload_at_every_chunk () =
 (* {2 Introspection: /status, /monitors, /traces, /healthz} *)
 
 module Introspect = Sl_serve.Introspect
-module Jsonv = Sl_serve.Jsonv
+module Json = Sl_json.Json
 module Obs = Sl_obs.Obs
 
 let parse_json body =
-  match Jsonv.parse body with
+  match Json.parse body with
   | Ok v -> v
   | Error e -> Alcotest.failf "invalid JSON (%s): %s" e body
 
-let jmem k v = Option.get (Jsonv.member k v)
-let jint k v = Option.get (Jsonv.int_ (jmem k v))
-let jstr k v = Option.get (Jsonv.str (jmem k v))
-let jbool k v = Option.get (Jsonv.bool_ (jmem k v))
-let jarr k v = Option.get (Jsonv.arr (jmem k v))
+let jmem k v = Option.get (Json.member k v)
+let jint k v = Option.get (Json.int_ (jmem k v))
+let jstr k v = Option.get (Json.str (jmem k v))
+let jbool k v = Option.get (Json.bool_ (jmem k v))
+let jarr k v = Option.get (Json.arr (jmem k v))
 
 (* One-shot HTTP scrape through a fresh connection wired to the
    introspection handler, returning the parsed body. *)
@@ -669,7 +669,7 @@ let test_status_schema () =
   check_str "version" "test" (jstr "version" v);
   check_int "jobs is the process pool width" 3 (jint "jobs" v);
   check "uptime non-negative" true
-    (Option.get (Jsonv.num (jmem "uptime_s" v)) >= 0.);
+    (Option.get (Json.num (jmem "uptime_s" v)) >= 0.);
   check_int "traces" 2 (jint "traces" v);
   check_int "events" 3 (jint "events" v);
   check_int "live" (Engine.live eng) (jint "live" v);
@@ -796,27 +796,27 @@ let test_obs_enabled_serve_identical () =
       check "and equal to offline" true
         (SS.equal (offline_tuples events) (served_tuples lit)))
 
-(* {2 Jsonv} *)
+(* {2 Json reader} *)
 
-let test_jsonv () =
-  (match Jsonv.parse "{\"a\": [1, -2.5e1, true, null, \"x\\u00e9\\n\"], \"b\": {\"c\": \"\"}}" with
+let test_json_reader () =
+  (match Json.parse "{\"a\": [1, -2.5e1, true, null, \"x\\u00e9\\n\"], \"b\": {\"c\": \"\"}}" with
   | Error e -> Alcotest.failf "parse failed: %s" e
   | Ok v ->
-      (match Option.get (Jsonv.arr (jmem "a" v)) with
+      (match Option.get (Json.arr (jmem "a" v)) with
       | [ one; neg; t; nul; s ] ->
-          check_int "int" 1 (Option.get (Jsonv.int_ one));
-          check "exponent" true (Jsonv.num neg = Some (-25.));
-          check "bool" true (Jsonv.bool_ t = Some true);
-          check "null" true (nul = Jsonv.Null);
+          check_int "int" 1 (Option.get (Json.int_ one));
+          check "exponent" true (Json.num neg = Some (-25.));
+          check "bool" true (Json.bool_ t = Some true);
+          check "null" true (nul = Json.Null);
           (* é is é = 0xC3 0xA9 in UTF-8 *)
-          check_str "string escapes" "x\xc3\xa9\n" (Option.get (Jsonv.str s))
+          check_str "string escapes" "x\xc3\xa9\n" (Option.get (Json.str s))
       | _ -> Alcotest.fail "wrong array shape");
       check_str "nested member" ""
-        (Option.get (Jsonv.str (jmem "c" (jmem "b" v)))));
+        (Option.get (Json.str (jmem "c" (jmem "b" v)))));
   check "trailing bytes rejected" true
-    (match Jsonv.parse "{} x" with Error _ -> true | Ok _ -> false);
+    (match Json.parse "{} x" with Error _ -> true | Ok _ -> false);
   check "truncated input rejected" true
-    (match Jsonv.parse "{\"a\": [1," with Error _ -> true | Ok _ -> false);
+    (match Json.parse "{\"a\": [1," with Error _ -> true | Ok _ -> false);
   (* every endpoint body round-trips through the parser *)
   let daemon = mk_daemon () in
   let intro = Introspect.create ~version:"test" ~jobs:1 daemon in
@@ -848,15 +848,23 @@ let qcheck_add_int =
       oneof
         [ int; small_signed_int; oneofl [ 0; -1; max_int; min_int; min_int + 1 ] ])
   in
-  QCheck.Test.make ~count:500 ~name:"Records.add_int = string_of_int"
+  QCheck.Test.make ~count:500 ~name:"Json.add_int = string_of_int"
     (QCheck.make ~print:string_of_int gen) (fun n ->
       let buf = Buffer.create 4 in
       Buffer.add_char buf '<';
-      Records.add_int buf n;
+      Json.add_int buf n;
       Buffer.contents buf = "<" ^ string_of_int n)
 
+let render add =
+  let buf = Buffer.create 128 in
+  add buf;
+  Buffer.contents buf
+
 let test_record_escaping () =
-  let r = Records.error ~line:1 ~trace:(Some "a\"b\\c") ~reason:"tab\there" in
+  let r =
+    render (fun b ->
+        Records.add_error b ~line:1 ~trace:(Some "a\"b\\c") ~reason:"tab\there")
+  in
   check "quotes and backslashes escaped" true
     (find_sub r "a\\\"b\\\\c" <> None);
   check "control bytes escaped" true (find_sub r "tab\\u0009here" <> None);
@@ -885,13 +893,15 @@ let test_record_escaping () =
     (fun name ->
       let what = String.escaped name in
       check_str ("escape " ^ what) (reference_escape name)
-        (Records.escape name);
+        (render (fun b -> Json.add_escaped b name));
       check_str ("verdict record " ^ what)
         (Printf.sprintf
            "{\"type\": \"verdict\", \"trace\": \"%s\", \"prop\": \"%s\", \
             \"verdict\": \"admissible\", \"cause\": \"eof\"}\n"
            (reference_escape name) (reference_escape name))
-        (Records.verdict_admissible ~trace:name ~prop:name ~cause:"eof"))
+        (render (fun b ->
+             Records.add_verdict_admissible b ~trace:name ~prop:name
+               ~cause:"eof")))
     names
 
 let tests =
@@ -936,7 +946,7 @@ let tests =
       test_concurrent_scrape_backpressure;
     Alcotest.test_case "obs-enabled serving byte-identical" `Quick
       test_obs_enabled_serve_identical;
-    Alcotest.test_case "jsonv parser" `Quick test_jsonv;
+    Alcotest.test_case "json parser" `Quick test_json_reader;
     Alcotest.test_case "record escaping" `Quick test_record_escaping;
     QCheck_alcotest.to_alcotest qcheck_add_int;
   ]
