@@ -36,9 +36,9 @@ module Pool = Sl_core.Pool
 
 let jobs_arg =
   let doc =
-    "Domains for the parallel execution kernel: registry compilation \
-     and the theorem sweeps fan out over $(docv) domains. Output is byte-identical at every value. Defaults \
-     to the $(b,SLC_JOBS) environment variable, else 1."
+    "Registry compilation fans out over $(docv) domains, at most the \
+     core count. Output is byte-identical at every value. Defaults to \
+     the $(b,SLC_JOBS) environment variable, else 1."
   in
   Arg.(
     value

@@ -30,10 +30,8 @@ let is_weak (b : Buchi.t) =
           List.for_all (fun q -> b.accepting.(q) = b.accepting.(q0)) rest)
     comps
 
-let is_safety_shaped = Closure.is_closure_shaped
-
 let classify_structural b =
-  if is_safety_shaped b then "safety-shaped"
+  if Closure.is_closure_shaped b then "safety-shaped"
   else if is_terminal b then "terminal"
   else if is_weak b then "weak"
   else "general"

@@ -28,10 +28,6 @@ val is_terminal : Buchi.t -> bool
 val is_weak : Buchi.t -> bool
 (** Every SCC of the reachable part is acceptance-homogeneous. *)
 
-val is_safety_shaped : Buchi.t -> bool
-(** Alias of {!Closure.is_closure_shaped}: reachable, live, all
-    accepting. *)
-
 val classify_structural : Buchi.t -> string
 (** A human-readable tag: ["safety-shaped"], ["terminal"], ["weak"] or
     ["general"] (the finest applicable). *)

@@ -25,7 +25,3 @@ let sampled_subset ~max_prefix ~max_cycle (a : Buchi.t) (b : Buchi.t) =
   List.for_all
     (fun w -> (not (Buchi.accepts_lasso a w)) || Buchi.accepts_lasso b w)
     (Lasso.enumerate ~alphabet:a.alphabet ~max_prefix ~max_cycle)
-
-let accepted_sample ~max_prefix ~max_cycle (b : Buchi.t) =
-  List.filter (Buchi.accepts_lasso b)
-    (Lasso.enumerate ~alphabet:b.alphabet ~max_prefix ~max_cycle)

@@ -30,7 +30,3 @@ val separating_lasso :
 
 val sampled_equal : max_prefix:int -> max_cycle:int -> Buchi.t -> Buchi.t -> bool
 val sampled_subset : max_prefix:int -> max_cycle:int -> Buchi.t -> Buchi.t -> bool
-
-val accepted_sample : max_prefix:int -> max_cycle:int -> Buchi.t -> Lasso.t list
-(** All canonical lassos within the bound that the automaton accepts —
-    used by examples and EXPERIMENTS.md tables. *)

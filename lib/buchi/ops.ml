@@ -135,10 +135,6 @@ let intersect (a : Buchi.t) (b : Buchi.t) =
   in
   Buchi.make ~alphabet:a.alphabet ~nstates ~start:0 ~delta ~accepting
 
-let intersect_list ~alphabet = function
-  | [] -> Buchi.universal ~alphabet
-  | x :: rest -> List.fold_left intersect x rest
-
 let union_list ~alphabet = function
   | [] -> Buchi.empty_language ~alphabet
   | x :: rest -> List.fold_left union x rest

@@ -19,7 +19,4 @@ val intersect_full : Buchi.t -> Buchi.t -> Buchi.t
     or not — kept verbatim as the reference implementation for property
     tests and bench baselines. Language-equal to {!intersect}. *)
 
-val intersect_list : alphabet:int -> Buchi.t list -> Buchi.t
-(** Fold of {!intersect}; the empty intersection is {!Buchi.universal}. *)
-
 val union_list : alphabet:int -> Buchi.t list -> Buchi.t

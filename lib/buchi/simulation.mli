@@ -9,9 +9,6 @@
 
     The relation is computed as a greatest fixpoint on state pairs. *)
 
-val direct_simulation : Buchi.t -> bool array array
-(** [r.(p).(q)] iff [p] direct-simulates [q]. Reflexive, transitive. *)
-
 val quotient : Buchi.t -> Buchi.t
 (** Quotient by mutual simulation ([p ~ q] iff each simulates the other),
     dropping unreachable classes. Language-preserving. *)

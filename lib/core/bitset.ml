@@ -39,8 +39,6 @@ let unsafe_add t i =
   let w = i / word_bits in
   t.words.(w) <- t.words.(w) lor (1 lsl (i mod word_bits))
 
-let unsafe_mem t i = t.words.(i / word_bits) land (1 lsl (i mod word_bits)) <> 0
-
 let is_empty t = Array.for_all (fun w -> w = 0) t.words
 
 let of_list size l =
@@ -71,10 +69,6 @@ let binop ~name f a b =
 let union a b = binop ~name:"union" ( lor ) a b
 let inter a b = binop ~name:"inter" ( land ) a b
 let diff a b = binop ~name:"diff" (fun x y -> x land lnot y) a b
-
-let union_into ~into b =
-  if into.size <> b.size then invalid_arg "Bitset.union_into: size mismatch";
-  Array.iteri (fun i w -> into.words.(i) <- into.words.(i) lor w) b.words
 
 let equal a b = a.size = b.size && a.words = b.words
 

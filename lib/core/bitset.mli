@@ -28,8 +28,6 @@ val mem : t -> int -> bool
 val unsafe_add : t -> int -> unit
 (** [add] without the range check; the caller guarantees range. *)
 
-val unsafe_mem : t -> int -> bool
-
 val is_empty : t -> bool
 val of_list : int -> int list -> t
 val singleton : int -> int -> t
@@ -40,9 +38,6 @@ val union : t -> t -> t
 
 val inter : t -> t -> t
 val diff : t -> t -> t
-
-val union_into : into:t -> t -> unit
-(** In-place union accumulation. *)
 
 val equal : t -> t -> bool
 val compare : t -> t -> int

@@ -41,35 +41,18 @@ let check_hypotheses_fresh ~need_distributive l =
 (* Hypothesis verification is pure in the lattice but costs O(n^3); the
    exhaustive sweeps and benches re-verify the same lattice once per
    closure (resp. per pair), so verdicts are memoized by physical
-   identity. Each memo is an immutable assoc list behind an [Atomic]:
-   domains fanned out by [check_all_closures] race only to duplicate a
-   pure computation, never to observe a torn table. The cap keeps
-   throwaway lattices from property tests from growing it unboundedly. *)
+   identity. The cap keeps throwaway lattices from property tests from
+   growing a memo unboundedly. *)
 let memo_cap = 16
 
 let memo_find memo l =
-  List.find_map
-    (fun (l', r) -> if l' == l then Some r else None)
-    (Atomic.get memo)
+  List.find_map (fun (l', r) -> if l' == l then Some r else None) !memo
 
-let rec memo_add memo l r =
-  let old = Atomic.get memo in
-  if List.exists (fun (l', _) -> l' == l) old then ()
-  else begin
-    let trimmed =
-      if List.length old >= memo_cap then
-        List.filteri (fun i _ -> i < memo_cap - 1) old
-      else old
-    in
-    if not (Atomic.compare_and_set memo old ((l, r) :: trimmed)) then
-      memo_add memo l r
-  end
+let memo_add memo l r =
+  memo := (l, r) :: List.filteri (fun i _ -> i < memo_cap - 1) !memo
 
-let modular_hypotheses_memo : (Lattice.t * report) list Atomic.t =
-  Atomic.make []
-
-let distributive_hypotheses_memo : (Lattice.t * report) list Atomic.t =
-  Atomic.make []
+let modular_hypotheses_memo : (Lattice.t * report) list ref = ref []
+let distributive_hypotheses_memo : (Lattice.t * report) list ref = ref []
 
 let check_hypotheses ?(need_distributive = false) l =
   let memo =
@@ -240,15 +223,9 @@ let check_theorem8 l ~cl1 ~cl2 =
             failf "theorem 8 violated at q=%d, r=%d: %s" q r what
       end
 
-(* The exhaustive sweep quantifies over every closure operator (and
-   every ordered pair of them) — independent pure checks, so they fan
-   out across a domain pool: one order-preserving [map_reduce] over the
-   closures, one over the pair index space. Each map returns that
-   (closure | pair)'s failures in the sequential code's emission order
-   and the reduce is list append folded in index order, so the report
-   list is byte-identical at every [jobs]. *)
-let check_all_closures ?jobs ?(threshold = 8) l =
-  let pool = Pool.create ?jobs () in
+(* The exhaustive sweep quantifies over every closure operator, then
+   every ordered pair of them, reporting failures in that order. *)
+let check_all_closures l =
   let closures = Array.of_list (Closure.all l) in
   let nc = Array.length closures in
   let distributive = Lattice.is_distributive l in
@@ -274,8 +251,7 @@ let check_all_closures ?jobs ?(threshold = 8) l =
       @ note (Printf.sprintf "thm5[cl%d<=cl%d]" i j) (check_theorem5 l ~cl1 ~cl2)
   in
   let failures =
-    Pool.map_reduce ~threshold pool ~n:nc ~map:single ~reduce:( @ ) []
-    @ Pool.map_reduce ~threshold pool ~n:(nc * nc) ~map:pair ~reduce:( @ ) []
+    List.concat (List.init nc single @ List.init (nc * nc) pair)
   in
   match failures with [] -> [ ("all", Ok ()) ] | fs -> fs
 

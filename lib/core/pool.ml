@@ -19,17 +19,22 @@ let parse_jobs s =
   | Some j when j >= 1 -> Some j
   | _ -> None
 
+(* A user-set width never exceeds the cores the runtime reports: a
+   region spawns [jobs - 1] domains at once, and past the runtime's
+   domain limit (128) [Domain.spawn] fails. *)
+let clamp j = min j (Domain.recommended_domain_count ())
+
 let default =
   Atomic.make
     (match Option.bind (Sys.getenv_opt "SLC_JOBS") parse_jobs with
-    | Some j -> j
+    | Some j -> clamp j
     | None -> 1)
 
 let default_jobs () = Atomic.get default
 
 let set_default_jobs j =
   if j < 1 then invalid_arg "Pool.set_default_jobs: jobs must be >= 1";
-  Atomic.set default j
+  Atomic.set default (clamp j)
 
 let create ?jobs () =
   let jobs = match jobs with Some j -> j | None -> default_jobs () in
@@ -99,17 +104,12 @@ let default_chunk ~jobs n = max 1 ((n + (4 * jobs) - 1) / (4 * jobs))
    sites that know their per-element cost pass a calibrated cutoff so
    domain-spawn overhead is never paid on work that finishes faster
    than the spawn. *)
-let check_threshold name = function
-  | Some t when t < 0 ->
-      invalid_arg (name ^ ": threshold must be >= 0")
-  | Some t -> t
-  | None -> 2
-
-let parallel_for ?chunk ?threshold pool ~n f =
+let parallel_for ?chunk ?(threshold = 2) pool ~n f =
   (match chunk with
   | Some c when c < 1 -> invalid_arg "Pool.parallel_for: chunk must be >= 1"
   | _ -> ());
-  let threshold = check_threshold "Pool.parallel_for" threshold in
+  if threshold < 0 then
+    invalid_arg "Pool.parallel_for: threshold must be >= 0";
   if n > 0 then begin
     if pool.jobs = 1 || n = 1 || n < threshold then begin
       if pool.jobs > 1 then Sl_obs.Obs.Metrics.incr_always m_seq_fallback;
@@ -126,27 +126,4 @@ let parallel_for ?chunk ?threshold pool ~n f =
       in
       run_region ~jobs:pool.jobs ~chunk ~n f
     end
-  end
-
-let map_reduce ?chunk ?threshold pool ~n ~map ~reduce init =
-  let threshold = check_threshold "Pool.map_reduce" threshold in
-  if n <= 0 then init
-  else if pool.jobs = 1 || n = 1 || n < threshold then begin
-    if pool.jobs > 1 then Sl_obs.Obs.Metrics.incr_always m_seq_fallback;
-    let acc = ref init in
-    for i = 0 to n - 1 do
-      acc := reduce !acc (map i)
-    done;
-    !acc
-  end
-  else begin
-    let results = Array.make n None in
-    parallel_for ?chunk pool ~n (fun i -> results.(i) <- Some (map i));
-    let acc = ref init in
-    for i = 0 to n - 1 do
-      match results.(i) with
-      | Some v -> acc := reduce !acc v
-      | None -> assert false
-    done;
-    !acc
   end

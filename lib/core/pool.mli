@@ -3,8 +3,8 @@
 
     A pool is a parallelism budget: [jobs] domains cooperate on each
     parallel region, claiming contiguous index chunks through a shared
-    atomic cursor. The degenerate pool ([jobs = 1]) compiles every
-    combinator to the plain sequential loop — no atomics, no domains,
+    atomic cursor. The degenerate pool ([jobs = 1]) runs
+    {!parallel_for} as the plain sequential loop — no atomics, no domains,
     no allocation beyond the caller's own — so sequential runs are
     bit-for-bit the code that ran before the pool existed. All
     parallel callers in the tree are written so their observable
@@ -23,6 +23,7 @@ type t
 val create : ?jobs:int -> unit -> t
 (** A pool of [jobs] domains (the calling domain counts as one; [jobs
     - 1] are spawned per parallel region). Default: {!default_jobs}.
+    An explicit [jobs] is taken as given, even above the core count.
     @raise Invalid_argument if [jobs < 1]. *)
 
 val jobs : t -> int
@@ -30,11 +31,13 @@ val jobs : t -> int
 val default_jobs : unit -> int
 (** The process-wide default parallelism, [1] unless overridden — at
     startup by the [SLC_JOBS] environment variable, later by
-    {!set_default_jobs} (the CLI's [-j]). Every parallelized API in
+    {!set_default_jobs} (the CLI's [-j]). Either is clamped to
+    [Domain.recommended_domain_count ()]. Every parallelized API in
     the tree defaults to a pool of this size. *)
 
 val set_default_jobs : int -> unit
-(** @raise Invalid_argument if [jobs < 1]. *)
+(** Sets the default to [min jobs (Domain.recommended_domain_count ())].
+    @raise Invalid_argument if [jobs < 1]. *)
 
 val parallel_for :
   ?chunk:int -> ?threshold:int -> t -> n:int -> (int -> unit) -> unit
@@ -57,16 +60,3 @@ val parallel_for :
     never changes results — only where the time goes.
     @raise Invalid_argument on [chunk < 1], [threshold < 0] or nested
     use. *)
-
-val map_reduce :
-  ?chunk:int -> ?threshold:int -> t -> n:int -> map:(int -> 'a) ->
-  reduce:('a -> 'a -> 'a) -> 'a -> 'a
-(** [map_reduce pool ~n ~map ~reduce init] is
-    [init ⊕ map 0 ⊕ map 1 ⊕ ... ⊕ map (n-1)] with [⊕ = reduce] —
-    order-preserving: the maps run in parallel, the fold is sequential
-    in index order, so [reduce] need not be commutative and the result
-    is identical at every [jobs]. With [jobs pool = 1] this is the
-    plain left fold, mapping and reducing each index before the next
-    (no intermediate results array). [threshold] as in
-    {!parallel_for}: below the cutoff the plain left fold runs
-    regardless of pool width. *)

@@ -47,7 +47,5 @@ val sat : Sl_kripke.Kripke.t -> t -> bool array
 val holds : Sl_kripke.Kripke.t -> t -> bool
 (** Truth at the initial state. *)
 
-val holds_at : Sl_kripke.Kripke.t -> t -> int -> bool
-
 val witnesses : Sl_kripke.Kripke.t -> t -> int list
 (** States satisfying the formula, sorted. *)

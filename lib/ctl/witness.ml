@@ -2,11 +2,6 @@ module Kripke = Sl_kripke.Kripke
 
 type path = { spoke : int list; cycle : int list }
 
-let pp_path fmt p =
-  Format.fprintf fmt "%s(%s)^w"
-    (String.concat " " (List.map string_of_int p.spoke))
-    (String.concat " " (List.map string_of_int p.cycle))
-
 let check_path (k : Kripke.t) p =
   p.cycle <> []
   &&

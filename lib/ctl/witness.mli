@@ -13,8 +13,6 @@ type path = { spoke : int list; cycle : int list }
     nonempty, consecutive states connected, and the cycle closing back to
     its head. *)
 
-val pp_path : Format.formatter -> path -> unit
-
 val check_path : Kripke.t -> path -> bool
 (** Structural validity of a path in the structure. *)
 

@@ -1,6 +1,6 @@
 (** The project's one JSON format: every JSON byte the tools write —
     the [sl-monitor-report/1] report, the served NDJSON records,
-    [sl-status/1] bodies, trace events, the bench trajectory — goes
+    [sl-status/1] bodies, trace events — goes
     through the escaper and writer here, and everything read back goes
     through {!parse}. No dependencies.
 

@@ -7,10 +7,6 @@ module Poset = Sl_order.Poset
     this class, so we use the duality both as a test oracle and to generate
     distributive lattices from random posets. *)
 
-val irreducible_poset : Lattice.t -> Poset.t * Lattice.elt array
-(** The poset of join-irreducibles of a lattice (order inherited); also
-    returns the array mapping new indices to original lattice elements. *)
-
 val downset_lattice : Poset.t -> Lattice.t * Poset.elt list array
 (** The lattice of down-sets of a poset ordered by inclusion (meet =
     intersection, join = union); also returns the down-set denoted by each

@@ -39,8 +39,6 @@ let of_poset poset =
   in
   { poset; meet; join; bot; top }
 
-let of_poset_opt p = try Some (of_poset p) with Not_a_lattice _ -> None
-
 let of_covers ~size ~covers = of_poset (Poset.of_covers ~size ~covers)
 
 let poset l = l.poset
@@ -53,7 +51,6 @@ let join l x y = l.join.(x).(y)
 let bot l = l.bot
 let top l = l.top
 let meet_set l xs = List.fold_left (meet l) l.top xs
-let join_set l xs = List.fold_left (join l) l.bot xs
 
 let product a b = of_poset (Poset.product a.poset b.poset)
 let dual a = of_poset (Poset.dual a.poset)
@@ -137,7 +134,6 @@ let has_unique_complements l =
   for_all_elts l (fun a -> List.length (complements l a) = 1)
 
 let atoms l = Poset.covers_of l.poset l.bot
-let coatoms l = Poset.covered_by l.poset l.top
 
 let join_irreducibles l =
   List.filter
@@ -148,19 +144,6 @@ let join_irreducibles l =
               (fun a ->
                 List.exists
                   (fun b -> lt l a x && lt l b x && join l a b = x)
-                  (elements l))
-              (elements l)))
-    (elements l)
-
-let meet_irreducibles l =
-  List.filter
-    (fun x ->
-      x <> l.top
-      && not
-           (List.exists
-              (fun a ->
-                List.exists
-                  (fun b -> lt l x a && lt l x b && meet l a b = x)
                   (elements l))
               (elements l)))
     (elements l)

@@ -24,8 +24,6 @@ val of_poset : Poset.t -> t
     @raise Not_a_lattice if some pair of elements has no least upper bound
     or no greatest lower bound. The empty poset is not a lattice. *)
 
-val of_poset_opt : Poset.t -> t option
-
 val of_covers : size:int -> covers:(elt * elt) list -> t
 (** Convenience: {!Poset.of_covers} followed by {!of_poset}. *)
 
@@ -34,11 +32,7 @@ val dual : t -> t
 
 val interval : t -> elt -> elt -> t option
 (** [interval l a b] is the sublattice [{ x | a <= x <= b }] (with elements
-    renumbered; see {!interval_elements}), or [None] if [not (a <= b)]. *)
-
-val interval_elements : t -> elt -> elt -> elt list
-(** The elements of [l] lying in [[a, b]], in the order used by
-    {!interval}. *)
+    renumbered in increasing order), or [None] if [not (a <= b)]. *)
 
 (** {1 Observations} *)
 
@@ -51,9 +45,6 @@ val meet : t -> elt -> elt -> elt
 val join : t -> elt -> elt -> elt
 val meet_set : t -> elt list -> elt
 (** Meet of a finite set; the empty meet is {!top}. *)
-
-val join_set : t -> elt list -> elt
-(** Join of a finite set; the empty join is {!bot}. *)
 
 val bot : t -> elt
 val top : t -> elt
@@ -103,13 +94,9 @@ val has_unique_complements : t -> bool
 val atoms : t -> elt list
 (** Elements covering bottom. *)
 
-val coatoms : t -> elt list
-
 val join_irreducibles : t -> elt list
 (** Elements [x <> 0] that are not the join of two strictly smaller
     elements; the basis of Birkhoff duality (see {!Birkhoff}). *)
-
-val meet_irreducibles : t -> elt list
 
 val sublattice_closure : t -> elt list -> elt list
 (** Least subset containing the given elements and closed under meet and

@@ -67,8 +67,6 @@ let divisor n =
   let p, ds = Poset.divisors n in
   (Lattice.of_poset p, ds)
 
-let subgroup_z n = divisor n
-
 (* Partitions of {0..n-1} as canonical block-id arrays: cell i holds the
    index of the block containing i, blocks numbered by first occurrence. *)
 let partitions_of n =

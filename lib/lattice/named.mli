@@ -67,11 +67,6 @@ val partition : int -> Lattice.t
     for [n >= 4] — a natural "big" test subject for the paper's
     hypotheses. *)
 
-val subgroup_z : int -> Lattice.t * int array
-(** Subgroups of the cyclic group Z_n (isomorphic to the divisor lattice);
-    returns generators. Included as a second arithmetic family for
-    property tests. *)
-
 val all_small : (string * Lattice.t) list
 (** A corpus of named lattices used by the exhaustive theorem checks:
     chains, Booleans, N5, M3, diamonds, divisor lattices, small partition

@@ -82,7 +82,6 @@ let rec to_core = function
   | Always f -> cnot (CUntil (CTrue, cnot (to_core f)))
 
 let core_equal = ( = )
-let core_compare = Stdlib.compare
 
 let core_subformulas f =
   let rec go acc f =
@@ -93,20 +92,6 @@ let core_subformulas f =
     | CAnd (a, b) | CUntil (a, b) -> go (go acc a) b
   in
   List.rev (go [] f)
-
-let rec pp_core fmt = function
-  | CTrue -> Format.pp_print_string fmt "true"
-  | CProp p -> Format.pp_print_string fmt p
-  | CNot f -> Format.fprintf fmt "!%a" pp_core_atom f
-  | CAnd (a, b) ->
-      Format.fprintf fmt "(%a & %a)" pp_core a pp_core b
-  | CNext f -> Format.fprintf fmt "X %a" pp_core_atom f
-  | CUntil (a, b) -> Format.fprintf fmt "(%a U %a)" pp_core a pp_core b
-
-and pp_core_atom fmt f =
-  match f with
-  | CTrue | CProp _ -> pp_core fmt f
-  | _ -> Format.fprintf fmt "(%a)" pp_core f
 
 let rec pp fmt = function
   | True -> Format.pp_print_string fmt "true"

@@ -61,11 +61,8 @@ type core = private
 
 val to_core : t -> core
 val core_equal : core -> core -> bool
-val core_compare : core -> core -> int
 val core_subformulas : core -> core list
 (** Distinct subformulas of the core form (the positive closure). *)
-
-val pp_core : Format.formatter -> core -> unit
 
 (** {1 Syntax} *)
 

@@ -15,10 +15,6 @@ let subset_valuation props =
     | Some i -> symbol land (1 lsl i) <> 0
     | None -> false
 
-let letter_valuation alphabet symbol p =
-  Sl_word.Alphabet.mem alphabet symbol
-  && String.equal (Sl_word.Alphabet.label alphabet symbol) p
-
 (* Truth tables per core subformula over the lasso's positions. Until is a
    least fixpoint (start false, grow), its negation-free dual handled via
    CNot. Iteration count is bounded by the number of positions. *)

@@ -14,11 +14,6 @@ val subset_valuation : string list -> valuation
     {!Sl_word.Alphabet.of_subsets}: proposition [j] of the list is bit
     [1 lsl j] of the symbol. *)
 
-val letter_valuation : Sl_word.Alphabet.t -> valuation
-(** Propositions are the letter names themselves: [p] holds iff the
-    current symbol is labeled [p] (the natural reading for Rem's binary
-    alphabet, where ["a"] holds exactly on the letter [a]). *)
-
 val eval : valuation -> Formula.t -> Sl_word.Lasso.t -> bool
 (** [eval v f w] iff [w, 0 ⊨ f]. *)
 

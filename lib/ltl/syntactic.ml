@@ -68,14 +68,3 @@ let rec release_free = function
 
 let is_syntactically_safe f = until_free (nnf f)
 let is_syntactically_cosafe f = release_free (nnf f)
-
-let rec pp_nnf fmt = function
-  | Lit (p, true) -> Format.pp_print_string fmt p
-  | Lit (p, false) -> Format.fprintf fmt "!%s" p
-  | NTrue -> Format.pp_print_string fmt "true"
-  | NFalse -> Format.pp_print_string fmt "false"
-  | NAnd (a, b) -> Format.fprintf fmt "(%a & %a)" pp_nnf a pp_nnf b
-  | NOr (a, b) -> Format.fprintf fmt "(%a | %a)" pp_nnf a pp_nnf b
-  | NNext a -> Format.fprintf fmt "X %a" pp_nnf a
-  | NUntil (a, b) -> Format.fprintf fmt "(%a U %a)" pp_nnf a pp_nnf b
-  | NRelease (a, b) -> Format.fprintf fmt "(%a R %a)" pp_nnf a pp_nnf b

@@ -36,5 +36,3 @@ val is_syntactically_safe : Formula.t -> bool
 val is_syntactically_cosafe : Formula.t -> bool
 (** The NNF contains no [R]. The negation of a syntactically co-safe
     formula is syntactically safe. *)
-
-val pp_nnf : Format.formatter -> nnf -> unit

@@ -92,7 +92,6 @@ module Metrics = struct
   }
 
   type counter_vec = family
-  type gauge_vec = family
   type histogram_vec = family
 
   (* Log-2 bucketing: bucket 0 holds samples <= 0, bucket i >= 1 holds
@@ -195,8 +194,6 @@ module Metrics = struct
   let counter_vec ?help name ~labels : counter_vec =
     vec ?help name ~labels Kcounter
 
-  let gauge_vec ?help name ~labels : gauge_vec = vec ?help name ~labels Kgauge
-
   let histogram_vec ?help name ~labels : histogram_vec =
     vec ?help name ~labels Khistogram
 
@@ -220,7 +217,6 @@ module Metrics = struct
         i
 
   let counter_child : counter_vec -> string list -> counter = child
-  let gauge_child : gauge_vec -> string list -> gauge = child
   let histogram_child : histogram_vec -> string list -> histogram = child
 
   (* The recording fast path: one flag check, then one atomic
@@ -453,10 +449,6 @@ module Span = struct
       ~help:"Span events dropped because the ring buffer was full"
       "spans_dropped_total"
 
-  type agg = { mutable count : int; mutable total_us : float }
-
-  let aggs : (string, agg) Hashtbl.t = Hashtbl.create 64
-
   let set_ring_capacity n =
     if n <= 0 then invalid_arg "Obs.Span.set_ring_capacity";
     ring := Array.make n dummy_event;
@@ -479,12 +471,7 @@ module Span = struct
       ring_start := (!ring_start + 1) mod cap;
       incr dropped_count;
       Metrics.incr_always m_dropped
-    end;
-    (match Hashtbl.find_opt aggs ev.name with
-    | Some a ->
-        a.count <- a.count + 1;
-        a.total_us <- a.total_us +. ev.dur_us
-    | None -> Hashtbl.add aggs ev.name { count = 1; total_us = ev.dur_us })
+    end
 
   (* Spans keep one mutable stack + ring, owned by the main domain:
      [enter] from a pool worker returns the inert token (making the
@@ -575,23 +562,9 @@ module Span = struct
       end
     end
 
-  let with_ name f =
-    let tok = enter name in
-    match f () with
-    | v ->
-        exit tok;
-        v
-    | exception e ->
-        exit tok;
-        raise e
-
   let events () =
     let cap = Array.length !ring in
     List.init !ring_len (fun i -> !ring.((!ring_start + i) mod cap))
-
-  let aggregates () =
-    Hashtbl.fold (fun name a acc -> (name, a.count, a.total_us) :: acc) aggs []
-    |> List.sort compare
 
   let event_to_json ev =
     let module Json = Sl_json.Json in
@@ -619,8 +592,7 @@ module Span = struct
     depth := 0;
     ring_start := 0;
     ring_len := 0;
-    dropped_count := 0;
-    Hashtbl.reset aggs
+    dropped_count := 0
 end
 
 let reset () =

@@ -30,7 +30,7 @@ val disable : unit -> unit
 val is_enabled : unit -> bool
 
 val reset : unit -> unit
-(** Zero every metric, drop all buffered span events and aggregates,
+(** Zero every metric, drop all buffered span events,
     and abandon any open spans. Registered metric handles stay valid. *)
 
 (** Monotonic time source. *)
@@ -72,7 +72,7 @@ module Metrics : sig
       A vec is a metric family with a fixed list of label {e names};
       {!counter_child} etc. intern one child series per distinct label
       {e value} tuple. Child handles are ordinary {!counter} /
-      {!gauge} / {!histogram} handles — recording into a labeled
+      {!histogram} handles — recording into a labeled
       series costs exactly a flat record — and the family renders in
       the exposition as [name{label="value",...}] lines with values
       escaped per the text-format spec.
@@ -82,14 +82,12 @@ module Metrics : sig
       setup qualify, worker bodies do not. *)
 
   type counter_vec
-  type gauge_vec
   type histogram_vec
 
   val counter_vec : ?help:string -> string -> labels:string list -> counter_vec
   (** @raise Invalid_argument on an empty label list, a kind clash, or
       a label-list clash with an earlier registration of the name. *)
 
-  val gauge_vec : ?help:string -> string -> labels:string list -> gauge_vec
   val histogram_vec :
     ?help:string -> string -> labels:string list -> histogram_vec
 
@@ -99,7 +97,6 @@ module Metrics : sig
       @raise Invalid_argument if the value count differs from the
       family's label count. *)
 
-  val gauge_child : gauge_vec -> string list -> gauge
   val histogram_child : histogram_vec -> string list -> histogram
 
   val incr : counter -> unit
@@ -169,10 +166,6 @@ module Span : sig
       timestamp), so events always appear innermost-first. No-op on
       {!none} and on already-closed tokens. *)
 
-  val with_ : string -> (unit -> 'a) -> 'a
-  (** [with_ name f] wraps [f ()] in a span, closing it on exceptions
-      too. *)
-
   type event = {
     name : string;
     ts_us : float;  (** start, microseconds since the clock epoch *)
@@ -201,11 +194,6 @@ module Span : sig
   val set_gc_probe : bool -> unit
   (** Toggle the per-span GC probe (default on). With the probe off the
       GC fields of new events are 0. *)
-
-  val aggregates : unit -> (string * int * float) list
-  (** Per-span-name [(name, count, total_us)] over every completed span
-      since the last {!reset} — independent of the ring, so it sees
-      spans the ring has dropped. Sorted by name. *)
 
   val write_jsonl : out_channel -> unit
   (** Write buffered events as trace-event JSON objects, one per line:

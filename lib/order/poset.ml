@@ -90,7 +90,6 @@ let product p q =
       leq p xi xj && leq q yi yj)
 
 let dual p = make ~size:p.size ~leq:(fun x y -> p.rel.(y).(x))
-let opposite = dual
 
 let covers p =
   let acc = ref [] in
@@ -148,27 +147,12 @@ let greatest p candidates =
 let join_opt p x y = least p (upper_bounds p x y)
 let meet_opt p x y = greatest p (lower_bounds p x y)
 
-let bounds_of_set p ~above xs =
-  List.filter
-    (fun u ->
-      List.for_all (fun x -> if above then leq p x u else leq p u x) xs)
-    (elements p)
-
-let join_set_opt p xs = least p (bounds_of_set p ~above:true xs)
-let meet_set_opt p xs = greatest p (bounds_of_set p ~above:false xs)
-
 let up_set p x = List.filter (fun y -> leq p x y) (elements p)
 let down_set p x = List.filter (fun y -> leq p y x) (elements p)
 
 let is_down_set p xs =
   List.for_all
     (fun x -> List.for_all (fun y -> not (leq p y x) || List.mem y xs)
-        (elements p))
-    xs
-
-let is_up_set p xs =
-  List.for_all
-    (fun x -> List.for_all (fun y -> not (leq p x y) || List.mem y xs)
         (elements p))
     xs
 

@@ -56,9 +56,6 @@ val product : t -> t -> t
 val dual : t -> t
 (** Order-reversed poset on the same carrier. *)
 
-val opposite : t -> t
-(** Alias for {!dual}. *)
-
 (** {1 Basic observations} *)
 
 val size : t -> int
@@ -91,20 +88,11 @@ val bottom : t -> elt option
 val top : t -> elt option
 (** The greatest element, if one exists. *)
 
-val upper_bounds : t -> elt -> elt -> elt list
-val lower_bounds : t -> elt -> elt -> elt list
-
 val join_opt : t -> elt -> elt -> elt option
 (** Least upper bound of two elements, if it exists. *)
 
 val meet_opt : t -> elt -> elt -> elt option
 (** Greatest lower bound of two elements, if it exists. *)
-
-val join_set_opt : t -> elt list -> elt option
-(** Least upper bound of a finite set (the empty set yields the bottom
-    element if any). *)
-
-val meet_set_opt : t -> elt list -> elt option
 
 (** {1 Up-sets, down-sets, chains, antichains} *)
 
@@ -115,7 +103,6 @@ val down_set : t -> elt -> elt list
 (** [down_set p x] is [{ y | y <= x }], sorted. *)
 
 val is_down_set : t -> elt list -> bool
-val is_up_set : t -> elt list -> bool
 val down_closure : t -> elt list -> elt list
 (** Least down-set containing the given elements, sorted. *)
 

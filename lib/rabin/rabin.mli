@@ -58,10 +58,6 @@ val trivial_condition : nstates:int -> (bool array * bool array) list
 val is_buchi_shaped : t -> bool
 (** Exactly one pair, with no red states. *)
 
-val buchi_accepting : t -> bool array
-(** The green set of a Büchi-shaped automaton.
-    @raise Invalid_argument otherwise. *)
-
 (** {1 Decision procedures} *)
 
 val nonempty_states : t -> bool array

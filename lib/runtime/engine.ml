@@ -175,7 +175,6 @@ let create ~monitors () = of_plan (plan_of_monitors monitors)
 
 let plan eng = eng.plan
 let plan_monitors plan = plan.monitors
-let plan_alphabet plan = plan.alphabet
 
 (* (Re)initialize a trace record in place: every non-vacuous monitor
    starts live in the packed start state, except pre-tripped (empty

@@ -42,7 +42,6 @@ val of_plan : plan -> t
 
 val plan : t -> plan
 val plan_monitors : plan -> Packed_dfa.t array
-val plan_alphabet : plan -> int
 
 val create : monitors:Packed_dfa.t array -> unit -> t
 (** [plan_of_monitors] composed with [of_plan].

@@ -31,11 +31,6 @@ val names : t -> string array
 
 val intern : t -> string -> int
 
-val intern_slice : t -> string -> int -> int -> int
-(** [intern_slice t s off len] interns the byte slice [s.[off ..
-    off+len-1]], materializing a string only on first sight of a new
-    id. [intern t s] is [intern_slice t s 0 (String.length s)]. *)
-
 type error = {
   e_line : int;  (** 1-based line number in the input stream *)
   e_trace : string option;

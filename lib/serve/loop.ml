@@ -13,19 +13,6 @@ type config = {
   quiet : bool;
 }
 
-let default_config ~props_file =
-  {
-    props_file;
-    unix_socket = None;
-    tcp_port = None;
-    jobs = None;
-    snapshot = None;
-    resume = None;
-    max_line = 65536;
-    hwm = 262144;
-    quiet = false;
-  }
-
 (* Metrics (registered eagerly; recording is Obs-gated as usual). *)
 let m_conns_total = Obs.Metrics.counter "serve_connections_total"
 let m_conns = Obs.Metrics.gauge "serve_connections"

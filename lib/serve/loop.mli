@@ -39,10 +39,6 @@ type config = {
   quiet : bool;  (** suppress the per-lifecycle stderr notes *)
 }
 
-val default_config : props_file:string -> config
-(** No listeners configured (callers set at least one), default
-    buffer bounds, no snapshot/resume. *)
-
 val run : config -> int
 (** Run until SIGTERM/SIGINT. Returns the process exit code: [0] after
     a graceful shutdown (including a clean snapshot write), [2] on

@@ -22,7 +22,6 @@ val make : size:int -> cl:(int -> int) -> t
 type verdict = (unit, string * int list) result
 (** [Error (axiom, witness_masks)] names the failed axiom. *)
 
-val preserves_empty : t -> verdict
 val is_extensive : t -> verdict
 val is_idempotent : t -> verdict
 val is_monotone : t -> verdict

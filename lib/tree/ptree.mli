@@ -33,10 +33,6 @@ val has_hole : t -> bool
     simply has fewer children, and extensions cannot add children
     there. *)
 
-val restricted_reachable : t -> keep:(int -> bool) -> bool array
-(** States reachable from the root through states satisfying [keep]
-    (all-false if the root fails [keep]). *)
-
 val has_cycle_within : t -> keep:(int -> bool) -> bool
 (** Is there an infinite path from the root staying inside [keep]-states?
     (Equivalently a lasso: reachable-within cycle.) *)

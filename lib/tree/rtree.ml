@@ -36,8 +36,6 @@ let node_state t node =
   in
   go t.root node
 
-let label_at t node = Option.map (fun q -> t.label.(q)) (node_state t node)
-
 let unfold t ~depth =
   let assoc = ref [] in
   let rec go state node d =

@@ -30,8 +30,6 @@ val node_state : t -> Ftree.node -> int option
 (** The graph state reached by following a path of child indices (None if
     an index is [>= k]). *)
 
-val label_at : t -> Ftree.node -> int option
-
 val to_kripke : t -> prop_of_label:(int -> string) -> Sl_kripke.Kripke.t
 (** Read the presentation as a Kripke structure whose states carry the
     proposition [prop_of_label label]; CTL model checking on it decides

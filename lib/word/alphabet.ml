@@ -4,10 +4,6 @@ let make names =
   if Array.length names = 0 then invalid_arg "Alphabet.make: empty";
   { names = Array.copy names }
 
-let of_size n =
-  if n < 1 then invalid_arg "Alphabet.of_size: need n >= 1";
-  make (Array.init n (Printf.sprintf "s%d"))
-
 let binary = make [| "a"; "b" |]
 
 let of_subsets props =
@@ -29,5 +25,4 @@ let size a = Array.length a.names
 let label a i = a.names.(i)
 let symbols a = List.init (size a) Fun.id
 let mem a i = i >= 0 && i < size a
-let pp_symbol a fmt i = Format.pp_print_string fmt (label a i)
 let equal a b = a.names = b.names

@@ -11,9 +11,6 @@ val make : string array -> t
 (** [make names] is the alphabet whose symbol [i] prints as [names.(i)].
     @raise Invalid_argument on an empty array. *)
 
-val of_size : int -> t
-(** Anonymous alphabet of [n >= 1] symbols named ["s0"], ["s1"], … *)
-
 val binary : t
 (** The two-symbol alphabet [{a, b}] used by all of Rem's examples: symbol
     [0] is ["a"], symbol [1] is ["b"] (standing for "anything other than
@@ -28,5 +25,4 @@ val size : t -> int
 val label : t -> int -> string
 val symbols : t -> int list
 val mem : t -> int -> bool
-val pp_symbol : t -> Format.formatter -> int -> unit
 val equal : t -> t -> bool

@@ -25,20 +25,31 @@ let test_create_validation () =
   (* the process-wide default is what create () picks up *)
   let saved = Pool.default_jobs () in
   Pool.set_default_jobs 2;
-  check_int "create () takes the default" 2 (Pool.jobs (Pool.create ()));
+  check_int "create () takes the default" (Pool.default_jobs ())
+    (Pool.jobs (Pool.create ()));
   Pool.set_default_jobs saved;
   check "set_default_jobs 0 rejected" true
     (match Pool.set_default_jobs 0 with
     | exception Invalid_argument _ -> true
     | _ -> false)
 
+let test_default_clamped () =
+  (* a -j past the runtime's domain limit must not reach Domain.spawn;
+     an explicit create ~jobs stays as given *)
+  let saved = Pool.default_jobs () in
+  Pool.set_default_jobs 10_000;
+  let clamped = Pool.default_jobs () in
+  Pool.set_default_jobs saved;
+  check_int "default clamped to the core count"
+    (Domain.recommended_domain_count ()) clamped;
+  check_int "explicit width unclamped" 10_000
+    (Pool.jobs (Pool.create ~jobs:10_000 ()))
+
 let test_empty_range () =
   let pool = Pool.create ~jobs:4 () in
   let hits = ref 0 in
   Pool.parallel_for pool ~n:0 (fun _ -> incr hits);
-  check_int "parallel_for n=0 never calls the body" 0 !hits;
-  check_int "map_reduce n=0 is init" 42
-    (Pool.map_reduce pool ~n:0 ~map:(fun i -> i) ~reduce:( + ) 42)
+  check_int "parallel_for n=0 never calls the body" 0 !hits
 
 let test_each_index_once () =
   (* chunk larger than the range, chunk 1, and the default chunk all
@@ -96,19 +107,6 @@ let test_nested_region_rejected () =
       Pool.parallel_for seq ~n:4 (fun _ -> Atomic.incr total));
   check_int "sequential pool nests freely" 16 (Atomic.get total)
 
-let test_map_reduce_order () =
-  (* a non-commutative reduce: parallel result must equal the
-     left-to-right fold *)
-  let pool = Pool.create ~jobs:4 () in
-  let n = 17 in
-  let got =
-    Pool.map_reduce ~chunk:2 pool ~n ~map:string_of_int ~reduce:( ^ ) ""
-  in
-  let expected =
-    String.concat "" (List.init n string_of_int)
-  in
-  Alcotest.(check string) "index-order fold" expected got
-
 (* --- Determinism pins: jobs = 1 vs jobs = 4 --- *)
 
 (* A pool of properties with deliberate hash-cons collisions (language-
@@ -164,6 +162,6 @@ let tests =
       test_exception_propagates;
     Alcotest.test_case "nested region rejected" `Quick
       test_nested_region_rejected;
-    Alcotest.test_case "map_reduce preserves order" `Quick
-      test_map_reduce_order;
+    Alcotest.test_case "default width clamped to the core count" `Quick
+      test_default_clamped;
     QCheck_alcotest.to_alcotest prop_registry_jobs_invariant ]
