@@ -26,7 +26,8 @@ let parse_formula s =
   | Ok f -> Ok f
   | Error e -> Error (`Msg ("parse error: " ^ e))
 
-(* Observability plumbing, shared by every subcommand: [--metrics DEST]
+(* Observability plumbing, shared by every subcommand but top and
+   version: [--metrics DEST]
    turns the Sl_obs kernel on for the run and writes the Prometheus text
    exposition after the subcommand's own output; [--trace-out FILE]
    dumps the buffered spans as trace-event JSON lines. With neither flag
@@ -87,43 +88,49 @@ let dump_trace file =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> Obs.Span.write_jsonl oc)
 
-let with_obs jobs cache metrics trace_out run =
-  if jobs < 1 then begin
-    Format.eprintf "slc: --jobs must be >= 1@.";
-    124
-  end
-  else begin
-    Pool.set_default_jobs jobs;
-    (* [--cache DIR] overrides the [SLC_CACHE]-seeded process default;
-       every registry the subcommand creates picks it up. *)
-    Option.iter
-      (fun d -> Sl_runtime.Cache.set_default_dir (Some d))
-      cache;
-    match (metrics, trace_out) with
-    | None, None -> run ()
-    | _ ->
-        Obs.enable ();
-        let code =
-          match run () with
-          | code -> code
-          | exception e ->
-              Obs.disable ();
-              raise e
-        in
-        flush stdout;
-        Option.iter dump_metrics metrics;
-        Option.iter dump_trace trace_out;
-        Obs.disable ();
-        code
-  end
+let with_obs metrics trace_out run =
+  match (metrics, trace_out) with
+  | None, None -> run ()
+  | _ ->
+      Obs.enable ();
+      let code =
+        match run () with
+        | code -> code
+        | exception e ->
+            Obs.disable ();
+            raise e
+      in
+      flush stdout;
+      Option.iter dump_metrics metrics;
+      Option.iter dump_trace trace_out;
+      Obs.disable ();
+      code
 
-(* Lift a [unit -> int] subcommand term into one that honours the
-   shared flags: [-j] sets the process-wide default pool width before
-   the subcommand runs, [--metrics]/[--trace-out] wrap it in the
-   observability kernel. *)
+(* Lift a [unit -> int] subcommand term into one that honours
+   [--metrics]/[--trace-out]: the run is wrapped in the observability
+   kernel. *)
 let obs_term term =
+  Term.(const with_obs $ metrics_arg $ trace_out_arg $ term)
+
+(* The subcommands that compile a registry (monitor, pack, serve) also
+   take [-j], the process-wide default pool width, and [--cache], the
+   default compile-cache directory; both are set before the run. *)
+let compile_term term =
+  let with_compile jobs cache metrics trace_out run =
+    if jobs < 1 then begin
+      Format.eprintf "slc: --jobs must be >= 1@.";
+      124
+    end
+    else begin
+      Pool.set_default_jobs jobs;
+      (* [--cache DIR] overrides the [SLC_CACHE]-seeded process default. *)
+      Option.iter (fun d -> Sl_runtime.Cache.set_default_dir (Some d)) cache;
+      with_obs metrics trace_out run
+    end
+  in
   Term.(
-    const with_obs $ jobs_arg $ cache_arg $ metrics_arg $ trace_out_arg $ term)
+    const with_compile $ jobs_arg $ cache_arg $ metrics_arg $ trace_out_arg
+    $ term)
 
 let classify_cmd =
   let run s =
@@ -500,7 +507,7 @@ let monitor_cmd =
        ~doc:
          "Run runtime monitors of properties' safety parts over traces \
           (streaming with --props/--trace, or one-shot on a formula)")
-    (obs_term
+    (compile_term
        Term.(
          const (fun props tf json snap every resume f tr () ->
              run props tf json snap every resume f tr)
@@ -560,7 +567,7 @@ let pack_cmd =
        ~doc:
          "Compile a property file into a single binary monitor-pack \
           artifact (the offline half of a compile-once/serve-hot split)")
-    (obs_term Term.(const (fun p o () -> run p o) $ props_arg $ out_arg))
+    (compile_term Term.(const (fun p o () -> run p o) $ props_arg $ out_arg))
 
 let unpack_cmd =
   let pack_arg =
@@ -782,7 +789,7 @@ let serve_cmd =
          "Run the monitoring daemon: many concurrent client streams \
           multiplexed onto one engine, incremental NDJSON \
           verdicts, SIGHUP hot reload, snapshot/resume lifecycle")
-    (obs_term
+    (compile_term
        Term.(
          const (fun p s pt sn r ml hw q () -> run p s pt sn r ml hw q)
          $ props_arg $ socket_arg $ port_arg $ snapshot_arg $ resume_arg
@@ -793,54 +800,6 @@ let serve_cmd =
    sl-status/1 JSON with --once --json for scripting). *)
 let top_cmd =
   let module J = Sl_json.Json in
-  let http_get ~socket ~port path =
-    let fd, addr =
-      match (socket, port) with
-      | Some p, _ ->
-          (Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0, Unix.ADDR_UNIX p)
-      | None, Some p ->
-          ( Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0,
-            Unix.ADDR_INET (Unix.inet_addr_loopback, p) )
-      | None, None -> failwith "need --socket or --port"
-    in
-    Fun.protect
-      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-      (fun () ->
-        Unix.connect fd addr;
-        let req = "GET " ^ path ^ " HTTP/1.0\r\n\r\n" in
-        ignore (Unix.write_substring fd req 0 (String.length req));
-        let buf = Buffer.create 4096 in
-        let bytes = Bytes.create 65536 in
-        let rec drain () =
-          match Unix.read fd bytes 0 (Bytes.length bytes) with
-          | 0 -> ()
-          | n ->
-              Buffer.add_subbytes buf bytes 0 n;
-              drain ()
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> drain ()
-        in
-        drain ();
-        let reply = Buffer.contents buf in
-        (* split header/body at the first blank line *)
-        let sep = "\r\n\r\n" in
-        let rec find i =
-          if i + String.length sep > String.length reply then
-            failwith "malformed HTTP reply"
-          else if String.sub reply i (String.length sep) = sep then i
-          else find (i + 1)
-        in
-        let i = find 0 in
-        let header = String.sub reply 0 i in
-        let body =
-          String.sub reply
-            (i + String.length sep)
-            (String.length reply - i - String.length sep)
-        in
-        match String.split_on_char ' ' header with
-        | _ :: "200" :: _ -> body
-        | _ :: code :: _ -> failwith ("HTTP " ^ code)
-        | _ -> failwith "malformed HTTP status line")
-  in
   let mem path v = J.member path v in
   let jint k v = Option.bind (mem k v) J.int_ |> Option.value ~default:0 in
   let jnum k v = Option.bind (mem k v) J.num |> Option.value ~default:0. in
@@ -938,13 +897,21 @@ let top_cmd =
       2
     end
     else begin
-      let target =
+      let target, addr =
         match (socket, port) with
-        | Some p, _ -> p
-        | None, Some p -> Printf.sprintf "127.0.0.1:%d" p
+        | Some p, _ -> (p, Unix.ADDR_UNIX p)
+        | None, Some p ->
+            ( Printf.sprintf "127.0.0.1:%d" p,
+              Unix.ADDR_INET (Unix.inet_addr_loopback, p) )
         | None, None -> assert false
       in
-      let fetch path = http_get ~socket ~port path in
+      let fetch path =
+        let status, body = Sl_serve.Introspect.get addr path in
+        match String.split_on_char ' ' status with
+        | _ :: "200" :: _ -> body
+        | _ :: code :: _ -> failwith ("HTTP " ^ code)
+        | _ -> failwith "malformed HTTP status line"
+      in
       let parse body =
         match J.parse body with
         | Ok v -> v

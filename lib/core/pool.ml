@@ -1,7 +1,7 @@
 type t = { jobs : int }
 
 (* Always-on scheduling counters: a multi-domain pool silently running
-   everything sequentially (thresholds, tiny inputs) is invisible from
+   everything sequentially (one-element regions) is invisible from
    timings alone, so the decision itself is recorded — even with the
    obs kernel dark. One atomic bump per region, never per element. *)
 let m_tasks =
@@ -11,7 +11,7 @@ let m_tasks =
 let m_seq_fallback =
   Sl_obs.Obs.Metrics.counter
     ~help:"Regions on a multi-domain pool that fell back to the \
-           sequential loop (work-size threshold or degenerate size)"
+           sequential loop (one-element region)"
     "pool_seq_fallback_total"
 
 let parse_jobs s =
@@ -98,20 +98,14 @@ let run_region ~jobs ~chunk ~n f =
 
 let default_chunk ~jobs n = max 1 ((n + (4 * jobs) - 1) / (4 * jobs))
 
-(* Work-size threshold: a region smaller than [threshold] elements runs
-   the exact jobs=1 sequential loop instead of spawning domains. The
-   default (2) only short-circuits the degenerate n=1 region; call
-   sites that know their per-element cost pass a calibrated cutoff so
-   domain-spawn overhead is never paid on work that finishes faster
-   than the spawn. *)
-let parallel_for ?chunk ?(threshold = 2) pool ~n f =
+(* A one-element region runs the exact jobs=1 sequential loop instead
+   of spawning domains for nothing. *)
+let parallel_for ?chunk pool ~n f =
   (match chunk with
   | Some c when c < 1 -> invalid_arg "Pool.parallel_for: chunk must be >= 1"
   | _ -> ());
-  if threshold < 0 then
-    invalid_arg "Pool.parallel_for: threshold must be >= 0";
   if n > 0 then begin
-    if pool.jobs = 1 || n = 1 || n < threshold then begin
+    if pool.jobs = 1 || n = 1 then begin
       if pool.jobs > 1 then Sl_obs.Obs.Metrics.incr_always m_seq_fallback;
       for i = 0 to n - 1 do
         f i

@@ -39,24 +39,13 @@ val set_default_jobs : int -> unit
 (** Sets the default to [min jobs (Domain.recommended_domain_count ())].
     @raise Invalid_argument if [jobs < 1]. *)
 
-val parallel_for :
-  ?chunk:int -> ?threshold:int -> t -> n:int -> (int -> unit) -> unit
+val parallel_for : ?chunk:int -> t -> n:int -> (int -> unit) -> unit
 (** [parallel_for pool ~n f] runs [f i] for every [0 <= i < n], each
     index exactly once. Workers claim chunks of [chunk] consecutive
     indices (default: [n] split in about four chunks per domain) via
     an atomic cursor, so the assignment of indices to domains is
     load-balanced and non-deterministic — the body must not depend on
     it. With [jobs pool = 1] this is exactly
-    [for i = 0 to n - 1 do f i done].
-
-    [threshold] is the work-size cutoff: when [n < threshold] the
-    region runs that same exact sequential loop even on a multi-domain
-    pool, because spawning [jobs - 1] domains costs on the order of
-    100µs and tiny regions lose more to the spawn than they gain from
-    the split. Default [2] (only skips the degenerate single-element
-    region); call sites pass cutoffs calibrated to their per-element
-    cost. Since the sequential loop and the parallel region are
-    observably equivalent by the determinism contract, [threshold]
-    never changes results — only where the time goes.
-    @raise Invalid_argument on [chunk < 1], [threshold < 0] or nested
-    use. *)
+    [for i = 0 to n - 1 do f i done], and so is a one-element region
+    on any pool.
+    @raise Invalid_argument on [chunk < 1] or nested use. *)

@@ -60,6 +60,20 @@ let to_artifact ~kind w =
   Buffer.add_int64_le b (fnv64 body);
   Buffer.contents b
 
+let publish ~path blob =
+  let tmp =
+    Filename.temp_file ~temp_dir:(Filename.dirname path) "sl-publish" ".tmp"
+  in
+  try
+    let oc = open_out_bin tmp in
+    Fun.protect
+      ~finally:(fun () -> close_out_noerr oc)
+      (fun () -> output_string oc blob; close_out oc);
+    Sys.rename tmp path
+  with e ->
+    (try Sys.remove tmp with Sys_error _ -> ());
+    raise e
+
 type reader = { s : string; mutable pos : int; stop : int }
 
 let need r n =

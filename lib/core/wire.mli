@@ -47,6 +47,12 @@ val to_artifact : kind:int -> writer -> string
 (** Frame the written payload as one [sl-artifact/1] blob:
     magic + version + kind, payload, checksum trailer. *)
 
+val publish : path:string -> string -> unit
+(** Atomic file write: a fresh temp file in [path]'s directory, renamed
+    over [path], so a reader sees the old file or the new one, never a
+    torn one. On any failure, the rename's included, the temp file is
+    removed and the [Sys_error] propagates. *)
+
 (** {1 Reading} *)
 
 type reader

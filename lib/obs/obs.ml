@@ -307,8 +307,6 @@ module Metrics = struct
 
   let registered () = List.rev !order
 
-  let names () = List.map (fun f -> f.fname) (registered ())
-
   (* Text-format escaping per the Prometheus exposition spec: label
      values escape backslash, double-quote and newline; HELP text
      escapes backslash and newline only. *)

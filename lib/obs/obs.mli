@@ -132,9 +132,6 @@ module Metrics : sig
   val histogram_stats : string -> (int * int) option
   (** [(count, sum)] of a registered histogram, by name. *)
 
-  val names : unit -> string list
-  (** All registered metric names, in registration order. *)
-
   val to_prometheus : unit -> string
   (** Text exposition: [# HELP] and [# TYPE] comments then sample lines
       per family, histograms as cumulative [_bucket{le="..."}] /

@@ -128,11 +128,10 @@ let find t ~key =
       Obs.Metrics.incr m_misses);
   result
 
-(* Atomic publish: write the whole artifact to a fresh temp file in the
-   cache directory, then [rename] over the final name — concurrent
-   readers (and concurrent writers, racing on the same property from
-   [-j] workers or separate processes) see either the old complete file
-   or the new complete file, never a torn one. Renaming over an
+(* Atomic publish ({!Wire.publish}): concurrent readers (and concurrent
+   writers, racing on the same property from [-j] workers or separate
+   processes) see either the old complete file or the new complete
+   file, never a torn one. Renaming over an
    existing entry also heals anything stale or corrupt. Storing is
    best-effort: a full disk or read-only directory degrades to an
    always-cold cache, it does not fail the compile. *)
@@ -141,18 +140,7 @@ let store t ~key pd =
   Wire.put_string w key;
   Packed_dfa.encode w pd;
   let blob = Wire.to_artifact ~kind:Wire.kind_packed_dfa w in
-  match
-    let tmp = Filename.temp_file ~temp_dir:t.dir "sl-part" ".tmp" in
-    let oc = open_out_bin tmp in
-    (try
-       output_string oc blob;
-       close_out oc
-     with e ->
-       close_out_noerr oc;
-       (try Sys.remove tmp with Sys_error _ -> ());
-       raise e);
-    Sys.rename tmp (path t key)
-  with
+  match Wire.publish ~path:(path t key) blob with
   | () ->
       Atomic.incr a_stores;
       Obs.Metrics.incr m_stores

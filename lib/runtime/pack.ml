@@ -77,22 +77,8 @@ let of_artifact s =
   | pk -> Ok pk
   | exception Wire.Corrupt msg -> Error msg
 
-(* Same atomic-publish discipline as the cache: whole artifact to a
-   temp file beside the target, then rename — a reader (the future
-   daemon's hot-reload path) never sees a torn pack. *)
-let write pk ~path =
-  let blob = to_artifact pk in
-  let dir = Filename.dirname path in
-  let tmp = Filename.temp_file ~temp_dir:dir "sl-pack" ".tmp" in
-  let oc = open_out_bin tmp in
-  (try
-     output_string oc blob;
-     close_out oc
-   with e ->
-     close_out_noerr oc;
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  Sys.rename tmp path
+(* Same atomic publish as the cache: a reader never sees a torn pack. *)
+let write pk ~path = Wire.publish ~path (to_artifact pk)
 
 let read ~path =
   match open_in_bin path with

@@ -32,8 +32,8 @@ val of_artifact : string -> (t, string) result
 (** [Error] carries the corruption reason, for CLI display. *)
 
 val write : t -> path:string -> unit
-(** Atomic publish: temp file beside [path], then rename — a
-    concurrent reader sees the old pack or the new pack, never a torn
-    one. @raise Sys_error on I/O failure. *)
+(** Atomic publish ({!Sl_core.Wire.publish}): a concurrent reader sees
+    the old pack or the new pack, never a torn one, and a failure
+    leaves no temp file. @raise Sys_error on I/O failure. *)
 
 val read : path:string -> (t, string) result

@@ -127,25 +127,14 @@ let of_artifact ~registry blob =
   | exception Wire.Corrupt msg -> Error (Corrupt msg)
   | exception Invalid_argument msg -> Error (Corrupt msg)
 
-(* Snapshot to disk with the cache's publication discipline: write to a
-   temp file in the destination directory, then atomically rename. A
-   crash mid-write leaves at worst a stray temp file, never a torn
-   snapshot at [path]. *)
+(* Snapshot to disk with the cache's publication discipline
+   ({!Wire.publish}): a crash mid-write leaves at worst a stray temp
+   file, never a torn snapshot at [path]. *)
 let save t ~path =
   let sp = Obs.Span.enter "session.snapshot" in
   match
     let blob = to_artifact t in
-    let dir = Filename.dirname path in
-    let tmp = Filename.temp_file ~temp_dir:dir "sl-session" ".tmp" in
-    (let oc = open_out_bin tmp in
-     try
-       output_string oc blob;
-       close_out oc
-     with e ->
-       close_out_noerr oc;
-       (try Sys.remove tmp with Sys_error _ -> ());
-       raise e);
-    Sys.rename tmp path;
+    Wire.publish ~path blob;
     String.length blob
   with
   | exception e ->

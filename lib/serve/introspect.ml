@@ -209,3 +209,31 @@ let handler t path =
   | "/traces" -> json (render_traces t)
   | "/healthz" -> json (render_healthz t)
   | _ -> None
+
+let get addr path =
+  let domain = Unix.domain_of_sockaddr addr in
+  let fd = Unix.socket ~cloexec:true domain SOCK_STREAM 0 in
+  let reply =
+    Fun.protect
+      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+      (fun () ->
+        Unix.connect fd addr;
+        let req = "GET " ^ path ^ " HTTP/1.0\r\n\r\n" in
+        ignore (Unix.write_substring fd req 0 (String.length req));
+        let buf = Buffer.create 4096 and chunk = Bytes.create 65536 in
+        let rec drain () =
+          match Unix.read fd chunk 0 65536 with
+          | 0 -> Buffer.contents buf
+          | n -> Buffer.add_subbytes buf chunk 0 n; drain ()
+          | exception Unix.Unix_error (EINTR, _, _) -> drain ()
+        in
+        drain ())
+  in
+  let n = String.length reply in
+  let rec blank i =
+    if i + 4 > n then failwith "malformed HTTP reply"
+    else if String.sub reply i 4 = "\r\n\r\n" then i else blank (i + 1)
+  in
+  let i = blank 0 in
+  let eol = Option.value ~default:i (String.index_opt reply '\r') in
+  (String.sub reply 0 eol, String.sub reply (i + 4) (n - i - 4))

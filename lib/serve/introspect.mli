@@ -18,8 +18,8 @@
     - [GET /traces] — per-trace [(name, events, live, tripped)] rows,
       capped at 1000 with a [truncated] flag.
 
-    Responses are hand-rolled JSON with fixed field order (like
-    {!Records}), one trailing newline, content type
+    Responses are {!Sl_json.Json} values with fixed field order, in
+    the one-line layout with one trailing newline, content type
     [application/json]. *)
 
 type t
@@ -54,3 +54,10 @@ val note_reload : t -> ok:bool -> detail:string -> unit
 val handler : t -> string -> (string * string * string) option
 (** The {!Conn.create}[ ?http] handler: [Some (status, content_type,
     body)] for the four routes above, [None] otherwise. *)
+
+val get : Unix.sockaddr -> string -> string * string
+(** The client side, for [slc top] and the CI smokes: [GET path] on a
+    fresh connection to [addr], the reply read to EOF; its status line
+    (["HTTP/1.0 200 OK"]) and body.
+    @raise Failure on a reply with no blank line after the header.
+    @raise Unix.Unix_error when the connection fails. *)

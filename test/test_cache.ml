@@ -310,6 +310,29 @@ let test_pack_rejects_dangling_monitor () =
     | Error _ -> true
     | Ok _ -> false)
 
+(* A publish that fails at the rename (the target is a directory) must
+   raise and leave the parent directory exactly as it was: no temp
+   file, no clobbered target. [Pack.write] goes through the same path. *)
+let test_failed_publish_leaves_no_temp () =
+  let dir = fresh_dir () in
+  let target = Filename.concat dir "d" in
+  Sys.mkdir target 0o700;
+  let listing () = List.sort compare (Array.to_list (Sys.readdir dir)) in
+  let before = listing () in
+  check "publish onto a directory raises" true
+    (match Wire.publish ~path:target "blob" with
+    | () -> false
+    | exception Sys_error _ -> true);
+  check "listing unchanged after publish" true (listing () = before);
+  let r = Registry.create ~alphabet:2 () in
+  ignore (Registry.compile_all ~jobs:1 r named_props);
+  check "pack write onto a directory raises" true
+    (match Pack.write (Pack.of_registry r) ~path:target with
+    | () -> false
+    | exception Sys_error _ -> true);
+  check "listing unchanged after pack write" true (listing () = before);
+  check "target is still a directory" true (Sys.is_directory target)
+
 let tests =
   [ QCheck_alcotest.to_alcotest prop_packed_roundtrip;
     QCheck_alcotest.to_alcotest prop_buchi_roundtrip;
@@ -330,4 +353,6 @@ let tests =
       test_probe_key_valuation_sensitivity;
     Alcotest.test_case "monitor pack round trip" `Quick test_pack_roundtrip;
     Alcotest.test_case "pack rejects dangling monitor index" `Quick
-      test_pack_rejects_dangling_monitor ]
+      test_pack_rejects_dangling_monitor;
+    Alcotest.test_case "failed publish leaves no temp file" `Quick
+      test_failed_publish_leaves_no_temp ]
