@@ -34,9 +34,3 @@ val rank_based : ?max_states:int -> Buchi.t -> Buchi.t
     a whole-structure hash, in breadth-first order. [max_states] (default
     [200_000]) bounds the explored complement automaton.
     @raise Too_large when exceeded. *)
-
-val rank_based_ref : ?max_states:int -> Buchi.t -> Buchi.t
-(** The seed's [Map.Make]-interned construction, kept as the reference
-    implementation for property tests and bench baselines. Explores in the
-    same breadth-first order as {!rank_based} and produces the identical
-    automaton. *)

@@ -14,9 +14,4 @@ val intersect : Buchi.t -> Buchi.t -> Buchi.t
     [L (intersect a b) = L a ∩ L b]. Explored on the fly from the start
     state, so only reachable product states are allocated. *)
 
-val intersect_full : Buchi.t -> Buchi.t -> Buchi.t
-(** The seed's materialized product — all [na * nb * 2] states, reachable
-    or not — kept verbatim as the reference implementation for property
-    tests and bench baselines. Language-equal to {!intersect}. *)
-
 val union_list : alphabet:int -> Buchi.t list -> Buchi.t

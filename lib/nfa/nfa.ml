@@ -172,53 +172,6 @@ let determinize n =
   Obs.Span.exit sp;
   Dfa.make ~alphabet:n.alphabet ~nstates ~start ~delta ~accepting
 
-(* The seed's subset construction, kept verbatim as the reference
-   implementation: the property tests check the optimized [determinize]
-   against it, and the bench harness times it as the seed baseline. Its
-   [List.mem_assoc] frontier test is quadratic in the number of DFA
-   states — that is the point of keeping it. *)
-let determinize_ref n =
-  let table = Hashtbl.create 64 in
-  let states = ref [] in
-  let count = ref 0 in
-  let intern set =
-    match Hashtbl.find_opt table set with
-    | Some i -> i
-    | None ->
-        let i = !count in
-        incr count;
-        Hashtbl.add table set i;
-        states := set :: !states;
-        i
-  in
-  let start_set = List.sort_uniq compare n.starts in
-  let start = intern start_set in
-  let transitions = ref [] in
-  let rec explore set =
-    let i = Hashtbl.find table set in
-    if not (List.mem_assoc i !transitions) then begin
-      let row =
-        Array.init n.alphabet (fun s ->
-            let succ = successors n set s in
-            let fresh = not (Hashtbl.mem table succ) in
-            let j = intern succ in
-            if fresh then explore succ;
-            j)
-      in
-      transitions := (i, (set, row)) :: !transitions
-    end
-  in
-  explore start_set;
-  let nstates = !count in
-  let delta = Array.make nstates [||] in
-  let accepting = Array.make nstates false in
-  List.iter
-    (fun (i, (set, row)) ->
-      delta.(i) <- row;
-      accepting.(i) <- List.exists (fun q -> n.accepting.(q)) set)
-    !transitions;
-  Dfa.make ~alphabet:n.alphabet ~nstates ~start ~delta ~accepting
-
 let union a b =
   if a.alphabet <> b.alphabet then invalid_arg "Nfa.union: alphabets differ";
   let shift = a.nstates in

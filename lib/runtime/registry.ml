@@ -187,11 +187,13 @@ let compile_all ?jobs ?(threshold = 4) t named =
   let name_of name f =
     match name with Some n -> n | None -> Formula.to_string f
   in
-  (* Work-size cutoff: compiling a property costs milliseconds, so a
-     batch has to be at least a handful of properties before splitting
-     it beats the ~100µs-per-domain spawn. Below [threshold] (or on a
-     one-domain pool) each property takes the exact [add_formula]
-     path. *)
+  (* Work-size cutoff: a batch has to be at least a handful of
+     properties before splitting it beats the ~100µs-per-domain spawn.
+     With the tableau on bit masks a property of the bench fleet
+     compiles in ~0.15 ms, about one spawn, so the split gains little
+     on small batches (100 properties: 15 ms at one domain, 10 ms at
+     two). Below [threshold] (or on a one-domain pool) each property
+     takes the exact [add_formula] path. *)
   if Sl_core.Pool.jobs pool = 1 || List.length named < threshold then
     List.map (fun (name, f) -> add_formula t ?name f) named
   else begin
@@ -238,24 +240,28 @@ let compile_all ?jobs ?(threshold = 4) t named =
   end
 
 (* Property-file loading. One LTL formula per line; blank lines and
-   '#'-comments are skipped. A malformed line is reported with its
-   file/line position and skipped — one bad property must not abort the
-   whole monitoring run (the CLI turns a non-empty error list into a
+   '#'-comments are skipped. A malformed line, or one whose closure is
+   past the tableau's cap (which [Translate] would refuse with
+   [Invalid_argument]), is reported with its file/line position and
+   skipped before the batch compiles — one bad property must not abort
+   the whole monitoring run (the CLI turns a non-empty error list into a
    nonzero exit code). *)
 let load_lines t ?(path = "<props>") ?jobs lines =
   let errors = ref [] in
   let items = ref [] in
+  let skip i msg =
+    let e = Printf.sprintf "%s:%d: %s (line skipped)" path (i + 1) msg in
+    errors := e :: !errors
+  in
   List.iteri
     (fun i raw ->
       let s = String.trim raw in
       if String.length s > 0 && s.[0] <> '#' then
         match Formula.parse s with
+        | Ok f when Translate.closure_size f > Translate.max_closure ->
+            skip i "formula closure too large"
         | Ok f -> items := (Some s, f) :: !items
-        | Error e ->
-            errors :=
-              Printf.sprintf "%s:%d: parse error: %s (line skipped)" path
-                (i + 1) e
-              :: !errors)
+        | Error e -> skip i ("parse error: " ^ e))
     lines;
   ignore (compile_all ?jobs t (List.rev !items));
   List.rev !errors

@@ -51,9 +51,11 @@ val compile_all :
 val load_lines : t -> ?path:string -> ?jobs:int -> string list -> string list
 (** Load a property file given as lines: one LTL formula per line, blank
     lines and ['#'] comments skipped. Returns human-readable
-    ["path:line: parse error: ..."] messages for malformed lines, which
-    are skipped rather than aborting the load. Well-formed lines are
-    compiled through {!compile_all} with [jobs] domains. *)
+    ["path:line: parse error: ... (line skipped)"] messages for malformed
+    lines and ["path:line: formula closure too large (line skipped)"] for
+    formulas past {!Sl_ltl.Translate.max_closure}; such lines are skipped
+    rather than aborting the load. Well-formed lines are compiled through
+    {!compile_all} with [jobs] domains. *)
 
 val load_channel : t -> ?path:string -> ?jobs:int -> in_channel -> string list
 (** {!load_lines} over a channel read to end-of-file. *)

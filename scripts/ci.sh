@@ -3,9 +3,10 @@
 # smoke driver test/smoke), run the full test suite (once at the default
 # pool width and once with SLC_JOBS=4 so the registry compile runs its
 # parallel merge), run every example program and every paper artifact,
-# exercise the CLI (observability, -j byte-identity, -j past the core
-# count, cache, snapshot/resume, pack), drive the daemon over its socket
-# with the smoke driver, then run the serving benchmark's selftest.
+# exercise the CLI (an over-cap property line, observability, -j
+# byte-identity, -j past the core count, cache, snapshot/resume, pack),
+# drive the daemon over its socket with the smoke driver, then run the
+# serving benchmark's selftest.
 # Nothing here writes a tracked file. Run from the repository root.
 set -eu
 
@@ -56,6 +57,28 @@ echo "$out" | grep -q \
   "summary: traces=2 events=7 props=5 monitors=3 violations=3 vacuous=2 live=1 tripped=2 retired_admissible=1"
 echo "$out" | grep -q "VIOLATION G (a -> X !a) at event 4"
 echo "$out" | grep -Fq 'props: 5 loaded, 3 distinct monitor(s), 2 vacuous'
+
+# A property past the tableau's closure cap (G !w for a 10-letter word)
+# is reported and skipped like a parse error: exit 2 (a malformed input),
+# and the good lines' report is the one without the line.
+echo "--- slc monitor over-cap line smoke"
+cap=$(mktemp -d /tmp/slc-ci.XXXXXX)
+{ sed -n '1,3p' examples/monitor.props
+  echo "G !(a & X (a & X (a & X (a & X (a & X (a & X (a & X (a & X (a & X (a))))))))))"
+  sed '1,3d' examples/monitor.props; } > "$cap/props"
+status=0
+dune exec bin/slc.exe -- monitor --props "$cap/props" \
+  --trace examples/monitor.events > "$cap/out" 2> "$cap/err" || status=$?
+[ "$status" -eq 2 ]
+grep -Fxq "$cap/props:4: formula closure too large (line skipped)" "$cap/err"
+status=0
+dune exec bin/slc.exe -- monitor --props examples/monitor.props \
+  --trace examples/monitor.events > "$cap/good" || status=$?
+[ "$status" -eq 1 ]
+sed -i 's/events_per_s=[0-9]*/events_per_s=X/' "$cap/out" "$cap/good"
+diff "$cap/good" "$cap/out" \
+  || { echo "over-cap line changed the good lines' report"; exit 1; }
+rm -rf "$cap"
 
 # Parallel byte-identity: the same monitor run at -j 1 and -j 4 must
 # produce byte-for-byte identical reports (modulo the wall-clock

@@ -148,9 +148,10 @@ let example_offline = lazy (offline ~codes:[ 1 ] ~j:1 example)
 
 (* ---- the daemon ---- *)
 
-(* Start [slc serve ARGS] on [sock ()] (stderr to serve.log) and wait
-   until the socket is bound. *)
-let start ?ulimit args =
+(* Start [slc serve ARGS] on [sock ()] with [props] (default the
+   example file; stderr to serve.log) and wait until the socket is
+   bound. *)
+let start ?ulimit ?(props = props) args =
   let argv =
     slc :: "serve" :: "--props" :: props :: "--socket" :: sock () :: "--quiet"
     :: args
@@ -395,6 +396,46 @@ let served_offline () =
       same_verdicts (Printf.sprintf "-j %d across a SIGHUP" j) ~offline replies)
     [ 1; 4 ];
   say "served = offline at -j 1 and -j 4, two clients, mid-stream SIGHUP"
+
+(* A SIGHUP reload onto a props file with a line past the tableau's
+   closure cap (G !w for a 10-letter word) skips that line: the daemon
+   stays up, reports the line, and serves the good lines' offline
+   verdicts. A reload onto nothing but such a line is refused. *)
+let over_cap_reload () =
+  let good = read_file props and path = file "reload.props" in
+  let over_cap =
+    "G !(a & X (a & X (a & X (a & X (a & X (a & X (a & X (a & X (a & X \
+     (a))))))))))\n"
+  in
+  write_file path good;
+  let daemon = start ~props:path [] in
+  let reload text ~count ~failures =
+    write_file path text;
+    Unix.kill daemon Sys.sighup;
+    let deadline = now () +. 30. in
+    let rec noted () =
+      let r = mem "reloads" (check_status (get "/status")) in
+      if (int "count" r, int "failures" r) <> (count, failures) then begin
+        check (now () < deadline) "reload %d/%d never noted" count failures;
+        Unix.sleepf 0.05;
+        noted ()
+      end
+    in
+    noted ();
+    check (fst (waitpid [ WNOHANG ] daemon) = 0) "daemon died on a reload"
+  in
+  reload (good ^ over_cap) ~count:1 ~failures:0;
+  reload over_cap ~count:1 ~failures:1;
+  let reply = stream (read_file example) in
+  stop "over-cap reload" daemon;
+  let log = read_file (file "serve.log") in
+  let skipped = path ^ ":8: formula closure too large (line skipped)" in
+  check
+    (List.mem skipped (String.split_on_char '\n' log))
+    "over-cap reload: no %S in the daemon's log" skipped;
+  same_verdicts "over-cap reload" ~offline:(Lazy.force example_offline)
+    [ reply ];
+  say "SIGHUP onto an over-cap line: line skipped, served = offline"
 
 (* After a connection storm the daemon must still be up, have counted a
    refused accept, and serve a fresh client the offline verdicts. *)
@@ -643,7 +684,8 @@ let () =
     | [ "trace-jsonl"; path ] -> trace_jsonl path
     | [ "report-size" ] -> report_size ()
     | [ "serve" ] ->
-        served_offline (); fd_exhaustion (); many_connections ();
+        served_offline (); over_cap_reload (); fd_exhaustion ();
+        many_connections ();
         slow_reader (); restart (); soak ()
     | _ -> prerr_endline "usage: see test/smoke/smoke.ml"; exit 2
   with e ->

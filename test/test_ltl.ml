@@ -5,6 +5,7 @@ module Examples = Sl_ltl.Examples
 module Buchi = Sl_buchi.Buchi
 module Decompose = Sl_buchi.Decompose
 module Lasso = Sl_word.Lasso
+module Translate_ref = Reference.Translate_ref
 
 let check = Alcotest.(check bool)
 
@@ -365,6 +366,131 @@ let prop_translation_random_formulas =
         (fun w -> Semantics.eval v f w = Buchi.accepts_lasso b w)
         (Lasso.enumerate ~alphabet:2 ~max_prefix:2 ~max_cycle:2))
 
+(* --- Reference pin: the bit-mask tableau against the predicate one ---
+
+   [Translate] must build the automaton the predicate tableau
+   ([Translate_ref]) builds, byte for byte, with the same GNBA sizes,
+   and refuse the same formulas past the closure cap. *)
+
+let ab_v = Semantics.subset_valuation [ "a"; "b" ]
+
+type outcome = Built of string * (int * int * int) | Refused of string
+
+let outcome ~alphabet ~valuation ~translate ~gnba_stats f =
+  match
+    ( Buchi.to_artifact (translate ~alphabet ~valuation f),
+      gnba_stats ~alphabet ~valuation f )
+  with
+  | artifact, stats -> Built (artifact, stats)
+  | exception Invalid_argument msg -> Refused msg
+
+let pinned ~alphabet ~valuation f =
+  let mine =
+    outcome ~alphabet ~valuation ~translate:Translate.translate
+      ~gnba_stats:Translate.gnba_stats f
+  and reference =
+    outcome ~alphabet ~valuation ~translate:Translate_ref.translate
+      ~gnba_stats:Translate_ref.gnba_stats f
+  in
+  mine = reference
+
+(* [G !w] in the benchmark generator's nested [l0 & X (l1 & ...)] shape,
+   for a word over A (a holds) and B. *)
+let word_formula w =
+  let lit c = if c = 'A' then "a" else "!a" in
+  let n = String.length w in
+  let rec go i =
+    if i = n - 1 then lit w.[i] else lit w.[i] ^ " & X (" ^ go (i + 1) ^ ")"
+  in
+  "G !(" ^ go 0 ^ ")"
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
+  at 0
+
+(* Every word of length 3-6 that contains AAA or BBBB. *)
+let forbidden_words =
+  let rec all n =
+    if n = 0 then [ "" ]
+    else List.concat_map (fun s -> [ s ^ "A"; s ^ "B" ]) (all (n - 1))
+  in
+  List.concat_map all [ 3; 4; 5; 6 ]
+  |> List.filter (fun w -> contains w "AAA" || contains w "BBBB")
+
+let monitor_props () =
+  In_channel.with_open_text "../examples/monitor.props" In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.map String.trim
+  |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+
+let test_translation_pinned_corpus () =
+  let props = monitor_props () in
+  check "monitor.props read" true (props <> []);
+  let texts =
+    props
+    @ List.map word_formula forbidden_words
+    @ [ "G (a & X a -> X X !a)"; "G (!a & X !a & X X !a -> X X X a)";
+        "G !(a & X a & X X a)" ]
+  in
+  check "44 forbidden words" true (List.length forbidden_words = 44);
+  let formulas =
+    List.map snd Examples.all @ List.map Formula.parse_exn texts
+  in
+  List.iter
+    (fun f ->
+      check ("pinned: " ^ Formula.to_string f) true
+        (pinned ~alphabet:2 ~valuation:v f))
+    formulas;
+  (* Past the closure cap both refuse, with the same message. *)
+  let over = Formula.parse_exn (word_formula "AAAAAAAAAA") in
+  check "10-letter word is past the cap" true
+    (Translate.closure_size over > Translate.max_closure);
+  check "both refuse past the cap" true
+    (match
+       outcome ~alphabet:2 ~valuation:v ~translate:Translate.translate
+         ~gnba_stats:Translate.gnba_stats over
+     with
+     | Refused _ -> pinned ~alphabet:2 ~valuation:v over
+     | Built _ -> false)
+
+(* Random formulas over the given propositions: mostly small ones, and
+   one in ten pushed past the closure cap by a chain of 20 [X]s. *)
+let gen_formula props =
+  let small =
+    QCheck.Gen.(
+      int_range 1 12
+      >>= fix (fun self n ->
+              if n <= 1 then
+                oneofl
+                  (Formula.True :: Formula.False
+                  :: List.map (fun p -> Formula.Prop p) props)
+              else
+                let sub = self (n / 2) in
+                oneof
+                  [ map (fun f -> Formula.Not f) sub;
+                    map (fun f -> Formula.Next f) sub;
+                    map (fun f -> Formula.Eventually f) sub;
+                    map (fun f -> Formula.Always f) sub;
+                    map2 (fun a b -> Formula.And (a, b)) sub sub;
+                    map2 (fun a b -> Formula.Or (a, b)) sub sub;
+                    map2 (fun a b -> Formula.Until (a, b)) sub sub;
+                    map2 (fun a b -> Formula.Release (a, b)) sub sub ]))
+  in
+  let rec nexts k f = if k = 0 then f else nexts (k - 1) (Formula.Next f) in
+  QCheck.make ~print:Formula.to_string
+    QCheck.Gen.(frequency [ (9, small); (1, map (nexts 20) small) ])
+
+let prop_translation_pinned_ab =
+  QCheck.Test.make ~name:"reference pin, random over {a, b}"
+    ~count:200 (gen_formula [ "a"; "b" ])
+    (pinned ~alphabet:4 ~valuation:ab_v)
+
+let prop_translation_pinned_a =
+  QCheck.Test.make ~name:"reference pin, random over {a}"
+    ~count:200 (gen_formula [ "a" ])
+    (pinned ~alphabet:2 ~valuation:v)
+
 let tests =
   [ Alcotest.test_case "parser roundtrip" `Quick test_parser_roundtrip;
     Alcotest.test_case "parser precedence" `Quick test_parser_precedence;
@@ -394,4 +520,8 @@ let tests =
     Alcotest.test_case "split verification" `Quick test_modelcheck_split;
     Alcotest.test_case "split agrees with whole" `Quick
       test_split_agrees_with_check;
-    QCheck_alcotest.to_alcotest prop_translation_random_formulas ]
+    QCheck_alcotest.to_alcotest prop_translation_random_formulas;
+    Alcotest.test_case "reference pin (corpus)" `Quick
+      test_translation_pinned_corpus;
+    QCheck_alcotest.to_alcotest prop_translation_pinned_ab;
+    QCheck_alcotest.to_alcotest prop_translation_pinned_a ]

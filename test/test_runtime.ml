@@ -226,6 +226,35 @@ let test_registry_malformed_lines () =
         && String.sub e2 0 12 = "props.txt:6:"
     | _ -> false)
 
+(* [G !w] for the 10-letter word of a's: its tableau closure (21) is
+   one past the cap, so [Translate] refuses it. *)
+let over_cap_line =
+  "G !(a & X (a & X (a & X (a & X (a & X (a & X (a & X (a & X (a & X \
+   (a))))))))))"
+
+let test_registry_over_cap_line () =
+  let good = [ "a"; "G (a -> X !a)"; "G F a"; "F G !a"; "a & F !a" ] in
+  let reference = Registry.create () in
+  check "good lines load cleanly" true
+    (Registry.load_lines reference ~jobs:1 good = []);
+  (* jobs 1 compiles sequentially; jobs 4 on five good lines takes the
+     pool path of [compile_all] *)
+  List.iter
+    (fun jobs ->
+      let reg = Registry.create () in
+      let errors =
+        Registry.load_lines reg ~path:"props.txt" ~jobs
+          (List.hd good :: over_cap_line :: List.tl good)
+      in
+      check
+        (Printf.sprintf "over-cap line reported (jobs %d)" jobs)
+        true
+        (errors = [ "props.txt:2: formula closure too large (line skipped)" ]);
+      check_int "the good lines all loaded" 5 (Registry.nprops reg);
+      check "same registry as without the line" true
+        (Registry.fingerprint reg = Registry.fingerprint reference))
+    [ 1; 4 ]
+
 (* --- Trace-line parser and chunked ingestion --- *)
 
 let test_parse_line () =
@@ -611,6 +640,8 @@ let tests =
       test_registry_hash_consing;
     Alcotest.test_case "registry skips malformed lines" `Quick
       test_registry_malformed_lines;
+    Alcotest.test_case "registry skips an over-cap line" `Quick
+      test_registry_over_cap_line;
     Alcotest.test_case "trace-line parser" `Quick test_parse_line;
     Alcotest.test_case "chunked ingestion" `Quick test_ingest_chunks;
     Alcotest.test_case "zero-copy scanner boundaries" `Quick

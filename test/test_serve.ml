@@ -567,6 +567,57 @@ let test_reload_from_props_file () =
   Sys.remove props;
   Sys.rmdir dir
 
+(* A reload onto a file with a property past the tableau's closure cap
+   skips that line like a parse error; a file of nothing but such lines
+   is refused, and the daemon keeps its old session. *)
+let test_reload_over_cap_line () =
+  let over_cap =
+    "G !(a & X (a & X (a & X (a & X (a & X (a & X (a & X (a & X (a & X \
+     (a))))))))))"
+  in
+  let dir = Filename.temp_file "slc-serve-test" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o700;
+  let props = Filename.concat dir "props.txt" in
+  let write s =
+    let oc = open_out props in
+    output_string oc s;
+    close_out oc
+  in
+  let registry = Registry.create ~alphabet:2 () in
+  ignore (Registry.load_lines registry [ "G a" ]);
+  let daemon = Daemon.make (Session.create ~registry ()) in
+  let conn = Conn.create daemon in
+  Conn.on_bytes conn "t 0\n";
+  write (over_cap ^ "\nG a\n!a\n");
+  (match
+     Reload.from_props_file ~old_session:(Daemon.session daemon)
+       ~props_file:props ()
+   with
+  | Error e -> Alcotest.failf "reload failed: %s" e
+  | Ok (s, carried, errs) ->
+      check_int "G a carried" 1 carried;
+      check "the over-cap line reported, not fatal" true
+        (errs = [ props ^ ":1: formula closure too large (line skipped)" ]);
+      Daemon.swap_session daemon s);
+  write (over_cap ^ "\n");
+  (match
+     Reload.from_props_file ~old_session:(Daemon.session daemon)
+       ~props_file:props ()
+   with
+  | Ok _ -> Alcotest.fail "a file of over-cap lines must refuse"
+  | Error e ->
+      check "refusal says no well-formed properties" true
+        (find_sub e "no well-formed" <> None));
+  Conn.on_bytes conn "t 1\n";
+  Conn.on_eof conn;
+  let tuples = served_tuples (Conn.drain_output conn) in
+  check "the reloaded session serves on" true
+    (Tuples.mem ("t", "G a", "violation", 2) tuples
+    && Tuples.exists (fun (tr, p, _, _) -> tr = "t" && p = "!a") tuples);
+  Sys.remove props;
+  Sys.rmdir dir
+
 (* Reload mid-stream at every split point: equivalence with the
    never-reloaded run must hold wherever the SIGHUP lands. *)
 let test_reload_at_every_chunk () =
@@ -900,6 +951,8 @@ let tests =
       test_reload_alphabet_refused;
     Alcotest.test_case "reload: from props file" `Quick
       test_reload_from_props_file;
+    Alcotest.test_case "reload skips an over-cap line" `Quick
+      test_reload_over_cap_line;
     Alcotest.test_case "reload at every chunk boundary" `Quick
       test_reload_at_every_chunk;
     Alcotest.test_case "/status and /healthz schema" `Quick
