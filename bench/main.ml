@@ -15,8 +15,7 @@
    complementation, translation, model checking) and of the two
    ablations called out in DESIGN.md §5, plus the runtime paths the
    serving benchmark (perfbench/, BENCHMARK.json) does not drive end to
-   end: the 100-property registry compile at 1 and 2 domains (the one
-   Pool-parallel path), the compile cache cold vs warm, session
+   end: the 100-property registry compile, session
    snapshot/restore/resume, the two hot-reload commits, the
    observability dark-mode probes and the introspection renders. The
    rows are printed only; the engine, ingest and connection paths are
@@ -230,48 +229,20 @@ let obs_probe_vec =
 
 let obs_probe_child = Sl_obs.Obs.Metrics.counter_child obs_probe_vec [ "m0" ]
 
-(* CACHE fixtures: the same 100-property fleet compiled through the
-   warm-start cache. The cold series empties its directory before every
-   run, so each run pays full translate + minimize + pack + store; the
-   warm series compiles once into its directory at fixture setup, so
-   each run is 100 probe hits + artifact decodes. Both live under one
-   bench-local root (gitignored) rather than a temp dir, so the fixture
-   is inspectable after a run. *)
-let bench_cache_root = ".slc-bench-cache"
-let bench_cache_cold_dir = Filename.concat bench_cache_root "cold"
-let bench_cache_warm_dir = Filename.concat bench_cache_root "warm"
-
-let clear_cache_dir dir =
-  if Sys.file_exists dir then
-    Array.iter
-      (fun f ->
-        try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-      (Sys.readdir dir)
-
-let compile_fleet_cached ~dir =
-  let r =
-    Sl_runtime.Registry.create ~alphabet:2
-      ~cache:(Sl_runtime.Cache.create ~dir)
-      ()
-  in
-  Sl_runtime.Registry.compile_all ~jobs:1 r fleet_named_props
-
-let prewarm_bench_cache =
-  lazy
-    (clear_cache_dir bench_cache_warm_dir;
-     ignore (compile_fleet_cached ~dir:bench_cache_warm_dir))
-
 (* SESSION fixtures: the fleet engine's run state snapshotted at the
    10k-event stream's midpoint. The write series times serializing +
    atomically publishing the snapshot; the restore series times decode +
    validation + engine rebuild from the prebuilt blob; the resume/cold
    pair compares finishing the stream from the snapshot against
-   replaying it from scratch — the recovery-time story. *)
-let bench_session_dir = Filename.concat bench_cache_root "session"
+   replaying it from scratch — the recovery-time story. The snapshot
+   is written under a bench-local directory (gitignored) rather than a
+   temp dir, so it is inspectable after a run. *)
+let bench_root = ".slc-bench"
+let bench_session_dir = Filename.concat bench_root "session"
 
 let ensure_dir dir =
   if not (Sys.file_exists dir) then begin
-    (try Sys.mkdir bench_cache_root 0o755 with Sys_error _ -> ());
+    (try Sys.mkdir bench_root 0o755 with Sys_error _ -> ());
     try Sys.mkdir dir 0o755 with Sys_error _ -> ()
   end
 
@@ -311,7 +282,7 @@ let serve_introspect_fixture =
                Printf.sprintf "t%d %d\n" multi_trace_ids.(i)
                  monitor_trace_syms.(i))));
      ignore (Sl_serve.Conn.drain_output c);
-     let intro = Sl_serve.Introspect.create ~version:"bench" ~jobs:1 d in
+     let intro = Sl_serve.Introspect.create ~version:"bench" d in
      Sl_serve.Introspect.set_conns intro (fun () ->
          [ Sl_serve.Introspect.conn_info_of_conn c ]);
      intro)
@@ -491,24 +462,12 @@ let make_tests () =
             Ops.intersect (fst lockstep_pair) (snd lockstep_pair));
         t "buchi/rank-complement-Fa" (fun () ->
             Complement.rank_based complement_input) ];
-      (* PARALLEL: the registry compile of the 100-property fleet, the one
-         Pool-parallel path, at 1 and 2 domains on identical inputs. *)
-      List.map
-        (fun jobs ->
-          t (Printf.sprintf "parallel/registry-compile-100/j%d" jobs)
-            (fun () ->
-              let r = Sl_runtime.Registry.create ~alphabet:2 () in
-              Sl_runtime.Registry.compile_all ~jobs r fleet_named_props))
-        [ 1; 2 ];
-      (* CACHE: the 100-property fleet compile with an empty vs a
-         prewarmed compile cache — the PR 6 acceptance pair (warm must
-         be an order of magnitude under cold, DESIGN.md §6.10). *)
-      [ t "cache/registry-compile-100-cold" (fun () ->
-            clear_cache_dir bench_cache_cold_dir;
-            compile_fleet_cached ~dir:bench_cache_cold_dir);
-        (Lazy.force prewarm_bench_cache;
-         t "cache/registry-compile-100-warm" (fun () ->
-             compile_fleet_cached ~dir:bench_cache_warm_dir)) ];
+      (* REGISTRY: the 100-property fleet compiled into a fresh
+         registry — each distinct formula translated once, the repeats
+         served by the registry's compile memo. *)
+      [ t "registry/compile-100" (fun () ->
+            let r = Sl_runtime.Registry.create ~alphabet:2 () in
+            Sl_runtime.Registry.compile_all r fleet_named_props) ];
       (* SESSION: snapshot write, restore, and resume-vs-replay on the
          fleet engine at the stream midpoint. *)
       [ (ensure_dir bench_session_dir;

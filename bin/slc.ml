@@ -21,8 +21,12 @@ let formula_arg =
   let doc = "LTL formula over the proposition 'a' (e.g. \"a & F !a\")." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"FORMULA" ~doc)
 
+(* A formula past the tableau's closure cap would make [Translate] raise
+   mid-subcommand; refuse it here, like a parse error. *)
 let parse_formula s =
   match Formula.parse s with
+  | Ok f when Translate.closure_size f > Translate.max_closure ->
+      Error (`Msg "formula closure too large")
   | Ok f -> Ok f
   | Error e -> Error (`Msg ("parse error: " ^ e))
 
@@ -33,29 +37,6 @@ let parse_formula s =
    dumps the buffered spans as trace-event JSON lines. With neither flag
    the kernel stays dark and subcommands behave exactly as before. *)
 module Obs = Sl_obs.Obs
-module Pool = Sl_core.Pool
-
-let jobs_arg =
-  let doc =
-    "Registry compilation fans out over $(docv) domains, at most the \
-     core count. Output is byte-identical at every value. Defaults to \
-     the $(b,SLC_JOBS) environment variable, else 1."
-  in
-  Arg.(
-    value
-    & opt int (Pool.default_jobs ())
-    & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-
-let cache_arg =
-  let doc =
-    "Warm-start compile cache: probe $(docv) for previously compiled \
-     monitors before translating a property, and store fresh compiles \
-     there as versioned sl-artifact blobs (created if missing; corrupt \
-     or stale entries are recompiled and healed, never an error). \
-     Defaults to the $(b,SLC_CACHE) environment variable, else no \
-     caching."
-  in
-  Arg.(value & opt (some string) None & info [ "cache" ] ~docv:"DIR" ~doc)
 
 let metrics_arg =
   let doc =
@@ -111,26 +92,6 @@ let with_obs metrics trace_out run =
    kernel. *)
 let obs_term term =
   Term.(const with_obs $ metrics_arg $ trace_out_arg $ term)
-
-(* The subcommands that compile a registry (monitor, pack, serve) also
-   take [-j], the process-wide default pool width, and [--cache], the
-   default compile-cache directory; both are set before the run. *)
-let compile_term term =
-  let with_compile jobs cache metrics trace_out run =
-    if jobs < 1 then begin
-      Format.eprintf "slc: --jobs must be >= 1@.";
-      124
-    end
-    else begin
-      Pool.set_default_jobs jobs;
-      (* [--cache DIR] overrides the [SLC_CACHE]-seeded process default. *)
-      Option.iter (fun d -> Sl_runtime.Cache.set_default_dir (Some d)) cache;
-      with_obs metrics trace_out run
-    end
-  in
-  Term.(
-    const with_compile $ jobs_arg $ cache_arg $ metrics_arg $ trace_out_arg
-    $ term)
 
 let classify_cmd =
   let run s =
@@ -507,7 +468,7 @@ let monitor_cmd =
        ~doc:
          "Run runtime monitors of properties' safety parts over traces \
           (streaming with --props/--trace, or one-shot on a formula)")
-    (compile_term
+    (obs_term
        Term.(
          const (fun props tf json snap every resume f tr () ->
              run props tf json snap every resume f tr)
@@ -567,7 +528,7 @@ let pack_cmd =
        ~doc:
          "Compile a property file into a single binary monitor-pack \
           artifact (the offline half of a compile-once/serve-hot split)")
-    (compile_term Term.(const (fun p o () -> run p o) $ props_arg $ out_arg))
+    (obs_term Term.(const (fun p o () -> run p o) $ props_arg $ out_arg))
 
 let unpack_cmd =
   let pack_arg =
@@ -775,7 +736,6 @@ let serve_cmd =
         Sl_serve.Loop.props_file = props;
         unix_socket = socket;
         tcp_port = port;
-        jobs = None (* the -j obs wrapper already set the pool default *);
         snapshot;
         resume;
         max_line;
@@ -789,7 +749,7 @@ let serve_cmd =
          "Run the monitoring daemon: many concurrent client streams \
           multiplexed onto one engine, incremental NDJSON \
           verdicts, SIGHUP hot reload, snapshot/resume lifecycle")
-    (compile_term
+    (obs_term
        Term.(
          const (fun p s pt sn r ml hw q () -> run p s pt sn r ml hw q)
          $ props_arg $ socket_arg $ port_arg $ snapshot_arg $ resume_arg
@@ -812,12 +772,8 @@ let top_cmd =
     p "slc top — %s    uptime %.1fs    fingerprint %s\n" target
       (jnum "uptime_s" status)
       (jstr "fingerprint" status);
-    let cache = Option.value ~default:J.Null (mem "cache" status) in
-    p "props %d   monitors %d   jobs %d   cache hit %.1f%% (%d/%d)\n"
-      (jint "props" status) (jint "monitors" status) (jint "jobs" status)
-      (100. *. jnum "hit_ratio" cache)
-      (jint "hits" cache)
-      (jint "hits" cache + jint "misses" cache);
+    p "props %d   monitors %d\n" (jint "props" status)
+      (jint "monitors" status);
     p "events %d (%+.0f/s)   traces %d   live %d   tripped %d   retired %d\n"
       (jint "events" status) rate (jint "traces" status) (jint "live" status)
       (jint "tripped" status)

@@ -113,8 +113,8 @@ val to_artifact : t -> string
     (kind {!Sl_core.Wire.kind_buchi}). *)
 
 val of_artifact : string -> t option
-(** Decode a standalone artifact; [None] on {e any} corruption — cache
-    layers treat that as a miss, never an error. *)
+(** Decode a standalone artifact; [None] on {e any} corruption, never
+    an exception. *)
 
 val random : ?seed:int -> alphabet:int -> nstates:int -> density:float ->
   accepting_fraction:float -> unit -> t

@@ -297,7 +297,7 @@ let has_good_scc ?filter g ~predicates =
    payload is just the two dimensions and the two arrays. Decoding
    re-establishes every invariant [of_delta] would have enforced —
    anything a builder rejects, the decoder rejects as [Wire.Corrupt],
-   so a cached artifact can never smuggle in a graph this module could
+   so a stored artifact can never smuggle in a graph this module could
    not have produced. *)
 
 let encode w g =

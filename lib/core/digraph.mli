@@ -122,8 +122,8 @@ val to_artifact : t -> string
     (kind {!Wire.kind_digraph}). *)
 
 val of_artifact : string -> t option
-(** Decode a standalone artifact; [None] on {e any} corruption —
-    callers treat that as a cache miss, never an error. *)
+(** Decode a standalone artifact; [None] on {e any} corruption, never
+    an exception. *)
 
 (** {1 Cycle search} *)
 

@@ -8,9 +8,9 @@
     other.
 
     The reading side is written for hostile bytes in the weak sense a
-    warm-start cache needs: any truncation, bit flip, version skew or
-    kind mismatch raises {!Corrupt}, which cache layers translate into
-    a miss — never a crash, never a torn value. (Integrity is the
+    file reader needs: any truncation, bit flip, version skew or kind
+    mismatch raises {!Corrupt}, which decoders turn into [None] or
+    [Error] — never a crash, never a torn value. (Integrity is the
     checksum's job; artifacts are not authenticated.) *)
 
 exception Corrupt of string
@@ -19,7 +19,7 @@ exception Corrupt of string
 val format_version : int
 (** The [sl-artifact] format version this build reads and writes
     (currently [1]). Decoding any other version raises {!Corrupt} —
-    the cache treats that as a miss and recompiles. *)
+    a file written by another version is rejected, not misread. *)
 
 (** {1 Payload kinds} *)
 
@@ -84,8 +84,7 @@ val of_artifact_kind : kind:int -> string -> reader
 (** {1 Hashing} *)
 
 val fnv64 : string -> int64
-(** FNV-1a 64-bit hash of a string — the checksum primitive, also used
-    by the compile cache to derive stable file names from source keys. *)
+(** FNV-1a 64-bit hash of a string — the checksum primitive. *)
 
 val fnv64_hex : string -> string
 (** {!fnv64} rendered as 16 lowercase hex digits. *)

@@ -4,9 +4,9 @@
    hot paths of the decision pipeline and the runtime engine pay one
    boolean load. See DESIGN.md §6.8 for the overhead budget.
 
-   Domain-safety (§6.9): instrumented code now also runs inside
-   Sl_core.Pool worker domains, so every recording cell is an [Atomic]
-   — the flag, the metric cells, the clock's monotonicity clamp. The
+   Domain-safety (§6.9): every recording cell is an [Atomic] — the
+   flag, the metric cells, the clock's monotonicity clamp — so
+   instrumented code may run on any domain. The
    disabled path is still a single load ([Atomic.get] of the flag
    compiles to a plain read). Spans keep their single mutable stack and
    are recorded only on the domain that initialized the kernel (the
@@ -102,8 +102,8 @@ module Metrics = struct
   let nbuckets = 63
   let hslots = nbuckets + 1
 
-  (* Cells are individual [int Atomic.t]s so bumps from pool worker
-     domains neither tear nor lose increments. Registration (which may
+  (* Cells are individual [int Atomic.t]s so bumps from other domains
+     neither tear nor lose increments. Registration (which may
      swap the backing array) happens on the main domain outside any
      parallel region — module-initialization time for flat metrics and
      vec families, chunk epilogues / connection setup for vec children
@@ -234,10 +234,10 @@ module Metrics = struct
     if Atomic.get on then Atomic.set (Array.unsafe_get !cells g) v
 
   (* Always-on recording, skipping the enabled check: for counters that
-     make telemetry loss itself observable (span-ring drops, pool
-     scheduling) — a dark kernel would otherwise hide exactly the
-     events one scrapes /metrics to find. Callers keep these off hot
-     per-event paths; the cost is one atomic RMW per call. *)
+     make telemetry loss itself observable (span-ring drops) — a dark
+     kernel would otherwise hide exactly the events one scrapes
+     /metrics to find. Callers keep these off hot per-event paths; the
+     cost is one atomic RMW per call. *)
   let incr_always (c : counter) = Atomic.incr (Array.unsafe_get !cells c)
 
   let add_always (c : counter) v =
@@ -472,7 +472,7 @@ module Span = struct
     end
 
   (* Spans keep one mutable stack + ring, owned by the main domain:
-     [enter] from a pool worker returns the inert token (making the
+     [enter] from any other domain returns the inert token (making the
      matching [attr]/[exit] no-ops), so worker-side spans are dropped
      rather than corrupting the stack. The disabled path stays a single
      flag load — the domain check runs only when collection is on. *)

@@ -105,8 +105,8 @@ module Metrics : sig
 
   val incr_always : counter -> unit
   (** Record even while the kernel is disabled — reserved for counters
-      that make telemetry loss itself observable ([spans_dropped_total],
-      pool scheduling). Never used on per-event hot paths. *)
+      that make telemetry loss itself observable
+      ([spans_dropped_total]). Never used on per-event hot paths. *)
 
   val add_always : counter -> int -> unit
 

@@ -7,17 +7,14 @@
    skipped. Trace ids are interned to the dense ints the engine indexes
    by.
 
-   Two parsers share these semantics. [parse_line]/[read] is the
-   retained reference: it materializes a string per line and per field,
-   which is simple and obviously correct but costs several minor-heap
-   allocations per event. The zero-copy scanner ([scan_line] and the
-   incremental [scanner]) walks the raw read buffer in place: token
-   bounds are byte offsets, symbols parse with a strict decimal digit
-   loop, and trace-id interning probes a hash computed over the byte
-   slice — a string is materialized only on first sight of a new id (or
-   on the cold error path). The QCheck pin in test_runtime holds the
-   two byte-for-byte equal over hostile streams at every block
-   boundary. *)
+   The scanner ([scan_line] and the incremental [scanner]) walks the
+   raw read buffer in place: token bounds are byte offsets, symbols
+   parse with a strict decimal digit loop, and trace-id interning probes
+   a hash computed over the byte slice — a string is materialized only
+   on first sight of a new id (or on the cold error path). The QCheck
+   pin in test_runtime holds it byte-for-byte equal to a line-at-a-time
+   reference reader (test/reference, [Ingest_ref]) over hostile streams
+   at every block boundary. *)
 
 module Obs = Sl_obs.Obs
 
@@ -153,20 +150,6 @@ let space_tbl =
 
 let is_space c = String.unsafe_get space_tbl (Char.code c) <> '\000'
 
-let split_fields s =
-  let n = String.length s in
-  let fields = ref [] in
-  let i = ref 0 in
-  while !i < n do
-    while !i < n && is_space s.[!i] do incr i done;
-    if !i < n then begin
-      let start = !i in
-      while !i < n && not (is_space s.[!i]) do incr i done;
-      fields := String.sub s start (!i - start) :: !fields
-    end
-  done;
-  List.rev !fields
-
 type error = {
   e_line : int;
   e_trace : string option;
@@ -178,23 +161,18 @@ let error_to_string e =
   | Some t -> Printf.sprintf "line %d (trace %s): %s" e.e_line t e.e_reason
   | None -> Printf.sprintf "line %d: %s" e.e_line e.e_reason
 
-(* Strict decimal symbol parse over a slice: an optional '-' followed by
-   digits only. Unlike [int_of_string_opt] this rejects the 0x/0o/0b
-   radix prefixes and '_' separators ("0x10", "0b1", "1_000" are
-   protocol errors, not symbols), and a leading '+'. Returns the value,
-   or distinguishes the negative case (a well-formed number the protocol
-   forbids) from garbage; overflow reads as garbage, matching what
-   [int_of_string_opt] reported before. *)
-type symbol_parse = Sym of int | Sym_negative | Sym_garbage
-
 (* v*10 + c overflows iff v > max_int/10, or v = max_int/10 and
    c > max_int mod 10 — both bounds are compile-time constants, so the
    digit loop is division-free. *)
 let overflow_div = max_int / 10
 let overflow_rem = max_int mod 10
 
-(* Allocation-free core: the value, or [-1] for garbage (non-digits,
-   empty, overflow), [-2] for a well-formed negative number. *)
+(* Strict decimal symbol parse over a slice: an optional '-' followed by
+   digits only. Unlike [int_of_string_opt] this rejects the 0x/0o/0b
+   radix prefixes and '_' separators ("0x10", "0b1", "1_000" are
+   protocol errors, not symbols), and a leading '+'. Allocation-free:
+   the value, or [-1] for garbage (non-digits, empty, overflow), [-2]
+   for a well-formed negative number (which the protocol forbids). *)
 let parse_symbol_raw s off len =
   let neg = len > 0 && String.unsafe_get s off = '-' in
   let start = if neg then off + 1 else off in
@@ -217,28 +195,6 @@ let parse_symbol_raw s off len =
     if not !ok then -1 else if neg then -2 else !v
   end
 
-let parse_symbol s off len =
-  match parse_symbol_raw s off len with
-  | -1 -> Sym_garbage
-  | -2 -> Sym_negative
-  | v -> Sym v
-
-let parse_line line =
-  match split_fields line with
-  | [] -> `Skip
-  | field :: _ when String.length field > 0 && field.[0] = '#' -> `Skip
-  | [ trace; sym ] -> (
-      match parse_symbol sym 0 (String.length sym) with
-      | Sym symbol -> `Event (trace, symbol)
-      | Sym_negative -> `Malformed (Some trace, "negative symbol")
-      | Sym_garbage ->
-          `Malformed
-            (Some trace, Printf.sprintf "symbol %S is not an integer" sym))
-  | [ trace ] ->
-      `Malformed (Some trace, "expected \"trace-id symbol\", got one field")
-  | trace :: _ ->
-      `Malformed (Some trace, "expected \"trace-id symbol\", got extra fields")
-
 type chunk = {
   mutable len : int;
   trace_ids : int array;
@@ -256,9 +212,8 @@ let create_chunk size =
    only touch the allocator on the cold paths — a new trace id
    (interned once) or an error (the reported trace/symbol strings are
    materialized for the record). The alphabet check happens before the
-   intern, so a rejected line never grows the interner — the reference
-   [read] loop has the same property, which the byte-identity of
-   session snapshots depends on. *)
+   intern, so a rejected line never grows the interner, which the
+   byte-identity of session snapshots depends on. *)
 let scan_line t ~alphabet s off len =
   let stop = off + len in
   let i = ref off in
@@ -373,8 +328,8 @@ let scanned_symbol t = t.r_sym
    are scanned in place, and only a line straddling a block boundary is
    buffered (in [carry]) and re-scanned from the materialized string —
    the cold path, at most once per block. Line numbers count completed
-   lines, so errors cite the same 1-based positions as the reference
-   reader no matter where the block boundaries fall. *)
+   lines, so errors cite the same 1-based positions no matter where the
+   block boundaries fall. *)
 type scanner = {
   s_ingest : t;
   s_alphabet : int;
@@ -487,58 +442,3 @@ let scan_channel ?chunk_size ?(buf_size = 65536) ~alphabet t ic ~on_chunk
     if n = 0 then continue := false else scan_bytes sc buf 0 n
   done;
   scan_eof sc
-
-(* --- Reference reader (retained) ---
-
-   Pull-based core so tests can drive it from a list; [read_channel]
-   wraps an [in_channel]. The single chunk buffer is reused across
-   flushes — steady-state ingestion allocates only on new trace ids. *)
-let read ?(chunk_size = 4096) ~alphabet t ~next_line ~on_chunk ~on_error =
-  let chunk = create_chunk chunk_size in
-  (* Parse-stage mark: set when a chunk starts filling under an enabled
-     kernel, observed (as the chunk's accumulated parse time) at flush.
-     NaN = no mark, so a kernel enabled mid-read just skips the first
-     partial observation. *)
-  let mark = ref (if Obs.is_enabled () then Obs.Clock.now_us () else nan) in
-  let flush () =
-    if chunk.len > 0 then begin
-      if Obs.is_enabled () && not (Float.is_nan !mark) then
-        Obs.Metrics.observe h_stage_parse
-          (int_of_float ((Obs.Clock.now_us () -. !mark) *. 1e3));
-      on_chunk chunk;
-      chunk.len <- 0;
-      mark := (if Obs.is_enabled () then Obs.Clock.now_us () else nan)
-    end
-  in
-  let lineno = ref 0 in
-  let continue = ref true in
-  while !continue do
-    match next_line () with
-    | None -> continue := false
-    | Some line -> (
-        incr lineno;
-        match parse_line line with
-        | `Skip -> ()
-        | `Malformed (trace, reason) ->
-            on_error { e_line = !lineno; e_trace = trace; e_reason = reason }
-        | `Event (trace, symbol) when symbol >= alphabet ->
-            on_error
-              { e_line = !lineno; e_trace = Some trace;
-                e_reason =
-                  Printf.sprintf "symbol %d outside alphabet [0, %d)" symbol
-                    alphabet }
-        | `Event (trace, symbol) ->
-            chunk.trace_ids.(chunk.len) <- intern t trace;
-            chunk.symbols.(chunk.len) <- symbol;
-            chunk.len <- chunk.len + 1;
-            if chunk.len = chunk_size then flush ())
-  done;
-  flush ()
-
-let read_channel ?chunk_size ~alphabet t ic ~on_chunk ~on_error =
-  read ?chunk_size ~alphabet t
-    ~next_line:(fun () ->
-      match input_line ic with
-      | line -> Some line
-      | exception End_of_file -> None)
-    ~on_chunk ~on_error

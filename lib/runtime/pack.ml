@@ -77,7 +77,7 @@ let of_artifact s =
   | pk -> Ok pk
   | exception Wire.Corrupt msg -> Error msg
 
-(* Same atomic publish as the cache: a reader never sees a torn pack. *)
+(* Atomic publish: a reader never sees a torn pack. *)
 let write pk ~path = Wire.publish ~path (to_artifact pk)
 
 let read ~path =

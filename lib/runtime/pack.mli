@@ -5,8 +5,7 @@
     alphabet, every property (name + monitor index, hash-consing
     preserved) and every distinct packed monitor. A serve-phase process
     — [slc unpack] today, the ROADMAP's monitoring daemon tomorrow —
-    loads it back in microseconds, with the same
-    validate-or-reject-everything discipline as the compile cache:
+    loads it back in microseconds, validating everything:
     {!read} returns [Error] on any corruption, never a torn or
     half-valid pack. *)
 

@@ -80,5 +80,5 @@ val to_artifact : t -> string
     (kind {!Sl_core.Wire.kind_packed_dfa}). *)
 
 val of_artifact : string -> t option
-(** Decode a standalone artifact; [None] on {e any} corruption — cache
-    layers treat that as a miss, never an error. *)
+(** Decode a standalone artifact; [None] on {e any} corruption, never
+    an exception. *)

@@ -10,6 +10,17 @@ let m_monitors = Obs.Metrics.counter "registry_monitors_total"
 let m_hashcons_hits = Obs.Metrics.counter "registry_hashcons_hits_total"
 let h_compile_ns = Obs.Metrics.histogram "registry_compile_ns"
 
+(* Formula-keyed table for the compile memo. The polymorphic hash
+   stops after ten nodes, which for the nested [G !(l0 & X (l1 & ...))]
+   word properties covers only their first letters; hashing up to 256
+   nodes keeps the distinct words of one family in distinct buckets. *)
+module Memo = Hashtbl.Make (struct
+  type t = Formula.t
+
+  let equal = Formula.equal
+  let hash = Hashtbl.hash_param 256 256
+end)
+
 type prop = {
   id : int;
   name : string;
@@ -28,7 +39,7 @@ type stats = {
 type t = {
   alphabet : int;
   valuation : int -> string -> bool;
-  cache : Cache.t option;
+  packed : Packed_dfa.t Memo.t;
   mutable props : prop array;
   mutable nprops : int;
   mutable monitors : Packed_dfa.t array;
@@ -39,11 +50,11 @@ type t = {
 
 let default_valuation symbol p = String.equal p "a" && symbol = 0
 
-let create ?(alphabet = 2) ?(valuation = default_valuation) ?cache () =
+let create ?(alphabet = 2) ?(valuation = default_valuation) () =
   if alphabet <= 0 then invalid_arg "Registry.create: alphabet must be > 0";
-  let cache = match cache with Some _ as c -> c | None -> Cache.default () in
-  { alphabet; valuation; cache; props = [||]; nprops = 0; monitors = [||];
-    nmonitors = 0; keys = Hashtbl.create 64; hits = 0 }
+  { alphabet; valuation; packed = Memo.create 64; props = [||];
+    nprops = 0; monitors = [||]; nmonitors = 0; keys = Hashtbl.create 64;
+    hits = 0 }
 
 let alphabet t = t.alphabet
 let nprops t = t.nprops
@@ -57,8 +68,8 @@ let stats t =
    session saved against one registry may only be restored against a
    registry with the same alphabet, the same properties in the same
    order, mapped to monitors with the same canonical BFS keys. The
-   compile path (cold, cached, any [jobs]) is deterministic in all of
-   these, so a cache-recompiled registry fingerprints identically.
+   compile path is deterministic in all of these, so a recompiled
+   registry fingerprints identically.
    Fields are length-prefixed so no concatenation of distinct
    registries can collide textually. *)
 let fingerprint t =
@@ -115,28 +126,22 @@ let intern_monitor t pd =
       Hashtbl.add t.keys (Packed_dfa.key pd) id;
       id
 
-(* The translate/decompose/minimize/pack pipeline for one formula, with
-   the warm-start cache (when the registry has one) probed first: a hit
-   skips the whole pipeline for a decode that is field-for-field the
-   same monitor, a miss compiles and then publishes the artifact. Pure
-   up to cache I/O and process-wide cache counters, so [compile_all]
-   can run it on pool worker domains — stores are atomic-rename, so
-   racing workers at worst publish identical bytes twice. *)
+(* The translate/decompose/minimize/pack pipeline for one formula,
+   memoised per registry: the alphabet and valuation are fixed at
+   [create], so the formula alone determines the packed table, and a
+   repeated formula is a table lookup instead of a second translation.
+   The memoised table still goes through [intern_monitor], so hash-cons
+   hits, stats and the fingerprint are those of compiling it again. *)
 let pack_formula t f () =
-  let fresh () =
-    Packed_dfa.of_buchi
-      (Translate.translate ~alphabet:t.alphabet ~valuation:t.valuation f)
-  in
-  match t.cache with
-  | None -> fresh ()
-  | Some c -> (
-      let key = Cache.probe_key ~alphabet:t.alphabet ~valuation:t.valuation f in
-      match Cache.find c ~key with
-      | Some pd -> pd
-      | None ->
-          let pd = fresh () in
-          Cache.store c ~key pd;
-          pd)
+  match Memo.find_opt t.packed f with
+  | Some pd -> pd
+  | None ->
+      let pd =
+        Packed_dfa.of_buchi
+          (Translate.translate ~alphabet:t.alphabet ~valuation:t.valuation f)
+      in
+      Memo.add t.packed f pd;
+      pd
 
 (* Compile one property under a [registry.compile] span, recording the
    compile latency and whether the packed table was a hash-cons hit. *)
@@ -167,77 +172,14 @@ let compile_prop t ~name ~formula ~pack =
       id
 
 let add_buchi t ~name b =
-  (* Automaton-sourced properties have no source identity to key a
-     cache probe on, so they always compile. *)
   compile_prop t ~name ~formula:None ~pack:(fun () -> Packed_dfa.of_buchi b)
 
 let add_formula t ?name f =
   let name = match name with Some n -> n | None -> Formula.to_string f in
   compile_prop t ~name ~formula:(Some f) ~pack:(pack_formula t f)
 
-(* Batch compilation. The expensive per-property phase —
-   translate/decompose/minimize/pack, all pure — fans out across a
-   domain pool; the merge phase then hash-conses the packed tables and
-   assigns property/monitor ids sequentially in input order, so the
-   registry's structure (prop ids, monitor ids, hit counts, keys) is
-   byte-identical at every [jobs]. With [jobs = 1] each property goes
-   through the exact same [compile_prop] path as [add_formula]. *)
-let compile_all ?jobs ?(threshold = 4) t named =
-  let pool = Sl_core.Pool.create ?jobs () in
-  let name_of name f =
-    match name with Some n -> n | None -> Formula.to_string f
-  in
-  (* Work-size cutoff: a batch has to be at least a handful of
-     properties before splitting it beats the ~100µs-per-domain spawn.
-     With the tableau on bit masks a property of the bench fleet
-     compiles in ~0.15 ms, about one spawn, so the split gains little
-     on small batches (100 properties: 15 ms at one domain, 10 ms at
-     two). Below [threshold] (or on a one-domain pool) each property
-     takes the exact [add_formula] path. *)
-  if Sl_core.Pool.jobs pool = 1 || List.length named < threshold then
-    List.map (fun (name, f) -> add_formula t ?name f) named
-  else begin
-    let arr = Array.of_list named in
-    let n = Array.length arr in
-    let packed = Array.make n None in
-    let sp = Obs.Span.enter "registry.compile_all" in
-    match
-      Sl_core.Pool.parallel_for pool ~n (fun i ->
-          let _, f = arr.(i) in
-          let t0 = if Obs.is_enabled () then Obs.Clock.now_us () else 0. in
-          let pd = pack_formula t f () in
-          let dt_ns =
-            if Obs.is_enabled () then
-              int_of_float ((Obs.Clock.now_us () -. t0) *. 1e3)
-            else 0
-          in
-          packed.(i) <- Some (pd, dt_ns))
-    with
-    | exception e ->
-        Obs.Span.exit sp;
-        raise e
-    | () ->
-        let ids =
-          Array.to_list
-            (Array.mapi
-               (fun i (name, f) ->
-                 let pd, dt_ns =
-                   match packed.(i) with Some r -> r | None -> assert false
-                 in
-                 let monitor = intern_monitor t pd in
-                 Obs.Metrics.observe h_compile_ns dt_ns;
-                 Obs.Metrics.incr m_props;
-                 let id = t.nprops in
-                 push_prop t
-                   { id; name = name_of name f; formula = Some f; monitor };
-                 id)
-               arr)
-        in
-        Obs.Span.attr sp "props" n;
-        Obs.Span.attr sp "distinct_monitors" t.nmonitors;
-        Obs.Span.exit sp;
-        ids
-  end
+let compile_all t named =
+  List.map (fun (name, f) -> add_formula t ?name f) named
 
 (* Property-file loading. One LTL formula per line; blank lines and
    '#'-comments are skipped. A malformed line, or one whose closure is
@@ -246,7 +188,7 @@ let compile_all ?jobs ?(threshold = 4) t named =
    skipped before the batch compiles — one bad property must not abort
    the whole monitoring run (the CLI turns a non-empty error list into a
    nonzero exit code). *)
-let load_lines t ?(path = "<props>") ?jobs lines =
+let load_lines t ?(path = "<props>") lines =
   let errors = ref [] in
   let items = ref [] in
   let skip i msg =
@@ -263,14 +205,14 @@ let load_lines t ?(path = "<props>") ?jobs lines =
         | Ok f -> items := (Some s, f) :: !items
         | Error e -> skip i ("parse error: " ^ e))
     lines;
-  ignore (compile_all ?jobs t (List.rev !items));
+  ignore (compile_all t (List.rev !items));
   List.rev !errors
 
-let load_channel t ?path ?jobs ic =
+let load_channel t ?path ic =
   let lines = ref [] in
   (try
      while true do
        lines := input_line ic :: !lines
      done
    with End_of_file -> ());
-  load_lines t ?path ?jobs (List.rev !lines)
+  load_lines t ?path (List.rev !lines)

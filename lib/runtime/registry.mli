@@ -17,47 +17,33 @@ type prop = {
 type t
 
 val create :
-  ?alphabet:int -> ?valuation:(int -> string -> bool) -> ?cache:Cache.t ->
-  unit -> t
+  ?alphabet:int -> ?valuation:(int -> string -> bool) -> unit -> t
 (** Defaults: alphabet 2 with symbol 0 meaning the proposition [a]
-    holds — the convention of the CLI and the Section 2.3 examples.
-    [cache] is the warm-start compile cache probed before every
-    formula translation (automaton-sourced properties always compile);
-    default {!Cache.default}, i.e. no caching unless [SLC_CACHE] or
-    the CLI's [--cache] set a directory. *)
+    holds — the convention of the CLI and the Section 2.3 examples. *)
 
 val add_formula : t -> ?name:string -> Sl_ltl.Formula.t -> int
-(** Translate, decompose, compile, hash-cons; returns the property id. *)
+(** Translate, decompose, compile, hash-cons; returns the property id.
+    A formula already compiled into this registry is not translated
+    again: its packed table is reused (and counts as a hash-cons
+    hit). *)
 
 val add_buchi : t -> name:string -> Sl_buchi.Buchi.t -> int
 (** Register a property given directly as a Büchi automaton. *)
 
-val compile_all :
-  ?jobs:int -> ?threshold:int -> t ->
-  (string option * Sl_ltl.Formula.t) list -> int list
-(** Compile a batch of properties, returning their ids in input order.
-    The per-property translate/minimize/pack phase (pure, and the bulk
-    of the cost) runs across a domain pool of [jobs] domains (default
-    {!Sl_core.Pool.default_jobs}); packed tables are then hash-consed
-    and ids assigned in one sequential merge pass in input order, so
-    the registry ends up byte-identical at every [jobs]. [None] names
-    default to the formula's printed form, as in {!add_formula}.
-    [threshold] (default [4]) is the work-size cutoff: batches smaller
-    than that compile sequentially even on a wide pool. When the
-    registry has a {!Cache.t}, each property probes it before
-    translating and publishes on a miss — on the workers, so cache
-    I/O parallelizes with the compiles. *)
+val compile_all : t -> (string option * Sl_ltl.Formula.t) list -> int list
+(** {!add_formula} on each property in input order, returning their
+    ids. [None] names default to the formula's printed form. *)
 
-val load_lines : t -> ?path:string -> ?jobs:int -> string list -> string list
+val load_lines : t -> ?path:string -> string list -> string list
 (** Load a property file given as lines: one LTL formula per line, blank
     lines and ['#'] comments skipped. Returns human-readable
     ["path:line: parse error: ... (line skipped)"] messages for malformed
     lines and ["path:line: formula closure too large (line skipped)"] for
     formulas past {!Sl_ltl.Translate.max_closure}; such lines are skipped
     rather than aborting the load. Well-formed lines are compiled through
-    {!compile_all} with [jobs] domains. *)
+    {!compile_all}. *)
 
-val load_channel : t -> ?path:string -> ?jobs:int -> in_channel -> string list
+val load_channel : t -> ?path:string -> in_channel -> string list
 (** {!load_lines} over a channel read to end-of-file. *)
 
 val alphabet : t -> int
@@ -84,8 +70,8 @@ val fingerprint : t -> string
 (** The registry's structural identity as 16 hex digits: alphabet,
     properties (name and monitor assignment, in order), and each
     distinct monitor's canonical BFS key. Two registries compiled from
-    the same property list over the same alphabet — cold, warm-started
-    from a cache, at any [jobs] — fingerprint identically; any change
+    the same property list over the same alphabet fingerprint
+    identically; any change
     to a property, its order, or a compiled table changes it. Session
     snapshots embed this and refuse to restore against a registry whose
     fingerprint differs. *)

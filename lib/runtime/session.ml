@@ -127,8 +127,8 @@ let of_artifact ~registry blob =
   | exception Wire.Corrupt msg -> Error (Corrupt msg)
   | exception Invalid_argument msg -> Error (Corrupt msg)
 
-(* Snapshot to disk with the cache's publication discipline
-   ({!Wire.publish}): a crash mid-write leaves at worst a stray temp
+(* Snapshot to disk through {!Wire.publish} (temp file, then
+   rename): a crash mid-write leaves at worst a stray temp
    file, never a torn snapshot at [path]. *)
 let save t ~path =
   let sp = Obs.Span.enter "session.snapshot" in

@@ -11,8 +11,8 @@
     was saved.
 
     The contract is byte-identical continuation: feeding a stream's
-    first [k] events, snapshotting, restoring in another process (cold
-    or cache-warmed registry), and feeding the rest yields
+    first [k] events, snapshotting, restoring in another process against
+    a recompiled registry, and feeding the rest yields
     exactly the verdicts, bad-prefix positions and counters of the
     uninterrupted run, for every [k]. *)
 

@@ -32,7 +32,6 @@ let traces_cap = 1000
 type t = {
   daemon : Daemon.t;
   version : string;
-  jobs : int;
   start_wall : float;
   resumed_from : string option;
   mutable snapshot_path : string option;
@@ -42,11 +41,10 @@ type t = {
   mutable nreload_failures : int;
 }
 
-let create ?resumed_from ?snapshot_path ~version ~jobs daemon =
+let create ?resumed_from ?snapshot_path ~version daemon =
   {
     daemon;
     version;
-    jobs;
     start_wall = Unix.gettimeofday ();
     resumed_from;
     snapshot_path;
@@ -115,12 +113,6 @@ let render_status t =
       [ ("at", secs ev.re_at); ("ok", Json.Bool ev.re_ok);
         ("detail", Json.Str ev.re_detail) ]
   in
-  let hits = Cache.hit_count ()
-  and misses = Cache.miss_count ()
-  and stores = Cache.store_count () in
-  let ratio =
-    if hits + misses = 0 then 0. else float_of_int hits /. float_of_int (hits + misses)
-  in
   let str s = Json.Str s in
   Json.Obj
     [ ("schema", Json.Str schema); ("type", Json.Str "status");
@@ -128,7 +120,7 @@ let render_status t =
       ("fingerprint", Json.Str (Registry.fingerprint registry));
       ("props", Json.int (Registry.nprops registry));
       ("monitors", Json.int (Registry.nmonitors registry));
-      ("jobs", Json.int t.jobs); ("traces", Json.int (Engine.ntraces eng));
+      ("traces", Json.int (Engine.ntraces eng));
       ("events", Json.int (Engine.events eng));
       ("live", Json.int (Engine.live eng));
       ("tripped", Json.int (Engine.tripped eng));
@@ -141,10 +133,6 @@ let render_status t =
             ("history", Json.Arr (List.rev_map reload t.reloads)) ] );
       ("resumed_from", Json.opt str t.resumed_from);
       ("snapshot_path", Json.opt str t.snapshot_path);
-      ( "cache",
-        Json.Obj
-          [ ("hits", Json.int hits); ("misses", Json.int misses);
-            ("stores", Json.int stores); ("hit_ratio", Json.fixed 4 ratio) ] );
       ( "obs",
         Json.Obj
           [ ("enabled", Json.Bool (Sl_obs.Obs.is_enabled ()));

@@ -7,8 +7,7 @@
     - [GET /status] — uptime, registry identity, engine counters, the
       connection table (buffer/back-pressure state per live
       connection), reload counts with a bounded history, resume/
-      snapshot configuration, compile-cache hit ratios, and obs-kernel
-      state.
+      snapshot configuration, and obs-kernel state.
     - [GET /monitors] — one row per distinct monitor: canonical-key
       hash, the property names riding on it, and its exact verdict
       census (live / tripped / retired-admissible trace counts) from
@@ -26,10 +25,9 @@ type t
 
 val create :
   ?resumed_from:string -> ?snapshot_path:string -> version:string ->
-  jobs:int -> Daemon.t -> t
+  Daemon.t -> t
 (** Uptime starts now. [resumed_from]/[snapshot_path] surface the
-    daemon's session-artifact configuration in [/status]; [jobs] is the
-    process's pool width, reported as [/status] ["jobs"]. *)
+    daemon's session-artifact configuration in [/status]. *)
 
 type conn_info = {
   ci_id : int;

@@ -5,7 +5,6 @@ type config = {
   props_file : string;
   unix_socket : string option;
   tcp_port : int option;
-  jobs : int option;
   snapshot : string option;
   resume : string option;
   max_line : int;
@@ -61,8 +60,7 @@ let build_registry cfg =
     Fun.protect
       ~finally:(fun () -> if ic != stdin then close_in_noerr ic)
       (fun () ->
-        Registry.load_channel registry ~path:cfg.props_file
-          ?jobs:cfg.jobs ic)
+        Registry.load_channel registry ~path:cfg.props_file ic)
   in
   List.iter prerr_endline errs;
   if Registry.nprops registry = 0 then begin
@@ -130,9 +128,7 @@ let run cfg =
   let daemon = Daemon.make session in
   let introspect =
     Introspect.create ?resumed_from:cfg.resume ?snapshot_path:cfg.snapshot
-      ~version:"1.0.0"
-      ~jobs:(Option.value cfg.jobs ~default:(Sl_core.Pool.default_jobs ()))
-      daemon
+      ~version:"1.0.0" daemon
   in
   let http = Introspect.handler introspect in
   install_signals ();

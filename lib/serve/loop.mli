@@ -29,9 +29,6 @@ type config = {
   props_file : string;
   unix_socket : string option;
   tcp_port : int option;  (** bound on loopback *)
-  jobs : int option;
-      (** registry compile pool width, reported by [/status]; default
-          [Pool.default_jobs] *)
   snapshot : string option;  (** written on graceful shutdown *)
   resume : string option;  (** session artifact to restore at startup *)
   max_line : int;

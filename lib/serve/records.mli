@@ -7,7 +7,7 @@
     per trip/retire instead of only at EOF. Every renderer appends a
     complete line, trailing newline included, in the one-line layout of
     {!Sl_json.Json}; field order is fixed, so the output is byte-stable
-    across runs and [jobs] values.
+    across runs.
 
     The renderers write straight into the caller's buffer through
     {!Sl_json.Json.add_escaped} and {!Sl_json.Json.add_int}, with no

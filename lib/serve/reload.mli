@@ -1,8 +1,7 @@
 (** Hot registry reload without dropping in-flight traces.
 
-    SIGHUP rebuilds the property registry off to the side (warm-started
-    from the compile cache like any registry build) and then carries the
-    running session over to it:
+    SIGHUP rebuilds the property registry off to the side and then
+    carries the running session over to it:
 
     - {b identical registry} (equal {!Sl_runtime.Registry.fingerprint}):
       the session round-trips through its own [sl-artifact/1] snapshot —
@@ -41,7 +40,7 @@ val from_props_file :
   unit ->
   (Sl_runtime.Session.t * int * string list, string) result
 (** The SIGHUP entry point: re-read [props_file] into a fresh registry
-    (same alphabet and compile cache defaults as startup) and
+    (same alphabet as startup) and
     {!carry_over}. Returns the session, carried-monitor count, and the
     per-line parse errors of the property file (skipped lines, reload
     not refused). A file with no well-formed properties refuses the

@@ -1,25 +1,15 @@
 #!/bin/sh
 # CI smoke: build everything (library, CLI, examples, bench harness, the
-# smoke driver test/smoke), run the full test suite (once at the default
-# pool width and once with SLC_JOBS=4 so the registry compile runs its
-# parallel merge), run every example program and every paper artifact,
-# exercise the CLI (an over-cap property line, observability, -j
-# byte-identity, -j past the core count, cache, snapshot/resume, pack),
-# drive the daemon over its socket with the smoke driver, then run the
-# serving benchmark's selftest.
+# smoke driver test/smoke), run the full test suite, run every example
+# program and every paper artifact, exercise the CLI (over-cap formulas,
+# observability, snapshot/resume, pack), drive the daemon over its socket
+# with the smoke driver, then run the serving benchmark's selftest.
 # Nothing here writes a tracked file. Run from the repository root.
 set -eu
 
 dune build @runtest
 dune build bin examples bench test/smoke
 SMOKE=_build/default/test/smoke/smoke.exe
-
-# The whole suite again with the process-default pool width forced to 4
-# (clamped to the core count, so this is 2 on a 2-core host): the
-# ?jobs-defaulted registry compile runs its parallel merge under the
-# existing pins on any host with more than one core.
-echo "--- dune runtest with SLC_JOBS=4"
-SLC_JOBS=4 dune runtest --force
 
 # Examples are documentation that must keep executing.
 for ex in quickstart ltl_classification buchi_decomposition \
@@ -63,8 +53,9 @@ echo "$out" | grep -Fq 'props: 5 loaded, 3 distinct monitor(s), 2 vacuous'
 # and the good lines' report is the one without the line.
 echo "--- slc monitor over-cap line smoke"
 cap=$(mktemp -d /tmp/slc-ci.XXXXXX)
+overcap="G !(a & X (a & X (a & X (a & X (a & X (a & X (a & X (a & X (a & X (a))))))))))"
 { sed -n '1,3p' examples/monitor.props
-  echo "G !(a & X (a & X (a & X (a & X (a & X (a & X (a & X (a & X (a & X (a))))))))))"
+  echo "$overcap"
   sed '1,3d' examples/monitor.props; } > "$cap/props"
 status=0
 dune exec bin/slc.exe -- monitor --props "$cap/props" \
@@ -78,50 +69,17 @@ dune exec bin/slc.exe -- monitor --props examples/monitor.props \
 sed -i 's/events_per_s=[0-9]*/events_per_s=X/' "$cap/out" "$cap/good"
 diff "$cap/good" "$cap/out" \
   || { echo "over-cap line changed the good lines' report"; exit 1; }
+# The same formula on the command line of a one-shot subcommand is
+# refused like a parse error: exit 1 and one line of message.
+for cmd in classify decompose stats complement monitor; do
+  status=0
+  dune exec bin/slc.exe -- "$cmd" "$overcap" > "$cap/out" 2> "$cap/err" \
+    || status=$?
+  [ "$status" -eq 1 ] || { echo "slc $cmd over-cap: exit $status"; exit 1; }
+  [ "$(cat "$cap/err")" = "formula closure too large" ] \
+    || { echo "slc $cmd over-cap: unexpected message"; exit 1; }
+done
 rm -rf "$cap"
-
-# Parallel byte-identity: the same monitor run at -j 1 and -j 4 must
-# produce byte-for-byte identical reports (modulo the wall-clock
-# events_per_s rate, which differs between any two runs). This is the
-# end-to-end form of the jobs-invariance pins.
-echo "--- slc -j byte-identity smoke"
-j1=$(mktemp /tmp/slc-ci.XXXXXX.j1) ; j4=$(mktemp /tmp/slc-ci.XXXXXX.j4)
-for j in 1 4; do
-  status=0
-  dune exec bin/slc.exe -- monitor -j "$j" --props examples/monitor.props \
-    --trace examples/monitor.events --json > "$j1.raw" || status=$?
-  [ "$status" -eq 1 ]
-  sed 's/"events_per_s": [0-9.]*/"events_per_s": X/' "$j1.raw" \
-    > "$([ "$j" -eq 1 ] && echo "$j1" || echo "$j4")"
-done
-rm -f "$j1.raw"
-diff "$j1" "$j4" || { echo "monitor -j 1 vs -j 4 reports differ"; exit 1; }
-rm -f "$j1" "$j4"
-
-# A -j far past the core count, and past the runtime's 128-domain limit,
-# is clamped to the core count where it enters the pool: 256 properties
-# compiled at -j 200 must give the -j 1 report, not an exit 125.
-echo "--- slc monitor -j 200 smoke"
-wide=$(mktemp -d /tmp/slc-ci.XXXXXX)
-for i in $(seq 0 255); do
-  case $((i % 4)) in
-    0) echo "G !a" ;;
-    1) echo "G !(a & X a)" ;;
-    2) echo "G !(!a & X (!a & X !a))" ;;
-    3) echo "G !(a & X (!a & X a))" ;;
-  esac
-done > "$wide/props"
-for j in 1 200; do
-  status=0
-  dune exec bin/slc.exe -- monitor -j "$j" --props "$wide/props" \
-    --trace examples/monitor.events --json > "$wide/raw" || status=$?
-  [ "$status" -eq 0 ] || [ "$status" -eq 1 ]
-  sed 's/"events_per_s": [0-9.]*/"events_per_s": X/' "$wide/raw" \
-    > "$wide/j$j"
-done
-diff "$wide/j1" "$wide/j200" \
-  || { echo "monitor -j 1 vs -j 200 reports differ"; exit 1; }
-rm -rf "$wide"
 
 # Observability smoke: the same run with metrics collection on must keep
 # the same exit code and verdict summary, print the engine/registry
@@ -158,17 +116,12 @@ rm -f "$trace_out"
 echo "--- slc monitor --json 40k-trace smoke"
 "$SMOKE" report-size
 
-# Compile-cache smoke: a cold run against an empty cache directory must
-# store entries and change nothing about the report; the warm rerun must
-# serve every probe from the cache (cache_hits_total = distinct sources,
-# cache_misses_total = 0); and the cached reports — cold, warm, warm at
-# -j 4 — must be byte-identical to the uncached report (modulo the
-# wall-clock events_per_s rate). This is the end-to-end form of the
-# cold = warm = uncached test pin.
-echo "--- slc --cache cold/warm smoke"
-cache_dir=$(mktemp -d /tmp/slc-ci-cache.XXXXXX)
-nocache=$(mktemp /tmp/slc-ci.XXXXXX.nocache)
-cached=$(mktemp /tmp/slc-ci.XXXXXX.cached)
+# Session snapshot/resume smoke: feed the first half of the stream and
+# snapshot, resume in a fresh process on the second half, and the final
+# report must be byte-identical to the uninterrupted run (modulo the
+# wall-clock events_per_s rate). A corrupted snapshot must refuse to
+# resume with exit 2, never a wrong-but-running session.
+echo "--- slc monitor --snapshot/--resume smoke"
 run_monitor_on() { # run_monitor_on OUT TRACE [extra flags...]
   _out=$1; _trace=$2; shift 2
   status=0
@@ -178,46 +131,6 @@ run_monitor_on() { # run_monitor_on OUT TRACE [extra flags...]
   sed 's/"events_per_s": [0-9.]*/"events_per_s": X/' "$_out.raw" > "$_out"
   rm -f "$_out.raw"
 }
-run_monitor() { # run_monitor OUT [extra flags...]
-  _o=$1; shift
-  run_monitor_on "$_o" examples/monitor.events "$@"
-}
-run_monitor "$nocache"
-run_monitor "$cached" --cache "$cache_dir"   # cold: misses, stores
-diff "$nocache" "$cached" || { echo "cold cached report differs"; exit 1; }
-[ "$(ls "$cache_dir" | wc -l)" -gt 0 ] || { echo "cold run stored nothing"; exit 1; }
-run_monitor "$cached" --cache "$cache_dir"   # warm: every probe hits
-diff "$nocache" "$cached" || { echo "warm cached report differs"; exit 1; }
-run_monitor "$cached" --cache "$cache_dir" -j 4
-diff "$nocache" "$cached" || { echo "warm -j 4 cached report differs"; exit 1; }
-status=0
-wout=$(dune exec bin/slc.exe -- monitor --props examples/monitor.props \
-         --trace examples/monitor.events --cache "$cache_dir" \
-         --metrics -) || status=$?
-[ "$status" -eq 1 ]
-echo "$wout" | grep -q "^cache_hits_total 5$" \
-  || { echo "warm run did not hit the cache"; exit 1; }
-echo "$wout" | grep -q "^cache_misses_total 0$" \
-  || { echo "warm run missed the cache"; exit 1; }
-# SLC_CACHE is the env-default spelling of --cache.
-status=0
-SLC_CACHE="$cache_dir" dune exec bin/slc.exe -- monitor \
-  --props examples/monitor.props --trace examples/monitor.events --json \
-  > "$cached.raw" || status=$?
-[ "$status" -eq 1 ]
-sed 's/"events_per_s": [0-9.]*/"events_per_s": X/' "$cached.raw" > "$cached"
-rm -f "$cached.raw"
-diff "$nocache" "$cached" || { echo "SLC_CACHE report differs"; exit 1; }
-rm -f "$nocache" "$cached"
-
-# Session snapshot/resume smoke: feed the first half of the stream and
-# snapshot, resume in a fresh process on the second half, and the final
-# report must be byte-identical to the uninterrupted run (modulo the
-# wall-clock events_per_s rate) — at -j 1, at -j 4, and resuming with a
-# warm --cache (the registry is recompiled from the cache and must
-# fingerprint identically). A corrupted snapshot must refuse to resume
-# with exit 2, never a wrong-but-running session.
-echo "--- slc monitor --snapshot/--resume smoke"
 snap=$(mktemp /tmp/slc-ci.XXXXXX.slsession)
 half1=$(mktemp /tmp/slc-ci.XXXXXX.half1)
 half2=$(mktemp /tmp/slc-ci.XXXXXX.half2)
@@ -227,28 +140,14 @@ nlines=$(wc -l < examples/monitor.events)
 mid=$((nlines / 2))
 head -n "$mid" examples/monitor.events > "$half1"
 tail -n +"$((mid + 1))" examples/monitor.events > "$half2"
-for j in 1 4; do
-  run_monitor "$full" -j "$j"
-  status=0
-  dune exec bin/slc.exe -- monitor -j "$j" --props examples/monitor.props \
-    --trace "$half1" --snapshot "$snap" > /dev/null || status=$?
-  [ "$status" -le 1 ] || { echo "snapshot run failed"; exit 1; }
-  run_monitor_on "$resumed" "$half2" -j "$j" --resume "$snap"
-  diff "$full" "$resumed" \
-    || { echo "resumed -j $j report differs from uninterrupted"; exit 1; }
-done
-# Resume with a warm compile cache: recompiled-from-cache registry must
-# accept the snapshot and reproduce the same report.
-sess_cache_dir=$(mktemp -d /tmp/slc-ci-cache.XXXXXX)
-run_monitor "$full"
+run_monitor_on "$full" examples/monitor.events
 status=0
 dune exec bin/slc.exe -- monitor --props examples/monitor.props \
-  --trace "$half1" --cache "$sess_cache_dir" --snapshot "$snap" > /dev/null \
-  || status=$?
-[ "$status" -le 1 ] || { echo "cached snapshot run failed"; exit 1; }
-run_monitor_on "$resumed" "$half2" --resume "$snap" --cache "$sess_cache_dir"
+  --trace "$half1" --snapshot "$snap" > /dev/null || status=$?
+[ "$status" -le 1 ] || { echo "snapshot run failed"; exit 1; }
+run_monitor_on "$resumed" "$half2" --resume "$snap"
 diff "$full" "$resumed" \
-  || { echo "cache-warmed resume report differs"; exit 1; }
+  || { echo "resumed report differs from uninterrupted"; exit 1; }
 # Periodic snapshots leave a valid final snapshot behind.
 status=0
 dune exec bin/slc.exe -- monitor --props examples/monitor.props \
@@ -271,7 +170,6 @@ dune exec bin/slc.exe -- monitor --props "$otherprops" \
   --trace "$half2" --resume "$snap" > /dev/null 2>&1 || status=$?
 [ "$status" -eq 2 ] || { echo "foreign snapshot not rejected"; exit 1; }
 rm -f "$snap" "$half1" "$half2" "$resumed" "$full" "$otherprops"
-rm -rf "$sess_cache_dir"
 
 # Pack smoke: compile the example props into one artifact, list it back.
 echo "--- slc pack/unpack smoke"
@@ -285,7 +183,6 @@ status=0
 dune exec bin/slc.exe -- unpack "$pack" > /dev/null 2>&1 || status=$?
 [ "$status" -eq 2 ] || { echo "corrupt pack not rejected"; exit 1; }
 rm -f "$pack"
-rm -rf "$cache_dir"
 
 # Version smoke: the CLI must advertise the artifact kinds it reads.
 echo "--- slc version smoke"

@@ -132,19 +132,17 @@ let same_verdicts what ~offline replies =
     "%s: served verdicts differ from offline (offline only: %s; served \
      only: %s)" what (show (Tuples.diff off srv)) (show (Tuples.diff srv off))
 
-(* The offline report of [events] at [-j j]; its exit code must be in
-   [codes]. *)
-let offline ?(codes = [ 0; 1 ]) ~j events =
+(* The offline report of [events]; its exit code must be in [codes]. *)
+let offline ?(codes = [ 0; 1 ]) events =
   let out = file "offline.json" in
   let code =
     run ~out
-      [ slc; "monitor"; "-j"; string_of_int j; "--props"; props; "--trace";
-        events; "--json" ]
+      [ slc; "monitor"; "--props"; props; "--trace"; events; "--json" ]
   in
   check (List.mem code codes) "offline monitor on %s exited %d" events code;
   parse "offline report" (read_file out)
 
-let example_offline = lazy (offline ~codes:[ 1 ] ~j:1 example)
+let example_offline = lazy (offline ~codes:[ 1 ] example)
 
 (* ---- the daemon ---- *)
 
@@ -305,9 +303,9 @@ let status_doc ty body =
 let check_status body =
   let v = status_doc "status" body in
   expect "status" v
-    "version:s uptime_s:n fingerprint:s props:i monitors:i jobs:i traces:i \
+    "version:s uptime_s:n fingerprint:s props:i monitors:i traces:i \
      events:i live:i tripped:i retired_admissible:i connections:a \
-     reloads:o cache:o obs:o";
+     reloads:o obs:o";
   List.iter
     (fun c ->
       expect "connection" c
@@ -315,7 +313,6 @@ let check_status body =
          stalled:b")
     (arr "connections" v);
   expect "reloads" (mem "reloads" v) "count:i failures:i history:a";
-  expect "cache" (mem "cache" v) "hits:i misses:i stores:i hit_ratio:n";
   expect "obs" (mem "obs" v) "enabled:b spans_dropped:i";
   check (Option.get (J.num (mem "uptime_s" v)) >= 0.) "negative uptime";
   v
@@ -379,23 +376,20 @@ let served_offline () =
     String.concat ""
       (List.filter (String.starts_with ~prefix:(id ^ " ")) lines)
   in
-  List.iter
-    (fun j ->
-      let offline = offline ~codes:[ 1 ] ~j example in
-      let daemon = start [ "-j"; string_of_int j ] in
-      let a = client (only "req-1") and b = client (only "req-2") in
-      let second = String.index a.input '\n' + 1 in
-      a.limit <- 1 + String.index_from a.input second '\n';
-      pump ~to_eof:false [ a; b ];
-      Unix.sleepf 0.3;
-      Unix.kill daemon Sys.sighup;
-      Unix.sleepf 0.5;
-      a.limit <- String.length a.input;
-      let replies = finish [ a; b ] in
-      stop "served = offline" daemon;
-      same_verdicts (Printf.sprintf "-j %d across a SIGHUP" j) ~offline replies)
-    [ 1; 4 ];
-  say "served = offline at -j 1 and -j 4, two clients, mid-stream SIGHUP"
+  let offline = Lazy.force example_offline in
+  let daemon = start [] in
+  let a = client (only "req-1") and b = client (only "req-2") in
+  let second = String.index a.input '\n' + 1 in
+  a.limit <- 1 + String.index_from a.input second '\n';
+  pump ~to_eof:false [ a; b ];
+  Unix.sleepf 0.3;
+  Unix.kill daemon Sys.sighup;
+  Unix.sleepf 0.5;
+  a.limit <- String.length a.input;
+  let replies = finish [ a; b ] in
+  stop "served = offline" daemon;
+  same_verdicts "across a SIGHUP" ~offline replies;
+  say "served = offline, two clients, mid-stream SIGHUP"
 
 (* A SIGHUP reload onto a props file with a line past the tableau's
    closure cap (G !w for a 10-letter word) skips that line: the daemon
@@ -510,46 +504,43 @@ let slow_reader () =
     events_file "slow.events" 20_000 (fun i ->
         Printf.sprintf "slow%d %d\nslow%d %d\n" i (i mod 2) i (i / 2 mod 2))
   and events = file "slow.events" and bound = 262144 + 65536 in
-  List.iter
-    (fun j ->
-      let offline = offline ~j events in
-      let daemon = start [ "-j"; string_of_int j ] in
-      let reads = ref 0 and next = ref max_int and status = ref None in
-      let on_read c =
-        incr reads;
-        if !reads mod 16 = 0 then Unix.sleepf 0.002;
-        let got = Buffer.length c.reply in
-        if !status = None && c.sent = String.length c.input && !next = max_int
-        then next := got + 65536;
-        if got >= !next then begin
-          let v = check_status (get "/status") in
-          status := Some v;
-          let modes = List.map (str "mode") (arr "connections" v) in
-          next := if List.mem "done" modes then max_int else got + 65536
-        end
-      in
-      let c = client input in
-      pump ~chunk:4096 ~on_read [ c ];
-      let reply = List.hd (finish [ c ]) in
-      stop "slow reader" daemon;
-      let v =
-        match !status with Some v -> v | None -> fail "no /status mid-drain"
-      in
-      let draining = List.filter (fun c -> str "mode" c = "done") in
-      let pending =
-        List.map (int "pending_out") (draining (arr "connections" v))
-      in
-      let top = List.fold_left max 0 pending in
-      check (pending <> []) "slow reader: no connection is draining";
-      check (top > 0) "slow reader: the draining connection is drained";
-      check (top <= bound) "slow reader: %d bytes queued > %d" top bound;
-      same_verdicts (Printf.sprintf "slow reader -j %d" j) ~offline [ reply ];
-      say "slow reader -j %d: pending_out %d <= %d mid-drain" j top bound)
-    [ 1; 4 ]
+  let offline = offline events in
+  let daemon = start [] in
+  let reads = ref 0 and next = ref max_int and status = ref None in
+  let on_read c =
+    incr reads;
+    if !reads mod 16 = 0 then Unix.sleepf 0.002;
+    let got = Buffer.length c.reply in
+    if !status = None && c.sent = String.length c.input && !next = max_int
+    then next := got + 65536;
+    if got >= !next then begin
+      let v = check_status (get "/status") in
+      status := Some v;
+      let modes = List.map (str "mode") (arr "connections" v) in
+      next := if List.mem "done" modes then max_int else got + 65536
+    end
+  in
+  let c = client input in
+  pump ~chunk:4096 ~on_read [ c ];
+  let reply = List.hd (finish [ c ]) in
+  stop "slow reader" daemon;
+  let v =
+    match !status with Some v -> v | None -> fail "no /status mid-drain"
+  in
+  let draining = List.filter (fun c -> str "mode" c = "done") in
+  let pending =
+    List.map (int "pending_out") (draining (arr "connections" v))
+  in
+  let top = List.fold_left max 0 pending in
+  check (pending <> []) "slow reader: no connection is draining";
+  check (top > 0) "slow reader: the draining connection is drained";
+  check (top <= bound) "slow reader: %d bytes queued > %d" top bound;
+  same_verdicts "slow reader" ~offline [ reply ];
+  say "slow reader: pending_out %d <= %d mid-drain" top bound
 
-(* SIGTERM writes the session snapshot; a fresh daemon at -j 200
-   resumes it and takes the second half of the stream. Its counters and
-   introspection bodies are checked against the uninterrupted run. *)
+(* SIGTERM writes the session snapshot; a fresh daemon resumes it and
+   takes the second half of the stream. Its counters and introspection
+   bodies are checked against the uninterrupted run. *)
 let restart () =
   let lines = lines_of example in
   let half keep = String.concat "" (List.filteri (fun i _ -> keep i) lines) in
@@ -558,11 +549,10 @@ let restart () =
   ignore (stream (half (fun i -> i < mid)));
   stop "snapshot" daemon;
   check (Sys.file_exists snap && (Unix.stat snap).st_size > 0) "no snapshot";
-  let daemon = start [ "-j"; "200"; "--resume"; snap ] in
+  let daemon = start [ "--resume"; snap ] in
   let h2 = stream (half (fun i -> i >= mid)) in
   let metrics = get "/metrics" in
-  (* /status reports the width the pool runs at, clamped to the cores *)
-  check (int "jobs" (check_status (get "/status")) <> 200) "unclamped -j 200";
+  ignore (check_status (get "/status"));
   check_healthz (get "/healthz");
   check_traces (get "/traces");
   (* the census reads the resumed trace table: it covers both halves *)
@@ -602,31 +592,28 @@ let soak () =
         Printf.sprintf "s%d %d\n" (Random.State.int rng 16)
           (Random.State.int rng 2))
   and events = file "soak.events" in
+  let offline = offline events in
+  let daemon = start [] in
+  let c = client input in
   List.iter
-    (fun j ->
-      let offline = offline ~j events in
-      let daemon = start [ "-j"; string_of_int j ] in
-      let c = client input in
-      List.iter
-        (fun q ->
-          c.limit <- String.length input * q / 4;
-          pump ~to_eof:false [ c ];
-          ignore (check_status (get "/status"));
-          check_healthz (get "/healthz"))
-        [ 1; 2; 3 ];
-      c.limit <- String.length input;
-      let reply = List.hd (finish [ c ]) in
-      check_monitors (get "/monitors") ~offline;
-      stop "soak" daemon;
-      let counted r = int "events" r = 1_000_000 in
-      check
-        (counted (mem "counters" offline)
-        && List.exists (fun r -> Served.has_type "summary" r && counted r)
-             (Served.records reply))
-        "soak: not every event was counted";
-      same_verdicts (Printf.sprintf "soak at -j %d" j) ~offline [ reply ];
-      say "soak -j %d: 1M events = offline, mid-soak scrapes ok" j)
-    [ 1; 4 ]
+    (fun q ->
+      c.limit <- String.length input * q / 4;
+      pump ~to_eof:false [ c ];
+      ignore (check_status (get "/status"));
+      check_healthz (get "/healthz"))
+    [ 1; 2; 3 ];
+  c.limit <- String.length input;
+  let reply = List.hd (finish [ c ]) in
+  check_monitors (get "/monitors") ~offline;
+  stop "soak" daemon;
+  let counted r = int "events" r = 1_000_000 in
+  check
+    (counted (mem "counters" offline)
+    && List.exists (fun r -> Served.has_type "summary" r && counted r)
+         (Served.records reply))
+    "soak: not every event was counted";
+  same_verdicts "soak" ~offline [ reply ];
+  say "soak: 1M events = offline, mid-soak scrapes ok"
 
 (* ---- the offline smokes ---- *)
 

@@ -1,12 +1,12 @@
-(* The sl-artifact/1 codec and the warm-start compile cache.
+(* The sl-artifact/1 codec, monitor packs and the atomic publish.
 
-   The QCheck pins are the PR's round-trip contract: decode(encode x)
+   The QCheck pins are the round-trip contract: decode(encode x)
    must be structurally identical to the freshly compiled value — for
    packed monitors including every *derived* field (can_trip,
    pre_tripped, vacuous), since those are recomputed on decode. The
    corruption pins are the invalidation contract: truncation, bit
    flips, stale format versions and kind confusion must all read as
-   "absent" (a cache miss), never as an exception or a wrong value. *)
+   "absent", never as an exception or a wrong value. *)
 
 module Wire = Sl_core.Wire
 module Digraph = Sl_core.Digraph
@@ -14,14 +14,13 @@ module Buchi = Sl_buchi.Buchi
 module Formula = Sl_ltl.Formula
 module Packed_dfa = Sl_runtime.Packed_dfa
 module Registry = Sl_runtime.Registry
-module Cache = Sl_runtime.Cache
 module Pack = Sl_runtime.Pack
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
 let fresh_dir () =
-  let f = Filename.temp_file "slc-cache-test" "" in
+  let f = Filename.temp_file "slc-artifact-test" "" in
   Sys.remove f;
   Sys.mkdir f 0o700;
   f
@@ -101,7 +100,7 @@ let prop_digraph_roundtrip =
       | Some h -> digraph_equal g h
       | None -> false)
 
-(* --- Corruption: every defect decodes as a miss, never a crash --- *)
+(* --- Corruption: every defect decodes as None, never a crash --- *)
 
 let prop_truncation_is_miss =
   QCheck.Test.make
@@ -128,8 +127,8 @@ let prop_bitflip_is_miss =
 
 (* Rewrite an artifact's version byte and re-seal the checksum: the
    decoder must reject it on the version field itself, which is the
-   upgrade story — old caches full of version-k artifacts read as all
-   misses under a version-k+1 build and get overwritten. *)
+   upgrade story — a version-k pack or snapshot is refused by a
+   version-k+1 build, never misread. *)
 let reversion s version =
   let b = Bytes.of_string s in
   Bytes.set b 11 (Char.chr version);
@@ -158,12 +157,7 @@ let test_kind_confusion_is_miss () =
   check "digraph artifact still decodes as itself" true
     (Digraph.of_artifact s <> None)
 
-(* --- The cache itself --- *)
-
-let compile_fingerprint r ids =
-  ( Registry.nprops r, Registry.nmonitors r, Registry.hits r,
-    List.map (fun p -> Registry.monitor_of_prop r p) ids,
-    Array.to_list (Array.map Packed_dfa.key (Registry.monitors r)) )
+(* --- Monitor packs --- *)
 
 let props_src =
   [ "a"; "a & F !a"; "G F a"; "G (a -> X !a)"; "F G !a"; "G a"; "a" ]
@@ -171,104 +165,11 @@ let props_src =
 let named_props =
   List.map (fun s -> (Some s, Formula.parse_exn s)) props_src
 
-let test_cache_find_store_roundtrip () =
-  let c = Cache.create ~dir:(fresh_dir ()) in
-  let f = Formula.parse_exn "G (a -> X !a)" in
-  let valuation s p = String.equal p "a" && s = 0 in
-  let key = Cache.probe_key ~alphabet:2 ~valuation f in
-  check "empty cache misses" true (Cache.find c ~key = None);
-  let pd =
-    Packed_dfa.of_buchi
-      (Sl_ltl.Translate.translate ~alphabet:2 ~valuation f)
-  in
-  Cache.store c ~key pd;
-  (match Cache.find c ~key with
-  | None -> Alcotest.fail "stored entry not found"
-  | Some pd' -> check "cached monitor identical to compiled" true
-      (packed_equal pd pd'));
-  check "other keys still miss" true (Cache.find c ~key:(key ^ "x") = None)
-
-let test_cold_warm_identical () =
-  let dir = fresh_dir () in
-  let run () =
-    let r = Registry.create ~alphabet:2 ~cache:(Cache.create ~dir) () in
-    let ids = Registry.compile_all ~jobs:1 r named_props in
-    compile_fingerprint r ids
-  in
-  let uncached =
-    let r = Registry.create ~alphabet:2 () in
-    let ids = Registry.compile_all ~jobs:1 r named_props in
-    compile_fingerprint r ids
-  in
-  Cache.reset_counters ();
-  let cold = run () in
-  (* 7 properties, 6 distinct source texts: the cold run stores each
-     distinct source once (the duplicate probe hits its twin's fresh
-     entry), and the warm run hits all 7 probes. *)
-  check_int "cold run stores every distinct source" 6
-    (Cache.store_count ());
-  let hits_before = Cache.hit_count () in
-  let warm = run () in
-  check "cold run = uncached run" true (cold = uncached);
-  check "warm run = cold run" true (warm = cold);
-  check_int "warm run hits every probe" 7
-    (Cache.hit_count () - hits_before);
-  (* ... and at jobs = 4 the warm cache must change nothing either. *)
-  let warm_j4 =
-    let r = Registry.create ~alphabet:2 ~cache:(Cache.create ~dir) () in
-    let ids = Registry.compile_all ~jobs:4 ~threshold:1 r named_props in
-    compile_fingerprint r ids
-  in
-  check "warm jobs=4 run = cold run" true (warm_j4 = cold)
-
-let test_corrupt_entry_heals () =
-  let dir = fresh_dir () in
-  let c = Cache.create ~dir in
-  let f = Formula.parse_exn "G a" in
-  let valuation s p = String.equal p "a" && s = 0 in
-  let key = Cache.probe_key ~alphabet:2 ~valuation f in
-  let pd =
-    Packed_dfa.of_buchi
-      (Sl_ltl.Translate.translate ~alphabet:2 ~valuation f)
-  in
-  Cache.store c ~key pd;
-  let entry =
-    match Sys.readdir dir with
-    | [| e |] -> Filename.concat dir e
-    | _ -> Alcotest.fail "expected exactly one cache entry"
-  in
-  (* Stomp the entry with garbage: find must miss, not raise. *)
-  let oc = open_out_bin entry in
-  output_string oc "definitely not an sl-artifact";
-  close_out oc;
-  check "corrupt entry is a miss" true (Cache.find c ~key = None);
-  (* A store overwrites the corpse and the cache works again. *)
-  Cache.store c ~key pd;
-  check "store heals the corrupt entry" true
-    (match Cache.find c ~key with
-    | Some pd' -> packed_equal pd pd'
-    | None -> false)
-
-let test_probe_key_valuation_sensitivity () =
-  let f = Formula.parse_exn "G (a -> X !a)" in
-  let v1 s p = String.equal p "a" && s = 0 in
-  let v2 s p = String.equal p "a" && s = 1 in
-  (* differs only on a proposition the formula never mentions *)
-  let v3 s p = v1 s p || (String.equal p "zz" && s = 1) in
-  let k ~valuation = Cache.probe_key ~alphabet:2 ~valuation f in
-  check "valuations differing on a mentioned prop get distinct keys" true
-    (k ~valuation:v1 <> k ~valuation:v2);
-  check "valuations differing off the formula share a key" true
-    (k ~valuation:v1 = k ~valuation:v3);
-  check "alphabet is part of the key" true
-    (Cache.probe_key ~alphabet:2 ~valuation:v1 f
-    <> Cache.probe_key ~alphabet:3 ~valuation:v1 f)
-
 (* --- Monitor packs --- *)
 
 let test_pack_roundtrip () =
   let r = Registry.create ~alphabet:2 () in
-  ignore (Registry.compile_all ~jobs:1 r named_props);
+  ignore (Registry.compile_all r named_props);
   let pk = Pack.of_registry r in
   check_int "pack keeps every property" (Registry.nprops r)
     (Array.length pk.Pack.props);
@@ -296,7 +197,7 @@ let test_pack_roundtrip () =
 
 let test_pack_rejects_dangling_monitor () =
   let r = Registry.create ~alphabet:2 () in
-  ignore (Registry.compile_all ~jobs:1 r named_props);
+  ignore (Registry.compile_all r named_props);
   let pk = Pack.of_registry r in
   (* splice in a property pointing past the monitor table *)
   let w = Wire.writer () in
@@ -325,7 +226,7 @@ let test_failed_publish_leaves_no_temp () =
     | exception Sys_error _ -> true);
   check "listing unchanged after publish" true (listing () = before);
   let r = Registry.create ~alphabet:2 () in
-  ignore (Registry.compile_all ~jobs:1 r named_props);
+  ignore (Registry.compile_all r named_props);
   check "pack write onto a directory raises" true
     (match Pack.write (Pack.of_registry r) ~path:target with
     | () -> false
@@ -343,14 +244,6 @@ let tests =
       test_stale_version_is_miss;
     Alcotest.test_case "kind confusion is a miss" `Quick
       test_kind_confusion_is_miss;
-    Alcotest.test_case "cache find/store round trip" `Quick
-      test_cache_find_store_roundtrip;
-    Alcotest.test_case "cold = warm = uncached (jobs 1 and 4)" `Quick
-      test_cold_warm_identical;
-    Alcotest.test_case "corrupt entry misses, store heals" `Quick
-      test_corrupt_entry_heals;
-    Alcotest.test_case "probe key valuation sensitivity" `Quick
-      test_probe_key_valuation_sensitivity;
     Alcotest.test_case "monitor pack round trip" `Quick test_pack_roundtrip;
     Alcotest.test_case "pack rejects dangling monitor index" `Quick
       test_pack_rejects_dangling_monitor;

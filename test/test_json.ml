@@ -196,7 +196,7 @@ let test_record_pins () =
 let intro_fixture () =
   let registry = Registry.create ~alphabet:2 () in
   ignore
-    (Registry.compile_all ~jobs:1 registry
+    (Registry.compile_all registry
        [ (Some odd, Formula.parse_exn "G a");
          (Some "F !a", Formula.parse_exn "F !a") ]);
   let session = Session.create ~registry () in
@@ -209,7 +209,7 @@ let intro_fixture () =
     names;
   let daemon = Daemon.make session in
   let intro =
-    Introspect.create ~resumed_from:"snap\"1" ~version:"v\\1" ~jobs:2 daemon
+    Introspect.create ~resumed_from:"snap\"1" ~version:"v\\1" daemon
   in
   Introspect.set_conns intro (fun () ->
       [ { Introspect.ci_id = 9; ci_listener = "tcp"; ci_mode = "http";
@@ -252,13 +252,10 @@ let traces_json =
   ^ "]}\n"
 
 let status_json () =
-  let hits = Sl_runtime.Cache.hit_count ()
-  and misses = Sl_runtime.Cache.miss_count ()
-  and stores = Sl_runtime.Cache.store_count () in
   Printf.sprintf
     "{\"schema\": \"sl-status/1\", \"type\": \"status\", \"version\": \
      \"v\\\\1\", \"uptime_s\": _, \"fingerprint\": \"FINGERPRINT\", \
-     \"props\": 2, \"monitors\": 2, \"jobs\": 2, \"traces\": 1002, \"events\": \
+     \"props\": 2, \"monitors\": 2, \"traces\": 1002, \"events\": \
      1002, \"live\": 501, \"tripped\": 501, \"retired_admissible\": 0, \
      \"connections\": [{\"id\": 3, \"listener\": \"unix\", \"mode\": \
      \"lines\", \"lines\": 12, \"events\": 10, \"errors\": 2, \"pending_out\": \
@@ -267,12 +264,8 @@ let status_json () =
      \"stalled\": false}], \"reloads\": {\"count\": 1, \"failures\": 1, \
      \"history\": [{\"at\": _, \"ok\": true, \"detail\": \"ok\"}, {\"at\": _, \
      \"ok\": false, \"detail\": \"bad \\\"props\\\"\\u000a\"}]}, \
-     \"resumed_from\": \"snap\\\"1\", \"snapshot_path\": null, \"cache\": \
-     {\"hits\": %d, \"misses\": %d, \"stores\": %d, \"hit_ratio\": %.4f}, \
-     \"obs\": {\"enabled\": %b, \"spans_dropped\": %d}}\n"
-    hits misses stores
-    (if hits + misses = 0 then 0.
-     else float_of_int hits /. float_of_int (hits + misses))
+     \"resumed_from\": \"snap\\\"1\", \"snapshot_path\": null, \"obs\": \
+     {\"enabled\": %b, \"spans_dropped\": %d}}\n"
     (Obs.is_enabled ()) (Obs.Span.dropped ())
 
 let healthz_json =

@@ -3,7 +3,6 @@ let () =
     [ ("order", Test_order.tests);
       ("lattice", Test_lattice.tests);
       ("core", Test_core.tests);
-      ("pool", Test_pool.tests);
       ("bitset", Test_bitset.tests);
       ("digraph", Test_digraph.tests);
       ("word", Test_word.tests);

@@ -11,6 +11,9 @@ module Packed_dfa = Sl_runtime.Packed_dfa
 module Registry = Sl_runtime.Registry
 module Engine = Sl_runtime.Engine
 module Ingest = Sl_runtime.Ingest
+module Ingest_ref = Reference.Ingest_ref
+module Obs = Sl_obs.Obs
+module Translate = Sl_ltl.Translate
 module Verdict = Sl_runtime.Verdict
 
 let check = Alcotest.(check bool)
@@ -236,68 +239,156 @@ let test_registry_over_cap_line () =
   let good = [ "a"; "G (a -> X !a)"; "G F a"; "F G !a"; "a & F !a" ] in
   let reference = Registry.create () in
   check "good lines load cleanly" true
-    (Registry.load_lines reference ~jobs:1 good = []);
-  (* jobs 1 compiles sequentially; jobs 4 on five good lines takes the
-     pool path of [compile_all] *)
+    (Registry.load_lines reference good = []);
+  let reg = Registry.create () in
+  let errors =
+    Registry.load_lines reg ~path:"props.txt"
+      (List.hd good :: over_cap_line :: List.tl good)
+  in
+  check "over-cap line reported" true
+    (errors = [ "props.txt:2: formula closure too large (line skipped)" ]);
+  check_int "the good lines all loaded" 5 (Registry.nprops reg);
+  check "same registry as without the line" true
+    (Registry.fingerprint reg = Registry.fingerprint reference)
+
+(* The compile memo. The reference compiles every property afresh
+   through [add_buchi] (automata are never memoised), named as
+   [add_formula] names it; the memoised registry must end up with the
+   same stats, fingerprint and per-property monitor ids. *)
+let valuation symbol p = String.equal p "a" && symbol = 0
+
+let compile_afresh named =
+  let r = Registry.create () in
   List.iter
-    (fun jobs ->
-      let reg = Registry.create () in
-      let errors =
-        Registry.load_lines reg ~path:"props.txt" ~jobs
-          (List.hd good :: over_cap_line :: List.tl good)
+    (fun (name, f) ->
+      let name = Option.value name ~default:(Formula.to_string f) in
+      ignore
+        (Registry.add_buchi r ~name
+           (Translate.translate ~alphabet:2 ~valuation f)))
+    named;
+  r
+
+let same_registry a b =
+  Registry.stats a = Registry.stats b
+  && Registry.fingerprint a = Registry.fingerprint b
+  && List.map (fun (p : Registry.prop) -> p.monitor) (Registry.props a)
+     = List.map (fun (p : Registry.prop) -> p.monitor) (Registry.props b)
+
+let test_registry_memo () =
+  let fleet =
+    [ "G (a -> X !a)"; "a"; "G (a -> X !a)"; "G F a"; "a"; "a & F !a";
+      "G (a -> X !a)"; "F G !a" ]
+  in
+  let named = List.map (fun s -> (Some s, Formula.parse_exn s)) fleet in
+  let spans name =
+    List.filter (fun (e : Obs.Span.event) -> e.name = name) (Obs.Span.events ())
+  in
+  let traced f =
+    Obs.reset ();
+    Obs.enable ();
+    Fun.protect
+      ~finally:(fun () -> Obs.disable (); Obs.reset ())
+      (fun () ->
+        let r = f () in
+        (r, List.length (spans "ltl.translate"),
+         List.map (fun (e : Obs.Span.event) -> e.attrs)
+           (spans "registry.compile")))
+  in
+  let memo, translations, compiles =
+    traced (fun () ->
+        let r = Registry.create () in
+        ignore (Registry.compile_all r named);
+        r)
+  in
+  check_int "each distinct formula translated once" 5 translations;
+  check_int "one registry.compile span per property" 8 (List.length compiles);
+  let afresh, translations_afresh, compiles_afresh =
+    traced (fun () -> compile_afresh named)
+  in
+  check_int "the reference translates every property" 8 translations_afresh;
+  check "stats, fingerprint and monitors = compiled afresh" true
+    (same_registry memo afresh);
+  check "registry.compile span attributes = compiled afresh" true
+    (compiles = compiles_afresh);
+  let one_by_one = Registry.create () in
+  List.iter
+    (fun (name, f) -> ignore (Registry.add_formula one_by_one ?name f))
+    named;
+  check "compile_all = per-property add_formula" true
+    (same_registry memo one_by_one)
+
+(* A pool of properties with deliberate hash-cons collisions (language-
+   equal safety parts) and, drawn with repetition, repeated formulas. *)
+let registry_prop_pool =
+  [| "a"; "a & F !a"; "G F a"; "F G !a"; "G (a -> X !a)"; "!a | X a";
+     "G a"; "F a"; "a | X X a"; "G (a -> X (X !a))" |]
+
+let prop_registry_memo_invariant =
+  QCheck.Test.make
+    ~name:"registry: compile_all = compiled afresh (hash-cons structure)"
+    ~count:25
+    QCheck.(int_range 0 5000)
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let nprops = 1 + Random.State.int st 24 in
+      let named =
+        List.init nprops (fun i ->
+            let s =
+              registry_prop_pool.(Random.State.int st
+                                    (Array.length registry_prop_pool))
+            in
+            let name = if i mod 2 = 0 then Some (Printf.sprintf "p%d" i)
+              else None
+            in
+            (name, Formula.parse_exn s))
       in
-      check
-        (Printf.sprintf "over-cap line reported (jobs %d)" jobs)
-        true
-        (errors = [ "props.txt:2: formula closure too large (line skipped)" ]);
-      check_int "the good lines all loaded" 5 (Registry.nprops reg);
-      check "same registry as without the line" true
-        (Registry.fingerprint reg = Registry.fingerprint reference))
-    [ 1; 4 ]
+      let r = Registry.create () in
+      ignore (Registry.compile_all r named);
+      same_registry r (compile_afresh named))
 
 (* --- Trace-line parser and chunked ingestion --- *)
 
 let test_parse_line () =
-  check "valid" true (Ingest.parse_line "t1 3" = `Event ("t1", 3));
+  check "valid" true (Ingest_ref.parse_line "t1 3" = `Event ("t1", 3));
   check "whitespace tolerated" true
-    (Ingest.parse_line "  t1 \t 0  " = `Event ("t1", 0));
-  check "blank skipped" true (Ingest.parse_line "   " = `Skip);
-  check "comment skipped" true (Ingest.parse_line "# hello" = `Skip);
+    (Ingest_ref.parse_line "  t1 \t 0  " = `Event ("t1", 0));
+  check "blank skipped" true (Ingest_ref.parse_line "   " = `Skip);
+  check "comment skipped" true (Ingest_ref.parse_line "# hello" = `Skip);
   check "missing symbol" true
-    (match Ingest.parse_line "t1" with `Malformed _ -> true | _ -> false);
+    (match Ingest_ref.parse_line "t1" with `Malformed _ -> true | _ -> false);
   check "non-integer symbol" true
-    (match Ingest.parse_line "t1 x" with `Malformed _ -> true | _ -> false);
+    (match Ingest_ref.parse_line "t1 x" with `Malformed _ -> true | _ -> false);
   check "extra fields" true
-    (match Ingest.parse_line "t1 1 2" with `Malformed _ -> true | _ -> false);
+    (match Ingest_ref.parse_line "t1 1 2" with `Malformed _ -> true | _ -> false);
   check "negative symbol" true
-    (match Ingest.parse_line "t1 -1" with `Malformed _ -> true | _ -> false);
+    (match Ingest_ref.parse_line "t1 -1" with `Malformed _ -> true | _ -> false);
   (* symbols are strict decimal: everything int_of_string_opt would
      additionally accept is a protocol error, with a structured reason *)
   check "hex radix prefix rejected" true
-    (Ingest.parse_line "t1 0x10"
+    (Ingest_ref.parse_line "t1 0x10"
     = `Malformed (Some "t1", "symbol \"0x10\" is not an integer"));
   check "binary radix prefix rejected" true
-    (Ingest.parse_line "t1 0b1"
+    (Ingest_ref.parse_line "t1 0b1"
     = `Malformed (Some "t1", "symbol \"0b1\" is not an integer"));
   check "underscore separator rejected" true
-    (Ingest.parse_line "t1 1_000"
+    (Ingest_ref.parse_line "t1 1_000"
     = `Malformed (Some "t1", "symbol \"1_000\" is not an integer"));
   check "leading plus rejected" true
-    (Ingest.parse_line "t1 +5"
+    (Ingest_ref.parse_line "t1 +5"
     = `Malformed (Some "t1", "symbol \"+5\" is not an integer"));
   check "overflow is garbage, not wraparound" true
-    (match Ingest.parse_line "t1 99999999999999999999" with
+    (match Ingest_ref.parse_line "t1 99999999999999999999" with
     | `Malformed (Some "t1", _) -> true
     | _ -> false);
   check "leading zeros are plain decimal" true
-    (Ingest.parse_line "t1 007" = `Event ("t1", 7))
+    (Ingest_ref.parse_line "t1 007" = `Event ("t1", 7))
 
 let drive_ingest ?(chunk_size = 3) ~alphabet lines =
   let ing = Ingest.create () in
   let remaining = ref lines in
   let events = ref [] in
   let errors = ref [] in
-  Ingest.read ~chunk_size ~alphabet ing
+  Ingest_ref.read ~chunk_size ~alphabet ing
     ~next_line:(fun () ->
       match !remaining with
       | [] -> None
@@ -487,7 +578,7 @@ let test_end_to_end_report () =
       ref [ "t1 0"; "t2 1"; "t1 1"; "t2 0"; "t1 0"; "t1 0" ]
     in
     let errors = ref [] in
-    Ingest.read ~chunk_size:2 ~alphabet:2 ing
+    Ingest_ref.read ~chunk_size:2 ~alphabet:2 ing
       ~next_line:(fun () ->
         match !remaining with
         | [] -> None
@@ -642,6 +733,9 @@ let tests =
       test_registry_malformed_lines;
     Alcotest.test_case "registry skips an over-cap line" `Quick
       test_registry_over_cap_line;
+    Alcotest.test_case "registry translates each distinct formula once"
+      `Quick test_registry_memo;
+    QCheck_alcotest.to_alcotest prop_registry_memo_invariant;
     Alcotest.test_case "trace-line parser" `Quick test_parse_line;
     Alcotest.test_case "chunked ingestion" `Quick test_ingest_chunks;
     Alcotest.test_case "zero-copy scanner boundaries" `Quick

@@ -31,7 +31,7 @@ let props_src =
 let mk_registry ?(props = props_src) () =
   let r = Registry.create ~alphabet:2 () in
   ignore
-    (Registry.compile_all ~jobs:1 r
+    (Registry.compile_all r
        (List.map (fun s -> (Some s, Formula.parse_exn s)) props));
   r
 
@@ -670,7 +670,7 @@ let scrape daemon intro path =
 
 let test_status_schema () =
   let daemon = mk_daemon () in
-  let intro = Introspect.create ~version:"test" ~jobs:3 daemon in
+  let intro = Introspect.create ~version:"test" daemon in
   let stream = Conn.create ~listener:"unix" daemon in
   Conn.on_bytes stream "t1 0\nt1 1\nt2 1\n";
   Introspect.set_conns intro (fun () ->
@@ -681,7 +681,6 @@ let test_status_schema () =
   check_str "schema" "sl-status/1" (jstr "schema" v);
   check_str "type" "status" (jstr "type" v);
   check_str "version" "test" (jstr "version" v);
-  check_int "jobs is the process pool width" 3 (jint "jobs" v);
   check "uptime non-negative" true
     (Option.get (Json.num (jmem "uptime_s" v)) >= 0.);
   check_int "traces" 2 (jint "traces" v);
@@ -722,7 +721,7 @@ let test_status_schema () =
    row carries the stable canonical-key hash. *)
 let test_monitors_census () =
   let daemon = mk_daemon () in
-  let intro = Introspect.create ~version:"test" ~jobs:1 daemon in
+  let intro = Introspect.create ~version:"test" daemon in
   let stream = Conn.create daemon in
   Conn.on_bytes stream "a 0\nb 1\na 1\nb 0\na 0\n";
   let eng = Daemon.engine daemon in
@@ -763,7 +762,7 @@ let test_concurrent_scrape_backpressure () =
     List.init 40 (fun i -> (Printf.sprintf "t%d" i, 1))
   in
   let daemon = mk_daemon () in
-  let intro = Introspect.create ~version:"test" ~jobs:1 daemon in
+  let intro = Introspect.create ~version:"test" daemon in
   let stream = Conn.create ~hwm:256 daemon in
   Introspect.set_conns intro (fun () ->
       [ Introspect.conn_info_of_conn stream ]);
@@ -833,7 +832,7 @@ let test_json_reader () =
     (match Json.parse "{\"a\": [1," with Error _ -> true | Ok _ -> false);
   (* every endpoint body round-trips through the parser *)
   let daemon = mk_daemon () in
-  let intro = Introspect.create ~version:"test" ~jobs:1 daemon in
+  let intro = Introspect.create ~version:"test" daemon in
   List.iter
     (fun path -> ignore (scrape daemon intro path))
     [ "/status"; "/monitors"; "/traces"; "/healthz" ]

@@ -1,7 +1,7 @@
 (* The session layer: snapshot/restore of the runtime's mutable state.
 
    The contract under test is byte-identical continuation — feed k
-   events, snapshot, restore in a fresh session (warm or cold
+   events, snapshot, restore in a fresh session (against a recompiled
    registry), feed the rest, and the verdict report is the same string
    the uninterrupted run renders, for every k. The adversarial half is
    the codec: hostile bytes against every sl-artifact decoder in the
@@ -15,10 +15,10 @@ module Buchi = Sl_buchi.Buchi
 module Formula = Sl_ltl.Formula
 module Packed_dfa = Sl_runtime.Packed_dfa
 module Registry = Sl_runtime.Registry
-module Cache = Sl_runtime.Cache
 module Pack = Sl_runtime.Pack
 module Engine = Sl_runtime.Engine
 module Ingest = Sl_runtime.Ingest
+module Ingest_ref = Reference.Ingest_ref
 module Session = Sl_runtime.Session
 module Verdict = Sl_runtime.Verdict
 
@@ -34,9 +34,9 @@ let fresh_dir () =
 let props_src = [ "G a"; "a & F !a"; "G (a -> X !a)"; "G F a"; "G a" ]
 let named = List.map (fun s -> (Some s, Formula.parse_exn s)) props_src
 
-let mk_registry ?cache () =
-  let r = Registry.create ~alphabet:2 ?cache () in
-  ignore (Registry.compile_all ~jobs:1 r named);
+let mk_registry () =
+  let r = Registry.create ~alphabet:2 () in
+  ignore (Registry.compile_all r named);
   r
 
 (* One registry for the whole module: it is immutable once compiled and
@@ -88,19 +88,18 @@ let test_fingerprint_stability () =
   let fp2 = Registry.fingerprint (mk_registry ()) in
   check "recompiling the same props reproduces the fingerprint" true
     (String.equal fp1 fp2);
-  (* Cold-with-cache and warm-from-cache registries must agree too:
-     resuming under --cache is the main production path. *)
-  let dir = fresh_dir () in
-  let cold = Registry.fingerprint (mk_registry ~cache:(Cache.create ~dir) ()) in
-  let warm = Registry.fingerprint (mk_registry ~cache:(Cache.create ~dir) ()) in
-  check "cold-cache fingerprint = uncached" true (String.equal fp1 cold);
-  check "warm-cache fingerprint = cold" true (String.equal cold warm)
+  (* Property by property through [add_formula] must agree with the
+     batch. *)
+  let r = Registry.create ~alphabet:2 () in
+  List.iter (fun (name, f) -> ignore (Registry.add_formula r ?name f)) named;
+  check "per-property add_formula reproduces the fingerprint" true
+    (String.equal fp1 (Registry.fingerprint r))
 
 let test_fingerprint_sensitivity () =
   let fp_of srcs =
     let r = Registry.create ~alphabet:2 () in
     ignore
-      (Registry.compile_all ~jobs:1 r
+      (Registry.compile_all r
          (List.map (fun s -> (Some s, Formula.parse_exn s)) srcs));
     Registry.fingerprint r
   in
@@ -113,7 +112,7 @@ let test_fingerprint_sensitivity () =
     (base <> fp_of [ "G (a)"; "G F a" ]);
   let r3 = Registry.create ~alphabet:3 () in
   ignore
-    (Registry.compile_all ~jobs:1 r3
+    (Registry.compile_all r3
        (List.map (fun s -> (Some s, Formula.parse_exn s)) [ "G a"; "G F a" ]));
   check "alphabet changes the fingerprint" true
     (base <> Registry.fingerprint r3)
@@ -206,7 +205,7 @@ let test_fingerprint_mismatch_refuses () =
   let blob = Session.to_artifact s in
   let other = Registry.create ~alphabet:2 () in
   ignore
-    (Registry.compile_all ~jobs:1 other [ (Some "G a", Formula.parse_exn "G a") ]);
+    (Registry.compile_all other [ (Some "G a", Formula.parse_exn "G a") ]);
   match Session.of_artifact ~registry:other blob with
   | Error (Session.Fingerprint_mismatch { snapshot; registry = reg }) ->
       check "mismatch reports both fingerprints" true (snapshot <> reg);
@@ -427,7 +426,7 @@ let test_ingest_chunk_boundary () =
   let errors = ref [] in
   let chunk_sizes = ref [] in
   let events = ref 0 in
-  Ingest.read ~alphabet:2 ingest ~next_line:next
+  Ingest_ref.read ~alphabet:2 ingest ~next_line:next
     ~on_chunk:(fun c ->
       chunk_sizes := c.Ingest.len :: !chunk_sizes;
       events := !events + c.Ingest.len)
@@ -451,7 +450,7 @@ let test_interner_roundtrip_through_codec () =
     fun () ->
       match !rest with [] -> None | l :: tl -> rest := tl; Some l
   in
-  Ingest.read ~alphabet:2 (Session.ingest s) ~next_line:next
+  Ingest_ref.read ~alphabet:2 (Session.ingest s) ~next_line:next
     ~on_chunk:(fun c ->
       Engine.feed (Session.engine s) ~n:c.Ingest.len ~traces:c.Ingest.trace_ids
         ~symbols:c.Ingest.symbols ())
