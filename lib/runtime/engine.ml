@@ -230,10 +230,11 @@ let get_trace eng id =
    as admissible-forever when no rejecting state is reachable anymore.
    A megatable entry packs the successor with its accepting/can_trip
    bits, so the verdict decision is one array read per live monitor —
-   no per-monitor record dereference. Retirement is a swap-remove on
-   the compact live list — no allocation anywhere on this path ([fire]
-   closes over nothing when the hook is [None]: one comparison per
-   retirement, never per event). *)
+   no per-monitor record dereference. The live list stays in ascending
+   monitor order: retirement compacts it in place, so the monitors
+   retiring at one event fire in ascending index. No allocation
+   anywhere on this path ([fire] closes over nothing when the hook is
+   [None]: one comparison per retirement, never per event). *)
 let fire eng ~trace ~monitor ~position ~tripped =
   match eng.hook with
   | None -> ()
@@ -245,9 +246,9 @@ let step_trace eng ~id (tr : trace) symbol =
   let mega = eng.plan.mega in
   let mbase = eng.plan.mbase in
   let alphabet = eng.plan.alphabet in
-  let i = ref 0 in
-  while !i < tr.nlive do
-    let m = Array.unsafe_get tr.live !i in
+  let kept = ref 0 in
+  for i = 0 to tr.nlive - 1 do
+    let m = Array.unsafe_get tr.live i in
     let e =
       Array.unsafe_get mega
         (Array.unsafe_get mbase m
@@ -260,23 +261,23 @@ let step_trace eng ~id (tr : trace) symbol =
       eng.tripped <- eng.tripped + 1;
       eng.mtrips.(m) <- eng.mtrips.(m) + 1;
       eng.live_pairs <- eng.live_pairs - 1;
-      tr.nlive <- tr.nlive - 1;
-      Array.unsafe_set tr.live !i (Array.unsafe_get tr.live tr.nlive);
       fire eng ~trace:id ~monitor:m ~position:tr.events ~tripped:true
     end
     else begin
       Array.unsafe_set tr.states m (e lsr 2);
-      if e land 2 <> 0 then incr i
+      if e land 2 <> 0 then begin
+        Array.unsafe_set tr.live !kept m;
+        incr kept
+      end
       else begin
         eng.retired_ok <- eng.retired_ok + 1;
         eng.mretires.(m) <- eng.mretires.(m) + 1;
         eng.live_pairs <- eng.live_pairs - 1;
-        tr.nlive <- tr.nlive - 1;
-        Array.unsafe_set tr.live !i (Array.unsafe_get tr.live tr.nlive);
         fire eng ~trace:id ~monitor:m ~position:tr.events ~tripped:false
       end
     end
-  done
+  done;
+  tr.nlive <- !kept
 
 let check_symbol eng symbol =
   if symbol < 0 || symbol >= eng.plan.alphabet then
@@ -454,9 +455,8 @@ let verdict eng ~trace ~monitor =
 (* Externalization: the packed per-trace state as plain arrays, so the
    session codec can serialize a run without reaching into the engine's
    representation. [ts_states] and [ts_tripped_at] are full M-length
-   copies; [ts_live] is the compact live list in list order, so a
-   restored trace retires monitors in the same order as the original
-   run would — byte-identical continuation. *)
+   copies; [ts_live] is the compact live list, in ascending monitor
+   order. *)
 type trace_state = {
   ts_events : int;
   ts_states : int array;
@@ -525,7 +525,11 @@ let restore_trace eng id (ts : trace_state) =
   let tr = get_trace eng id in
   Array.blit ts.ts_states 0 tr.states 0 m;
   Array.blit ts.ts_tripped_at 0 tr.tripped_at 0 m;
-  Array.blit ts.ts_live 0 tr.live 0 (Array.length ts.ts_live);
+  (* the step loop keeps the live list ascending; snapshots written
+     before it did may list it in any order *)
+  let live = Array.copy ts.ts_live in
+  Array.sort compare live;
+  Array.blit live 0 tr.live 0 (Array.length live);
   eng.live_pairs <- eng.live_pairs - tr.nlive + Array.length ts.ts_live;
   tr.nlive <- Array.length ts.ts_live;
   tr.events <- ts.ts_events

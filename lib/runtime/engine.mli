@@ -91,7 +91,8 @@ val set_retire_hook :
 
     Ordering: the hook fires in exact event order, from inside the
     step that retires the monitor, so {!feed} and the equivalent
-    sequence of {!step} calls fire the same sequence. The hook must not
+    sequence of {!step} calls fire the same sequence. Monitors retiring
+    at the same event fire in ascending monitor index. The hook must not
     call back into the engine's stepping API. Restoring a snapshot
     fires no hooks. *)
 
@@ -156,8 +157,7 @@ type trace_state = {
   ts_events : int;  (** events this trace has seen *)
   ts_states : int array;  (** current DFA state per monitor (length M) *)
   ts_live : int array;
-      (** live monitor indices in live-list order — order matters for
-          byte-identical continuation *)
+      (** live monitor indices, ascending (restore accepts any order) *)
   ts_tripped_at : int array;
       (** trip position per monitor, [-1] if not tripped (length M) *)
 }

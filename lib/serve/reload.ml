@@ -3,16 +3,18 @@ open Sl_runtime
 (* Build the new-engine state of one trace from the old one: carried
    monitors keep state/trip/liveness, fresh monitors start at the start
    state (pre-tripped ones trip at position 0, like any
-   materialization). Live order: carried monitors in the old live-list
-   order, then fresh lives ascending — [Engine.restore_trace] validates
-   the result like any snapshot. *)
+   materialization). The live list is ascending; [Engine.restore_trace]
+   validates the result like any snapshot. *)
 let carry_trace ~new_monitors ~(map : int option array)
     ~(inv : int option array) (ts : Engine.trace_state) =
   let m' = Array.length map in
   let states = Array.make m' Packed_dfa.start in
   let tripped_at = Array.make m' (-1) in
-  let fresh_live = ref [] in
-  for j = m' - 1 downto 0 do
+  let live = Array.make m' false in
+  Array.iter
+    (fun i -> Option.iter (fun j -> live.(j) <- true) inv.(i))
+    ts.Engine.ts_live;
+  for j = 0 to m' - 1 do
     let pd : Packed_dfa.t = new_monitors.(j) in
     match map.(j) with
     | Some i ->
@@ -20,16 +22,14 @@ let carry_trace ~new_monitors ~(map : int option array)
         tripped_at.(j) <- ts.Engine.ts_tripped_at.(i)
     | None ->
         if pd.Packed_dfa.pre_tripped then tripped_at.(j) <- 0
-        else if not pd.Packed_dfa.vacuous then fresh_live := j :: !fresh_live
+        else live.(j) <- not pd.Packed_dfa.vacuous
   done;
-  let carried_live =
-    Array.to_list ts.Engine.ts_live
-    |> List.filter_map (fun i -> inv.(i))
-  in
   {
     Engine.ts_events = ts.Engine.ts_events;
     ts_states = states;
-    ts_live = Array.of_list (carried_live @ !fresh_live);
+    ts_live =
+      Array.of_list
+        (List.filter (fun j -> live.(j)) (List.init m' Fun.id));
     ts_tripped_at = tripped_at;
   }
 

@@ -197,6 +197,26 @@ let test_engine_reset_and_retirement () =
     (Engine.verdict eng ~trace:0 ~monitor:0
     = Engine.Violation { position = 1 })
 
+(* Retirements at one event fire in ascending monitor index. On the
+   trace [a a] all four monitors retire at event 2: [X a] and [a & X a]
+   admissible, [X !a] and [G !(a & X a)] by violation. *)
+let test_same_event_retirement_order () =
+  let reg = Registry.create () in
+  List.iter
+    (fun s -> ignore (Registry.add_formula reg (Formula.parse_exn s)))
+    [ "X a"; "X !a"; "G !(a & X a)"; "a & X a" ];
+  let eng = Engine.create ~monitors:(Registry.monitors reg) () in
+  let fired = ref [] in
+  Engine.set_retire_hook eng
+    (Some
+       (fun ~trace:_ ~monitor ~position ~tripped ->
+         fired := (monitor, position, tripped) :: !fired));
+  Engine.feed eng ~n:2 ~traces:[| 0; 0 |] ~symbols:[| 0; 0 |] ();
+  Alcotest.(check (list (triple int int bool)))
+    "hook order"
+    [ (0, 2, false); (1, 2, true); (2, 2, true); (3, 2, false) ]
+    (List.rev !fired)
+
 (* --- Registry --- *)
 
 let test_registry_hash_consing () =
@@ -727,6 +747,8 @@ let tests =
       test_engine_interleaved_traces;
     Alcotest.test_case "reset and retirement" `Quick
       test_engine_reset_and_retirement;
+    Alcotest.test_case "same-event retirements in monitor order" `Quick
+      test_same_event_retirement_order;
     Alcotest.test_case "registry hash-consing" `Quick
       test_registry_hash_consing;
     Alcotest.test_case "registry skips malformed lines" `Quick
