@@ -212,6 +212,30 @@ let monitor_trace_syms = Array.init 10_000 (fun i -> i land 1)
 let multi_trace_ids = Array.init 10_000 (fun i -> i mod 16)
 
 let fleet_named_props = List.map (fun f -> (None, f)) monitor_fleet_props
+
+(* ENGINE fixture: [G !w] for every word over {a, !a} of length 3..6,
+   in the nested [l0 & X (l1 & ...)] shape — 120 monitors whose shadow
+   product the plan splits into 3 groups under the 4096-state cap. *)
+let words120_monitors =
+  lazy
+    (let open Sl_ltl.Formula in
+     let lit b = if b then prop "a" else neg (prop "a") in
+     let rec word = function
+       | [] -> True
+       | [ b ] -> lit b
+       | b :: tl -> lit b &&& x (word tl)
+     in
+     let r = Sl_runtime.Registry.create ~alphabet:2 () in
+     List.iter
+       (fun n ->
+         for bits = 0 to (1 lsl n) - 1 do
+           ignore
+             (Sl_runtime.Registry.add_formula r
+                (g (neg (word (List.init n (fun i ->
+                     bits land (1 lsl (n - 1 - i)) <> 0))))))
+         done)
+       [ 3; 4; 5; 6 ];
+     Sl_runtime.Registry.monitors r)
 let complement_input = Lexamples.automaton (Formula.parse_exn "F a")
 
 (* Disabled-kernel probes for the OBS overhead budget (DESIGN.md §6.8):
@@ -468,6 +492,11 @@ let make_tests () =
       [ t "registry/compile-100" (fun () ->
             let r = Sl_runtime.Registry.create ~alphabet:2 () in
             Sl_runtime.Registry.compile_all r fleet_named_props) ];
+      (* ENGINE: the grouped shadow-product plan of the 120-word fleet
+         (monitors compiled at group construction). *)
+      (let monitors = Lazy.force words120_monitors in
+       [ t "engine/plan-120" (fun () ->
+             Sl_runtime.Engine.plan_of_monitors monitors) ]);
       (* SESSION: snapshot write, restore, and resume-vs-replay on the
          fleet engine at the stream midpoint. *)
       [ (ensure_dir bench_session_dir;

@@ -60,18 +60,283 @@ let h_stage_feed =
     ~help:"Pipeline stage: engine feed latency per chunk"
     "stage_engine_feed_ns"
 
+let g_product_groups =
+  Obs.Metrics.gauge ~help:"Product groups in the last engine plan"
+    "engine_product_groups"
+
+let g_product_states =
+  Obs.Metrics.gauge
+    ~help:"Product states summed over the last engine plan's groups"
+    "engine_product_states"
+
 type verdict =
   | Vacuous
   | Admissible
   | Violation of { position : int }
 
-type trace = {
-  states : int array;
-  live : int array;
-  mutable nlive : int;
-  mutable events : int;
-  tripped_at : int array;
+(* ---- The shadow product ----
+
+   Safety properties are the closed elements of the safety closure, and
+   closed elements are closed under meets (paper §3): the fleet's
+   monitors run as product automata, one table read per group and
+   event. Each monitor that can trip (neither vacuous nor pre-tripped)
+   becomes a Mealy machine over its packed states:
+   - an edge into a rejecting state is a self-loop that emits a trip
+     bit, so no component ever enters the reject sink;
+   - an edge from a [can_trip] state to one that cannot emits a retire
+     bit, and every edge out of a state that cannot trip is a
+     self-loop, so a retired component freezes in its retirement state.
+   A tripped component keeps moving (a "shadow"); the trace's tripped
+   mask hides it, and the trip table keeps the state it tripped in.
+
+   Monitors are grouped in contiguous index runs of at most
+   [max_members] (a mask fits one OCaml int) and at most [max_states]
+   product states, closed greedily when the next pairwise product
+   would pass the cap. A group of one holds every state of its monitor,
+   so restore never needs to extend it. *)
+
+let max_members = 62
+let max_states = 4096
+
+let shadow (pd : Packed_dfa.t) q s =
+  let q' = pd.trans.((q * pd.alphabet) + s) in
+  if pd.accepting.(q') && pd.can_trip.(q) then q' else q
+
+(* Tables keyed by state vectors: a group's tuples, or (at re-plan)
+   whole-fleet vectors, hashed over every element. *)
+module Tuples = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (a : int array) b = a = b
+  let hash = Array.fold_left (fun h q -> (h * 31) + q) 17
+end)
+
+type group = {
+  members : int array;  (* monitor indices, ascending; bit j = members.(j) *)
+  mutable size : int;  (* product states *)
+  mutable next : int array;
+      (* [p * alphabet + s]: (successor lsl 1) lor (the edge trips or
+         retires a member) *)
+  mutable trips : int array;  (* same index: members tripping on the edge *)
+  mutable retires : int array;  (* members retiring on the edge *)
+  mutable tuples : int array;  (* [p * k + j]: members.(j)'s packed state *)
+  mutable cantrip : int array;  (* members whose state in [p] can trip *)
+  mutable index : int Tuples.t option;  (* tuple -> state, on demand *)
 }
+
+(* Fill state [p]'s edges from its tuple; [succ.(s)] is its successor
+   on symbol [s]. *)
+let fill (monitors : Packed_dfa.t array) gr p succ =
+  let k = Array.length gr.members and alphabet = Array.length succ in
+  let trips = Array.make alphabet 0 and retires = Array.make alphabet 0 in
+  let cantrip = ref 0 in
+  for j = 0 to k - 1 do
+    let pd = monitors.(gr.members.(j)) and q = gr.tuples.((p * k) + j) in
+    let bit = 1 lsl j and can_trip = pd.can_trip.(q) in
+    if can_trip then cantrip := !cantrip lor bit;
+    for s = 0 to alphabet - 1 do
+      let q' = pd.trans.((q * alphabet) + s) in
+      if not pd.accepting.(q') then trips.(s) <- trips.(s) lor bit
+      else if can_trip && not pd.can_trip.(q') then
+        retires.(s) <- retires.(s) lor bit
+    done
+  done;
+  gr.cantrip.(p) <- !cantrip;
+  for s = 0 to alphabet - 1 do
+    let i = (p * alphabet) + s in
+    gr.trips.(i) <- trips.(s);
+    gr.retires.(i) <- retires.(s);
+    gr.next.(i) <-
+      (succ.(s) lsl 1) lor if trips.(s) lor retires.(s) <> 0 then 1 else 0
+  done
+
+(* A product under construction: [n] states, numbered in discovery
+   order from the roots ([root_at.(r)] is root [r]'s state). State [p]
+   is state [left.(p)] of [prev] extended by the newest member's packed
+   state [right.(p)]; the first member's level has no [prev]. *)
+type level = {
+  n : int;
+  succ : int array;  (* [p * alphabet + s] -> successor *)
+  root_at : int array;
+  left : int array;
+  right : int array;
+  prev : level option;
+}
+
+(* One monitor's shadow states reachable from [starts]. *)
+let single (pd : Packed_dfa.t) starts =
+  let alphabet = pd.alphabet and nq = pd.nstates in
+  let id_of = Array.make nq (-1) and order = Array.make nq 0 and n = ref 0 in
+  let id q =
+    if id_of.(q) < 0 then begin
+      id_of.(q) <- !n;
+      order.(!n) <- q;
+      incr n
+    end;
+    id_of.(q)
+  in
+  let root_at = Array.map id starts in
+  let succ = Array.make (nq * alphabet) 0 in
+  let p = ref 0 in
+  while !p < !n do
+    for s = 0 to alphabet - 1 do
+      succ.((!p * alphabet) + s) <- id (shadow pd order.(!p) s)
+    done;
+    incr p
+  done;
+  { n = !n; succ = Array.sub succ 0 (!n * alphabet); root_at; left = [||];
+    right = Array.sub order 0 !n; prev = None }
+
+exception Too_big
+
+(* Scratch space for [pair], reused across one plan's trials: each new
+   state's (left, right) parts and successors, and an open-addressing
+   table from pair keys to states ([keys] slot -1 = free; [slot.(i)] is
+   state [i]'s table slot, for clearing). *)
+type scratch = {
+  left : int array;
+  right : int array;
+  slot : int array;
+  succ : int array;
+  keys : int array;
+  vals : int array;
+}
+
+let scratch alphabet =
+  { left = Array.make max_states 0; right = Array.make max_states 0;
+    slot = Array.make max_states 0;
+    succ = Array.make (max_states * alphabet) 0;
+    keys = Array.make (2 * max_states) (-1);
+    vals = Array.make (2 * max_states) 0 }
+
+(* The product of [lv] with one more monitor, from the roots' states
+   [starts]; [None] past [max_states]. *)
+let pair sc (lv : level) (pd : Packed_dfa.t) starts =
+  let alphabet = pd.alphabet and nq = pd.nstates in
+  let mask = Array.length sc.keys - 1 in
+  let n = ref 0 in
+  let id p q =
+    let key = (p * nq) + q in
+    let h = ref ((key * 0x4F1BBCDCBFA53E0B) lsr 40 land mask) in
+    while sc.keys.(!h) >= 0 && sc.keys.(!h) <> key do
+      h := (!h + 1) land mask
+    done;
+    if sc.keys.(!h) = key then sc.vals.(!h)
+    else begin
+      if !n = max_states then raise_notrace Too_big;
+      let i = !n in
+      sc.keys.(!h) <- key;
+      sc.vals.(!h) <- i;
+      sc.slot.(i) <- !h;
+      sc.left.(i) <- p;
+      sc.right.(i) <- q;
+      n := i + 1;
+      i
+    end
+  in
+  let result =
+    match
+      let root_at = Array.mapi (fun r q -> id lv.root_at.(r) q) starts in
+      let i = ref 0 in
+      while !i < !n do
+        let p = sc.left.(!i) and q = sc.right.(!i) in
+        for s = 0 to alphabet - 1 do
+          sc.succ.((!i * alphabet) + s) <-
+            id lv.succ.((p * alphabet) + s) (shadow pd q s)
+        done;
+        incr i
+      done;
+      root_at
+    with
+    | exception Too_big -> None
+    | root_at ->
+        let n = !n in
+        Some
+          { n; succ = Array.sub sc.succ 0 (n * alphabet); root_at;
+            left = Array.sub sc.left 0 n; right = Array.sub sc.right 0 n;
+            prev = Some lv }
+  in
+  for i = 0 to !n - 1 do
+    sc.keys.(sc.slot.(i)) <- -1
+  done;
+  result
+
+let close (monitors : Packed_dfa.t array) members (lv : level) =
+  let n = lv.n and k = Array.length members in
+  let alphabet = monitors.(members.(0)).alphabet in
+  let tuples = Array.make (n * k) 0 in
+  let rec unfold (lv : level) at q j =
+    tuples.(at + j) <- lv.right.(q);
+    match lv.prev with Some prev -> unfold prev at lv.left.(q) (j - 1) | None -> ()
+  in
+  for p = 0 to n - 1 do
+    unfold lv (p * k) p (k - 1)
+  done;
+  let gr =
+    { members; size = n; next = Array.make (n * alphabet) 0;
+      trips = Array.make (n * alphabet) 0;
+      retires = Array.make (n * alphabet) 0; tuples;
+      cantrip = Array.make n 0; index = None }
+  in
+  for p = 0 to n - 1 do
+    fill monitors gr p (Array.sub lv.succ (p * alphabet) alphabet)
+  done;
+  gr
+
+(* Group the monitors that can trip, greedily, with products closed
+   under the shadow steps from [roots] (full-length state vectors; the
+   first is the start vector, so every group starts in state 0). *)
+let build_groups (monitors : Packed_dfa.t array) roots =
+  let starts m = Array.map (fun r -> r.(m)) roots in
+  let sc =
+    scratch (if Array.length monitors = 0 then 1 else monitors.(0).alphabet)
+  in
+  let groups = ref [] in
+  let finish members lv =
+    let members = Array.of_list (List.rev members) in
+    let lv =
+      if Array.length members > 1 then lv
+      else
+        let pd = monitors.(members.(0)) in
+        single pd (Array.init pd.nstates Fun.id)
+    in
+    groups := close monitors members lv :: !groups
+  in
+  let cur = ref None in
+  Array.iteri
+    (fun m (pd : Packed_dfa.t) ->
+      if not (pd.vacuous || pd.pre_tripped) then begin
+        let fresh () = Some ([ m ], single pd (starts m)) in
+        cur :=
+          match !cur with
+          | None -> fresh ()
+          | Some (ms, lv) -> (
+              match
+                if List.length ms = max_members then None
+                else pair sc lv pd (starts m)
+              with
+              | Some lv' -> Some (m :: ms, lv')
+              | None ->
+                  finish ms lv;
+                  fresh ())
+      end)
+    monitors;
+  Option.iter (fun (ms, lv) -> finish ms lv) !cur;
+  Array.of_list (List.rev !groups)
+
+(* [build_groups] inside an [engine.plan] span, with the plan's shape
+   in the span and the product gauges: plan-time telemetry only. *)
+let planned monitors roots =
+  let sp = Obs.Span.enter "engine.plan" and t0_us = Obs.Clock.now_us () in
+  let groups = build_groups monitors roots in
+  let states = Array.fold_left (fun acc gr -> acc + gr.size) 0 groups in
+  Obs.Metrics.set g_product_groups (Array.length groups);
+  Obs.Metrics.set g_product_states states;
+  Obs.Span.attr sp "groups" (Array.length groups);
+  Obs.Span.attr sp "states" states;
+  Obs.Span.attr sp "build_us" (int_of_float (Obs.Clock.now_us () -. t0_us));
+  Obs.Span.exit sp;
+  groups
 
 (* The immutable compiled plan: everything a run needs that is a pure
    function of the registry's compiled monitors. Separated from the
@@ -83,28 +348,72 @@ type plan = {
   alphabet : int;
   nvacuous : int;
   npretripped : int;
-  (* Fused transition megatable (see [Packed_dfa.fuse]): all monitors'
-     rows in one contiguous array, entries packing successor +
-     can_trip/accepting bits, with per-monitor base offsets. The step
-     loop walks only these two arrays; [monitors] stays the canonical
-     per-monitor view (keys, state counts) for the session codec,
-     reload carry-over and telemetry. *)
-  mega : int array;
-  mbase : int array;
+  groups : group array;  (* never mutated: engines extend copies *)
 }
 
+(* The trip table: position and trip state of each tripped (trace,
+   monitor), keyed [trace * M + monitor], in open addressing over two
+   int arrays, so a trip adds no block for the GC to walk. Trace ids are
+   dense, so the key is its own hash: the trips of a batch of new
+   traces land in neighbouring slots. A [keys] slot is -1 when free,
+   -2 when its entry was removed. *)
+type trip_table = {
+  mutable keys : int array;
+  mutable vals : int array;
+  mutable used : int;  (* slots not free *)
+}
+
+let trip_slot t key =
+  let mask = Array.length t.keys - 1 in
+  let h = ref (key land mask) in
+  while t.keys.(!h) <> -1 && t.keys.(!h) <> key do
+    h := (!h + 1) land mask
+  done;
+  !h
+
+let rec trip_set t key v =
+  if 2 * (t.used + 1) > Array.length t.keys then begin
+    let keys = t.keys and vals = t.vals in
+    t.keys <- Array.make (2 * Array.length keys) (-1);
+    t.vals <- Array.make (2 * Array.length keys) 0;
+    t.used <- 0;
+    Array.iteri (fun i k -> if k >= 0 then trip_set t k vals.(i)) keys
+  end;
+  let h = trip_slot t key in
+  if t.keys.(h) = -1 then begin
+    t.keys.(h) <- key;
+    t.used <- t.used + 1
+  end;
+  t.vals.(h) <- v
+
+let trip_remove t key =
+  let h = trip_slot t key in
+  if t.keys.(h) = key then t.keys.(h) <- -2
+
+(* Per-trace run state lives in [slots], [stride] ints per trace id:
+   the trace's event count ([-1] while the id is not materialized),
+   then per group its product state and tripped mask. Trip positions
+   live in the sparse [trip_at] table, as [position * smax + state]
+   with the state the monitor tripped in: a trace that never trips
+   takes nothing there. *)
 type t = {
   plan : plan;
-  mutable traces : trace option array;
+  mutable groups : group array;
+  mutable where : int array;
+      (* monitor -> (group lsl 6) lor bit; -1 if vacuous or pre-tripped *)
+  mutable stride : int;
+  mutable slots : int array;
   mutable ntraces : int;
+  trip_at : trip_table;
+  smax : int;
+  nmembers : int;  (* monitors in groups: live on a fresh trace *)
   mutable events : int;
   mutable tripped : int;
   mutable retired_ok : int;
   mutable live_pairs : int;
-      (* live (trace, monitor) pairs: the sum of [nlive] over the trace
-         table, kept exact wherever a live list changes (trace
-         (re)initialization, the two retirement branches, restore) so
-         [live] never walks the table *)
+      (* live (trace, monitor) pairs, kept exact wherever a trace's
+         state changes (materialization, the two retirement branches,
+         restore, reset) so [live] never walks the table *)
   mutable hook :
     (trace:int -> monitor:int -> position:int -> tripped:bool -> unit) option;
       (** incremental retirement callback; [None] (the default) keeps
@@ -142,9 +451,25 @@ let plan_of_monitors monitors =
       if pd.Packed_dfa.vacuous then incr nvacuous;
       if pd.Packed_dfa.pre_tripped then incr npretripped)
     monitors;
-  let mega, mbase = Packed_dfa.fuse monitors in
+  let groups =
+    planned monitors [| Array.make (Array.length monitors) Packed_dfa.start |]
+  in
   { monitors; alphabet; nvacuous = !nvacuous; npretripped = !npretripped;
-    mega; mbase }
+    groups }
+
+let where_of m groups =
+  let w = Array.make m (-1) in
+  Array.iteri
+    (fun g gr -> Array.iteri (fun j mi -> w.(mi) <- (g lsl 6) lor j) gr.members)
+    groups;
+  w
+
+let empty_slots ~stride ~cap =
+  let a = Array.make (cap * stride) 0 in
+  for id = 0 to cap - 1 do
+    a.(id * stride) <- -1
+  done;
+  a
 
 let of_plan plan =
   let m = Array.length plan.monitors in
@@ -165,7 +490,13 @@ let of_plan plan =
           [ Sl_core.Wire.fnv64_hex pd.Packed_dfa.key ])
       plan.monitors
   in
-  { plan; traces = Array.make 4 None; ntraces = 0;
+  let stride = 1 + (2 * Array.length plan.groups) in
+  { plan; groups = Array.copy plan.groups; where = where_of m plan.groups;
+    stride; slots = empty_slots ~stride ~cap:4; ntraces = 0;
+    trip_at = { keys = Array.make 64 (-1); vals = Array.make 64 0; used = 0 };
+    smax = Array.fold_left (fun a pd -> max a pd.Packed_dfa.nstates) 1
+        plan.monitors;
+    nmembers = m - plan.nvacuous - plan.npretripped;
     events = 0; tripped = 0; retired_ok = 0; live_pairs = 0; hook = None;
     mtrips = Array.make mslots 0; mretires = Array.make mslots 0;
     mtrips0 = Array.make mslots 0; mretires0 = Array.make mslots 0;
@@ -176,108 +507,95 @@ let create ~monitors () = of_plan (plan_of_monitors monitors)
 let plan eng = eng.plan
 let plan_monitors plan = plan.monitors
 
-(* (Re)initialize a trace record in place: every non-vacuous monitor
-   starts live in the packed start state, except pre-tripped (empty
-   property) monitors, which are born violated at position 0. *)
-let init_trace eng (tr : trace) =
-  eng.live_pairs <- eng.live_pairs - tr.nlive;
-  tr.nlive <- 0;
-  tr.events <- 0;
-  Array.iteri
-    (fun m pd ->
-      tr.states.(m) <- Packed_dfa.start;
-      if pd.Packed_dfa.pre_tripped then begin
-        tr.tripped_at.(m) <- 0;
-        eng.tripped <- eng.tripped + 1
-      end
-      else begin
-        tr.tripped_at.(m) <- -1;
-        if not pd.Packed_dfa.vacuous then begin
-          tr.live.(tr.nlive) <- m;
-          tr.nlive <- tr.nlive + 1
-        end
-      end)
-    eng.plan.monitors;
-  eng.live_pairs <- eng.live_pairs + tr.nlive
-
-let mk_trace eng =
-  let m = Array.length eng.plan.monitors in
-  let tr =
-    { states = Array.make (max m 1) 0; live = Array.make (max m 1) 0;
-      nlive = 0; events = 0; tripped_at = Array.make (max m 1) (-1) }
-  in
-  init_trace eng tr;
-  tr
-
-let get_trace eng id =
+(* The slot offset of trace [id], materializing it on first use: every
+   group starts in its state 0 with nothing tripped, and pre-tripped
+   (empty property) monitors are born violated at position 0. *)
+let materialize eng id =
   if id < 0 then invalid_arg "Engine: negative trace id";
-  if id >= Array.length eng.traces then begin
-    let cap = max (2 * Array.length eng.traces) (id + 1) in
-    let a = Array.make cap None in
-    Array.blit eng.traces 0 a 0 (Array.length eng.traces);
-    eng.traces <- a
+  let base = id * eng.stride in
+  if base >= Array.length eng.slots then begin
+    let old = eng.slots in
+    let cap = max (2 * (Array.length old / eng.stride)) (id + 1) in
+    let a = empty_slots ~stride:eng.stride ~cap in
+    Array.blit old 0 a 0 (Array.length old);
+    eng.slots <- a
   end;
-  match eng.traces.(id) with
-  | Some tr -> tr
-  | None ->
-      let tr = mk_trace eng in
-      eng.traces.(id) <- Some tr;
-      if id >= eng.ntraces then eng.ntraces <- id + 1;
-      tr
+  if Array.unsafe_get eng.slots base < 0 then begin
+    eng.slots.(base) <- 0;
+    eng.tripped <- eng.tripped + eng.plan.npretripped;
+    eng.live_pairs <- eng.live_pairs + eng.nmembers;
+    if id >= eng.ntraces then eng.ntraces <- id + 1
+  end;
+  base
 
-(* The per-event hot path: step every live monitor of the trace through
-   the fused megatable; trip (and retire) on a rejecting state, retire
-   as admissible-forever when no rejecting state is reachable anymore.
-   A megatable entry packs the successor with its accepting/can_trip
-   bits, so the verdict decision is one array read per live monitor —
-   no per-monitor record dereference. The live list stays in ascending
-   monitor order: retirement compacts it in place, so the monitors
-   retiring at one event fire in ascending index. No allocation
-   anywhere on this path ([fire] closes over nothing when the hook is
-   [None]: one comparison per retirement, never per event). *)
 let fire eng ~trace ~monitor ~position ~tripped =
   match eng.hook with
   | None -> ()
   | Some h -> h ~trace ~monitor ~position ~tripped
 
-let step_trace eng ~id (tr : trace) symbol =
-  tr.events <- tr.events + 1;
-  eng.events <- eng.events + 1;
-  let mega = eng.plan.mega in
-  let mbase = eng.plan.mbase in
-  let alphabet = eng.plan.alphabet in
-  let kept = ref 0 in
-  for i = 0 to tr.nlive - 1 do
-    let m = Array.unsafe_get tr.live i in
-    let e =
-      Array.unsafe_get mega
-        (Array.unsafe_get mbase m
-        + (Array.unsafe_get tr.states m * alphabet)
-        + symbol)
-    in
-    if e land 1 = 0 then begin
-      (* rejecting successor: trip *)
-      Array.unsafe_set tr.tripped_at m tr.events;
-      eng.tripped <- eng.tripped + 1;
-      eng.mtrips.(m) <- eng.mtrips.(m) + 1;
-      eng.live_pairs <- eng.live_pairs - 1;
-      fire eng ~trace:id ~monitor:m ~position:tr.events ~tripped:true
-    end
-    else begin
-      Array.unsafe_set tr.states m (e lsr 2);
-      if e land 2 <> 0 then begin
-        Array.unsafe_set tr.live !kept m;
-        incr kept
-      end
-      else begin
-        eng.retired_ok <- eng.retired_ok + 1;
-        eng.mretires.(m) <- eng.mretires.(m) + 1;
+(* An edge that trips or retires members: record those not already
+   tripped, in ascending monitor index. [slot] is the group's state
+   slot, already holding the successor. *)
+let emit eng gr ~id ~slot ~edge ~position =
+  let slots = eng.slots in
+  let tripped = slots.(slot + 1) in
+  let trips = gr.trips.(edge) land lnot tripped
+  and retires = gr.retires.(edge) land lnot tripped in
+  if trips lor retires <> 0 then begin
+    slots.(slot + 1) <- tripped lor trips;
+    let k = Array.length gr.members and p = slots.(slot) in
+    let bits = ref (trips lor retires) and j = ref 0 in
+    while !bits <> 0 do
+      if !bits land 1 <> 0 then begin
+        let m = gr.members.(!j) in
         eng.live_pairs <- eng.live_pairs - 1;
-        fire eng ~trace:id ~monitor:m ~position:tr.events ~tripped:false
-      end
-    end
-  done;
-  tr.nlive <- !kept
+        if trips land (1 lsl !j) <> 0 then begin
+          (* a trip edge is a self-loop: the successor holds the state
+             the monitor tripped in *)
+          trip_set eng.trip_at
+            ((id * Array.length eng.where) + m)
+            ((position * eng.smax) + gr.tuples.((p * k) + !j));
+          eng.tripped <- eng.tripped + 1;
+          eng.mtrips.(m) <- eng.mtrips.(m) + 1;
+          fire eng ~trace:id ~monitor:m ~position ~tripped:true
+        end
+        else begin
+          eng.retired_ok <- eng.retired_ok + 1;
+          eng.mretires.(m) <- eng.mretires.(m) + 1;
+          fire eng ~trace:id ~monitor:m ~position ~tripped:false
+        end
+      end;
+      bits := !bits lsr 1;
+      incr j
+    done
+  end
+
+(* The per-event hot path: one product-table read per group. The entry
+   packs the successor with a bit saying whether the edge trips or
+   retires anything; only then are the masks read. A known trace skips
+   the call to [materialize]. No allocation unless a monitor trips
+   ([fire] closes over nothing when the hook is [None]: one comparison
+   per retirement, never per event). *)
+let step_trace eng id symbol =
+  let base = id * eng.stride in
+  let base =
+    if id >= 0 && base < Array.length eng.slots
+       && Array.unsafe_get eng.slots base >= 0
+    then base
+    else materialize eng id
+  in
+  let slots = eng.slots in
+  let position = Array.unsafe_get slots base + 1 in
+  Array.unsafe_set slots base position;
+  eng.events <- eng.events + 1;
+  let groups = eng.groups and alphabet = eng.plan.alphabet in
+  for g = 0 to Array.length groups - 1 do
+    let gr = Array.unsafe_get groups g and slot = base + 1 + (2 * g) in
+    let edge = (Array.unsafe_get slots slot * alphabet) + symbol in
+    let e = Array.unsafe_get gr.next edge in
+    Array.unsafe_set slots slot (e lsr 1);
+    if e land 1 <> 0 then emit eng gr ~id ~slot ~edge ~position
+  done
 
 let check_symbol eng symbol =
   if symbol < 0 || symbol >= eng.plan.alphabet then
@@ -319,14 +637,13 @@ let record_chunk eng ~n ~t0_us ~mw0 ~tripped0 ~retired0 =
 
 let step eng ~trace ~symbol =
   check_symbol eng symbol;
-  if not (Obs.is_enabled ()) then
-    step_trace eng ~id:trace (get_trace eng trace) symbol
+  if not (Obs.is_enabled ()) then step_trace eng trace symbol
   else begin
     let t0_us = Obs.Clock.now_us () in
     let mw0 = Gc.minor_words () in
     let tripped0 = eng.tripped and retired0 = eng.retired_ok in
     snapshot_monitors eng;
-    step_trace eng ~id:trace (get_trace eng trace) symbol;
+    step_trace eng trace symbol;
     record_chunk eng ~n:1 ~t0_us ~mw0 ~tripped0 ~retired0
   end
 
@@ -338,8 +655,7 @@ let feed eng ?(off = 0) ~n ~traces ~symbols () =
     for k = off to off + n - 1 do
       let symbol = Array.unsafe_get symbols k in
       check_symbol eng symbol;
-      let id = Array.unsafe_get traces k in
-      step_trace eng ~id (get_trace eng id) symbol
+      step_trace eng (Array.unsafe_get traces k) symbol
     done
   in
   if not (Obs.is_enabled ()) then run ()
@@ -365,11 +681,19 @@ let reset eng =
   eng.events <- 0;
   eng.tripped <- 0;
   eng.retired_ok <- 0;
+  eng.live_pairs <- 0;
   Array.fill eng.mtrips 0 (Array.length eng.mtrips) 0;
   Array.fill eng.mretires 0 (Array.length eng.mretires) 0;
-  Array.iter
-    (function Some tr -> init_trace eng tr | None -> ())
-    eng.traces
+  Array.fill eng.trip_at.keys 0 (Array.length eng.trip_at.keys) (-1);
+  eng.trip_at.used <- 0;
+  for id = 0 to eng.ntraces - 1 do
+    let base = id * eng.stride in
+    if eng.slots.(base) >= 0 then begin
+      Array.fill eng.slots base eng.stride 0;
+      eng.tripped <- eng.tripped + eng.plan.npretripped;
+      eng.live_pairs <- eng.live_pairs + eng.nmembers
+    end
+  done
 
 let set_retire_hook eng h = eng.hook <- h
 
@@ -382,9 +706,38 @@ let nvacuous eng = eng.plan.nvacuous
 
 let live eng = eng.live_pairs
 
+(* The slot offset of a materialized trace. *)
+let base_of eng id =
+  if id >= 0 && id < eng.ntraces && eng.slots.(id * eng.stride) >= 0 then
+    Some (id * eng.stride)
+  else None
+
 let trace_events eng id =
-  if id < 0 || id >= Array.length eng.traces then 0
-  else match eng.traces.(id) with Some tr -> tr.events | None -> 0
+  match base_of eng id with Some base -> eng.slots.(base) | None -> 0
+
+let rec popcount x = if x = 0 then 0 else 1 + popcount (x land (x - 1))
+
+(* Position and state of a tripped (trace, monitor). *)
+let trip_entry eng id m =
+  let t = eng.trip_at in
+  let v = t.vals.(trip_slot t ((id * Array.length eng.where) + m)) in
+  (v / eng.smax, v mod eng.smax)
+
+(* [f m state ~tripped ~live] for every member monitor of a
+   materialized trace, in ascending monitor index; [state] is the
+   shadow state (a tripped monitor's trip state is in [trip_at]). *)
+let iter_members eng base f =
+  Array.iteri
+    (fun g gr ->
+      let p = eng.slots.(base + 1 + (2 * g))
+      and t = eng.slots.(base + 2 + (2 * g)) in
+      let k = Array.length gr.members in
+      let live = gr.cantrip.(p) land lnot t in
+      for j = 0 to k - 1 do
+        f gr.members.(j) gr.tuples.((p * k) + j)
+          ~tripped:(t land (1 lsl j) <> 0) ~live:(live land (1 lsl j) <> 0)
+      done)
+    eng.groups
 
 (* Exact per-monitor verdict census over the materialized traces —
    derived from the trace table itself, not the telemetry counters, so
@@ -397,66 +750,62 @@ type monitor_counts = {
 }
 
 let monitor_counts eng =
-  let m = Array.length eng.plan.monitors in
+  let monitors = eng.plan.monitors in
+  let m = Array.length monitors in
   let live = Array.make (max m 1) 0 and tripped = Array.make (max m 1) 0 in
   let seen = ref 0 in
-  Array.iter
-    (function
-      | None -> ()
-      | Some tr ->
-          incr seen;
-          for i = 0 to tr.nlive - 1 do
-            let mi = tr.live.(i) in
-            live.(mi) <- live.(mi) + 1
-          done;
-          for mi = 0 to m - 1 do
-            if tr.tripped_at.(mi) >= 0 then tripped.(mi) <- tripped.(mi) + 1
-          done)
-    eng.traces;
+  for id = 0 to eng.ntraces - 1 do
+    match base_of eng id with
+    | None -> ()
+    | Some base ->
+        incr seen;
+        iter_members eng base (fun mi _ ~tripped:t ~live:l ->
+            if l then live.(mi) <- live.(mi) + 1;
+            if t then tripped.(mi) <- tripped.(mi) + 1)
+  done;
   Array.init m (fun mi ->
-      if eng.plan.monitors.(mi).Packed_dfa.vacuous then
+      let pd = monitors.(mi) in
+      if pd.Packed_dfa.vacuous then
         { mc_live = 0; mc_tripped = 0; mc_retired = 0 }
+      else if pd.Packed_dfa.pre_tripped then
+        { mc_live = 0; mc_tripped = !seen; mc_retired = 0 }
       else
         { mc_live = live.(mi); mc_tripped = tripped.(mi);
           mc_retired = !seen - live.(mi) - tripped.(mi) })
 
 (* Cheap per-trace census for /traces: (events, live, tripped) without
-   copying the packed state the way [export_trace] does. *)
+   copying the per-monitor states the way [export_trace] does. *)
 let trace_summary eng id =
-  if id < 0 || id >= Array.length eng.traces then None
-  else
-    match eng.traces.(id) with
-    | None -> None
-    | Some tr ->
-        let m = Array.length eng.plan.monitors in
-        let ntripped = ref 0 in
-        for mi = 0 to m - 1 do
-          if tr.tripped_at.(mi) >= 0 then incr ntripped
-        done;
-        Some (tr.events, tr.nlive, !ntripped)
+  match base_of eng id with
+  | None -> None
+  | Some base ->
+      let live = ref 0 and tripped = ref eng.plan.npretripped in
+      Array.iteri
+        (fun g gr ->
+          let p = eng.slots.(base + 1 + (2 * g))
+          and t = eng.slots.(base + 2 + (2 * g)) in
+          live := !live + popcount (gr.cantrip.(p) land lnot t);
+          tripped := !tripped + popcount t)
+        eng.groups;
+      Some (eng.slots.(base), !live, !tripped)
 
 let verdict eng ~trace ~monitor =
   let pd = eng.plan.monitors.(monitor) in
-  let fresh () =
-    if pd.Packed_dfa.vacuous then Vacuous
-    else if pd.Packed_dfa.pre_tripped then Violation { position = 0 }
-    else Admissible
-  in
-  if trace < 0 || trace >= Array.length eng.traces then fresh ()
+  if pd.Packed_dfa.vacuous then Vacuous
+  else if pd.Packed_dfa.pre_tripped then Violation { position = 0 }
   else
-    match eng.traces.(trace) with
-    | None -> fresh ()
-    | Some tr ->
-        if pd.Packed_dfa.vacuous then Vacuous
-        else if tr.tripped_at.(monitor) >= 0 then
-          Violation { position = tr.tripped_at.(monitor) }
-        else Admissible
+    match base_of eng trace with
+    | None -> Admissible
+    | Some base ->
+        let w = eng.where.(monitor) in
+        if eng.slots.(base + 2 + (2 * (w lsr 6))) land (1 lsl (w land 63)) = 0
+        then Admissible
+        else Violation { position = fst (trip_entry eng trace monitor) }
 
-(* Externalization: the packed per-trace state as plain arrays, so the
-   session codec can serialize a run without reaching into the engine's
-   representation. [ts_states] and [ts_tripped_at] are full M-length
-   copies; [ts_live] is the compact live list, in ascending monitor
-   order. *)
+(* Externalization: the per-trace state as plain per-monitor arrays,
+   decoded from the product's tuple table and the trip table, so the
+   session codec can serialize a run without reaching into the
+   engine's representation. [ts_live] is ascending. *)
 type trace_state = {
   ts_events : int;
   ts_states : int array;
@@ -465,17 +814,168 @@ type trace_state = {
 }
 
 let export_trace eng id =
-  if id < 0 || id >= Array.length eng.traces then None
-  else
-    match eng.traces.(id) with
-    | None -> None
-    | Some tr ->
-        let m = Array.length eng.plan.monitors in
-        Some
-          { ts_events = tr.events;
-            ts_states = Array.sub tr.states 0 m;
-            ts_live = Array.sub tr.live 0 tr.nlive;
-            ts_tripped_at = Array.sub tr.tripped_at 0 m }
+  match base_of eng id with
+  | None -> None
+  | Some base ->
+      let monitors = eng.plan.monitors in
+      let m = Array.length monitors in
+      let states = Array.make m Packed_dfa.start in
+      let tripped_at =
+        Array.map (fun pd -> if pd.Packed_dfa.pre_tripped then 0 else -1)
+          monitors
+      in
+      let live = ref [] in
+      iter_members eng base (fun mi q ~tripped ~live:l ->
+          if tripped then begin
+            let position, state = trip_entry eng id mi in
+            tripped_at.(mi) <- position;
+            states.(mi) <- state
+          end
+          else states.(mi) <- q;
+          if l then live := mi :: !live);
+      Some
+        { ts_events = eng.slots.(base); ts_states = states;
+          ts_live = Array.of_list (List.rev !live); ts_tripped_at = tripped_at }
+
+(* ---- Restore: tuples outside the product ----
+
+   A restored tuple — a snapshot's, or reload carry-over's, which
+   starts fresh monitors at state 0 in the middle of a trace — need not
+   be reachable in the product built from the start state. The engine
+   then extends its own copy of the group's product from that tuple;
+   if the group passes the cap, it re-plans with every trace's current
+   tuple as an extra root. *)
+
+(* The engine's own copy of group [g] (the plan's groups are shared). *)
+let own eng g =
+  let gr = eng.groups.(g) in
+  if g < Array.length eng.plan.groups && gr == eng.plan.groups.(g) then begin
+    let copy =
+      { gr with next = Array.copy gr.next; trips = Array.copy gr.trips;
+        retires = Array.copy gr.retires; tuples = Array.copy gr.tuples;
+        cantrip = Array.copy gr.cantrip; index = None }
+    in
+    eng.groups.(g) <- copy;
+    copy
+  end
+  else gr
+
+let index gr =
+  match gr.index with
+  | Some t -> t
+  | None ->
+      let k = Array.length gr.members in
+      let t = Tuples.create (2 * gr.size) in
+      for p = 0 to gr.size - 1 do
+        Tuples.replace t (Array.sub gr.tuples (p * k) k) p
+      done;
+      gr.index <- Some t;
+      t
+
+(* Add the states reachable from tuple [t] to an engine-owned group;
+   [t]'s state, or [None] once the group passes the cap. *)
+let extend eng gr t =
+  let monitors = eng.plan.monitors and alphabet = eng.plan.alphabet in
+  let k = Array.length gr.members and idx = index gr in
+  let add t =
+    let p = gr.size in
+    if p = Array.length gr.cantrip then begin
+      let grow a per = Array.append a (Array.make (max 1 p * per) 0) in
+      gr.next <- grow gr.next alphabet;
+      gr.trips <- grow gr.trips alphabet;
+      gr.retires <- grow gr.retires alphabet;
+      gr.tuples <- grow gr.tuples k;
+      gr.cantrip <- grow gr.cantrip 1
+    end;
+    Array.blit t 0 gr.tuples (p * k) k;
+    gr.size <- p + 1;
+    Tuples.add idx t p;
+    p
+  in
+  let root = add t in
+  let p = ref root in
+  while !p < gr.size && gr.size <= max_states do
+    let q = !p in
+    let succ =
+      Array.init alphabet (fun s ->
+          let t' =
+            Array.init k (fun j ->
+                shadow monitors.(gr.members.(j)) gr.tuples.((q * k) + j) s)
+          in
+          match Tuples.find_opt idx t' with Some p' -> p' | None -> add t')
+    in
+    fill monitors gr q succ;
+    incr p
+  done;
+  if gr.size > max_states then None else Some root
+
+(* Each group's state for the per-monitor states [v], extending groups
+   as needed; [None] if one passes the cap. *)
+let encode eng v =
+  let ps = Array.make (Array.length eng.groups) 0 in
+  let ok = ref true in
+  for g = 0 to Array.length eng.groups - 1 do
+    if !ok then begin
+      let gr = own eng g in
+      let t = Array.map (fun m -> v.(m)) gr.members in
+      match Tuples.find_opt (index gr) t with
+      | Some p -> ps.(g) <- p
+      | None -> (
+          match extend eng gr t with
+          | Some p -> ps.(g) <- p
+          | None -> ok := false)
+    end
+  done;
+  if !ok then Some ps else None
+
+(* Re-plan with the start vector, [v] and every trace's current states
+   as roots (each distinct one once), and re-encode every trace into
+   the new groups. *)
+let replan eng v =
+  let m = Array.length eng.plan.monitors in
+  let vector base =
+    let a = Array.make m Packed_dfa.start in
+    iter_members eng base (fun mi q ~tripped:_ ~live:_ -> a.(mi) <- q);
+    a
+  in
+  let seen = Tuples.create 64 and roots = ref [] in
+  let root r =
+    if not (Tuples.mem seen r) then begin
+      Tuples.add seen r ();
+      roots := r :: !roots
+    end
+  in
+  root (Array.make m Packed_dfa.start);
+  root v;
+  for id = 0 to eng.ntraces - 1 do
+    Option.iter (fun base -> root (vector base)) (base_of eng id)
+  done;
+  let groups = planned eng.plan.monitors (Array.of_list (List.rev !roots)) in
+  let stride = 1 + (2 * Array.length groups) in
+  let slots = empty_slots ~stride ~cap:(Array.length eng.slots / eng.stride) in
+  let where = where_of m groups in
+  for id = 0 to eng.ntraces - 1 do
+    match base_of eng id with
+    | None -> ()
+    | Some base ->
+        let nb = id * stride and vec = vector base in
+        slots.(nb) <- eng.slots.(base);
+        iter_members eng base (fun mi _ ~tripped ~live:_ ->
+            if tripped then begin
+              let w = where.(mi) in
+              let at = nb + 2 + (2 * (w lsr 6)) in
+              slots.(at) <- slots.(at) lor (1 lsl (w land 63))
+            end);
+        Array.iteri
+          (fun g gr ->
+            let t = Array.map (fun mi -> vec.(mi)) gr.members in
+            slots.(nb + 1 + (2 * g)) <- Tuples.find (index gr) t)
+          groups
+  done;
+  eng.groups <- groups;
+  eng.where <- where;
+  eng.stride <- stride;
+  eng.slots <- slots
 
 (* Restoring trusts nothing: a snapshot is bytes from disk, so every
    field is validated against the plan before it touches engine state.
@@ -489,6 +989,7 @@ let restore_trace eng id (ts : trace_state) =
       (fun s -> invalid_arg (Printf.sprintf "Engine.restore_trace: %s" s))
       fmt
   in
+  if id < 0 then fail "negative trace id %d" id;
   if Array.length ts.ts_states <> m then
     fail "states length %d (have %d monitors)" (Array.length ts.ts_states) m;
   if Array.length ts.ts_tripped_at <> m then
@@ -506,33 +1007,69 @@ let restore_trace eng id (ts : trace_state) =
     if p < -1 || p > ts.ts_events then
       fail "monitor %d trip position %d outside [-1, %d]" i p ts.ts_events
   done;
-  let seen = Array.make (max m 1) false in
+  let live = Array.make (max m 1) false in
   Array.iter
     (fun mi ->
       if mi < 0 || mi >= m then fail "live monitor %d outside [0, %d)" mi m;
-      if seen.(mi) then fail "monitor %d listed live twice" mi;
-      seen.(mi) <- true;
+      if live.(mi) then fail "monitor %d listed live twice" mi;
+      live.(mi) <- true;
       if ts.ts_tripped_at.(mi) >= 0 then
         fail "monitor %d both live and tripped" mi;
       if monitors.(mi).Packed_dfa.vacuous then
         fail "vacuous monitor %d listed live" mi)
     ts.ts_live;
-  (* [get_trace] materializes (and init_trace-counts pre-tripped
-     monitors into [eng.tripped]); the blits below overwrite the fresh
-     state, and [set_counters] afterwards overwrites the counters. The
-     live census is not a snapshot counter: it swaps the overwritten
-     list's length for the restored one here. *)
-  let tr = get_trace eng id in
-  Array.blit ts.ts_states 0 tr.states 0 m;
-  Array.blit ts.ts_tripped_at 0 tr.tripped_at 0 m;
-  (* the step loop keeps the live list ascending; snapshots written
-     before it did may list it in any order *)
-  let live = Array.copy ts.ts_live in
-  Array.sort compare live;
-  Array.blit live 0 tr.live 0 (Array.length live);
-  eng.live_pairs <- eng.live_pairs - tr.nlive + Array.length ts.ts_live;
-  tr.nlive <- Array.length ts.ts_live;
-  tr.events <- ts.ts_events
+  (* A run never leaves a monitor elsewhere than these: vacuous and
+     pre-tripped monitors at the start, pre-tripped ones tripped at 0,
+     and an untripped monitor live exactly while it can still trip. *)
+  Array.iteri
+    (fun i (pd : Packed_dfa.t) ->
+      let s = ts.ts_states.(i) and p = ts.ts_tripped_at.(i) in
+      if pd.vacuous || pd.pre_tripped then begin
+        if s <> Packed_dfa.start then
+          fail "monitor %d never steps, but is in state %d" i s;
+        if p <> if pd.pre_tripped then 0 else -1 then
+          fail "monitor %d trip position %d" i p
+      end
+      else if p < 0 && live.(i) <> pd.can_trip.(s) then
+        fail "monitor %d %s in state %d" i
+          (if live.(i) then "live" else "retired") s)
+    monitors;
+  let ps =
+    match encode eng ts.ts_states with
+    | Some ps -> ps
+    | None ->
+        replan eng ts.ts_states;
+        Option.get (encode eng ts.ts_states)
+  in
+  (* [materialize] counts a fresh trace's pre-tripped monitors into
+     [eng.tripped] ([set_counters] afterwards overwrites the counters)
+     and its live monitors into the live census, which swaps the
+     overwritten state's live count for the restored one here. *)
+  let base = materialize eng id in
+  Array.iteri
+    (fun g gr ->
+      let slot = base + 1 + (2 * g) in
+      let t = eng.slots.(slot + 1) in
+      eng.live_pairs <-
+        eng.live_pairs - popcount (gr.cantrip.(eng.slots.(slot)) land lnot t);
+      let t' = ref 0 in
+      Array.iteri
+        (fun j mi ->
+          if t land (1 lsl j) <> 0 then
+            trip_remove eng.trip_at ((id * m) + mi);
+          let p = ts.ts_tripped_at.(mi) in
+          if p >= 0 then begin
+            t' := !t' lor (1 lsl j);
+            trip_set eng.trip_at ((id * m) + mi)
+              ((p * eng.smax) + ts.ts_states.(mi))
+          end)
+        gr.members;
+      eng.slots.(slot) <- ps.(g);
+      eng.slots.(slot + 1) <- !t';
+      eng.live_pairs <-
+        eng.live_pairs + popcount (gr.cantrip.(ps.(g)) land lnot !t'))
+    eng.groups;
+  eng.slots.(base) <- ts.ts_events
 
 let set_counters eng ~events ~tripped ~retired_admissible =
   if events < 0 || tripped < 0 || retired_admissible < 0 then

@@ -1,13 +1,23 @@
 (** The streaming monitoring engine: M compiled monitors over N
     concurrent traces.
 
-    Per-trace monitor state is packed in [int array]s (one current DFA
-    state per distinct monitor, a compact live list, a trip-position
-    array); the per-event step is a flat-array walk over the live
-    monitors with no allocation. Monitors retire early — on trip
-    (violation is irrevocable), and as admissible-forever once no
-    rejecting state is reachable from their current state; vacuous
-    (pure-liveness) monitors never enter the live list at all. *)
+    Safety properties are closed under meets (paper §3), so the fleet
+    runs as a shadow product automaton, built once at plan time. Every
+    monitor that can trip becomes a Mealy machine: an edge into the
+    reject sink is a self-loop that emits a trip bit, an edge from a
+    state that can still trip to one that cannot emits a retire bit
+    (and then freezes). The monitors are grouped in contiguous index
+    runs of at most 62 monitors and 4096 product states; a product
+    edge holds the successor and the trip and retire masks. A trace is
+    a few ints: per group its product state and tripped mask, and its
+    event count. Trip positions live in a sparse table, so a trace
+    that never trips allocates nothing, and the per-event step is one
+    table read per group.
+
+    Monitors retire early — on trip (violation is irrevocable), and as
+    admissible-forever once no rejecting state is reachable from their
+    current state; vacuous (pure-liveness) and pre-tripped
+    (empty-property) monitors are in no group at all. *)
 
 type verdict =
   | Vacuous
@@ -22,19 +32,24 @@ type t
 
 type plan
 (** The immutable compiled plan: monitors, alphabet, the derived
-    vacuous/pre-tripped census, and the fused transition megatable
-    ({!Packed_dfa.fuse}) the step loop walks — one contiguous array
-    with per-monitor base offsets, so the per-event inner loop reads a
-    single cache-friendly table instead of chasing M monitor records.
-    A pure function of the registry's compiled monitors — shareable
-    across engines and never mutated by a run, which is what lets the
-    session layer snapshot only the mutable run state and re-attach it
-    to a plan recompiled elsewhere; per-trace states, the session
-    codec, and reload carry-over keep indexing monitors by their
-    unchanged canonical keys. *)
+    vacuous/pre-tripped census, and the grouped shadow product the
+    step loop walks, built from the start state. A pure function of
+    the registry's compiled monitors — shareable across engines and
+    never mutated by a run (an engine that must extend a group's
+    product works on its own copy), which is what lets the session
+    layer snapshot only the mutable run state and re-attach it to a
+    plan recompiled elsewhere. The product is derived layout, never
+    serialized: per-trace states, the session codec, and reload
+    carry-over keep indexing monitors by their unchanged canonical
+    keys. *)
 
 val plan_of_monitors : Packed_dfa.t array -> plan
 (** All monitors must share an alphabet (the registry guarantees this).
+    Builds the product groups greedily: a group closes when adding the
+    next monitor would pass 62 monitors or 4096 product states; a
+    group of one holds every state of its monitor. Sets the
+    [engine_product_groups] and [engine_product_states] gauges and
+    records an [engine.plan] span ([groups], [states], [build_us]).
     @raise Invalid_argument otherwise. *)
 
 val of_plan : plan -> t
@@ -49,8 +64,8 @@ val create : monitors:Packed_dfa.t array -> unit -> t
 
 val step : t -> trace:int -> symbol:int -> unit
 (** Feed one event. Trace ids are dense nonnegative ints (see
-    [Ingest]); a fresh id allocates its packed state block on first
-    use. @raise Invalid_argument if the symbol is outside the
+    [Ingest]); a fresh id takes its slots in the flat trace table on
+    first use. @raise Invalid_argument if the symbol is outside the
     alphabet. *)
 
 val feed :
@@ -92,7 +107,8 @@ val set_retire_hook :
     Ordering: the hook fires in exact event order, from inside the
     step that retires the monitor, so {!feed} and the equivalent
     sequence of {!step} calls fire the same sequence. Monitors retiring
-    at the same event fire in ascending monitor index. The hook must not
+    at the same event fire in ascending monitor index, trips and
+    admissible retirements interleaved, whatever group they are in. The hook must not
     call back into the engine's stepping API. Restoring a snapshot
     fires no hooks. *)
 
@@ -106,10 +122,11 @@ val events : t -> int
 
 val trace_events : t -> int -> int
 val live : t -> int
-(** Live (still undecided) monitor instances across all traces. O(1):
-    the engine keeps the count as each trace's live list changes
-    (materialization, retirement, restore), so it is exact
-    at every point — including after {!reset}, {!restore_trace} and a
+(** Live (still undecided) monitor instances across all traces: a
+    monitor is live on a trace while it is untripped and its state can
+    still trip. O(1): the engine keeps the count as each trace's state
+    changes (materialization, retirement, restore), so it is exact at
+    every point — including after {!reset}, {!restore_trace} and a
     reload carry-over — and never walks the trace table. Derived
     state: snapshots neither save nor restore it. *)
 
@@ -147,17 +164,22 @@ val trace_summary : t -> int -> (int * int * int) option
 
 (** {1 Run-state externalization}
 
-    The session codec's view of a run: per-trace packed state as plain
-    arrays, plus the engine-global counters. Exporting copies out of the
-    engine; restoring validates every field against the plan before
-    touching engine state, so a corrupted snapshot can never leave the
-    engine in a state the run loop couldn't have produced. *)
+    The session codec's view of a run: per-trace, per-monitor packed
+    states as plain arrays, decoded from the product's tuple table and
+    the trip table, plus the engine-global counters. Exporting copies
+    out of the engine; restoring validates every field against the
+    plan before touching engine state, so a corrupted snapshot can
+    never leave the engine in a state the run loop couldn't have
+    produced. *)
 
 type trace_state = {
   ts_events : int;  (** events this trace has seen *)
-  ts_states : int array;  (** current DFA state per monitor (length M) *)
+  ts_states : int array;
+      (** DFA state per monitor (length M): the current one, or for a
+          tripped monitor the state it tripped in *)
   ts_live : int array;
-      (** live monitor indices, ascending (restore accepts any order) *)
+      (** live monitor indices, ascending ({!restore_trace} accepts
+          any order) *)
   ts_tripped_at : int array;
       (** trip position per monitor, [-1] if not tripped (length M) *)
 }
@@ -168,9 +190,18 @@ val export_trace : t -> int -> trace_state option
 val restore_trace : t -> int -> trace_state -> unit
 (** Materialize trace [id] and overwrite its state. Validates lengths
     against the monitor count, states against each monitor's state
-    count, trip positions against the event count, and the live list
-    for range/duplicates/consistency with [ts_tripped_at].
+    count, trip positions against the event count, the live list for
+    range/duplicates/consistency with [ts_tripped_at], and that every
+    monitor is where a run can leave it: vacuous and pre-tripped
+    monitors in the start state (pre-tripped ones tripped at 0), an
+    untripped monitor live exactly while its state can still trip.
     @raise Invalid_argument on any inconsistency.
+
+    The states need not be reachable in the plan's product (reload
+    carry-over starts fresh monitors at state 0 mid-trace): the engine
+    then extends its own copy of the group's product from them, and
+    if that passes the group cap it re-plans with every trace's
+    current states as extra roots. No valid snapshot is refused.
 
     Restore traces {e first}, then {!set_counters}: materializing a
     trace counts pre-tripped monitors into the engine's [tripped]

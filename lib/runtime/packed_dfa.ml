@@ -121,7 +121,7 @@ let key pd = pd.key
 (* Fused megatable: every monitor's transition rows concatenated into
    one contiguous array, each entry carrying the successor together
    with its verdict-relevant bits — [(s' lsl 2) lor (can_trip(s') lsl
-   1) lor accepting(s')]. The engine's inner loop then decides
+   1) lor accepting(s')]. A per-monitor stepping loop then decides
    trip/continue/retire from a single array read per live monitor
    instead of three reads through a per-monitor record. Callers must
    pass a uniform-alphabet array (the registry guarantees it). *)

@@ -53,8 +53,9 @@ val fuse : t array -> int array * int array
     starting at [base.(m)]. The entry at [base.(m) + q * alphabet + s]
     is [(s' lsl 2) lor (can_trip lsl 1) lor accepting] for [s' = step
     monitors.(m) q s] — successor and verdict bits in one read, the
-    layout the engine's inner loop walks. All monitors must share an
-    alphabet. *)
+    layout a per-monitor stepping loop walks (the reference engine the
+    product engine is tested against; the benchmark sizes it). All
+    monitors must share an alphabet. *)
 
 (** {1 Serialization}
 

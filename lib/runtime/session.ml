@@ -43,7 +43,7 @@ let ingest t = t.ingest
      ntraces            int       engine trace-table extent
      per trace id:      bool + (int, int array, int array, int array)
                                   present; events, states, live list
-                                  (in list order), trip positions
+                                  (ascending), trip positions
    Re-interning [names] in order into a fresh interner reproduces the
    id assignment, so dense trace ids survive the round trip without
    being written per trace. *)

@@ -171,6 +171,33 @@ dune exec bin/slc.exe -- monitor --props "$otherprops" \
 [ "$status" -eq 2 ] || { echo "foreign snapshot not rejected"; exit 1; }
 rm -f "$snap" "$half1" "$half2" "$resumed" "$full" "$otherprops"
 
+# The same snapshot/resume round trip over a fleet the engine splits
+# into several product groups: G !w for every word of length 3..6
+# (120 monitors), on 4000 events over 32 traces.
+echo "--- slc monitor --snapshot/--resume smoke, split fleet"
+wdir=$(mktemp -d /tmp/slc-ci.XXXXXX)
+"$SMOKE" words120 "$wdir"
+run_split() { # run_split OUT TRACE [extra flags...]
+  _out=$1; _trace=$2; shift 2
+  status=0
+  dune exec bin/slc.exe -- monitor --props "$wdir/words.props" \
+    --trace "$_trace" --json "$@" > "$_out.raw" || status=$?
+  [ "$status" -eq 1 ]
+  sed 's/"events_per_s": [0-9.]*/"events_per_s": X/' "$_out.raw" > "$_out"
+  rm -f "$_out.raw"
+}
+head -n 2000 "$wdir/words.events" > "$wdir/half1"
+tail -n +2001 "$wdir/words.events" > "$wdir/half2"
+run_split "$wdir/full" "$wdir/words.events"
+status=0
+dune exec bin/slc.exe -- monitor --props "$wdir/words.props" \
+  --trace "$wdir/half1" --snapshot "$wdir/snap" > /dev/null || status=$?
+[ "$status" -le 1 ] || { echo "split-fleet snapshot run failed"; exit 1; }
+run_split "$wdir/resumed" "$wdir/half2" --resume "$wdir/snap"
+diff "$wdir/full" "$wdir/resumed" \
+  || { echo "split fleet: resumed report differs from uninterrupted"; exit 1; }
+rm -rf "$wdir"
+
 # Pack smoke: compile the example props into one artifact, list it back.
 echo "--- slc pack/unpack smoke"
 pack=$(mktemp /tmp/slc-ci.XXXXXX.slpack)

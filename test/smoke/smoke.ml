@@ -1,5 +1,6 @@
 (* End-to-end smokes of the built [slc], run by scripts/ci.sh from the
-   repository root as [smoke.exe trace-jsonl FILE | report-size | serve].
+   repository root as [smoke.exe trace-jsonl FILE | report-size | serve
+   | words120 DIR].
    The serve smokes start the real [slc serve] on a Unix socket in a
    fresh temp directory and hold it to the offline pipeline: the set of
    served (trace, prop, verdict, position) tuples must equal that of the
@@ -133,7 +134,7 @@ let same_verdicts what ~offline replies =
      only: %s)" what (show (Tuples.diff off srv)) (show (Tuples.diff srv off))
 
 (* The offline report of [events]; its exit code must be in [codes]. *)
-let offline ?(codes = [ 0; 1 ]) events =
+let offline ?(codes = [ 0; 1 ]) ?(props = props) events =
   let out = file "offline.json" in
   let code =
     run ~out
@@ -365,6 +366,39 @@ let check_monitors body ~offline =
           names)
     (arr "monitors" v)
 
+(* ---- the 120-word fleet ---- *)
+
+(* [G !w] in the nested [l0 & X (l1 & ...)] shape; [true] is [a]. *)
+let word_formula w =
+  let lit b = if b then "a" else "!a" in
+  let rec go = function
+    | [] -> "true"
+    | [ b ] -> lit b
+    | b :: tl -> lit b ^ " & X (" ^ go tl ^ ")"
+  in
+  "G !(" ^ go w ^ ")"
+
+(* [G !w] for every word over {a, !a} of length 3..6, one per line:
+   120 monitors whose product the engine splits into 3 groups. *)
+let words120_props =
+  List.concat_map
+    (fun n ->
+      List.init (1 lsl n) (fun bits ->
+          word_formula
+            (List.init n (fun i -> bits land (1 lsl (n - 1 - i)) <> 0))
+          ^ "\n"))
+    [ 3; 4; 5; 6 ]
+  |> String.concat ""
+
+(* 4000 random events over 32 traces, a holding 2 times in 3. *)
+let words_events path =
+  let rng = Random.State.make [| 20261018 |] in
+  write_file path
+    (String.concat ""
+       (List.init 4000 (fun _ ->
+            Printf.sprintf "w%d %d\n" (Random.State.int rng 32)
+              (if Random.State.int rng 3 < 2 then 0 else 1))))
+
 (* ---- the serve smokes ---- *)
 
 (* Two concurrent clients split the example stream by trace; client A
@@ -390,6 +424,95 @@ let served_offline () =
   stop "served = offline" daemon;
   same_verdicts "across a SIGHUP" ~offline replies;
   say "served = offline, two clients, mid-stream SIGHUP"
+
+(* Served = offline over the 120-word fleet, whose plan splits into
+   several product groups ([engine_product_groups] on /metrics). *)
+let split_fleet () =
+  let path = file "words.props" and events = file "words.events" in
+  write_file path words120_props;
+  words_events events;
+  let offline = offline ~props:path events in
+  let daemon = start ~props:path [] in
+  let reply = stream (read_file events) in
+  let groups = metric (get "/metrics") "engine_product_groups" in
+  stop "split fleet" daemon;
+  check
+    (match groups with Some g -> int_of_string g >= 2 | None -> false)
+    "split fleet: engine_product_groups %s"
+    (Option.value groups ~default:"missing");
+  same_verdicts "split fleet" ~offline [ reply ];
+  say "served = offline over the 120-word fleet (%s product groups)"
+    (Option.get groups)
+
+(* A SIGHUP reload that keeps G !(a & X a) while every trace sits just
+   after an [a], and adds a fresh G !(a & X !a). The fresh monitor
+   starts at its start state mid-trace: a state pair the product built
+   from the start state does not reach. The kept monitor must trip at
+   the first [a a] of the whole trace, the fresh one at the first
+   [a !a] after the reload. *)
+let fresh_monitor_reload () =
+  let kept = "G !(a & X a)" and fresh = "G !(a & X !a)" in
+  let path = file "fresh.props" in
+  write_file path (kept ^ "\n");
+  let daemon = start ~props:path [] in
+  (* symbol 0 is a; every trace starts with one a *)
+  let suffix i = [| [ 0; 1 ]; [ 1; 0; 0 ]; [ 1; 1 ]; [ 0 ] |].(i mod 4) in
+  let name i = Printf.sprintf "f%d" i and n = 8 in
+  let lines i w = String.concat "" (List.map (Printf.sprintf "%s %d\n" (name i)) w) in
+  let before = String.concat "" (List.init n (fun i -> lines i [ 0 ])) in
+  let after = String.concat "" (List.init n (fun i -> lines i (suffix i))) in
+  let c = client (before ^ after) in
+  c.limit <- String.length before;
+  pump ~to_eof:false [ c ];
+  let until what ok =
+    let deadline = now () +. 30. in
+    let rec go () =
+      if not (ok (check_status (get "/status"))) then begin
+        check (now () < deadline) "fresh-monitor reload: %s never seen" what;
+        Unix.sleepf 0.05;
+        go ()
+      end
+    in
+    go ()
+  in
+  until "the first events" (fun v -> int "events" v = n);
+  write_file path (kept ^ "\n" ^ fresh ^ "\n");
+  Unix.kill daemon Sys.sighup;
+  until "the reload" (fun v ->
+      let r = mem "reloads" v in
+      int "count" r = 1 && int "failures" r = 0);
+  c.limit <- String.length c.input;
+  let reply = List.hd (finish [ c ]) in
+  stop "fresh-monitor reload" daemon;
+  (* the first k at which w[k - 2], w[k - 1] = x, y, searching from
+     position [from] *)
+  let first ~from x y w =
+    let a = Array.of_list w in
+    let rec go k =
+      if k > Array.length a then None
+      else if a.(k - 2) = x && a.(k - 1) = y then Some k
+      else go (k + 1)
+    in
+    go (max 2 from)
+  in
+  let tuple i prop = function
+    | Some k -> (name i, prop, "violation", k)
+    | None -> (name i, prop, "admissible", -1)
+  in
+  let want =
+    List.init n (fun i ->
+        let w = 0 :: suffix i in
+        [ tuple i kept (first ~from:2 0 0 w); tuple i fresh (first ~from:3 0 1 w) ])
+    |> List.concat |> Tuples.of_list
+  in
+  let got = Served.served_tuples reply in
+  check (Tuples.equal want got)
+    "fresh-monitor reload: served %d verdicts, %d expected (first served: %s)"
+    (Tuples.cardinal got) (Tuples.cardinal want)
+    (match Tuples.min_elt_opt got with
+    | Some (t, p, v, k) -> Printf.sprintf "%s|%s|%s|%d" t p v k
+    | None -> "none");
+  say "SIGHUP adds a fresh monitor mid-trace: served = the model"
 
 (* A SIGHUP reload onto a props file with a line past the tableau's
    closure cap (G !w for a 10-letter word) skips that line: the daemon
@@ -671,9 +794,13 @@ let () =
     | [ "trace-jsonl"; path ] -> trace_jsonl path
     | [ "report-size" ] -> report_size ()
     | [ "serve" ] ->
-        served_offline (); over_cap_reload (); fd_exhaustion ();
+        served_offline (); split_fleet (); fresh_monitor_reload ();
+        over_cap_reload (); fd_exhaustion ();
         many_connections ();
         slow_reader (); restart (); soak ()
+    | [ "words120"; d ] ->
+        write_file (Filename.concat d "words.props") words120_props;
+        words_events (Filename.concat d "words.events")
     | _ -> prerr_endline "usage: see test/smoke/smoke.ml"; exit 2
   with e ->
     let msg = match e with Failed m -> m | e -> Printexc.to_string e in

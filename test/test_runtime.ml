@@ -734,6 +734,337 @@ let prop_live_census_exact =
       (* the same operations with and without the hook *)
       ok_dark && ok_hooked && live_dark = live_hooked)
 
+
+(* --- The shadow product against the per-monitor reference ---
+
+   [Engine] steps the fleet as grouped product automata; [Engine_ref]
+   is the seed's per-monitor live-list loop. On random fleets and
+   random operation mixes they must agree on everything a caller can
+   observe: hook sequences, verdicts, exports, census and counters. *)
+
+module Engine_ref = Reference.Engine_ref
+
+(* [G !w] in the nested [l0 & X (l1 & ...)] shape; [true] is [a]. *)
+let word_formula w =
+  let lit b = if b then "a" else "!a" in
+  let rec go = function
+    | [] -> "true"
+    | [ b ] -> lit b
+    | b :: tl -> lit b ^ " & X (" ^ go tl ^ ")"
+  in
+  "G !(" ^ go w ^ ")"
+
+(* [G !w] for every word over {a, !a} of length 3..6: 120 monitors
+   whose product from the start state passes the group cap. *)
+let words120 =
+  lazy
+    (let words n =
+       List.init (1 lsl n) (fun bits ->
+           List.init n (fun i -> bits land (1 lsl (n - 1 - i)) <> 0))
+     in
+     let r = Registry.create () in
+     List.iter
+       (fun n ->
+         List.iter
+           (fun w ->
+             ignore (Registry.add_formula r (Formula.parse_exn (word_formula w))))
+           (words n))
+       [ 3; 4; 5; 6 ];
+     Registry.monitors r)
+
+(* Counts [a]s mod [n] and trips on [!a] at count [n - 1]. Two counters
+   with coprime moduli whose product passes the cap each get a group
+   of one. *)
+let counter n =
+  let delta =
+    Array.init (n + 1) (fun q ->
+        if q = n then [| n; n |]
+        else [| (q + 1) mod n; (if q = n - 1 then n else q) |])
+  in
+  Packed_dfa.of_dfa
+    (Sl_nfa.Dfa.make ~alphabet:2 ~nstates:(n + 1) ~start:0 ~delta
+       ~accepting:(Array.init (n + 1) (fun q -> q < n)))
+
+let random_monitor seed =
+  Packed_dfa.of_buchi
+    (Buchi.random ~seed ~alphabet:2 ~nstates:(3 + (seed mod 6)) ~density:0.2
+       ~accepting_fraction:0.4 ())
+
+let pre_tripped = lazy (Packed_dfa.of_buchi (Lexamples.automaton Lexamples.p0))
+let vacuous = lazy (Packed_dfa.of_buchi (Lexamples.automaton Lexamples.p4))
+
+(* Fleets by shape: small random ones, more than 62 monitors, groups of
+   one, and the 120-word fleet; each with a vacuous and a pre-tripped
+   monitor somewhere. *)
+let fleet st seed =
+  let body =
+    match seed mod 4 with
+    | 0 -> Array.init (3 + (seed mod 6)) (fun i -> random_monitor (seed + (31 * i)))
+    | 1 -> Array.make (63 + (seed mod 8)) (random_monitor seed)
+    | 2 -> [| counter 67; random_monitor seed; counter 71; random_monitor (seed + 1) |]
+    | _ -> Lazy.force words120
+  in
+  let body = Array.to_list body in
+  let at = Random.State.int st (List.length body + 1) in
+  Array.of_list
+    (List.filteri (fun i _ -> i < at) body
+    @ (Lazy.force pre_tripped :: List.filteri (fun i _ -> i >= at) body)
+    @ [ Lazy.force vacuous ])
+
+(* Everything observable about a run, over trace ids [0, n). *)
+let observe ~n ~monitors ~live ~tripped ~retired ~events ~ntraces ~verdict
+    ~export ~summary ~counts ~trace_events =
+  ( (live, tripped, retired, events, ntraces, counts),
+    List.init n (fun id ->
+        ( export id, summary id, trace_events id,
+          List.init monitors (fun m -> verdict id m) )) )
+
+let observe_product eng ~n =
+  observe ~n ~monitors:(Engine.nmonitors eng) ~live:(Engine.live eng)
+    ~tripped:(Engine.tripped eng) ~retired:(Engine.retired_admissible eng)
+    ~events:(Engine.events eng) ~ntraces:(Engine.ntraces eng)
+    ~verdict:(fun trace monitor -> Engine.verdict eng ~trace ~monitor)
+    ~export:(Engine.export_trace eng) ~summary:(Engine.trace_summary eng)
+    ~counts:(Engine.monitor_counts eng) ~trace_events:(Engine.trace_events eng)
+
+let observe_reference eng ~n ~monitors =
+  observe ~n ~monitors ~live:(Engine_ref.live eng)
+    ~tripped:(Engine_ref.tripped eng)
+    ~retired:(Engine_ref.retired_admissible eng)
+    ~events:(Engine_ref.events eng) ~ntraces:(Engine_ref.ntraces eng)
+    ~verdict:(fun trace monitor -> Engine_ref.verdict eng ~trace ~monitor)
+    ~export:(Engine_ref.export_trace eng)
+    ~summary:(Engine_ref.trace_summary eng)
+    ~counts:(Engine_ref.monitor_counts eng)
+    ~trace_events:(Engine_ref.trace_events eng)
+
+(* A state a run could leave a trace in, drawn at random: every
+   monitor that can trip in a random state, tripped one time in four,
+   else live exactly when its state can still trip. Mostly outside the
+   product built from the start state. *)
+let random_trace_state st (monitors : Packed_dfa.t array) ~events =
+  let m = Array.length monitors in
+  let states = Array.make m Packed_dfa.start
+  and tripped_at = Array.make m (-1)
+  and live = ref [] in
+  Array.iteri
+    (fun i (pd : Packed_dfa.t) ->
+      if pd.pre_tripped then tripped_at.(i) <- 0
+      else if not pd.vacuous then begin
+        let q = Random.State.int st pd.nstates in
+        states.(i) <- q;
+        if Random.State.int st 4 = 0 then
+          tripped_at.(i) <- Random.State.int st (events + 1)
+        else if pd.can_trip.(q) then live := i :: !live
+      end)
+    monitors;
+  { Engine.ts_events = events; ts_states = states;
+    ts_live = Array.of_list (List.rev !live); ts_tripped_at = tripped_at }
+
+(* What reload carry-over does to a fresh monitor: restart it at the
+   start state, live, in the middle of the trace. *)
+let restart st (monitors : Packed_dfa.t array) (ts : Engine.trace_state) =
+  let states = Array.copy ts.ts_states
+  and tripped_at = Array.copy ts.ts_tripped_at in
+  let live = Array.make (Array.length monitors) false in
+  Array.iter (fun i -> live.(i) <- true) ts.ts_live;
+  Array.iteri
+    (fun i (pd : Packed_dfa.t) ->
+      if (not (pd.vacuous || pd.pre_tripped)) && Random.State.int st 3 = 0
+      then begin
+        states.(i) <- Packed_dfa.start;
+        tripped_at.(i) <- -1;
+        live.(i) <- true
+      end)
+    monitors;
+  { ts with
+    Engine.ts_states = states;
+    ts_live =
+      Array.of_list
+        (List.filter (fun i -> live.(i)) (List.init (Array.length live) Fun.id));
+    ts_tripped_at = tripped_at }
+
+let prop_product_equals_reference =
+  QCheck.Test.make ~name:"shadow product = per-monitor reference engine"
+    ~count:40
+    QCheck.(pair (int_range 0 5000) (list_of_size Gen.(1 -- 20) (int_range 0 9)))
+    (fun (seed, ops) ->
+      let st = Random.State.make [| seed |] in
+      let monitors = fleet st seed in
+      let nm = Array.length monitors in
+      let eng = Engine.create ~monitors () and reference = Engine_ref.create ~monitors () in
+      let hooked = ref [] and hooked_ref = ref [] in
+      let record acc ~trace ~monitor ~position ~tripped =
+        acc := (trace, monitor, position, tripped) :: !acc
+      in
+      Engine.set_retire_hook eng (Some (record hooked));
+      Engine_ref.set_retire_hook reference (Some (record hooked_ref));
+      let both_restore id ts =
+        Engine.restore_trace eng id ts;
+        Engine_ref.restore_trace reference id ts
+      in
+      let pick_trace () = Random.State.int st (max 1 (Engine_ref.ntraces reference)) in
+      let ok = ref true in
+      List.iter
+        (fun op ->
+          (match op with
+          | 6 ->
+              let trace = Random.State.int st 8 and symbol = Random.State.int st 2 in
+              Engine.step eng ~trace ~symbol;
+              Engine_ref.step reference ~trace ~symbol
+          | 7 ->
+              Engine.reset eng;
+              Engine_ref.reset reference
+          | 8 -> (
+              (* copy a trace, or restart some of its monitors *)
+              match Engine_ref.export_trace reference (pick_trace ()) with
+              | None -> ()
+              | Some ts ->
+                  let dst = Random.State.int st 10 in
+                  both_restore dst
+                    (if Random.State.bool st then ts else restart st monitors ts))
+          | 9 ->
+              let events = Random.State.int st 20 in
+              both_restore (Random.State.int st 10)
+                (random_trace_state st monitors ~events)
+          | _ ->
+              let n = 1 + Random.State.int st 48 in
+              let traces = Array.init n (fun _ -> Random.State.int st 8) in
+              let symbols = Array.init n (fun _ -> Random.State.int st 2) in
+              Engine.feed eng ~n ~traces ~symbols ();
+              Engine_ref.feed reference ~n ~traces ~symbols ());
+          if
+            observe_product eng ~n:11
+            <> observe_reference reference ~n:11 ~monitors:nm
+            || !hooked <> !hooked_ref
+          then ok := false)
+        ops;
+      !ok)
+
+(* Tuples outside the start-reachable product: the engine extends its
+   copy of a group, and once a group passes the cap it re-plans (a
+   second engine.plan span) — and still matches the reference. *)
+let test_restore_outside_product () =
+  let monitors = Lazy.force words120 in
+  Obs.reset ();
+  Obs.enable ();
+  Fun.protect
+    ~finally:(fun () -> Obs.disable (); Obs.reset ())
+    (fun () ->
+      let eng = Engine.create ~monitors () in
+      let reference = Engine_ref.create ~monitors () in
+      check_int "120 words: 3 groups" 3
+        (Option.get (Obs.Metrics.value "engine_product_groups"));
+      let st = Random.State.make [| 24 |] in
+      for id = 0 to 39 do
+        let ts = random_trace_state st monitors ~events:5 in
+        Engine.restore_trace eng id ts;
+        Engine_ref.restore_trace reference id ts
+      done;
+      let n = 4000 in
+      let traces = Array.init n (fun _ -> Random.State.int st 48) in
+      let symbols = Array.init n (fun _ -> Random.State.int st 2) in
+      Engine.feed eng ~n ~traces ~symbols ();
+      Engine_ref.feed reference ~n ~traces ~symbols ();
+      let plans =
+        List.filter
+          (fun (e : Obs.Span.event) -> e.name = "engine.plan")
+          (Obs.Span.events ())
+      in
+      check "the engine re-planned" true (List.length plans >= 2);
+      check "product = reference after re-planning" true
+        (observe_product eng ~n:50
+        = observe_reference reference ~n:50 ~monitors:(Array.length monitors)))
+
+(* --- Semantic oracle ---
+
+   Verdicts checked against the paper's semantics, never through a
+   packed DFA: a formula's Büchi automaton, simulated on subsets, says
+   whether a prefix still has an extension in L ([Buchi.live_states]).
+   A monitor trips at k iff w[0..k) has none and no shorter prefix
+   lacks one; and [f & g] trips no later than [f]. *)
+
+let oracle_valuation symbol p = String.equal p "a" && symbol = 0
+
+(* The first k at which w[0..k) has no extension in L(f), if any. *)
+let oracle_trip f w =
+  let b = Translate.translate ~alphabet:2 ~valuation:oracle_valuation f in
+  let live = Buchi.live_states b in
+  let alive set = List.exists (fun q -> live.(q)) set in
+  let rec go k set = function
+    | _ when not (alive set) -> Some k
+    | [] -> None
+    | s :: rest ->
+        let next =
+          List.sort_uniq compare
+            (List.concat_map (fun q -> b.Buchi.delta.(q).(s)) set)
+        in
+        go (k + 1) next rest
+  in
+  go 0 [ b.Buchi.start ] w
+
+let gen_small_formula =
+  QCheck.Gen.(
+    int_range 1 6
+    >>= fix (fun self n ->
+            if n <= 1 then
+              oneofl [ Formula.True; Formula.False; Formula.Prop "a" ]
+            else
+              let sub = self (n / 2) in
+              oneof
+                [ map (fun f -> Formula.Not f) sub;
+                  map (fun f -> Formula.Next f) sub;
+                  map (fun f -> Formula.Eventually f) sub;
+                  map (fun f -> Formula.Always f) sub;
+                  map2 (fun a b -> Formula.And (a, b)) sub sub;
+                  map2 (fun a b -> Formula.Or (a, b)) sub sub;
+                  map2 (fun a b -> Formula.Until (a, b)) sub sub;
+                  map2 (fun a b -> Formula.Release (a, b)) sub sub ]))
+
+let prop_semantic_oracle =
+  QCheck.Test.make ~name:"trips = first prefix with no extension in L"
+    ~count:60
+    QCheck.(
+      pair
+        (make
+           ~print:(fun fs -> String.concat "; " (List.map Formula.to_string fs))
+           Gen.(list_size (int_range 2 4) gen_small_formula))
+        (list_of_size Gen.(1 -- 6) (list_of_size Gen.(0 -- 12) (int_range 0 1))))
+    (fun (fs, words) ->
+      (* the fleet: each formula and each pairwise conjunction *)
+      let conj =
+        List.concat_map
+          (fun f -> List.map (fun g -> (f, g, Formula.And (f, g))) fs)
+          fs
+      in
+      let all = fs @ List.map (fun (_, _, c) -> c) conj in
+      let reg = Registry.create () in
+      let ids = List.map (fun f -> Registry.add_formula reg f) all in
+      let eng = Engine.create ~monitors:(Registry.monitors reg) () in
+      List.iteri
+        (fun trace w -> List.iter (fun symbol -> Engine.step eng ~trace ~symbol) w)
+        words;
+      let trip trace id =
+        match
+          Engine.verdict eng ~trace ~monitor:(Registry.monitor_of_prop reg id)
+        with
+        | Engine.Violation { position } -> Some position
+        | Engine.Admissible | Engine.Vacuous -> None
+      in
+      let table = List.combine all ids in
+      List.for_all2
+        (fun trace w ->
+          List.for_all (fun (f, id) -> trip trace id = oracle_trip f w) table
+          && List.for_all
+               (fun (f, _, c) ->
+                 match (trip trace (List.assoc f table), trip trace (List.assoc c table)) with
+                 | Some kf, Some kc -> kc <= kf
+                 | Some _, None -> false
+                 | None, _ -> true)
+               conj)
+        (List.init (List.length words) Fun.id)
+        words)
+
 let tests =
   [ Alcotest.test_case "packed compilation" `Quick test_packed_shape;
     Alcotest.test_case "vacuity on Rem p0-p6" `Quick
@@ -765,4 +1096,8 @@ let tests =
     QCheck_alcotest.to_alcotest prop_scanner_equals_reference;
     Alcotest.test_case "fused megatable layout" `Quick test_fuse_megatable;
     Alcotest.test_case "end-to-end report" `Quick test_end_to_end_report;
-    QCheck_alcotest.to_alcotest prop_live_census_exact ]
+    QCheck_alcotest.to_alcotest prop_live_census_exact;
+    QCheck_alcotest.to_alcotest prop_product_equals_reference;
+    Alcotest.test_case "restore outside the product: extend and re-plan"
+      `Quick test_restore_outside_product;
+    QCheck_alcotest.to_alcotest prop_semantic_oracle ]

@@ -387,6 +387,27 @@ let test_restore_trace_validates () =
      else
        { ts with
          Engine.ts_live = Array.append ts.Engine.ts_live [| tripped_m |] });
+  (* "a & F !a" retired admissible at event 1 (its state cannot trip);
+     "G (a -> X !a)" is live *)
+  let monitor_of name =
+    Registry.monitor_of_prop registry
+      (List.find (fun (p : Registry.prop) -> p.name = name)
+         (Registry.props registry)).id
+  in
+  let retired = monitor_of "a & F !a" and live = monitor_of "G (a -> X !a)" in
+  rejects "live monitor whose state cannot trip"
+    { ts with Engine.ts_live = Array.append ts.Engine.ts_live [| retired |] };
+  rejects "retired monitor whose state can still trip"
+    { ts with
+      Engine.ts_live =
+        Array.of_list
+          (List.filter (( <> ) live) (Array.to_list ts.Engine.ts_live)) };
+  rejects "vacuous monitor with a trip position"
+    { ts with
+      Engine.ts_tripped_at =
+        Array.mapi
+          (fun m p -> if m = monitor_of "G F a" then 0 else p)
+          ts.Engine.ts_tripped_at };
   check "export of an unseen trace is None" true
     (Engine.export_trace engine 99 = None)
 
