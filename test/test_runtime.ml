@@ -785,31 +785,35 @@ let counter n =
     (Sl_nfa.Dfa.make ~alphabet:2 ~nstates:(n + 1) ~start:0 ~delta
        ~accepting:(Array.init (n + 1) (fun q -> q < n)))
 
-let random_monitor seed =
+let random_monitor ?(alphabet = 2) seed =
   Packed_dfa.of_buchi
-    (Buchi.random ~seed ~alphabet:2 ~nstates:(3 + (seed mod 6)) ~density:0.2
+    (Buchi.random ~seed ~alphabet ~nstates:(3 + (seed mod 6)) ~density:0.2
        ~accepting_fraction:0.4 ())
 
-let pre_tripped = lazy (Packed_dfa.of_buchi (Lexamples.automaton Lexamples.p0))
-let vacuous = lazy (Packed_dfa.of_buchi (Lexamples.automaton Lexamples.p4))
-
-(* Fleets by shape: small random ones, more than 62 monitors, groups of
-   one, and the 120-word fleet; each with a vacuous and a pre-tripped
-   monitor somewhere. *)
+(* Fleets by shape, with their alphabet: small random ones over 2 or 3
+   letters, more than 62 monitors, groups of one, and the 120-word
+   fleet; each with a vacuous and a pre-tripped monitor somewhere. *)
 let fleet st seed =
+  let alphabet = if seed mod 8 = 4 then 3 else 2 in
   let body =
     match seed mod 4 with
-    | 0 -> Array.init (3 + (seed mod 6)) (fun i -> random_monitor (seed + (31 * i)))
+    | 0 ->
+        Array.init (3 + (seed mod 6)) (fun i ->
+            random_monitor ~alphabet (seed + (31 * i)))
     | 1 -> Array.make (63 + (seed mod 8)) (random_monitor seed)
     | 2 -> [| counter 67; random_monitor seed; counter 71; random_monitor (seed + 1) |]
     | _ -> Lazy.force words120
   in
   let body = Array.to_list body in
   let at = Random.State.int st (List.length body + 1) in
-  Array.of_list
-    (List.filteri (fun i _ -> i < at) body
-    @ (Lazy.force pre_tripped :: List.filteri (fun i _ -> i >= at) body)
-    @ [ Lazy.force vacuous ])
+  let pre_tripped = Packed_dfa.of_buchi (Buchi.empty_language ~alphabet)
+  and vacuous = Packed_dfa.of_buchi (Buchi.universal ~alphabet) in
+  assert (pre_tripped.pre_tripped && vacuous.vacuous);
+  ( alphabet,
+    Array.of_list
+      (List.filteri (fun i _ -> i < at) body
+      @ (pre_tripped :: List.filteri (fun i _ -> i >= at) body)
+      @ [ vacuous ]) )
 
 (* Everything observable about a run, over trace ids [0, n). *)
 let observe ~n ~monitors ~live ~tripped ~retired ~events ~ntraces ~verdict
@@ -890,7 +894,7 @@ let prop_product_equals_reference =
     QCheck.(pair (int_range 0 5000) (list_of_size Gen.(1 -- 20) (int_range 0 9)))
     (fun (seed, ops) ->
       let st = Random.State.make [| seed |] in
-      let monitors = fleet st seed in
+      let alphabet, monitors = fleet st seed in
       let nm = Array.length monitors in
       let eng = Engine.create ~monitors () and reference = Engine_ref.create ~monitors () in
       let hooked = ref [] and hooked_ref = ref [] in
@@ -909,7 +913,8 @@ let prop_product_equals_reference =
         (fun op ->
           (match op with
           | 6 ->
-              let trace = Random.State.int st 8 and symbol = Random.State.int st 2 in
+              let trace = Random.State.int st 8
+              and symbol = Random.State.int st alphabet in
               Engine.step eng ~trace ~symbol;
               Engine_ref.step reference ~trace ~symbol
           | 7 ->
@@ -930,7 +935,7 @@ let prop_product_equals_reference =
           | _ ->
               let n = 1 + Random.State.int st 48 in
               let traces = Array.init n (fun _ -> Random.State.int st 8) in
-              let symbols = Array.init n (fun _ -> Random.State.int st 2) in
+              let symbols = Array.init n (fun _ -> Random.State.int st alphabet) in
               Engine.feed eng ~n ~traces ~symbols ();
               Engine_ref.feed reference ~n ~traces ~symbols ());
           if
