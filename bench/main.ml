@@ -492,11 +492,12 @@ let make_tests () =
       [ t "registry/compile-100" (fun () ->
             let r = Sl_runtime.Registry.create ~alphabet:2 () in
             Sl_runtime.Registry.compile_all r fleet_named_props) ];
-      (* ENGINE: the grouped shadow-product plan of the 120-word fleet
-         (monitors compiled at group construction). *)
+      (* ENGINE: a fresh engine over the 120-word fleet, which is its
+         grouped shadow-product build (monitors compiled at group
+         construction). *)
       (let monitors = Lazy.force words120_monitors in
        [ t "engine/plan-120" (fun () ->
-             Sl_runtime.Engine.plan_of_monitors monitors) ]);
+             Sl_runtime.Engine.create ~monitors ()) ]);
       (* SESSION: snapshot write, restore, and resume-vs-replay on the
          fleet engine at the stream midpoint. *)
       [ (ensure_dir bench_session_dir;
@@ -526,9 +527,9 @@ let make_tests () =
             let s = session_fresh () in
             Sl_runtime.Engine.feed (Sl_runtime.Session.engine s) ~n:10_000
               ~traces:multi_trace_ids ~symbols:monitor_trace_syms ()) ];
-      (* RELOAD: the two hot-reload commit paths on the midpoint session
-         (identical registry = snapshot round-trip; 101p = keyed
-         per-monitor carry-over). The 101-prop registry is compiled at
+      (* RELOAD: keyed per-monitor carry-over of the midpoint session
+         onto an identical registry (every monitor carried) and onto
+         101 props (one fresh monitor). The 101-prop registry is compiled at
          group construction so it does not leak into the first timed
          run, which dominates a 0.25s quota. *)
       (let mid_session = Lazy.force session_at_midpoint in

@@ -92,8 +92,10 @@ type verdict =
    Monitors are grouped in contiguous index runs of at most
    [max_members] (a mask fits one OCaml int) and at most [max_states]
    product states, closed greedily when the next pairwise product
-   would pass the cap. A group of one holds every state of its monitor,
-   so restore never needs to extend it. *)
+   would pass the cap. A group of one holds every state of its monitor.
+   The products are closed from roots: the start vector for a fresh
+   engine, plus every restored trace's state vector for a restored
+   one, so one builder serves both. *)
 
 let max_members = 62
 let max_states = 4096
@@ -102,8 +104,8 @@ let shadow (pd : Packed_dfa.t) q s =
   let q' = pd.trans.((q * pd.alphabet) + s) in
   if pd.accepting.(q') && pd.can_trip.(q) then q' else q
 
-(* Tables keyed by state vectors: a group's tuples, or (at re-plan)
-   whole-fleet vectors, hashed over every element. *)
+(* Tables keyed by whole-fleet state vectors (restore's roots), hashed
+   over every element. *)
 module Tuples = Hashtbl.Make (struct
   type t = int array
 
@@ -113,15 +115,14 @@ end)
 
 type group = {
   members : int array;  (* monitor indices, ascending; bit j = members.(j) *)
-  mutable size : int;  (* product states *)
-  mutable next : int array;
+  size : int;  (* product states *)
+  next : int array;
       (* [p * alphabet + s]: (successor lsl 1) lor (the edge trips or
          retires a member) *)
-  mutable trips : int array;  (* same index: members tripping on the edge *)
-  mutable retires : int array;  (* members retiring on the edge *)
-  mutable tuples : int array;  (* [p * k + j]: members.(j)'s packed state *)
-  mutable cantrip : int array;  (* members whose state in [p] can trip *)
-  mutable index : int Tuples.t option;  (* tuple -> state, on demand *)
+  trips : int array;  (* same index: members tripping on the edge *)
+  retires : int array;  (* members retiring on the edge *)
+  tuples : int array;  (* [p * k + j]: members.(j)'s packed state *)
+  cantrip : int array;  (* members whose state in [p] can trip *)
 }
 
 (* Fill state [p]'s edges from its tuple; [succ.(s)] is its successor
@@ -189,7 +190,7 @@ let single (pd : Packed_dfa.t) starts =
 
 exception Too_big
 
-(* Scratch space for [pair], reused across one plan's trials: each new
+(* Scratch space for [pair], reused across one build's trials: each new
    state's (left, right) parts and successors, and an open-addressing
    table from pair keys to states ([keys] slot -1 = free; [slot.(i)] is
    state [i]'s table slot, for clearing). *)
@@ -276,7 +277,7 @@ let close (monitors : Packed_dfa.t array) members (lv : level) =
     { members; size = n; next = Array.make (n * alphabet) 0;
       trips = Array.make (n * alphabet) 0;
       retires = Array.make (n * alphabet) 0; tuples;
-      cantrip = Array.make n 0; index = None }
+      cantrip = Array.make n 0 }
   in
   for p = 0 to n - 1 do
     fill monitors gr p (Array.sub lv.succ (p * alphabet) alphabet)
@@ -285,7 +286,8 @@ let close (monitors : Packed_dfa.t array) members (lv : level) =
 
 (* Group the monitors that can trip, greedily, with products closed
    under the shadow steps from [roots] (full-length state vectors; the
-   first is the start vector, so every group starts in state 0). *)
+   first is the start vector, so every group starts in state 0). Each
+   group comes with its product state of every root. *)
 let build_groups (monitors : Packed_dfa.t array) roots =
   let starts m = Array.map (fun r -> r.(m)) roots in
   let sc =
@@ -294,13 +296,15 @@ let build_groups (monitors : Packed_dfa.t array) roots =
   let groups = ref [] in
   let finish members lv =
     let members = Array.of_list (List.rev members) in
-    let lv =
-      if Array.length members > 1 then lv
+    let lv, at =
+      if Array.length members > 1 then (lv, lv.root_at)
       else
-        let pd = monitors.(members.(0)) in
-        single pd (Array.init pd.nstates Fun.id)
+        let m = members.(0) in
+        let pd = monitors.(m) in
+        let lv = single pd (Array.init pd.nstates Fun.id) in
+        (lv, Array.map (fun q -> lv.root_at.(q)) (starts m))
     in
-    groups := close monitors members lv :: !groups
+    groups := (close monitors members lv, at) :: !groups
   in
   let cur = ref None in
   Array.iteri
@@ -322,13 +326,14 @@ let build_groups (monitors : Packed_dfa.t array) roots =
       end)
     monitors;
   Option.iter (fun (ms, lv) -> finish ms lv) !cur;
-  Array.of_list (List.rev !groups)
+  Array.split (Array.of_list (List.rev !groups))
 
-(* [build_groups] inside an [engine.plan] span, with the plan's shape
-   in the span and the product gauges: plan-time telemetry only. *)
+(* [build_groups] inside an [engine.plan] span, with the product's
+   shape in the span and the product gauges: build-time telemetry
+   only. *)
 let planned monitors roots =
   let sp = Obs.Span.enter "engine.plan" and t0_us = Obs.Clock.now_us () in
-  let groups = build_groups monitors roots in
+  let groups, at = build_groups monitors roots in
   let states = Array.fold_left (fun acc gr -> acc + gr.size) 0 groups in
   Obs.Metrics.set g_product_groups (Array.length groups);
   Obs.Metrics.set g_product_states states;
@@ -336,27 +341,13 @@ let planned monitors roots =
   Obs.Span.attr sp "states" states;
   Obs.Span.attr sp "build_us" (int_of_float (Obs.Clock.now_us () -. t0_us));
   Obs.Span.exit sp;
-  groups
-
-(* The immutable compiled plan: everything a run needs that is a pure
-   function of the registry's compiled monitors. Separated from the
-   mutable run state so the session layer can snapshot/restore runs
-   against a plan recompiled in another process — the plan is identified
-   by the registry fingerprint, never serialized itself. *)
-type plan = {
-  monitors : Packed_dfa.t array;
-  alphabet : int;
-  nvacuous : int;
-  npretripped : int;
-  groups : group array;  (* never mutated: engines extend copies *)
-}
+  (groups, at)
 
 (* The trip table: position and trip state of each tripped (trace,
    monitor), keyed [trace * M + monitor], in open addressing over two
    int arrays, so a trip adds no block for the GC to walk. Trace ids are
    dense, so the key is its own hash: the trips of a batch of new
-   traces land in neighbouring slots. A [keys] slot is -1 when free,
-   -2 when its entry was removed. *)
+   traces land in neighbouring slots. A [keys] slot is -1 when free. *)
 type trip_table = {
   mutable keys : int array;
   mutable vals : int array;
@@ -386,10 +377,6 @@ let rec trip_set t key v =
   end;
   t.vals.(h) <- v
 
-let trip_remove t key =
-  let h = trip_slot t key in
-  if t.keys.(h) = key then t.keys.(h) <- -2
-
 (* Per-trace run state lives in [slots], [stride] ints per trace id:
    the trace's event count ([-1] while the id is not materialized),
    then per group its product state and tripped mask. Trip positions
@@ -397,11 +384,14 @@ let trip_remove t key =
    with the state the monitor tripped in: a trace that never trips
    takes nothing there. *)
 type t = {
-  plan : plan;
-  mutable groups : group array;
-  mutable where : int array;
+  monitors : Packed_dfa.t array;
+  alphabet : int;
+  nvacuous : int;
+  npretripped : int;
+  groups : group array;
+  where : int array;
       (* monitor -> (group lsl 6) lor bit; -1 if vacuous or pre-tripped *)
-  mutable stride : int;
+  stride : int;
   mutable slots : int array;
   mutable ntraces : int;
   trip_at : trip_table;
@@ -412,13 +402,13 @@ type t = {
   mutable retired_ok : int;
   mutable live_pairs : int;
       (* live (trace, monitor) pairs, kept exact wherever a trace's
-         state changes (materialization, the two retirement branches,
-         restore, reset) so [live] never walks the table *)
+         state changes (materialization and the two retirement
+         branches) so [live] never walks the table *)
   mutable hook :
     (trace:int -> monitor:int -> position:int -> tripped:bool -> unit) option;
       (** incremental retirement callback; [None] (the default) keeps
           the hot path at one comparison per retirement *)
-  (* Per-monitor retirement telemetry: cumulative since creation/reset,
+  (* Per-monitor retirement telemetry: cumulative since creation,
      process-local (snapshots neither save nor restore it, like the
      engine_*_total metrics). Bumped unconditionally — one int store
      per retirement, never per event — so the chunk epilogue can flush
@@ -431,7 +421,19 @@ type t = {
   mretire_children : Obs.Metrics.counter array;
 }
 
-let plan_of_monitors monitors =
+let empty_slots ~stride ~cap =
+  let a = Array.make (cap * stride) 0 in
+  for id = 0 to cap - 1 do
+    a.(id * stride) <- -1
+  done;
+  a
+
+let smax_of monitors =
+  Array.fold_left (fun a pd -> max a pd.Packed_dfa.nstates) 1 monitors
+
+(* An engine with no traces and zero counters, its groups closed from
+   [roots]; also each group's product state of every root. *)
+let make monitors roots =
   let alphabet =
     match Array.length monitors with
     | 0 -> 1
@@ -440,72 +442,47 @@ let plan_of_monitors monitors =
         Array.iter
           (fun pd ->
             if pd.Packed_dfa.alphabet <> a then
-              invalid_arg "Engine.plan_of_monitors: monitors over different \
-                           alphabets")
+              invalid_arg "Engine.create: monitors over different alphabets")
           monitors;
         a
   in
-  let nvacuous = ref 0 and npretripped = ref 0 in
-  Array.iter
-    (fun pd ->
-      if pd.Packed_dfa.vacuous then incr nvacuous;
-      if pd.Packed_dfa.pre_tripped then incr npretripped)
-    monitors;
-  let groups =
-    planned monitors [| Array.make (Array.length monitors) Packed_dfa.start |]
-  in
-  { monitors; alphabet; nvacuous = !nvacuous; npretripped = !npretripped;
-    groups }
-
-let where_of m groups =
-  let w = Array.make m (-1) in
+  let count p = Array.fold_left (fun n pd -> if p pd then n + 1 else n) 0 in
+  let nvacuous = count (fun pd -> pd.Packed_dfa.vacuous) monitors
+  and npretripped = count (fun pd -> pd.Packed_dfa.pre_tripped) monitors in
+  let groups, at = planned monitors roots in
+  let m = Array.length monitors in
+  let where = Array.make m (-1) in
   Array.iteri
-    (fun g gr -> Array.iteri (fun j mi -> w.(mi) <- (g lsl 6) lor j) gr.members)
+    (fun g gr ->
+      Array.iteri (fun j mi -> where.(mi) <- (g lsl 6) lor j) gr.members)
     groups;
-  w
-
-let empty_slots ~stride ~cap =
-  let a = Array.make (cap * stride) 0 in
-  for id = 0 to cap - 1 do
-    a.(id * stride) <- -1
-  done;
-  a
-
-let of_plan plan =
-  let m = Array.length plan.monitors in
   let mslots = max m 1 in
   (* Label handles are interned eagerly: engine creation is a cold
      main-domain path, and children are keyed by canonical-key hash, so
      engines over the same monitors share series. *)
-  let mtrip_children =
+  let children v =
     Array.map
       (fun pd ->
-        Obs.Metrics.counter_child v_monitor_trips
-          [ Sl_core.Wire.fnv64_hex pd.Packed_dfa.key ])
-      plan.monitors
-  and mretire_children =
-    Array.map
-      (fun pd ->
-        Obs.Metrics.counter_child v_monitor_retires
-          [ Sl_core.Wire.fnv64_hex pd.Packed_dfa.key ])
-      plan.monitors
+        Obs.Metrics.counter_child v [ Sl_core.Wire.fnv64_hex pd.Packed_dfa.key ])
+      monitors
   in
-  let stride = 1 + (2 * Array.length plan.groups) in
-  { plan; groups = Array.copy plan.groups; where = where_of m plan.groups;
-    stride; slots = empty_slots ~stride ~cap:4; ntraces = 0;
-    trip_at = { keys = Array.make 64 (-1); vals = Array.make 64 0; used = 0 };
-    smax = Array.fold_left (fun a pd -> max a pd.Packed_dfa.nstates) 1
-        plan.monitors;
-    nmembers = m - plan.nvacuous - plan.npretripped;
-    events = 0; tripped = 0; retired_ok = 0; live_pairs = 0; hook = None;
-    mtrips = Array.make mslots 0; mretires = Array.make mslots 0;
-    mtrips0 = Array.make mslots 0; mretires0 = Array.make mslots 0;
-    mtrip_children; mretire_children }
+  let stride = 1 + (2 * Array.length groups) in
+  ( { monitors; alphabet; nvacuous; npretripped; groups; where; stride;
+      slots = empty_slots ~stride ~cap:4; ntraces = 0;
+      trip_at = { keys = Array.make 64 (-1); vals = Array.make 64 0; used = 0 };
+      smax = smax_of monitors;
+      nmembers = m - nvacuous - npretripped;
+      events = 0; tripped = 0; retired_ok = 0; live_pairs = 0; hook = None;
+      mtrips = Array.make mslots 0; mretires = Array.make mslots 0;
+      mtrips0 = Array.make mslots 0; mretires0 = Array.make mslots 0;
+      mtrip_children = children v_monitor_trips;
+      mretire_children = children v_monitor_retires },
+    at )
 
-let create ~monitors () = of_plan (plan_of_monitors monitors)
+let create ~monitors () =
+  fst (make monitors [| Array.make (Array.length monitors) Packed_dfa.start |])
 
-let plan eng = eng.plan
-let plan_monitors plan = plan.monitors
+let monitors eng = eng.monitors
 
 (* The slot offset of trace [id], materializing it on first use: every
    group starts in its state 0 with nothing tripped, and pre-tripped
@@ -522,7 +499,7 @@ let materialize eng id =
   end;
   if Array.unsafe_get eng.slots base < 0 then begin
     eng.slots.(base) <- 0;
-    eng.tripped <- eng.tripped + eng.plan.npretripped;
+    eng.tripped <- eng.tripped + eng.npretripped;
     eng.live_pairs <- eng.live_pairs + eng.nmembers;
     if id >= eng.ntraces then eng.ntraces <- id + 1
   end;
@@ -588,7 +565,7 @@ let step_trace eng id symbol =
   let position = Array.unsafe_get slots base + 1 in
   Array.unsafe_set slots base position;
   eng.events <- eng.events + 1;
-  let groups = eng.groups and alphabet = eng.plan.alphabet in
+  let groups = eng.groups and alphabet = eng.alphabet in
   for g = 0 to Array.length groups - 1 do
     let gr = Array.unsafe_get groups g and slot = base + 1 + (2 * g) in
     let edge = (Array.unsafe_get slots slot * alphabet) + symbol in
@@ -598,15 +575,15 @@ let step_trace eng id symbol =
   done
 
 let check_symbol eng symbol =
-  if symbol < 0 || symbol >= eng.plan.alphabet then
+  if symbol < 0 || symbol >= eng.alphabet then
     invalid_arg
       (Printf.sprintf "Engine: symbol %d outside alphabet [0, %d)" symbol
-         eng.plan.alphabet)
+         eng.alphabet)
 
 (* Snapshot the per-monitor cumulative arrays into the epilogue scratch
    (callers do this only when collection is enabled, before stepping). *)
 let snapshot_monitors eng =
-  let m = Array.length eng.plan.monitors in
+  let m = Array.length eng.monitors in
   Array.blit eng.mtrips 0 eng.mtrips0 0 m;
   Array.blit eng.mretires 0 eng.mretires0 0 m
 
@@ -628,7 +605,7 @@ let record_chunk eng ~n ~t0_us ~mw0 ~tripped0 ~retired0 =
   Obs.Metrics.observe h_chunk_events n;
   Obs.Metrics.add m_minor_words mw;
   if n > 0 then Obs.Metrics.set g_minor_words_per_event (mw / n);
-  for m = 0 to Array.length eng.plan.monitors - 1 do
+  for m = 0 to Array.length eng.monitors - 1 do
     let dt = eng.mtrips.(m) - eng.mtrips0.(m)
     and dr = eng.mretires.(m) - eng.mretires0.(m) in
     if dt > 0 then Obs.Metrics.add eng.mtrip_children.(m) dt;
@@ -677,32 +654,14 @@ let feed eng ?(off = 0) ~n ~traces ~symbols () =
     Obs.Span.exit sp
   end
 
-let reset eng =
-  eng.events <- 0;
-  eng.tripped <- 0;
-  eng.retired_ok <- 0;
-  eng.live_pairs <- 0;
-  Array.fill eng.mtrips 0 (Array.length eng.mtrips) 0;
-  Array.fill eng.mretires 0 (Array.length eng.mretires) 0;
-  Array.fill eng.trip_at.keys 0 (Array.length eng.trip_at.keys) (-1);
-  eng.trip_at.used <- 0;
-  for id = 0 to eng.ntraces - 1 do
-    let base = id * eng.stride in
-    if eng.slots.(base) >= 0 then begin
-      Array.fill eng.slots base eng.stride 0;
-      eng.tripped <- eng.tripped + eng.plan.npretripped;
-      eng.live_pairs <- eng.live_pairs + eng.nmembers
-    end
-  done
-
 let set_retire_hook eng h = eng.hook <- h
 
-let nmonitors eng = Array.length eng.plan.monitors
+let nmonitors eng = Array.length eng.monitors
 let ntraces eng = eng.ntraces
 let events eng = eng.events
 let tripped eng = eng.tripped
 let retired_admissible eng = eng.retired_ok
-let nvacuous eng = eng.plan.nvacuous
+let nvacuous eng = eng.nvacuous
 
 let live eng = eng.live_pairs
 
@@ -750,7 +709,7 @@ type monitor_counts = {
 }
 
 let monitor_counts eng =
-  let monitors = eng.plan.monitors in
+  let monitors = eng.monitors in
   let m = Array.length monitors in
   let live = Array.make (max m 1) 0 and tripped = Array.make (max m 1) 0 in
   let seen = ref 0 in
@@ -779,7 +738,7 @@ let trace_summary eng id =
   match base_of eng id with
   | None -> None
   | Some base ->
-      let live = ref 0 and tripped = ref eng.plan.npretripped in
+      let live = ref 0 and tripped = ref eng.npretripped in
       Array.iteri
         (fun g gr ->
           let p = eng.slots.(base + 1 + (2 * g))
@@ -790,7 +749,7 @@ let trace_summary eng id =
       Some (eng.slots.(base), !live, !tripped)
 
 let verdict eng ~trace ~monitor =
-  let pd = eng.plan.monitors.(monitor) in
+  let pd = eng.monitors.(monitor) in
   if pd.Packed_dfa.vacuous then Vacuous
   else if pd.Packed_dfa.pre_tripped then Violation { position = 0 }
   else
@@ -817,7 +776,7 @@ let export_trace eng id =
   match base_of eng id with
   | None -> None
   | Some base ->
-      let monitors = eng.plan.monitors in
+      let monitors = eng.monitors in
       let m = Array.length monitors in
       let states = Array.make m Packed_dfa.start in
       let tripped_at =
@@ -837,172 +796,42 @@ let export_trace eng id =
         { ts_events = eng.slots.(base); ts_states = states;
           ts_live = Array.of_list (List.rev !live); ts_tripped_at = tripped_at }
 
-(* ---- Restore: tuples outside the product ----
+(* ---- Restore ----
 
-   A restored tuple — a snapshot's, or reload carry-over's, which
-   starts fresh monitors at state 0 in the middle of a trace — need not
-   be reachable in the product built from the start state. The engine
-   then extends its own copy of the group's product from that tuple;
-   if the group passes the cap, it re-plans with every trace's current
-   tuple as an extra root. *)
-
-(* The engine's own copy of group [g] (the plan's groups are shared). *)
-let own eng g =
-  let gr = eng.groups.(g) in
-  if g < Array.length eng.plan.groups && gr == eng.plan.groups.(g) then begin
-    let copy =
-      { gr with next = Array.copy gr.next; trips = Array.copy gr.trips;
-        retires = Array.copy gr.retires; tuples = Array.copy gr.tuples;
-        cantrip = Array.copy gr.cantrip; index = None }
-    in
-    eng.groups.(g) <- copy;
-    copy
-  end
-  else gr
-
-let index gr =
-  match gr.index with
-  | Some t -> t
-  | None ->
-      let k = Array.length gr.members in
-      let t = Tuples.create (2 * gr.size) in
-      for p = 0 to gr.size - 1 do
-        Tuples.replace t (Array.sub gr.tuples (p * k) k) p
-      done;
-      gr.index <- Some t;
-      t
-
-(* Add the states reachable from tuple [t] to an engine-owned group;
-   [t]'s state, or [None] once the group passes the cap. *)
-let extend eng gr t =
-  let monitors = eng.plan.monitors and alphabet = eng.plan.alphabet in
-  let k = Array.length gr.members and idx = index gr in
-  let add t =
-    let p = gr.size in
-    if p = Array.length gr.cantrip then begin
-      let grow a per = Array.append a (Array.make (max 1 p * per) 0) in
-      gr.next <- grow gr.next alphabet;
-      gr.trips <- grow gr.trips alphabet;
-      gr.retires <- grow gr.retires alphabet;
-      gr.tuples <- grow gr.tuples k;
-      gr.cantrip <- grow gr.cantrip 1
-    end;
-    Array.blit t 0 gr.tuples (p * k) k;
-    gr.size <- p + 1;
-    Tuples.add idx t p;
-    p
-  in
-  let root = add t in
-  let p = ref root in
-  while !p < gr.size && gr.size <= max_states do
-    let q = !p in
-    let succ =
-      Array.init alphabet (fun s ->
-          let t' =
-            Array.init k (fun j ->
-                shadow monitors.(gr.members.(j)) gr.tuples.((q * k) + j) s)
-          in
-          match Tuples.find_opt idx t' with Some p' -> p' | None -> add t')
-    in
-    fill monitors gr q succ;
-    incr p
-  done;
-  if gr.size > max_states then None else Some root
-
-(* Each group's state for the per-monitor states [v], extending groups
-   as needed; [None] if one passes the cap. *)
-let encode eng v =
-  let ps = Array.make (Array.length eng.groups) 0 in
-  let ok = ref true in
-  for g = 0 to Array.length eng.groups - 1 do
-    if !ok then begin
-      let gr = own eng g in
-      let t = Array.map (fun m -> v.(m)) gr.members in
-      match Tuples.find_opt (index gr) t with
-      | Some p -> ps.(g) <- p
-      | None -> (
-          match extend eng gr t with
-          | Some p -> ps.(g) <- p
-          | None -> ok := false)
-    end
-  done;
-  if !ok then Some ps else None
-
-(* Re-plan with the start vector, [v] and every trace's current states
-   as roots (each distinct one once), and re-encode every trace into
-   the new groups. *)
-let replan eng v =
-  let m = Array.length eng.plan.monitors in
-  let vector base =
-    let a = Array.make m Packed_dfa.start in
-    iter_members eng base (fun mi q ~tripped:_ ~live:_ -> a.(mi) <- q);
-    a
-  in
-  let seen = Tuples.create 64 and roots = ref [] in
-  let root r =
-    if not (Tuples.mem seen r) then begin
-      Tuples.add seen r ();
-      roots := r :: !roots
-    end
-  in
-  root (Array.make m Packed_dfa.start);
-  root v;
-  for id = 0 to eng.ntraces - 1 do
-    Option.iter (fun base -> root (vector base)) (base_of eng id)
-  done;
-  let groups = planned eng.plan.monitors (Array.of_list (List.rev !roots)) in
-  let stride = 1 + (2 * Array.length groups) in
-  let slots = empty_slots ~stride ~cap:(Array.length eng.slots / eng.stride) in
-  let where = where_of m groups in
-  for id = 0 to eng.ntraces - 1 do
-    match base_of eng id with
-    | None -> ()
-    | Some base ->
-        let nb = id * stride and vec = vector base in
-        slots.(nb) <- eng.slots.(base);
-        iter_members eng base (fun mi _ ~tripped ~live:_ ->
-            if tripped then begin
-              let w = where.(mi) in
-              let at = nb + 2 + (2 * (w lsr 6)) in
-              slots.(at) <- slots.(at) lor (1 lsl (w land 63))
-            end);
-        Array.iteri
-          (fun g gr ->
-            let t = Array.map (fun mi -> vec.(mi)) gr.members in
-            slots.(nb + 1 + (2 * g)) <- Tuples.find (index gr) t)
-          groups
-  done;
-  eng.groups <- groups;
-  eng.where <- where;
-  eng.stride <- stride;
-  eng.slots <- slots
+   A restored engine is built in one pass from its traces. Each
+   distinct state vector among them is a root of the products, beside
+   the start vector: a snapshot's vectors, and reload carry-over's,
+   which starts fresh monitors at state 0 in the middle of a trace and
+   so may lie outside the start-reachable product. The counters are
+   then the trace table's census. *)
 
 (* Restoring trusts nothing: a snapshot is bytes from disk, so every
-   field is validated against the plan before it touches engine state.
-   Raises [Invalid_argument] on any inconsistency — the session decoder
-   wraps that into [Wire.Corrupt]. *)
-let restore_trace eng id (ts : trace_state) =
-  let monitors = eng.plan.monitors in
+   field is validated against the monitors before it touches engine
+   state. Raises [Invalid_argument] on any inconsistency — the session
+   decoder wraps that into [Wire.Corrupt]. *)
+let validate (monitors : Packed_dfa.t array) ~smax id (ts : trace_state) =
   let m = Array.length monitors in
   let fail fmt =
     Printf.ksprintf
-      (fun s -> invalid_arg (Printf.sprintf "Engine.restore_trace: %s" s))
+      (fun s ->
+        invalid_arg (Printf.sprintf "Engine.restore: trace %d: %s" id s))
       fmt
   in
-  if id < 0 then fail "negative trace id %d" id;
   if Array.length ts.ts_states <> m then
     fail "states length %d (have %d monitors)" (Array.length ts.ts_states) m;
   if Array.length ts.ts_tripped_at <> m then
     fail "tripped_at length %d (have %d monitors)"
       (Array.length ts.ts_tripped_at) m;
   if ts.ts_events < 0 then fail "negative event count %d" ts.ts_events;
+  (* the trip table packs [position * smax + state] into one int *)
+  if ts.ts_events >= max_int / smax then
+    fail "event count %d past the trip table's range" ts.ts_events;
   if Array.length ts.ts_live > m then
     fail "live list length %d (have %d monitors)" (Array.length ts.ts_live) m;
   for i = 0 to m - 1 do
     let s = ts.ts_states.(i) in
-    if s < 0 || s >= monitors.(i).Packed_dfa.nstates then
-      fail "monitor %d state %d outside [0, %d)" i s
-        monitors.(i).Packed_dfa.nstates;
+    if s < 0 || s >= monitors.(i).nstates then
+      fail "monitor %d state %d outside [0, %d)" i s monitors.(i).nstates;
     let p = ts.ts_tripped_at.(i) in
     if p < -1 || p > ts.ts_events then
       fail "monitor %d trip position %d outside [-1, %d]" i p ts.ts_events
@@ -1015,8 +844,7 @@ let restore_trace eng id (ts : trace_state) =
       live.(mi) <- true;
       if ts.ts_tripped_at.(mi) >= 0 then
         fail "monitor %d both live and tripped" mi;
-      if monitors.(mi).Packed_dfa.vacuous then
-        fail "vacuous monitor %d listed live" mi)
+      if monitors.(mi).vacuous then fail "vacuous monitor %d listed live" mi)
     ts.ts_live;
   (* A run never leaves a monitor elsewhere than these: vacuous and
      pre-tripped monitors at the start, pre-tripped ones tripped at 0,
@@ -1033,47 +861,56 @@ let restore_trace eng id (ts : trace_state) =
       else if p < 0 && live.(i) <> pd.can_trip.(s) then
         fail "monitor %d %s in state %d" i
           (if live.(i) then "live" else "retired") s)
-    monitors;
-  let ps =
-    match encode eng ts.ts_states with
-    | Some ps -> ps
-    | None ->
-        replan eng ts.ts_states;
-        Option.get (encode eng ts.ts_states)
-  in
-  (* [materialize] counts a fresh trace's pre-tripped monitors into
-     [eng.tripped] ([set_counters] afterwards overwrites the counters)
-     and its live monitors into the live census, which swaps the
-     overwritten state's live count for the restored one here. *)
-  let base = materialize eng id in
-  Array.iteri
-    (fun g gr ->
-      let slot = base + 1 + (2 * g) in
-      let t = eng.slots.(slot + 1) in
-      eng.live_pairs <-
-        eng.live_pairs - popcount (gr.cantrip.(eng.slots.(slot)) land lnot t);
-      let t' = ref 0 in
-      Array.iteri
-        (fun j mi ->
-          if t land (1 lsl j) <> 0 then
-            trip_remove eng.trip_at ((id * m) + mi);
-          let p = ts.ts_tripped_at.(mi) in
-          if p >= 0 then begin
-            t' := !t' lor (1 lsl j);
-            trip_set eng.trip_at ((id * m) + mi)
-              ((p * eng.smax) + ts.ts_states.(mi))
-          end)
-        gr.members;
-      eng.slots.(slot) <- ps.(g);
-      eng.slots.(slot + 1) <- !t';
-      eng.live_pairs <-
-        eng.live_pairs + popcount (gr.cantrip.(ps.(g)) land lnot !t'))
-    eng.groups;
-  eng.slots.(base) <- ts.ts_events
+    monitors
 
-let set_counters eng ~events ~tripped ~retired_admissible =
-  if events < 0 || tripped < 0 || retired_admissible < 0 then
-    invalid_arg "Engine.set_counters: negative counter";
-  eng.events <- events;
-  eng.tripped <- tripped;
-  eng.retired_ok <- retired_admissible
+let restore ~monitors traces =
+  let m = Array.length monitors in
+  let smax = smax_of monitors in
+  Array.iteri (fun id ts -> Option.iter (validate monitors ~smax id) ts) traces;
+  let index = Tuples.create 64 and roots = ref [] in
+  let root v =
+    if not (Tuples.mem index v) then begin
+      Tuples.add index v (Tuples.length index);
+      roots := v :: !roots
+    end
+  in
+  root (Array.make m Packed_dfa.start);
+  Array.iter (Option.iter (fun ts -> root ts.ts_states)) traces;
+  let eng, at = make monitors (Array.of_list (List.rev !roots)) in
+  let nt = ref 0 in
+  Array.iteri (fun id ts -> if Option.is_some ts then nt := id + 1) traces;
+  eng.slots <- empty_slots ~stride:eng.stride ~cap:(max 4 !nt);
+  eng.ntraces <- !nt;
+  Array.iteri
+    (fun id ->
+      Option.iter (fun ts ->
+          let base = id * eng.stride and r = Tuples.find index ts.ts_states in
+          eng.slots.(base) <- ts.ts_events;
+          Array.iteri
+            (fun g gr ->
+              let t = ref 0 in
+              Array.iteri
+                (fun j mi ->
+                  let p = ts.ts_tripped_at.(mi) in
+                  if p >= 0 then begin
+                    t := !t lor (1 lsl j);
+                    trip_set eng.trip_at ((id * m) + mi)
+                      ((p * smax) + ts.ts_states.(mi))
+                  end)
+                gr.members;
+              eng.slots.(base + 1 + (2 * g)) <- at.(g).(r);
+              eng.slots.(base + 2 + (2 * g)) <- !t)
+            eng.groups))
+    traces;
+  for id = 0 to !nt - 1 do
+    Option.iter
+      (fun (events, live, tripped) ->
+        eng.events <- eng.events + events;
+        if eng.events < 0 then invalid_arg "Engine.restore: event total overflows";
+        eng.tripped <- eng.tripped + tripped;
+        eng.live_pairs <- eng.live_pairs + live;
+        eng.retired_ok <-
+          eng.retired_ok + eng.nmembers + eng.npretripped - live - tripped)
+      (trace_summary eng id)
+  done;
+  eng

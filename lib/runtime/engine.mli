@@ -2,7 +2,8 @@
     concurrent traces.
 
     Safety properties are closed under meets (paper §3), so the fleet
-    runs as a shadow product automaton, built once at plan time. Every
+    runs as a shadow product automaton, built once when the engine is
+    created or restored. Every
     monitor that can trip becomes a Mealy machine: an edge into the
     reject sink is a self-loop that emits a trip bit, an edge from a
     state that can still trip to one that cannot emits a retire bit
@@ -30,37 +31,21 @@ type verdict =
 
 type t
 
-type plan
-(** The immutable compiled plan: monitors, alphabet, the derived
-    vacuous/pre-tripped census, and the grouped shadow product the
-    step loop walks, built from the start state. A pure function of
-    the registry's compiled monitors — shareable across engines and
-    never mutated by a run (an engine that must extend a group's
-    product works on its own copy), which is what lets the session
-    layer snapshot only the mutable run state and re-attach it to a
-    plan recompiled elsewhere. The product is derived layout, never
-    serialized: per-trace states, the session codec, and reload
-    carry-over keep indexing monitors by their unchanged canonical
-    keys. *)
-
-val plan_of_monitors : Packed_dfa.t array -> plan
-(** All monitors must share an alphabet (the registry guarantees this).
-    Builds the product groups greedily: a group closes when adding the
-    next monitor would pass 62 monitors or 4096 product states; a
-    group of one holds every state of its monitor. Sets the
-    [engine_product_groups] and [engine_product_states] gauges and
-    records an [engine.plan] span ([groups], [states], [build_us]).
-    @raise Invalid_argument otherwise. *)
-
-val of_plan : plan -> t
-(** A fresh run (no traces, zero counters) over [plan]. *)
-
-val plan : t -> plan
-val plan_monitors : plan -> Packed_dfa.t array
-
 val create : monitors:Packed_dfa.t array -> unit -> t
-(** [plan_of_monitors] composed with [of_plan].
+(** A fresh run (no traces, zero counters) over [monitors]. All
+    monitors must share an alphabet (the registry guarantees this).
+    Builds the product groups from the start state, greedily: a group
+    closes when adding the next monitor would pass 62 monitors or 4096
+    product states; a group of one holds every state of its monitor.
+    Sets the [engine_product_groups] and [engine_product_states] gauges
+    and records an [engine.plan] span ([groups], [states],
+    [build_us]). The product is derived layout, never serialized:
+    per-trace states, the session codec, and reload carry-over index
+    monitors by their unchanged canonical keys.
     @raise Invalid_argument if the monitors disagree on alphabet. *)
+
+val monitors : t -> Packed_dfa.t array
+(** The monitors the engine was built over, in index order. *)
 
 val step : t -> trace:int -> symbol:int -> unit
 (** Feed one event. Trace ids are dense nonnegative ints (see
@@ -81,10 +66,6 @@ val verdict : t -> trace:int -> monitor:int -> verdict
     report the fresh verdict). Property-level verdicts go through
     [Registry.monitor_of_prop]. *)
 
-val reset : t -> unit
-(** Reset all known traces to the initial state, in place (no
-    allocation); counters restart from zero. *)
-
 (** {1 Incremental verdict hook}
 
     The serving layer's window into the run: retirements surface as
@@ -102,7 +83,7 @@ val set_retire_hook :
     once ever, so the hook fires at most [ntraces * nmonitors] times
     over a run. Pre-tripped (empty-property) monitors and vacuous
     monitors never pass through the hook — they retire at trace
-    materialization, not at a step; callers see them in the plan.
+    materialization, not at a step; callers see them in {!monitors}.
 
     Ordering: the hook fires in exact event order, from inside the
     step that retires the monitor, so {!feed} and the equivalent
@@ -118,23 +99,26 @@ val nmonitors : t -> int
 
 val ntraces : t -> int
 val events : t -> int
-(** Events ingested since creation/reset. *)
+(** Events ingested since creation; for a {!restore}d engine, the sum
+    of its traces' event counts plus those ingested since. *)
 
 val trace_events : t -> int -> int
 val live : t -> int
 (** Live (still undecided) monitor instances across all traces: a
     monitor is live on a trace while it is untripped and its state can
     still trip. O(1): the engine keeps the count as each trace's state
-    changes (materialization, retirement, restore), so it is exact at
-    every point — including after {!reset}, {!restore_trace} and a
-    reload carry-over — and never walks the trace table. Derived
-    state: snapshots neither save nor restore it. *)
+    changes (materialization, retirement), and {!restore} takes it
+    from the restored traces, so it is exact at every point and never
+    walks the trace table. Derived state: snapshots neither save nor
+    restore it. *)
 
 val tripped : t -> int
-(** Monitor instances retired by violation. *)
+(** Monitor instances retired by violation. Equal to the trace table's
+    census at every point: no operation sets it. *)
 
 val retired_admissible : t -> int
-(** Monitor instances retired admissible-forever. *)
+(** Monitor instances retired admissible-forever; likewise the
+    census. *)
 
 val nvacuous : t -> int
 (** Vacuous monitors (per trace; they are never instantiated live). *)
@@ -166,11 +150,10 @@ val trace_summary : t -> int -> (int * int * int) option
 
     The session codec's view of a run: per-trace, per-monitor packed
     states as plain arrays, decoded from the product's tuple table and
-    the trip table, plus the engine-global counters. Exporting copies
-    out of the engine; restoring validates every field against the
-    plan before touching engine state, so a corrupted snapshot can
-    never leave the engine in a state the run loop couldn't have
-    produced. *)
+    the trip table. Exporting copies out of the engine; {!restore}
+    validates every field against the monitors before it builds
+    anything, so a corrupted snapshot can never yield an engine in a
+    state the run loop couldn't have produced. *)
 
 type trace_state = {
   ts_events : int;  (** events this trace has seen *)
@@ -178,8 +161,8 @@ type trace_state = {
       (** DFA state per monitor (length M): the current one, or for a
           tripped monitor the state it tripped in *)
   ts_live : int array;
-      (** live monitor indices, ascending ({!restore_trace} accepts
-          any order) *)
+      (** live monitor indices, ascending ({!restore} accepts any
+          order) *)
   ts_tripped_at : int array;
       (** trip position per monitor, [-1] if not tripped (length M) *)
 }
@@ -187,28 +170,23 @@ type trace_state = {
 val export_trace : t -> int -> trace_state option
 (** [None] for ids the engine has never materialized. *)
 
-val restore_trace : t -> int -> trace_state -> unit
-(** Materialize trace [id] and overwrite its state. Validates lengths
-    against the monitor count, states against each monitor's state
-    count, trip positions against the event count, the live list for
+val restore : monitors:Packed_dfa.t array -> trace_state option array -> t
+(** [restore ~monitors traces] is a fresh engine over [monitors] whose
+    trace [id] is materialized in state [traces.(id)] when that is
+    [Some]. Validates every trace first: lengths against the monitor
+    count, states against each monitor's state count, trip positions
+    against the event count, the event count against the trip table's
+    range ([events * max states] must fit an int), the live list for
     range/duplicates/consistency with [ts_tripped_at], and that every
     monitor is where a run can leave it: vacuous and pre-tripped
     monitors in the start state (pre-tripped ones tripped at 0), an
     untripped monitor live exactly while its state can still trip.
     @raise Invalid_argument on any inconsistency.
 
-    The states need not be reachable in the plan's product (reload
-    carry-over starts fresh monitors at state 0 mid-trace): the engine
-    then extends its own copy of the group's product from them, and
-    if that passes the group cap it re-plans with every trace's
-    current states as extra roots. No valid snapshot is refused.
-
-    Restore traces {e first}, then {!set_counters}: materializing a
-    trace counts pre-tripped monitors into the engine's [tripped]
-    counter, which [set_counters] then overwrites with the snapshot's
-    totals. *)
-
-val set_counters :
-  t -> events:int -> tripped:int -> retired_admissible:int -> unit
-(** Overwrite the engine-global counters with a snapshot's totals.
-    @raise Invalid_argument if any is negative. *)
+    The states need not be reachable from the start state (reload
+    carry-over starts fresh monitors at state 0 mid-trace): the
+    product groups are built once, as in {!create}, with the start
+    vector and every distinct restored state vector as roots, so no
+    valid snapshot is refused. The counters ({!events}, {!tripped},
+    {!retired_admissible}, {!live}) are the census of the restored
+    traces. Fires no hooks. *)

@@ -24,10 +24,21 @@ type restore_error =
   | Corrupt of string
 
 let create ~registry () =
-  let plan = Engine.plan_of_monitors (Registry.monitors registry) in
   { registry;
-    engine = Engine.of_plan plan;
+    engine = Engine.create ~monitors:(Registry.monitors registry) ();
     ingest = Ingest.create () }
+
+let restore ~registry ~names traces =
+  let ingest = Ingest.create () in
+  Array.iteri
+    (fun i name ->
+      if Ingest.intern ingest name <> i then
+        invalid_arg
+          (Printf.sprintf "interner table not in first-seen order at %d" i))
+    names;
+  { registry;
+    engine = Engine.restore ~monitors:(Registry.monitors registry) traces;
+    ingest }
 
 let registry t = t.registry
 let engine t = t.engine
@@ -78,19 +89,11 @@ let of_artifact ~registry blob =
     if not (String.equal snap_fp reg_fp) then
       Error (Fingerprint_mismatch { snapshot = snap_fp; registry = reg_fp })
     else begin
-      let ingest = Ingest.create () in
       let nnames = Wire.get_int r in
       (* Each name costs at least its 8-byte length prefix. *)
       if nnames < 0 || nnames > Wire.remaining r / 8 then
         raise (Wire.Corrupt (Printf.sprintf "bad interner size %d" nnames));
-      for i = 0 to nnames - 1 do
-        let name = Wire.get_string r in
-        if Ingest.intern ingest name <> i then
-          raise
-            (Wire.Corrupt
-               (Printf.sprintf "interner table not in first-seen order at %d"
-                  i))
-      done;
+      let names = Array.init nnames (fun _ -> Wire.get_string r) in
       let events = Wire.get_int r in
       let tripped = Wire.get_int r in
       let retired = Wire.get_int r in
@@ -98,29 +101,31 @@ let of_artifact ~registry blob =
       (* Engine trace ids only ever come from the interner. *)
       if ntr < 0 || ntr > nnames then
         raise (Wire.Corrupt (Printf.sprintf "bad trace count %d" ntr));
-      let plan = Engine.plan_of_monitors (Registry.monitors registry) in
-      let engine = Engine.of_plan plan in
-      let sum = ref 0 in
-      for id = 0 to ntr - 1 do
-        if Wire.get_bool r then begin
-          let ts_events = Wire.get_int r in
-          let ts_states = Wire.get_int_array r in
-          let ts_live = Wire.get_int_array r in
-          let ts_tripped_at = Wire.get_int_array r in
-          Engine.restore_trace engine id
-            { Engine.ts_events; ts_states; ts_live; ts_tripped_at };
-          sum := !sum + ts_events
-        end
-      done;
-      if events <> !sum then
-        raise
-          (Wire.Corrupt
-             (Printf.sprintf
-                "event counter %d disagrees with per-trace sum %d" events
-                !sum));
-      Engine.set_counters engine ~events ~tripped ~retired_admissible:retired;
+      let traces =
+        Array.init ntr (fun _ ->
+            if not (Wire.get_bool r) then None
+            else
+              let ts_events = Wire.get_int r in
+              let ts_states = Wire.get_int_array r in
+              let ts_live = Wire.get_int_array r in
+              let ts_tripped_at = Wire.get_int_array r in
+              Some { Engine.ts_events; ts_states; ts_live; ts_tripped_at })
+      in
       Wire.expect_end r;
-      Ok { registry; engine; ingest }
+      let t = restore ~registry ~names traces in
+      (* The stored counters are the census of the stored traces: a
+         counter that is not was forged or corrupted. *)
+      let check what stored derived =
+        if stored <> derived then
+          raise
+            (Wire.Corrupt
+               (Printf.sprintf "%s counter %d disagrees with the traces' %d"
+                  what stored derived))
+      in
+      check "event" events (Engine.events t.engine);
+      check "tripped" tripped (Engine.tripped t.engine);
+      check "retired_admissible" retired (Engine.retired_admissible t.engine);
+      Ok t
     end
   with
   | result -> result

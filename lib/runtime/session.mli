@@ -33,6 +33,17 @@ val create : registry:Registry.t -> unit -> t
 (** A fresh session over [registry]'s compiled monitors: empty interner,
     no traces, zero counters. *)
 
+val restore :
+  registry:Registry.t -> names:string array ->
+  Engine.trace_state option array -> t
+(** A session over [registry] resuming a run: [names] interned in
+    order, so trace id [i] is [names.(i)], and the engine built by
+    {!Engine.restore} from [traces] (indexed by trace id, no longer
+    than [names]); its counters are the traces' census. Both
+    {!of_artifact} and reload carry-over come through here.
+    @raise Invalid_argument if a name repeats or a trace fails
+    validation. *)
+
 val registry : t -> Registry.t
 val engine : t -> Engine.t
 val ingest : t -> Ingest.t
@@ -44,10 +55,12 @@ val to_artifact : t -> string
 
 val of_artifact :
   registry:Registry.t -> string -> (t, restore_error) result
-(** Decode and validate a blob against [registry]. The restored engine
-    is built fresh over the registry's plan. Never raises: framing and
-    validation failures (from hostile bytes through inconsistent trace
-    state) come back as [Error (Corrupt _)]. *)
+(** Decode and validate a blob against [registry] and {!restore} it.
+    The stored counters must equal the restored traces' census (events,
+    tripped, retired admissible); any that differs is refused. Never
+    raises: framing and validation failures (from hostile bytes through
+    inconsistent trace state or counters) come back as
+    [Error (Corrupt _)]. *)
 
 val save : t -> path:string -> unit
 (** {!to_artifact} written atomically (temp file + rename in the

@@ -3,7 +3,7 @@ open Sl_runtime
 (* Build the new-engine state of one trace from the old one: carried
    monitors keep state/trip/liveness, fresh monitors start at the start
    state (pre-tripped ones trip at position 0, like any
-   materialization). The live list is ascending; [Engine.restore_trace]
+   materialization). The live list is ascending; [Engine.restore]
    validates the result like any snapshot. *)
 let carry_trace ~new_monitors ~(map : int option array)
     ~(inv : int option array) (ts : Engine.trace_state) =
@@ -36,21 +36,14 @@ let carry_trace ~new_monitors ~(map : int option array)
 let carry_over ~old_session ~registry () =
   let old_registry = Session.registry old_session in
   let old_engine = Session.engine old_session in
-  if Registry.fingerprint old_registry = Registry.fingerprint registry then
-    (* structurally identical: exact continuation via the snapshot codec *)
-    match
-      Session.of_artifact ~registry (Session.to_artifact old_session)
-    with
-    | Ok s -> Ok (s, Registry.nmonitors registry)
-    | Error e -> Error (Session.restore_error_to_string e)
-  else if Registry.alphabet old_registry <> Registry.alphabet registry then
+  if Registry.alphabet old_registry <> Registry.alphabet registry then
     Error
       (Printf.sprintf
          "alphabet changed (%d -> %d): in-flight traces cannot be carried over"
          (Registry.alphabet old_registry)
          (Registry.alphabet registry))
   else begin
-    let old_monitors = Engine.plan_monitors (Engine.plan old_engine) in
+    let old_monitors = Engine.monitors old_engine in
     let new_monitors = Registry.monitors registry in
     let by_key = Hashtbl.create 16 in
     Array.iteri
@@ -66,36 +59,25 @@ let carry_over ~old_session ~registry () =
     Array.iteri
       (fun j oi -> match oi with Some i -> inv.(i) <- Some j | None -> ())
       map;
-    let fresh = Session.create ~registry () in
-    let new_ingest = Session.ingest fresh in
-    Array.iter
-      (fun name -> ignore (Ingest.intern new_ingest name))
-      (Ingest.names (Session.ingest old_session));
-    let new_engine = Session.engine fresh in
-    let tripped = ref 0 and retired = ref 0 in
-    for id = 0 to Engine.ntraces old_engine - 1 do
-      match Engine.export_trace old_engine id with
-      | None -> ()
-      | Some ts ->
-          let ts' = carry_trace ~new_monitors ~map ~inv ts in
-          Engine.restore_trace new_engine id ts';
-          let in_live = Array.make (Array.length new_monitors) false in
-          Array.iter (fun j -> in_live.(j) <- true) ts'.Engine.ts_live;
-          Array.iteri
-            (fun j (pd : Packed_dfa.t) ->
-              if ts'.Engine.ts_tripped_at.(j) >= 0 then incr tripped
-              else if (not pd.Packed_dfa.vacuous) && not in_live.(j) then
-                incr retired)
-            new_monitors
-    done;
-    Engine.set_counters new_engine ~events:(Engine.events old_engine)
-      ~tripped:!tripped ~retired_admissible:!retired;
-    let carried =
-      Array.fold_left
-        (fun acc oi -> match oi with Some _ -> acc + 1 | None -> acc)
-        0 map
+    let traces =
+      Array.init (Engine.ntraces old_engine) (fun id ->
+          Option.map
+            (carry_trace ~new_monitors ~map ~inv)
+            (Engine.export_trace old_engine id))
     in
-    Ok (fresh, carried)
+    match
+      Session.restore ~registry
+        ~names:(Ingest.names (Session.ingest old_session))
+        traces
+    with
+    | exception Invalid_argument e -> Error e
+    | fresh ->
+        let carried =
+          Array.fold_left
+            (fun acc oi -> match oi with Some _ -> acc + 1 | None -> acc)
+            0 map
+        in
+        Ok (fresh, carried)
   end
 
 let from_props_file ~old_session ~props_file () =

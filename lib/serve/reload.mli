@@ -3,24 +3,24 @@
     SIGHUP rebuilds the property registry off to the side and then
     carries the running session over to it:
 
-    - {b identical registry} (equal {!Sl_runtime.Registry.fingerprint}):
-      the session round-trips through its own [sl-artifact/1] snapshot —
-      exact continuation, byte-identical to not reloading at all.
     - {b changed alphabet}: refused. A trace's past events have no
       meaning over a different alphabet, so its monitor states cannot be
       carried; the daemon keeps serving the old registry.
-    - {b changed properties, same alphabet}: per-monitor carry-over.
-      Compiled monitors are identified by their canonical
-      {!Sl_runtime.Packed_dfa.key} (the same identity the registry uses
-      to hash-cons); a new monitor whose key matches an old one inherits
-      each trace's exact state — current DFA state, trip position,
-      liveness — because language-equal monitors have identical packed
-      tables. Monitors new to the registry start fresh at the start
-      state on every existing trace (their verdict history begins at the
-      reload; events before it are unjudged, which is the honest
-      semantics for a property that did not exist then). Counters are
-      recomputed from the carried states; the trace-id interner carries
-      over wholesale. *)
+    - {b same alphabet}: per-monitor carry-over. Compiled monitors are
+      identified by their canonical {!Sl_runtime.Packed_dfa.key} (the
+      same identity the registry uses to hash-cons); a new monitor
+      whose key matches an old one inherits each trace's exact state —
+      current DFA state, trip position, liveness — because
+      language-equal monitors have identical packed tables. An
+      identical registry (equal {!Sl_runtime.Registry.fingerprint})
+      carries every monitor, which is exact continuation,
+      byte-identical to not reloading at all. Monitors new to the
+      registry start fresh at the start state on every existing trace
+      (their verdict history begins at the reload; events before it are
+      unjudged, which is the honest semantics for a property that did
+      not exist then). The new session is built by
+      {!Sl_runtime.Session.restore}, so its counters are the carried
+      states' census; the trace-id interner carries over wholesale. *)
 
 val carry_over :
   old_session:Sl_runtime.Session.t ->
@@ -29,10 +29,10 @@ val carry_over :
   (Sl_runtime.Session.t * int, string) result
 (** Build a session over [registry] continuing [old_session]'s run.
     Returns the new session and the number of new-registry monitors
-    that inherited state ([= nmonitors] on the identical path).
-    [Error] refuses the
-    reload (alphabet change, or a corrupt round-trip) — the old session
-    is never touched either way. *)
+    that inherited state ([= nmonitors] for an identical registry).
+    [Error] refuses the reload (alphabet change, or a carried trace
+    that fails {!Sl_runtime.Engine.restore}'s validation) — the old
+    session is never touched either way. *)
 
 val from_props_file :
   old_session:Sl_runtime.Session.t ->

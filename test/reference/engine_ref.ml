@@ -169,14 +169,6 @@ let feed eng ?(off = 0) ~n ~traces ~symbols () =
     step_trace eng ~id (get_trace eng id) symbol
   done
 
-let reset eng =
-  eng.events <- 0;
-  eng.tripped <- 0;
-  eng.retired_ok <- 0;
-  Array.iter
-    (function Some tr -> init_trace eng tr | None -> ())
-    eng.traces
-
 let set_retire_hook eng h = eng.hook <- h
 
 let ntraces eng = eng.ntraces
@@ -256,6 +248,7 @@ let export_trace eng id =
             ts_live = Array.sub tr.live 0 tr.nlive;
             ts_tripped_at = Array.sub tr.tripped_at 0 m }
 
+(* Overwrite trace [id]'s state, validated as the seed engine did. *)
 let restore_trace eng id (ts : Engine.trace_state) =
   let monitors = eng.plan.monitors in
   let m = Array.length monitors in
@@ -304,9 +297,18 @@ let restore_trace eng id (ts : Engine.trace_state) =
   tr.nlive <- Array.length ts.ts_live;
   tr.events <- ts.ts_events
 
-let set_counters eng ~events ~tripped ~retired_admissible =
-  if events < 0 || tripped < 0 || retired_admissible < 0 then
-    invalid_arg "Engine.set_counters: negative counter";
-  eng.events <- events;
-  eng.tripped <- tripped;
-  eng.retired_ok <- retired_admissible
+(* A fresh engine with [traces] restored (trace [id] from
+   [traces.(id)] when [Some]), its counters their census: the product
+   engine's [Engine.restore]. *)
+let restore ~monitors traces =
+  let eng = create ~monitors () in
+  Array.iteri (fun id -> Option.iter (restore_trace eng id)) traces;
+  let counts = monitor_counts eng in
+  eng.tripped <- Array.fold_left (fun n c -> n + c.Engine.mc_tripped) 0 counts;
+  eng.retired_ok <-
+    Array.fold_left (fun n c -> n + c.Engine.mc_retired) 0 counts;
+  eng.events <-
+    Array.fold_left
+      (fun n -> function Some (tr : trace) -> n + tr.events | None -> n)
+      0 eng.traces;
+  eng

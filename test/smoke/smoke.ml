@@ -399,6 +399,19 @@ let words_events path =
             Printf.sprintf "w%d %d\n" (Random.State.int rng 32)
               (if Random.State.int rng 3 < 2 then 0 else 1))))
 
+(* /status' engine counters must equal the sums of /monitors' rows:
+   the counters of a resumed or carried-over session are the census of
+   its trace table, like /monitors. *)
+let counters_square what =
+  let status = check_status (get "/status") in
+  let rows = arr "monitors" (status_doc "monitors" (get "/monitors")) in
+  List.iter
+    (fun k ->
+      let sum = List.fold_left (fun n row -> n + int k row) 0 rows in
+      check (int k status = sum) "%s: /status %s %d, /monitors sum %d" what k
+        (int k status) sum)
+    [ "live"; "tripped"; "retired_admissible" ]
+
 (* ---- the serve smokes ---- *)
 
 (* Two concurrent clients split the example stream by trace; client A
@@ -481,8 +494,10 @@ let fresh_monitor_reload () =
   until "the reload" (fun v ->
       let r = mem "reloads" v in
       int "count" r = 1 && int "failures" r = 0);
+  counters_square "fresh-monitor reload, carried over";
   c.limit <- String.length c.input;
   let reply = List.hd (finish [ c ]) in
+  counters_square "fresh-monitor reload, fed on";
   stop "fresh-monitor reload" daemon;
   (* the first k at which w[k - 2], w[k - 1] = x, y, searching from
      position [from] *)
@@ -680,6 +695,7 @@ let restart () =
   check_traces (get "/traces");
   (* the census reads the resumed trace table: it covers both halves *)
   check_monitors (get "/monitors") ~offline:(Lazy.force example_offline);
+  counters_square "resumed";
   let top = file "top.out" and top_args = [ slc; "top"; "--socket"; sock () ] in
   check (run ~out:top (top_args @ [ "--once"; "--json" ]) = 0) "slc top --json";
   ignore (check_status (read_file top));

@@ -14,6 +14,8 @@ module Ingest = Sl_runtime.Ingest
 module Ingest_ref = Reference.Ingest_ref
 module Obs = Sl_obs.Obs
 module Translate = Sl_ltl.Translate
+module Closure = Sl_buchi.Closure
+module Lasso = Sl_word.Lasso
 module Verdict = Sl_runtime.Verdict
 
 let check = Alcotest.(check bool)
@@ -180,7 +182,7 @@ let test_engine_interleaved_traces () =
   check_int "t0 events" 2 (Engine.trace_events eng 0);
   check_int "t1 events" 2 (Engine.trace_events eng 1)
 
-let test_engine_reset_and_retirement () =
+let test_engine_retirement () =
   let reg = Registry.create () in
   ignore (Registry.add_formula reg (Formula.parse_exn "a"));
   ignore (Registry.add_formula reg (Formula.parse_exn "G F a"));
@@ -190,12 +192,15 @@ let test_engine_reset_and_retirement () =
      was never live: the trace has no live monitors left. *)
   check_int "all monitors retired" 0 (Engine.live eng);
   check_int "retired admissible" 1 (Engine.retired_admissible eng);
-  Engine.reset eng;
-  check_int "reset clears events" 0 (Engine.events eng);
-  Engine.step eng ~trace:0 ~symbol:1;
-  check "after reset the monitor trips" true
-    (Engine.verdict eng ~trace:0 ~monitor:0
-    = Engine.Violation { position = 1 })
+  Engine.step eng ~trace:1 ~symbol:1;
+  check "on a fresh trace the monitor trips" true
+    (Engine.verdict eng ~trace:1 ~monitor:0
+    = Engine.Violation { position = 1 });
+  check "the retired trace stays admissible" true
+    (Engine.verdict eng ~trace:0 ~monitor:0 = Engine.Admissible);
+  check_int "events" 2 (Engine.events eng);
+  check_int "one trip" 1 (Engine.tripped eng);
+  check_int "nothing live" 0 (Engine.live eng)
 
 (* Retirements at one event fire in ascending monitor index. On the
    trace [a a] all four monitors retire at event 2: [X a] and [a & X a]
@@ -654,11 +659,9 @@ let test_end_to_end_report () =
 (* --- Live census --- *)
 
 (* [Engine.live] is a maintained count, not a walk of the trace table:
-   after every operation of a random mix — batched feeds, with and
-   without a retire hook, single steps, resets, and
-   snapshot restores onto fresh and already-materialized ids — it must
-   equal the census recomputed from the table both per trace and per
-   monitor. *)
+   after every operation of a random mix (see [prop_live_census_exact]
+   below) it must equal the census recomputed from the table both per
+   trace and per monitor. *)
 let census_agrees eng =
   let by_trace = ref 0 in
   for id = 0 to Engine.ntraces eng - 1 do
@@ -672,68 +675,6 @@ let census_agrees eng =
       0 (Engine.monitor_counts eng)
   in
   Engine.live eng = !by_trace && Engine.live eng = by_monitor
-
-let prop_live_census_exact =
-  QCheck.Test.make
-    ~name:"Engine.live = trace-table census after any operation mix"
-    ~count:25
-    QCheck.(
-      pair (int_range 0 5000) (list_of_size Gen.(1 -- 16) (int_range 0 9)))
-    (fun (seed, ops) ->
-      (* the empty property (pre-tripped) and a pure liveness one
-         (vacuous) ride along: neither ever enters a live list *)
-      let monitors =
-        Array.append
-          [| Packed_dfa.of_buchi (Lexamples.automaton Lexamples.p0);
-             Packed_dfa.of_buchi (Lexamples.automaton Lexamples.p4) |]
-          (Array.init 4 (fun i ->
-               Packed_dfa.of_buchi
-                 (Buchi.random ~seed:(seed + (17 * i)) ~alphabet:2
-                    ~nstates:(3 + ((seed + i) mod 5)) ~density:0.2
-                    ~accepting_fraction:0.4 ())))
-      in
-      let run ~hooked =
-        let eng = Engine.create ~monitors () in
-        if hooked then
-          Engine.set_retire_hook eng
-            (Some (fun ~trace:_ ~monitor:_ ~position:_ ~tripped:_ -> ()));
-        let st = Random.State.make [| seed |] in
-        let ok = ref (census_agrees eng) in
-        let restore ~fresh =
-          let nt = Engine.ntraces eng in
-          if nt > 0 then
-            match Engine.export_trace eng (Random.State.int st nt) with
-            | None -> ()
-            | Some ts ->
-                let dst =
-                  if fresh then nt + Random.State.int st 3
-                  else Random.State.int st nt
-                in
-                Engine.restore_trace eng dst ts
-        in
-        List.iter
-          (fun op ->
-            (match op with
-            | 6 ->
-                Engine.step eng ~trace:(Random.State.int st 8)
-                  ~symbol:(Random.State.int st 2)
-            | 7 -> Engine.reset eng
-            | 8 -> restore ~fresh:true
-            | 9 -> restore ~fresh:false
-            | _ ->
-                let n = 1 + Random.State.int st 24 in
-                let traces = Array.init n (fun _ -> Random.State.int st 8) in
-                let symbols = Array.init n (fun _ -> Random.State.int st 2) in
-                Engine.feed eng ~n ~traces ~symbols ());
-            if not (census_agrees eng) then ok := false)
-          ops;
-        (!ok, Engine.live eng)
-      in
-      let ok_dark, live_dark = run ~hooked:false in
-      let ok_hooked, live_hooked = run ~hooked:true in
-      (* the same operations with and without the hook *)
-      ok_dark && ok_hooked && live_dark = live_hooked)
-
 
 (* --- The shadow product against the per-monitor reference ---
 
@@ -888,6 +829,84 @@ let restart st (monitors : Packed_dfa.t array) (ts : Engine.trace_state) =
         (List.filter (fun i -> live.(i)) (List.init (Array.length live) Fun.id));
     ts_tripped_at = tripped_at }
 
+(* Every trace's export over ids [0, ntraces), with one trace copied
+   onto an id below 10, restarted by [restart], or randomized: what a
+   rebuild from an edited snapshot restores. The target id may be past
+   the last trace, leaving unmaterialized ids between. *)
+let edited_exports st monitors ~export ~ntraces =
+  let dst = Random.State.int st 10 in
+  let traces =
+    Array.init (max ntraces (dst + 1)) (fun id ->
+        if id < ntraces then export id else None)
+  in
+  let src = if ntraces = 0 then None else traces.(Random.State.int st ntraces) in
+  let edit = Random.State.int st 3 in
+  traces.(dst) <-
+    Some
+      (match src with
+      | Some ts when edit = 0 -> ts
+      | Some ts when edit = 1 -> restart st monitors ts
+      | _ -> random_trace_state st monitors ~events:(Random.State.int st 20));
+  traces
+
+(* [Engine.live] against the census after every operation of a random
+   mix: batched feeds, with and without a retire hook, single steps,
+   and rebuilds by [Engine.restore] from [edited_exports]. *)
+let prop_live_census_exact =
+  QCheck.Test.make
+    ~name:"Engine.live = trace-table census after any operation mix"
+    ~count:25
+    QCheck.(
+      pair (int_range 0 5000) (list_of_size Gen.(1 -- 16) (int_range 0 9)))
+    (fun (seed, ops) ->
+      (* the empty property (pre-tripped) and a pure liveness one
+         (vacuous) ride along: neither ever enters a live list *)
+      let monitors =
+        Array.append
+          [| Packed_dfa.of_buchi (Lexamples.automaton Lexamples.p0);
+             Packed_dfa.of_buchi (Lexamples.automaton Lexamples.p4) |]
+          (Array.init 4 (fun i ->
+               Packed_dfa.of_buchi
+                 (Buchi.random ~seed:(seed + (17 * i)) ~alphabet:2
+                    ~nstates:(3 + ((seed + i) mod 5)) ~density:0.2
+                    ~accepting_fraction:0.4 ())))
+      in
+      let run ~hooked =
+        let hook eng =
+          if hooked then
+            Engine.set_retire_hook eng
+              (Some (fun ~trace:_ ~monitor:_ ~position:_ ~tripped:_ -> ()));
+          eng
+        in
+        let eng = ref (hook (Engine.create ~monitors ())) in
+        let st = Random.State.make [| seed |] in
+        let ok = ref (census_agrees !eng) in
+        List.iter
+          (fun op ->
+            (match op with
+            | 6 ->
+                Engine.step !eng ~trace:(Random.State.int st 8)
+                  ~symbol:(Random.State.int st 2)
+            | 7 | 8 | 9 ->
+                let traces =
+                  edited_exports st monitors ~export:(Engine.export_trace !eng)
+                    ~ntraces:(Engine.ntraces !eng)
+                in
+                eng := hook (Engine.restore ~monitors traces)
+            | _ ->
+                let n = 1 + Random.State.int st 24 in
+                let traces = Array.init n (fun _ -> Random.State.int st 8) in
+                let symbols = Array.init n (fun _ -> Random.State.int st 2) in
+                Engine.feed !eng ~n ~traces ~symbols ());
+            if not (census_agrees !eng) then ok := false)
+          ops;
+        (!ok, Engine.live !eng)
+      in
+      let ok_dark, live_dark = run ~hooked:false in
+      let ok_hooked, live_hooked = run ~hooked:true in
+      (* the same operations with and without the hook *)
+      ok_dark && ok_hooked && live_dark = live_hooked)
+
 let prop_product_equals_reference =
   QCheck.Test.make ~name:"shadow product = per-monitor reference engine"
     ~count:40
@@ -896,18 +915,19 @@ let prop_product_equals_reference =
       let st = Random.State.make [| seed |] in
       let alphabet, monitors = fleet st seed in
       let nm = Array.length monitors in
-      let eng = Engine.create ~monitors () and reference = Engine_ref.create ~monitors () in
       let hooked = ref [] and hooked_ref = ref [] in
       let record acc ~trace ~monitor ~position ~tripped =
         acc := (trace, monitor, position, tripped) :: !acc
       in
-      Engine.set_retire_hook eng (Some (record hooked));
-      Engine_ref.set_retire_hook reference (Some (record hooked_ref));
-      let both_restore id ts =
-        Engine.restore_trace eng id ts;
-        Engine_ref.restore_trace reference id ts
+      let hook eng =
+        Engine.set_retire_hook eng (Some (record hooked));
+        eng
+      and hook_ref eng =
+        Engine_ref.set_retire_hook eng (Some (record hooked_ref));
+        eng
       in
-      let pick_trace () = Random.State.int st (max 1 (Engine_ref.ntraces reference)) in
+      let eng = ref (hook (Engine.create ~monitors ()))
+      and reference = ref (hook_ref (Engine_ref.create ~monitors ())) in
       let ok = ref true in
       List.iter
         (fun op ->
@@ -915,40 +935,36 @@ let prop_product_equals_reference =
           | 6 ->
               let trace = Random.State.int st 8
               and symbol = Random.State.int st alphabet in
-              Engine.step eng ~trace ~symbol;
-              Engine_ref.step reference ~trace ~symbol
-          | 7 ->
-              Engine.reset eng;
-              Engine_ref.reset reference
-          | 8 -> (
-              (* copy a trace, or restart some of its monitors *)
-              match Engine_ref.export_trace reference (pick_trace ()) with
-              | None -> ()
-              | Some ts ->
-                  let dst = Random.State.int st 10 in
-                  both_restore dst
-                    (if Random.State.bool st then ts else restart st monitors ts))
-          | 9 ->
-              let events = Random.State.int st 20 in
-              both_restore (Random.State.int st 10)
-                (random_trace_state st monitors ~events)
+              Engine.step !eng ~trace ~symbol;
+              Engine_ref.step !reference ~trace ~symbol
+          | 7 | 8 | 9 ->
+              (* rebuild both engines from every trace's export, one
+                 trace copied, restarted or randomized *)
+              let traces =
+                edited_exports st monitors
+                  ~export:(Engine_ref.export_trace !reference)
+                  ~ntraces:(Engine_ref.ntraces !reference)
+              in
+              eng := hook (Engine.restore ~monitors traces);
+              reference := hook_ref (Engine_ref.restore ~monitors traces)
           | _ ->
               let n = 1 + Random.State.int st 48 in
               let traces = Array.init n (fun _ -> Random.State.int st 8) in
               let symbols = Array.init n (fun _ -> Random.State.int st alphabet) in
-              Engine.feed eng ~n ~traces ~symbols ();
-              Engine_ref.feed reference ~n ~traces ~symbols ());
+              Engine.feed !eng ~n ~traces ~symbols ();
+              Engine_ref.feed !reference ~n ~traces ~symbols ());
           if
-            observe_product eng ~n:11
-            <> observe_reference reference ~n:11 ~monitors:nm
+            observe_product !eng ~n:11
+            <> observe_reference !reference ~n:11 ~monitors:nm
             || !hooked <> !hooked_ref
           then ok := false)
         ops;
       !ok)
 
-(* Tuples outside the start-reachable product: the engine extends its
-   copy of a group, and once a group passes the cap it re-plans (a
-   second engine.plan span) — and still matches the reference. *)
+(* Tuples outside the start-reachable product: a restore from 40
+   random traces closes the groups from all their state vectors, in
+   one product build, and still matches the reference over the next
+   4000 events. *)
 let test_restore_outside_product () =
   let monitors = Lazy.force words120 in
   Obs.reset ();
@@ -956,28 +972,27 @@ let test_restore_outside_product () =
   Fun.protect
     ~finally:(fun () -> Obs.disable (); Obs.reset ())
     (fun () ->
-      let eng = Engine.create ~monitors () in
-      let reference = Engine_ref.create ~monitors () in
+      ignore (Engine.create ~monitors ());
       check_int "120 words: 3 groups" 3
         (Option.get (Obs.Metrics.value "engine_product_groups"));
       let st = Random.State.make [| 24 |] in
-      for id = 0 to 39 do
-        let ts = random_trace_state st monitors ~events:5 in
-        Engine.restore_trace eng id ts;
-        Engine_ref.restore_trace reference id ts
-      done;
-      let n = 4000 in
-      let traces = Array.init n (fun _ -> Random.State.int st 48) in
-      let symbols = Array.init n (fun _ -> Random.State.int st 2) in
-      Engine.feed eng ~n ~traces ~symbols ();
-      Engine_ref.feed reference ~n ~traces ~symbols ();
+      let traces =
+        Array.init 40 (fun _ -> Some (random_trace_state st monitors ~events:5))
+      in
+      let eng = Engine.restore ~monitors traces in
+      let reference = Engine_ref.restore ~monitors traces in
       let plans =
         List.filter
           (fun (e : Obs.Span.event) -> e.name = "engine.plan")
           (Obs.Span.events ())
       in
-      check "the engine re-planned" true (List.length plans >= 2);
-      check "product = reference after re-planning" true
+      check_int "one product build per engine" 2 (List.length plans);
+      let n = 4000 in
+      let traces = Array.init n (fun _ -> Random.State.int st 48) in
+      let symbols = Array.init n (fun _ -> Random.State.int st 2) in
+      Engine.feed eng ~n ~traces ~symbols ();
+      Engine_ref.feed reference ~n ~traces ~symbols ();
+      check "product = reference after a restore outside the product" true
         (observe_product eng ~n:50
         = observe_reference reference ~n:50 ~monitors:(Array.length monitors)))
 
@@ -987,7 +1002,10 @@ let test_restore_outside_product () =
    packed DFA: a formula's Büchi automaton, simulated on subsets, says
    whether a prefix still has an extension in L ([Buchi.live_states]).
    A monitor trips at k iff w[0..k) has none and no shorter prefix
-   lacks one; and [f & g] trips no later than [f]. *)
+   lacks one; and [f & g] trips no later than [f]. On infinite words,
+   through lasso membership in the closure automaton [Closure.bcl]: a
+   lasso never trips iff it lies in lcl(L), and an admissible
+   retirement leaves only extensions in lcl(L). *)
 
 let oracle_valuation symbol p = String.equal p "a" && symbol = 0
 
@@ -1070,6 +1088,102 @@ let prop_semantic_oracle =
         (List.init (List.length words) Fun.id)
         words)
 
+(* The closure side of Theorem 2: L(bcl(B_f)) = lcl(L(f)), decided by
+   lasso membership in the closure of [f]'s translated automaton. *)
+let closure_of f =
+  Closure.bcl (Translate.translate ~alphabet:2 ~valuation:oracle_valuation f)
+
+let gen_bits lo hi = QCheck.Gen.(list_size (int_range lo hi) (int_range 0 1))
+
+let print_formulas fs = String.concat "; " (List.map Formula.to_string fs)
+
+(* A fleet of [fs] in a fresh registry: the engine over its monitors,
+   and each formula with its distinct monitor. *)
+let oracle_fleet fs =
+  let reg = Registry.create () in
+  let ids = List.map (Registry.add_formula reg) fs in
+  let monitors = Registry.monitors reg in
+  (monitors, List.map2 (fun f id -> (f, Registry.monitor_of_prop reg id)) fs ids)
+
+(* A lasso u·v^ω lies in lcl(L) iff the monitor never trips on it. Its
+   run repeats a state at a block boundary within n + 1 blocks of v
+   (n = the monitor's packed state count), so u·v^(n+1) reaches every
+   state the infinite run visits: the trip, if there is one. *)
+let prop_lasso_oracle =
+  QCheck.Test.make ~name:"a lasso never trips iff it lies in lcl(L)" ~count:80
+    QCheck.(
+      pair
+        (make ~print:print_formulas
+           Gen.(list_size (int_range 1 4) gen_small_formula))
+        (make
+           Gen.(list_size (int_range 1 8) (pair (gen_bits 0 8) (gen_bits 1 4)))))
+    (fun (fs, lassos) ->
+      let monitors, fleet = oracle_fleet fs in
+      let n =
+        Array.fold_left (fun a pd -> max a pd.Packed_dfa.nstates) 0 monitors
+      in
+      let eng = Engine.create ~monitors () in
+      List.iteri
+        (fun trace (u, v) ->
+          List.iter
+            (fun symbol -> Engine.step eng ~trace ~symbol)
+            (u @ List.concat (List.init (n + 1) (fun _ -> v))))
+        lassos;
+      List.for_all
+        (fun (f, monitor) ->
+          let closure = closure_of f in
+          List.for_all Fun.id
+            (List.mapi
+               (fun trace (u, v) ->
+                 let tripped =
+                   match Engine.verdict eng ~trace ~monitor with
+                   | Engine.Violation _ -> true
+                   | Engine.Admissible | Engine.Vacuous -> false
+                 in
+                 tripped
+                 <> Buchi.accepts_lasso closure
+                      (Lasso.make ~prefix:u ~cycle:v))
+               lassos))
+        fleet)
+
+(* A monitor that retires admissible at k has every extension of
+   w[0..k) in lcl(L): checked on sampled lasso extensions x·y^ω. *)
+let prop_retirement_oracle =
+  QCheck.Test.make
+    ~name:"admissible retirement at k: w[0..k) extends only into lcl(L)"
+    ~count:40
+    QCheck.(
+      triple
+        (make ~print:print_formulas
+           Gen.(list_size (int_range 1 4) gen_small_formula))
+        (make Gen.(list_size (int_range 1 6) (gen_bits 0 12)))
+        (make
+           Gen.(list_size (int_range 1 6) (pair (gen_bits 0 4) (gen_bits 1 3)))))
+    (fun (fs, words, extensions) ->
+      let monitors, fleet = oracle_fleet fs in
+      let eng = Engine.create ~monitors () in
+      let retired = ref [] in
+      Engine.set_retire_hook eng
+        (Some
+           (fun ~trace ~monitor ~position ~tripped ->
+             if not tripped then retired := (trace, monitor, position) :: !retired));
+      List.iteri
+        (fun trace w -> List.iter (fun symbol -> Engine.step eng ~trace ~symbol) w)
+        words;
+      List.for_all
+        (fun (trace, monitor, k) ->
+          let prefix = List.filteri (fun i _ -> i < k) (List.nth words trace) in
+          List.for_all
+            (fun (f, _) ->
+              let closure = closure_of f in
+              List.for_all
+                (fun (x, y) ->
+                  Buchi.accepts_lasso closure
+                    (Lasso.make ~prefix:(prefix @ x) ~cycle:y))
+                extensions)
+            (List.filter (fun (_, m) -> m = monitor) fleet))
+        !retired)
+
 let tests =
   [ Alcotest.test_case "packed compilation" `Quick test_packed_shape;
     Alcotest.test_case "vacuity on Rem p0-p6" `Quick
@@ -1081,8 +1195,8 @@ let tests =
     QCheck_alcotest.to_alcotest prop_engine_batched_equals_stepwise;
     Alcotest.test_case "interleaved traces" `Quick
       test_engine_interleaved_traces;
-    Alcotest.test_case "reset and retirement" `Quick
-      test_engine_reset_and_retirement;
+    Alcotest.test_case "retirement, then a fresh trace" `Quick
+      test_engine_retirement;
     Alcotest.test_case "same-event retirements in monitor order" `Quick
       test_same_event_retirement_order;
     Alcotest.test_case "registry hash-consing" `Quick
@@ -1103,6 +1217,8 @@ let tests =
     Alcotest.test_case "end-to-end report" `Quick test_end_to_end_report;
     QCheck_alcotest.to_alcotest prop_live_census_exact;
     QCheck_alcotest.to_alcotest prop_product_equals_reference;
-    Alcotest.test_case "restore outside the product: extend and re-plan"
+    Alcotest.test_case "restore outside the start product"
       `Quick test_restore_outside_product;
-    QCheck_alcotest.to_alcotest prop_semantic_oracle ]
+    QCheck_alcotest.to_alcotest prop_semantic_oracle;
+    QCheck_alcotest.to_alcotest prop_lasso_oracle;
+    QCheck_alcotest.to_alcotest prop_retirement_oracle ]

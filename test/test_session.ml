@@ -341,24 +341,23 @@ let prop_hostile_bytes_all_decoders =
 
 (* --- Engine externalization invariants --- *)
 
-let test_restore_trace_validates () =
+let test_restore_validates () =
   let registry = Lazy.force registry in
   let s = Session.create ~registry () in
   (* "G a" trips on symbol 1; t1 ends with live and tripped monitors *)
   feed_events s [ ("t1", 0); ("t1", 1); ("t1", 0) ];
   let engine = Session.engine s in
   let ts = Option.get (Engine.export_trace engine 0) in
-  let target = Session.create ~registry () in
-  let te = Session.engine target in
+  let monitors = Registry.monitors registry in
+  let restore ts' = Engine.restore ~monitors [| Some ts' |] in
   let rejects what ts' =
-    match Engine.restore_trace te 0 ts' with
-    | () -> Alcotest.fail (what ^ ": accepted")
+    match restore ts' with
+    | _ -> Alcotest.fail (what ^ ": accepted")
     | exception Invalid_argument _ -> ()
   in
   (* the unmodified export restores fine *)
-  Engine.restore_trace te 0 ts;
   check "restored trace exports back identically" true
-    (Engine.export_trace te 0 = Some ts);
+    (Engine.export_trace (restore ts) 0 = Some ts);
   rejects "short states array"
     { ts with Engine.ts_states = Array.sub ts.Engine.ts_states 0 1 };
   rejects "state out of the monitor's range"
@@ -366,11 +365,27 @@ let test_restore_trace_validates () =
       Engine.ts_states =
         Array.map (fun _ -> max_int) ts.Engine.ts_states };
   rejects "negative event count" { ts with Engine.ts_events = -1 };
+  (* the trip table packs [position * max states + state] into an int:
+     a trip position this far out would export back wrapped *)
+  rejects "trip position past the trip table's range"
+    (let far = max_int / 2 in
+     { ts with
+       Engine.ts_events = far;
+       ts_tripped_at =
+         Array.map (fun p -> if p > 0 then far else p) ts.Engine.ts_tripped_at });
   rejects "trip position beyond the event count"
     { ts with
       Engine.ts_tripped_at =
         Array.map (fun p -> if p >= 0 then ts.Engine.ts_events + 1 else p)
           ts.Engine.ts_tripped_at };
+  (* event counts that each fit, but whose total does not *)
+  (let smax =
+     Array.fold_left (fun a pd -> max a pd.Packed_dfa.nstates) 1 monitors
+   in
+   let big = Some { ts with Engine.ts_events = (max_int / smax) - 1 } in
+   match Engine.restore ~monitors (Array.make (smax + 1) big) with
+   | _ -> Alcotest.fail "event total past max_int: accepted"
+   | exception Invalid_argument _ -> ());
   rejects "duplicate live entry"
     (let l = ts.Engine.ts_live in
      if Array.length l = 0 then { ts with Engine.ts_events = -1 }
@@ -411,7 +426,7 @@ let test_restore_trace_validates () =
   check "export of an unseen trace is None" true
     (Engine.export_trace engine 99 = None)
 
-let test_set_counters_after_restore () =
+let test_counters_after_restore () =
   let registry = Lazy.force registry in
   let s = Session.create ~registry () in
   feed_events s [ ("t1", 1); ("t2", 0) ];
@@ -422,6 +437,58 @@ let test_set_counters_after_restore () =
       check "counters exact after restore (pre-tripped not double-counted)"
         true
         (counters s' = c)
+
+(* The session payload (see [Session.to_artifact]) written by hand, with
+   the engine counters given. *)
+let session_blob s ~events ~tripped ~retired =
+  let w = Wire.writer () in
+  let engine = Session.engine s in
+  Wire.put_string w (Registry.fingerprint (Session.registry s));
+  let names = Ingest.names (Session.ingest s) in
+  Wire.put_int w (Array.length names);
+  Array.iter (Wire.put_string w) names;
+  Wire.put_int w events;
+  Wire.put_int w tripped;
+  Wire.put_int w retired;
+  Wire.put_int w (Engine.ntraces engine);
+  for id = 0 to Engine.ntraces engine - 1 do
+    match Engine.export_trace engine id with
+    | None -> Wire.put_bool w false
+    | Some ts ->
+        Wire.put_bool w true;
+        Wire.put_int w ts.Engine.ts_events;
+        Wire.put_int_array w ts.Engine.ts_states;
+        Wire.put_int_array w ts.Engine.ts_live;
+        Wire.put_int_array w ts.Engine.ts_tripped_at
+  done;
+  Wire.to_artifact ~kind:Wire.kind_session w
+
+(* Every stored counter is the census of the stored traces; a forged one
+   would make the summary and /status contradict /monitors. *)
+let test_forged_counters_refused () =
+  let registry = Lazy.force registry in
+  let s = Session.create ~registry () in
+  feed_events s [ ("t1", 1); ("t2", 0); ("t1", 0); ("t3", 0) ];
+  let e = Session.engine s in
+  let events = Engine.events e and tripped = Engine.tripped e
+  and retired = Engine.retired_admissible e in
+  let restores blob =
+    match Session.of_artifact ~registry blob with
+    | Ok _ -> true
+    | Error (Session.Corrupt _) -> false
+    | Error e -> Alcotest.fail (Session.restore_error_to_string e)
+  in
+  check "the true counters restore" true
+    (restores (session_blob s ~events ~tripped ~retired));
+  check "the hand-written blob is the session's own" true
+    (String.equal (session_blob s ~events ~tripped ~retired)
+       (Session.to_artifact s));
+  check "forged event counter refused" false
+    (restores (session_blob s ~events:(events + 1) ~tripped ~retired));
+  check "forged tripped counter refused" false
+    (restores (session_blob s ~events ~tripped:(tripped + 1000) ~retired));
+  check "forged retired counter refused" false
+    (restores (session_blob s ~events ~tripped ~retired:(retired + 7)))
 
 (* --- Satellite: ingest chunk-boundary and interner pins --- *)
 
@@ -502,10 +569,12 @@ let tests =
     QCheck_alcotest.to_alcotest prop_session_corruption_refused;
     QCheck_alcotest.to_alcotest prop_session_reseal_validated;
     QCheck_alcotest.to_alcotest prop_hostile_bytes_all_decoders;
-    Alcotest.test_case "restore_trace validates every field" `Quick
-      test_restore_trace_validates;
+    Alcotest.test_case "restore validates every field" `Quick
+      test_restore_validates;
     Alcotest.test_case "counters exact after restore" `Quick
-      test_set_counters_after_restore;
+      test_counters_after_restore;
+    Alcotest.test_case "forged snapshot counters refused" `Quick
+      test_forged_counters_refused;
     Alcotest.test_case "ingest pins: chunk-boundary lines and dense interning"
       `Quick test_ingest_chunk_boundary;
     Alcotest.test_case "interner round-trips through the session codec"
