@@ -313,12 +313,11 @@ let monitor_stream ~props_file ~trace_file ~json ~snapshot ~snapshot_every
   if not flags_ok then 2
   else begin
   let registry = Registry.create ~alphabet () in
-  let prop_errors =
-    let ic = open_in props_file in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> Registry.load_channel registry ~path:props_file ic)
-  in
+  match Registry.load_file registry props_file with
+  | Error msg ->
+      Format.eprintf "monitor: %s@." msg;
+      2
+  | Ok prop_errors ->
   List.iter prerr_endline prop_errors;
   if Registry.nprops registry = 0 then begin
     Format.eprintf "%s: no well-formed properties@." props_file;
@@ -496,12 +495,11 @@ let pack_cmd =
   let run props_file out =
     let module Registry = Sl_runtime.Registry in
     let registry = Registry.create ~alphabet:2 () in
-    let prop_errors =
-      let ic = open_in props_file in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> Registry.load_channel registry ~path:props_file ic)
-    in
+    match Registry.load_file registry props_file with
+    | Error msg ->
+        Format.eprintf "pack: %s@." msg;
+        2
+    | Ok prop_errors ->
     List.iter prerr_endline prop_errors;
     if Registry.nprops registry = 0 then begin
       Format.eprintf "%s: no well-formed properties@." props_file;

@@ -4,25 +4,15 @@
    hot paths of the decision pipeline and the runtime engine pay one
    boolean load. See DESIGN.md §6.8 for the overhead budget.
 
-   Domain-safety (§6.9): every recording cell is an [Atomic] — the
-   flag, the metric cells, the clock's monotonicity clamp — so
-   instrumented code may run on any domain. The
-   disabled path is still a single load ([Atomic.get] of the flag
-   compiles to a plain read). Spans keep their single mutable stack and
-   are recorded only on the domain that initialized the kernel (the
-   main domain); [Span.enter] on a worker domain hands out the inert
-   token, so worker-side spans are dropped rather than racing. *)
+   Single-domain by design (§6.9): nothing in the program spawns a
+   domain, so the flag, the metric cells and the clock clamp are plain
+   refs and arrays, and a recording is a plain read-modify-write. *)
 
-let on = Atomic.make false
+let on = ref false
 
-let is_enabled () = Atomic.get on
-let enable () = Atomic.set on true
-let disable () = Atomic.set on false
-
-(* The obs library is linked and initialized from the main domain;
-   worker domains spawned later compare against this id. *)
-let main_domain : int = (Domain.self () :> int)
-let on_main_domain () = (Domain.self () :> int) = main_domain
+let is_enabled () = !on
+let enable () = on := true
+let disable () = on := false
 
 (* ------------------------------------------------------------------ *)
 (* Clock                                                               *)
@@ -31,37 +21,24 @@ let on_main_domain () = (Domain.self () :> int) = main_domain
 module Clock = struct
   (* [Unix.gettimeofday] is a wall clock, not a monotonic one; spans
      must never see time run backwards, so readings are clamped to be
-     non-decreasing. Tests install deterministic sources. The clamp and
-     the epoch are atomics so worker-domain histogram timings can read
-     the clock concurrently: the clamp advances by compare-and-set
-     (retrying readers observe the value that beat them), the epoch is
-     set once by whichever reading comes first. *)
+     non-decreasing. Tests install deterministic sources. The epoch is
+     the first reading. *)
   let default_source = Unix.gettimeofday
 
   let source = ref default_source
-  let last = Atomic.make neg_infinity
-  let epoch = Atomic.make nan
-
-  let rec raw_now () =
-    let t = !source () in
-    let l = Atomic.get last in
-    if t < l then l
-    else if Atomic.compare_and_set last l t then t
-    else raw_now ()
+  let last = ref neg_infinity
+  let epoch = ref nan
 
   let now_us () =
-    let t = raw_now () in
-    let e0 = Atomic.get epoch in
-    (* CAS compares boxes physically, so the expected value must be the
-       box just read, not a fresh [nan] literal. *)
-    if Float.is_nan e0 then ignore (Atomic.compare_and_set epoch e0 t);
-    let e = Atomic.get epoch in
-    (t -. e) *. 1e6
+    let t = Float.max (!source ()) !last in
+    last := t;
+    if Float.is_nan !epoch then epoch := t;
+    (t -. !epoch) *. 1e6
 
   let set_source f =
     source := f;
-    Atomic.set last neg_infinity;
-    Atomic.set epoch nan
+    last := neg_infinity;
+    epoch := nan
 
   let reset_source () = set_source default_source
 end
@@ -102,20 +79,14 @@ module Metrics = struct
   let nbuckets = 63
   let hslots = nbuckets + 1
 
-  (* Cells are individual [int Atomic.t]s so bumps from other domains
-     neither tear nor lose increments. Registration (which may
-     swap the backing array) happens on the main domain outside any
-     parallel region — module-initialization time for flat metrics and
-     vec families, chunk epilogues / connection setup for vec children
-     (regions are synchronous, so no worker is running then) — and the
-     handles it returns are plain ints, so the arrays are only read
-     behind them afterwards. *)
+  (* Cells are plain ints in two growable arrays. Registration may swap
+     a backing array for a larger one; the handles it returns are
+     indices, so they stay valid across the swap. *)
   let registry : (string, family) Hashtbl.t = Hashtbl.create 64
   let order : family list ref = ref [] (* reversed registration order *)
-  let acell _ = Atomic.make 0
-  let cells = ref (Array.init 64 acell)
+  let cells = ref (Array.make 64 0)
   let ncells = ref 0
-  let hcells = ref (Array.init (4 * hslots) acell)
+  let hcells = ref (Array.make (4 * hslots) 0)
   let nhist = ref 0
 
   let kind_name = function
@@ -124,29 +95,23 @@ module Metrics = struct
     | Khistogram -> "histogram"
 
   let grow a need =
-    if need <= Array.length !a then ()
-    else begin
-      let len = Array.length !a in
-      let fresh =
-        Array.init (max need (2 * len)) (fun i ->
-            if i < len then !a.(i) else acell i)
-      in
+    let len = Array.length !a in
+    if need > len then begin
+      let fresh = Array.make (max need (2 * len)) 0 in
+      Array.blit !a 0 fresh 0 len;
       a := fresh
     end
 
+  (* Fresh cells are zero: [reset] clears only the allocated prefix. *)
   let alloc_index = function
     | Kcounter | Kgauge ->
         let i = !ncells in
         grow cells (i + 1);
-        Atomic.set !cells.(i) 0;
         ncells := i + 1;
         i
     | Khistogram ->
         let base = !nhist * hslots in
         grow hcells (base + hslots);
-        for i = base to base + hslots - 1 do
-          Atomic.set !hcells.(i) 0
-        done;
         incr nhist;
         base
 
@@ -198,10 +163,8 @@ module Metrics = struct
     vec ?help name ~labels Khistogram
 
   (* Child interning: one cell block per distinct label-value tuple,
-     created on first use (idempotent — the joined values are the key).
-     Like registration, child creation belongs on the main domain
-     outside parallel regions; the call sites (chunk epilogues,
-     connection setup) satisfy that by construction. *)
+     created on first use (idempotent — the joined values are the
+     key). *)
   let child (f : family) values : int =
     if List.length values <> List.length f.flabels then
       invalid_arg
@@ -219,29 +182,19 @@ module Metrics = struct
   let counter_child : counter_vec -> string list -> counter = child
   let histogram_child : histogram_vec -> string list -> histogram = child
 
-  (* The recording fast path: one flag check, then one atomic
-     read-modify-write on the cell (indices are valid by construction
-     of the handles). Gauge sets race as last-write-wins, which is the
-     right semantics for a level. *)
-  let incr (c : counter) =
-    if Atomic.get on then Atomic.incr (Array.unsafe_get !cells c)
-
-  let add (c : counter) v =
-    if Atomic.get on then
-      ignore (Atomic.fetch_and_add (Array.unsafe_get !cells c) v)
-
-  let set (g : gauge) v =
-    if Atomic.get on then Atomic.set (Array.unsafe_get !cells g) v
+  (* The recording fast path: one flag check, then one read-modify-write
+     on the cell (indices are valid by construction of the handles). *)
+  let bump a i v = Array.unsafe_set a i (Array.unsafe_get a i + v)
+  let incr (c : counter) = if !on then bump !cells c 1
+  let add (c : counter) v = if !on then bump !cells c v
+  let set (g : gauge) v = if !on then Array.unsafe_set !cells g v
 
   (* Always-on recording, skipping the enabled check: for counters that
      make telemetry loss itself observable (span-ring drops) — a dark
      kernel would otherwise hide exactly the events one scrapes
-     /metrics to find. Callers keep these off hot per-event paths; the
-     cost is one atomic RMW per call. *)
-  let incr_always (c : counter) = Atomic.incr (Array.unsafe_get !cells c)
-
-  let add_always (c : counter) v =
-    ignore (Atomic.fetch_and_add (Array.unsafe_get !cells c) v)
+     /metrics to find. *)
+  let incr_always (c : counter) = bump !cells c 1
+  let add_always (c : counter) v = bump !cells c v
 
   let bucket_of v =
     if v <= 0 then 0
@@ -256,35 +209,35 @@ module Metrics = struct
     end
 
   let observe (h : histogram) v =
-    if Atomic.get on then begin
+    if !on then begin
       let cells = !hcells in
-      Atomic.incr (Array.unsafe_get cells (h + bucket_of v));
-      ignore (Atomic.fetch_and_add (Array.unsafe_get cells (h + nbuckets)) v)
+      bump cells (h + bucket_of v) 1;
+      bump cells (h + nbuckets) v
     end
 
-  let counter_value (c : counter) = Atomic.get !cells.(c)
-  let gauge_value (g : gauge) = Atomic.get !cells.(g)
+  let counter_value (c : counter) = !cells.(c)
+  let gauge_value (g : gauge) = !cells.(g)
 
   let histogram_count (h : histogram) =
     let total = ref 0 in
     for i = h to h + nbuckets - 1 do
-      total := !total + Atomic.get !hcells.(i)
+      total := !total + !hcells.(i)
     done;
     !total
 
-  let histogram_sum (h : histogram) = Atomic.get !hcells.(h + nbuckets)
+  let histogram_sum (h : histogram) = !hcells.(h + nbuckets)
 
   let bucket_upper i = (1 lsl i) - 1 (* bucket 0 -> 0, bucket i -> 2^i - 1 *)
 
   let histogram_buckets (h : histogram) =
     let last_nonempty = ref (-1) in
     for i = 0 to nbuckets - 1 do
-      if Atomic.get !hcells.(h + i) > 0 then last_nonempty := i
+      if !hcells.(h + i) > 0 then last_nonempty := i
     done;
     let cum = ref 0 in
     let finite =
       List.init (!last_nonempty + 1) (fun i ->
-          cum := !cum + Atomic.get !hcells.(h + i);
+          cum := !cum + !hcells.(h + i);
           (Some (bucket_upper i), !cum))
     in
     finite @ [ (None, !cum) ]
@@ -298,7 +251,7 @@ module Metrics = struct
     | _ -> None
 
   let value name =
-    Option.map (fun i -> Atomic.get !cells.(i)) (find name [ Kcounter; Kgauge ])
+    Option.map (fun i -> !cells.(i)) (find name [ Kcounter; Kgauge ])
 
   let histogram_stats name =
     Option.map
@@ -357,7 +310,7 @@ module Metrics = struct
             let ls extra = labels_str f.flabels lvals extra in
             match f.fkind with
             | Kcounter | Kgauge ->
-                p "%s%s %d\n" f.fname (ls []) (Atomic.get !cells.(idx))
+                p "%s%s %d\n" f.fname (ls []) !cells.(idx)
             | Khistogram ->
                 List.iter
                   (fun (ub, cum) ->
@@ -377,12 +330,8 @@ module Metrics = struct
     Buffer.contents buf
 
   let reset () =
-    for i = 0 to !ncells - 1 do
-      Atomic.set !cells.(i) 0
-    done;
-    for i = 0 to (!nhist * hslots) - 1 do
-      Atomic.set !hcells.(i) 0
-    done
+    Array.fill !cells 0 !ncells 0;
+    Array.fill !hcells 0 (!nhist * hslots) 0
 end
 
 (* ------------------------------------------------------------------ *)
@@ -471,13 +420,11 @@ module Span = struct
       Metrics.incr_always m_dropped
     end
 
-  (* Spans keep one mutable stack + ring, owned by the main domain:
-     [enter] from any other domain returns the inert token (making the
-     matching [attr]/[exit] no-ops), so worker-side spans are dropped
-     rather than corrupting the stack. The disabled path stays a single
-     flag load — the domain check runs only when collection is on. *)
+  (* One mutable stack + ring. While collection is off, [enter] returns
+     the inert token (making the matching [attr]/[exit] no-ops) after a
+     single flag load. *)
   let enter name : token =
-    if not (Atomic.get on) || not (on_main_domain ()) then none
+    if not !on then none
     else begin
       let i = !depth in
       if i = Array.length !stack then begin

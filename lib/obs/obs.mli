@@ -75,11 +75,7 @@ module Metrics : sig
       {!histogram} handles — recording into a labeled
       series costs exactly a flat record — and the family renders in
       the exposition as [name{label="value",...}] lines with values
-      escaped per the text-format spec.
-
-      Child creation (like registration) must happen on the main
-      domain outside parallel regions: chunk epilogues and connection
-      setup qualify, worker bodies do not. *)
+      escaped per the text-format spec. *)
 
   type counter_vec
   type histogram_vec

@@ -7,25 +7,27 @@
    skipped. Trace ids are interned to the dense ints the engine indexes
    by.
 
-   The scanner ([scan_line] and the incremental [scanner]) walks the
-   raw read buffer in place: token bounds are byte offsets, symbols
-   parse with a strict decimal digit loop, and trace-id interning probes
-   a hash computed over the byte slice — a string is materialized only
-   on first sight of a new id (or on the cold error path). The QCheck
-   pin in test_runtime holds it byte-for-byte equal to a line-at-a-time
-   reference reader (test/reference, [Ingest_ref]) over hostile streams
-   at every block boundary. *)
+   The incremental [scanner] is the one line framer: [slc monitor] and
+   every serve connection read through it. It walks the raw read
+   buffer in place: token bounds are byte offsets, symbols parse with a
+   strict decimal digit loop, and trace-id interning probes a hash
+   computed over the byte slice — a string is materialized only on
+   first sight of a new id (or on the cold error path). The QCheck pin
+   in test_runtime holds it byte-for-byte equal to a line-at-a-time
+   reference reader (test/reference, [Ingest_ref]), with and without a
+   line cap, over hostile streams at every block boundary. *)
 
 module Obs = Sl_obs.Obs
 
-(* Pipeline-stage timing: time spent splitting/validating lines between
-   chunk flushes (the engine-feed stage is timed by [Engine.feed]
-   itself). Recorded once per chunk — the per-line loop never reads the
-   clock. The same family is recorded by [Sl_serve.Conn] for the
-   socket path. *)
+(* Pipeline-stage timing: time the scanner spends splitting and
+   validating lines, less the nested chunk delivery — the engine-feed
+   stage is timed by [Engine.feed] itself. Observed once per block fed,
+   so the per-line loop never reads the clock. The only producer of
+   this family: [slc monitor] and every serve connection scan through
+   here. *)
 let h_stage_parse =
   Obs.Metrics.histogram
-    ~help:"Pipeline stage: line parse/accumulate latency per chunk"
+    ~help:"Pipeline stage: line scan latency per block, less the chunk feed"
     "stage_ingest_parse_ns"
 
 (* --- Interner ---
@@ -167,34 +169,6 @@ let error_to_string e =
 let overflow_div = max_int / 10
 let overflow_rem = max_int mod 10
 
-(* Strict decimal symbol parse over a slice: an optional '-' followed by
-   digits only. Unlike [int_of_string_opt] this rejects the 0x/0o/0b
-   radix prefixes and '_' separators ("0x10", "0b1", "1_000" are
-   protocol errors, not symbols), and a leading '+'. Allocation-free:
-   the value, or [-1] for garbage (non-digits, empty, overflow), [-2]
-   for a well-formed negative number (which the protocol forbids). *)
-let parse_symbol_raw s off len =
-  let neg = len > 0 && String.unsafe_get s off = '-' in
-  let start = if neg then off + 1 else off in
-  let stop = off + len in
-  if start >= stop then -1
-  else begin
-    let v = ref 0 in
-    let ok = ref true in
-    let i = ref start in
-    while !ok && !i < stop do
-      let c = Char.code (String.unsafe_get s !i) - Char.code '0' in
-      if c < 0 || c > 9 then ok := false
-      else if !v > overflow_div || (!v = overflow_div && c > overflow_rem)
-      then ok := false  (* overflow *)
-      else begin
-        v := (!v * 10) + c;
-        incr i
-      end
-    done;
-    if not !ok then -1 else if neg then -2 else !v
-  end
-
 type chunk = {
   mutable len : int;
   trace_ids : int array;
@@ -207,70 +181,18 @@ let create_chunk size =
 
 (* --- Zero-copy line scan ---
 
-   One line as a byte slice [off, off+len) of [s]: find the two token
-   bounds in place, parse the symbol with the strict digit loop, and
-   only touch the allocator on the cold paths — a new trace id
-   (interned once) or an error (the reported trace/symbol strings are
-   materialized for the record). The alphabet check happens before the
-   intern, so a rejected line never grows the interner, which the
-   byte-identity of session snapshots depends on. *)
-let scan_line t ~alphabet s off len =
-  let stop = off + len in
-  let i = ref off in
-  while !i < stop && is_space (String.unsafe_get s !i) do incr i done;
-  if !i = stop then `Skip
-  else begin
-    let t0 = !i in
-    while !i < stop && not (is_space (String.unsafe_get s !i)) do incr i done;
-    let t1 = !i in
-    if String.unsafe_get s t0 = '#' then `Skip
-    else begin
-      while !i < stop && is_space (String.unsafe_get s !i) do incr i done;
-      if !i = stop then
-        `Error
-          ( Some (String.sub s t0 (t1 - t0)),
-            "expected \"trace-id symbol\", got one field" )
-      else begin
-        let s0 = !i in
-        while !i < stop && not (is_space (String.unsafe_get s !i)) do
-          incr i
-        done;
-        let s1 = !i in
-        while !i < stop && is_space (String.unsafe_get s !i) do incr i done;
-        if !i < stop then
-          `Error
-            ( Some (String.sub s t0 (t1 - t0)),
-              "expected \"trace-id symbol\", got extra fields" )
-        else
-          match parse_symbol_raw s s0 (s1 - s0) with
-          | -2 -> `Error (Some (String.sub s t0 (t1 - t0)), "negative symbol")
-          | -1 ->
-              `Error
-                ( Some (String.sub s t0 (t1 - t0)),
-                  Printf.sprintf "symbol %S is not an integer"
-                    (String.sub s s0 (s1 - s0)) )
-          | symbol ->
-              if symbol >= alphabet then
-                `Error
-                  ( Some (String.sub s t0 (t1 - t0)),
-                    Printf.sprintf "symbol %d outside alphabet [0, %d)" symbol
-                      alphabet )
-              else `Event (intern_slice t s t0 (t1 - t0), symbol)
-      end
-    end
-  end
-
-(* The allocation-free fast path over the same slice: accept exactly the
-   lines [scan_line] answers [`Event] for, returning the interned trace
-   id with the symbol parked in [scanned_symbol] — two ints, no heap.
-   Anything else (blank, comment, malformed, out-of-alphabet) is [-1]:
-   the caller re-scans with [scan_line] for the exact skip/error result,
-   a cold path that touches neither the interner nor the chunk.
-
-   One fused pass over the bytes: the trace-id walk folds the FNV-1a
-   interner hash in as it finds the token bound, and the symbol walk
-   accumulates the decimal value instead of finding bounds first and
-   parsing second — no byte is read twice. *)
+   One line as a byte slice [off, off+len) of [s], in one fused pass
+   that allocates nothing for an event line of a known trace id: the
+   trace-id walk folds the FNV-1a interner hash in as it finds the token
+   bound, and the symbol walk accumulates the strict decimal value
+   (digits only: the 0x/0o/0b radix prefixes, '_' separators and a
+   leading '+' that [int_of_string_opt] would take are protocol errors)
+   — no byte is read twice. The result is the interned trace id, with
+   the symbol parked in [r_sym]: two ints, no heap. Every other line
+   (blank, comment, malformed, out-of-alphabet) is [-1], touching
+   neither the interner nor [r_sym] — a rejected line never grows the
+   interner, which the byte-identity of session snapshots depends on —
+   and [line_error] says why. *)
 let scan_event t ~alphabet s off len =
   let stop = off + len in
   let i = ref off in
@@ -320,7 +242,37 @@ let scan_event t ~alphabet s off len =
     end
   end
 
-let scanned_symbol t = t.r_sym
+(* The cold path, for a line [scan_event] rejected: [None] for a blank
+   or comment line (allocation-free), else the trace-id field and the
+   reason. A malformed line allocates its error record anyway. *)
+let line_error ~alphabet s off len =
+  let i = ref off in
+  while !i < off + len && is_space (String.unsafe_get s !i) do incr i done;
+  if !i = off + len || s.[!i] = '#' then None
+  else
+    let decimal d =
+      d <> "" && String.for_all (fun c -> c >= '0' && c <= '9') d
+      && int_of_string_opt d <> None
+    in
+    match
+      String.sub s off len
+      |> String.map (fun c -> if is_space c then ' ' else c)
+      |> String.split_on_char ' '
+      |> List.filter (fun f -> f <> "")
+    with
+    | [] -> None
+    | [ trace ] -> Some (trace, "expected \"trace-id symbol\", got one field")
+    | [ trace; sym ] ->
+        let tail = String.sub sym 1 (String.length sym - 1) in
+        Some
+          ( trace,
+            if decimal sym then
+              Printf.sprintf "symbol %d outside alphabet [0, %d)"
+                (int_of_string sym) alphabet
+            else if sym.[0] = '-' && decimal tail then "negative symbol"
+            else Printf.sprintf "symbol %S is not an integer" sym )
+    | trace :: _ ->
+        Some (trace, "expected \"trace-id symbol\", got extra fields")
 
 (* --- Incremental scanner over raw read blocks ---
 
@@ -329,43 +281,62 @@ let scanned_symbol t = t.r_sym
    buffered (in [carry]) and re-scanned from the materialized string —
    the cold path, at most once per block. Line numbers count completed
    lines, so errors cite the same 1-based positions no matter where the
-   block boundaries fall. *)
+   block boundaries fall. A line longer than [max_line] is reported once,
+   at the byte that tips it over, and discarded up to its newline, so
+   the carry never holds more than [max_line] bytes. *)
 type scanner = {
   s_ingest : t;
   s_alphabet : int;
   s_chunk : chunk;
   s_carry : Buffer.t;  (* head of a line split across blocks *)
+  mutable s_max_line : int;
+  mutable s_oversized : bool;  (* discarding an over-cap line's tail *)
   mutable s_lineno : int;
-  s_on_chunk : chunk -> unit;
-  s_on_error : error -> unit;
-  mutable s_mark : float;  (* parse-stage mark; NaN = no mark *)
+  mutable s_on_chunk : chunk -> unit;
+  mutable s_on_error : error -> unit;
+  mutable s_nested_us : float;  (* [on_chunk] time within this block *)
 }
 
-let scanner ?(chunk_size = 4096) ~alphabet t ~on_chunk ~on_error =
+let scanner ?(chunk_size = 4096) ?(max_line = max_int) ~alphabet t ~on_chunk
+    ~on_error =
   {
     s_ingest = t;
     s_alphabet = alphabet;
     s_chunk = create_chunk chunk_size;
     s_carry = Buffer.create 256;
+    s_max_line = max_line;
+    s_oversized = false;
     s_lineno = 0;
     s_on_chunk = on_chunk;
     s_on_error = on_error;
-    s_mark = (if Obs.is_enabled () then Obs.Clock.now_us () else nan);
+    s_nested_us = 0.;
   }
+
+let restart sc ~max_line ~on_chunk ~on_error =
+  sc.s_chunk.len <- 0;
+  Buffer.reset sc.s_carry;
+  sc.s_max_line <- max_line;
+  sc.s_oversized <- false;
+  sc.s_lineno <- 0;
+  sc.s_on_chunk <- on_chunk;
+  sc.s_on_error <- on_error
+
+let lines sc = sc.s_lineno
 
 let scan_flush sc =
   let chunk = sc.s_chunk in
   if chunk.len > 0 then begin
-    if Obs.is_enabled () && not (Float.is_nan sc.s_mark) then
-      Obs.Metrics.observe h_stage_parse
-        (int_of_float ((Obs.Clock.now_us () -. sc.s_mark) *. 1e3));
-    sc.s_on_chunk chunk;
-    chunk.len <- 0;
-    sc.s_mark <- (if Obs.is_enabled () then Obs.Clock.now_us () else nan)
+    if Obs.is_enabled () then begin
+      let t0 = Obs.Clock.now_us () in
+      sc.s_on_chunk chunk;
+      sc.s_nested_us <- sc.s_nested_us +. (Obs.Clock.now_us () -. t0)
+    end
+    else sc.s_on_chunk chunk;
+    chunk.len <- 0
   end
 
+(* One complete line, already counted in [s_lineno]. *)
 let scan_handle sc s off len =
-  sc.s_lineno <- sc.s_lineno + 1;
   let t = sc.s_ingest in
   let id = scan_event t ~alphabet:sc.s_alphabet s off len in
   if id >= 0 then begin
@@ -376,43 +347,72 @@ let scan_handle sc s off len =
     if chunk.len = Array.length chunk.trace_ids then scan_flush sc
   end
   else
-    (* cold: blank/comment/malformed — re-scan for the exact result *)
-    match scan_line t ~alphabet:sc.s_alphabet s off len with
-    | `Skip -> ()
-    | `Error (trace, reason) ->
+    match line_error ~alphabet:sc.s_alphabet s off len with
+    | None -> ()
+    | Some (trace, reason) ->
         sc.s_on_error
-          { e_line = sc.s_lineno; e_trace = trace; e_reason = reason }
-    | `Event (id, symbol) ->
-        (* unreachable: [scan_event] accepts every event line *)
-        let chunk = sc.s_chunk in
-        Array.unsafe_set chunk.trace_ids chunk.len id;
-        Array.unsafe_set chunk.symbols chunk.len symbol;
-        chunk.len <- chunk.len + 1;
-        if chunk.len = Array.length chunk.trace_ids then scan_flush sc
+          { e_line = sc.s_lineno; e_trace = Some trace; e_reason = reason }
 
+let over_cap sc ~line =
+  sc.s_on_error
+    {
+      e_line = line;
+      e_trace = None;
+      e_reason = Printf.sprintf "line exceeds %d bytes (skipped)" sc.s_max_line;
+    }
+
+(* The line ending at a newline: the carry plus [s.[off, off+len)]. *)
+let scan_complete sc s off len =
+  sc.s_lineno <- sc.s_lineno + 1;
+  if sc.s_oversized then sc.s_oversized <- false  (* its tail: resync *)
+  else if Buffer.length sc.s_carry + len > sc.s_max_line then begin
+    Buffer.clear sc.s_carry;
+    over_cap sc ~line:sc.s_lineno
+  end
+  else if Buffer.length sc.s_carry = 0 then scan_handle sc s off len
+  else begin
+    (* boundary-straddling line: materialize once and re-scan *)
+    Buffer.add_substring sc.s_carry s off len;
+    let line = Buffer.contents sc.s_carry in
+    Buffer.clear sc.s_carry;
+    scan_handle sc line 0 (String.length line)
+  end
+
+(* A block's tail without a newline: carry it, or tip over the cap. *)
+let scan_partial sc s off len =
+  if not sc.s_oversized then
+    if Buffer.length sc.s_carry + len > sc.s_max_line then begin
+      sc.s_oversized <- true;
+      Buffer.clear sc.s_carry;
+      over_cap sc ~line:(sc.s_lineno + 1)
+    end
+    else Buffer.add_substring sc.s_carry s off len
+
+(* The parse stage is the time spent in this call less the nested
+   [on_chunk] time, observed once per block: the clock is never read
+   per line, and never across the wait between blocks. *)
 let scan_string sc s off len =
   if off < 0 || len < 0 || off + len > String.length s then
     invalid_arg "Ingest.scan_string";
+  let enabled = Obs.is_enabled () in
+  let t0 = if enabled then Obs.Clock.now_us () else 0. in
+  sc.s_nested_us <- 0.;
   let stop = off + len in
   let i = ref off in
   while !i < stop do
     let j = find_newline s !i stop in
     if j >= 0 then begin
-      (if Buffer.length sc.s_carry = 0 then scan_handle sc s !i (j - !i)
-       else begin
-         (* boundary-straddling line: materialize once and re-scan *)
-         Buffer.add_substring sc.s_carry s !i (j - !i);
-         let line = Buffer.contents sc.s_carry in
-         Buffer.clear sc.s_carry;
-         scan_handle sc line 0 (String.length line)
-       end);
+      scan_complete sc s !i (j - !i);
       i := j + 1
     end
     else begin
-      Buffer.add_substring sc.s_carry s !i (stop - !i);
+      scan_partial sc s !i (stop - !i);
       i := stop
     end
-  done
+  done;
+  if enabled then
+    Obs.Metrics.observe h_stage_parse
+      (int_of_float ((Obs.Clock.now_us () -. t0 -. sc.s_nested_us) *. 1e3))
 
 (* The scanner never retains a reference into the block past the call
    ([intern_slice] and the error path copy what they keep), so reading
@@ -423,10 +423,11 @@ let scan_bytes sc b off len =
   scan_string sc (Bytes.unsafe_to_string b) off len
 
 let scan_eof sc =
-  if Buffer.length sc.s_carry > 0 then begin
+  if (not sc.s_oversized) && Buffer.length sc.s_carry > 0 then begin
     (* final line without a trailing newline *)
     let line = Buffer.contents sc.s_carry in
     Buffer.clear sc.s_carry;
+    sc.s_lineno <- sc.s_lineno + 1;
     scan_handle sc line 0 (String.length line)
   end;
   scan_flush sc

@@ -6,9 +6,10 @@
     and skipped. Events are delivered to the engine in reusable batched
     chunks of parallel [int array]s.
 
-    The zero-copy path ({!scan_line}, {!scanner}) walks raw read
-    blocks in place and allocates only on new trace ids and on the
-    error path; it is what [slc monitor] and the serve daemon run. *)
+    The {!scanner} is the one line framer: [slc monitor] and every
+    [slc serve] connection cut their byte streams into lines through
+    it. It walks raw read blocks in place and allocates only on new
+    trace ids and on the error path. *)
 
 type t
 (** The trace-id interner: string ids to the dense ints the engine
@@ -32,13 +33,14 @@ val intern : t -> string -> int
 type error = {
   e_line : int;  (** 1-based line number in the input stream *)
   e_trace : string option;
-      (** the line's trace-id field when one could be recognized — a
-          daemon echoes the error to the client with the trace it
-          concerns, not just a line number *)
+      (** the line's trace-id field — a daemon echoes the error to the
+          client with the trace it concerns, not just a line number.
+          [None] exactly for a line over the scanner's cap. *)
   e_reason : string;
 }
 (** A structured per-line ingestion defect: malformed syntax, a
-    non-integer or negative symbol, or a symbol outside the alphabet.
+    non-integer or negative symbol, a symbol outside the alphabet, or a
+    line over the scanner's cap.
     The offending line is skipped; the record carries everything a
     caller needs to report it (or echo it back over a socket). *)
 
@@ -58,59 +60,63 @@ val create_chunk : int -> chunk
 
 (** {1 Zero-copy scanning} *)
 
-val find_newline : string -> int -> int -> int
-(** [find_newline s off stop] is the index of the first ['\n'] in
-    [[off, stop)], or [-1] — C [memchr], word-at-a-time where an OCaml
-    byte loop is not. The explicit [stop] bound makes it safe on a
-    string view of a reusable read buffer whose bytes beyond the fill
-    are stale. *)
-
-val scan_line :
-  t -> alphabet:int -> string -> int -> int ->
-  [ `Event of int * int  (** interned trace id, in-alphabet symbol *)
-  | `Skip
-  | `Error of string option * string ]
-(** Scan one line given as the byte slice [[off, off+len)] — no
-    trailing newline — entirely in place: the hot path (a known trace
-    id, a valid symbol) performs no allocation. Symbols are strict
-    decimal: digits only (an optional ['-'] is recognized just to
-    report ["negative symbol"]) — [0x]/[0b] radix prefixes, ['_']
-    separators and a leading ['+'] are malformed, unlike
-    [int_of_string_opt]. A rejected line never touches the interner. *)
-
-val scan_event : t -> alphabet:int -> string -> int -> int -> int
-(** The allocation-free fast path over the same slice: accepts exactly
-    the lines {!scan_line} answers [`Event] for, returning the interned
-    trace id with the symbol parked in {!scanned_symbol} — two ints, no
-    heap. Everything else (blank, comment, malformed, out-of-alphabet)
-    is [-1], touching neither the interner nor {!scanned_symbol}; the
-    caller re-scans with {!scan_line} for the exact skip/error result
-    (the cold path). *)
-
-val scanned_symbol : t -> int
-(** The symbol of the last event {!scan_event} accepted. *)
-
 type scanner
 (** Incremental scanner over raw read blocks: complete lines are
     scanned in place; a line straddling a block boundary is carried
     over and re-scanned once materialized (the cold path). Line numbers
-    count completed lines, independent of where the blocks split. *)
+    count completed lines, independent of where the blocks split.
+    Symbols are strict decimal: digits only (an optional ['-'] is
+    recognized just to report ["negative symbol"]) — [0x]/[0b] radix
+    prefixes, ['_'] separators and a leading ['+'] are malformed,
+    unlike [int_of_string_opt]. A rejected line never touches the
+    interner; an event line for a known trace id allocates nothing.
+    Events are delivered in input order; an error is reported as its
+    line is scanned, so it can reach [on_error] before the events of
+    earlier lines reach [on_chunk].
+
+    A scanner is bound to one interner. Each block fed is observed
+    once in the [stage_ingest_parse_ns] histogram (when {!Sl_obs.Obs}
+    is enabled): the time spent in the call less the nested [on_chunk]
+    time. *)
 
 val scanner :
-  ?chunk_size:int -> alphabet:int -> t ->
+  ?chunk_size:int -> ?max_line:int -> alphabet:int -> t ->
   on_chunk:(chunk -> unit) -> on_error:(error -> unit) -> scanner
 (** Fresh scanner batching valid events into chunks of [chunk_size]
     (default 4096) flushed through [on_chunk], reporting malformed or
-    out-of-alphabet lines to [on_error]. *)
+    out-of-alphabet lines to [on_error]. A line longer than [max_line]
+    bytes (default: no cap), newline excluded, is reported once as
+    [line exceeds N bytes (skipped)] with [e_trace = None] — as soon
+    as its bytes pass the cap, even before its newline — and discarded
+    up to its newline; an over-cap final line is dropped at EOF. The
+    carried partial line never exceeds [max_line] bytes. *)
+
+val restart :
+  scanner -> max_line:int ->
+  on_chunk:(chunk -> unit) -> on_error:(error -> unit) -> unit
+(** Reuse a scanner, with its chunk and carry buffers, as a fresh one
+    over the same interner and alphabet: line numbers start again at
+    1, anything carried or batched is dropped, and [max_line] and the
+    callbacks are replaced. *)
+
+val lines : scanner -> int
+(** Lines completed so far (an unterminated final line counts once
+    {!scan_eof} has scanned it). *)
 
 val scan_string : scanner -> string -> int -> int -> unit
 (** Feed the block [s.[off .. off+len-1]]. [on_chunk] fires whenever
-    the chunk fills mid-block. *)
+    the chunk fills mid-block; a partial chunk waits for later blocks
+    (see {!scan_flush}). *)
 
 val scan_bytes : scanner -> bytes -> int -> int -> unit
 (** {!scan_string} over a reusable read buffer, without copying it: the
     scanner retains nothing from the block past the call, so the caller
     may refill the buffer immediately after. *)
+
+val scan_flush : scanner -> unit
+(** Deliver the partial chunk now, if it holds any event — a daemon
+    connection flushes after every read, so no chunk straddles a
+    registry reload. *)
 
 val scan_eof : scanner -> unit
 (** End of stream: process any unterminated final line, then flush the

@@ -208,11 +208,18 @@ let load_lines t ?(path = "<props>") lines =
   ignore (compile_all t (List.rev !items));
   List.rev !errors
 
-let load_channel t ?path ic =
-  let lines = ref [] in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> ());
-  load_lines t ?path (List.rev !lines)
+(* A read can fail after a successful open — [open_in] accepts a
+   directory, and reading it raises [Sys_error "Is a directory"] — so
+   the whole read sits inside the handler, and nothing is compiled
+   unless every line was read. *)
+let load_file t path =
+  match if path = "-" then stdin else open_in path with
+  | exception Sys_error msg -> Error msg
+  | ic -> (
+      match
+        Fun.protect
+          ~finally:(fun () -> if ic != stdin then close_in_noerr ic)
+          (fun () -> In_channel.input_lines ic)
+      with
+      | exception Sys_error msg -> Error (path ^ ": " ^ msg)
+      | lines -> Ok (load_lines t ~path lines))

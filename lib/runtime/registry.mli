@@ -43,8 +43,13 @@ val load_lines : t -> ?path:string -> string list -> string list
     rather than aborting the load. Well-formed lines are compiled through
     {!compile_all}. *)
 
-val load_channel : t -> ?path:string -> in_channel -> string list
-(** {!load_lines} over a channel read to end-of-file. *)
+val load_file : t -> string -> (string list, string) result
+(** {!load_lines} over the file at [path] (["-"]: standard input), read
+    whole before anything compiles: [Ok] with the skipped lines'
+    messages, or [Error msg] when the file cannot be opened or read — a
+    directory, a missing or unreadable file, a failing read. The one
+    property-file reader of [slc monitor], [slc pack], [slc serve] and
+    its SIGHUP reload. *)
 
 val alphabet : t -> int
 val nprops : t -> int

@@ -28,7 +28,13 @@ let create ~registry () =
     engine = Engine.create ~monitors:(Registry.monitors registry) ();
     ingest = Ingest.create () }
 
-let restore ~registry ~names traces =
+let restore ~registry ~ingest traces =
+  { registry;
+    engine = Engine.restore ~monitors:(Registry.monitors registry) traces;
+    ingest }
+
+(* The interner of a snapshot's name table: [names.(i)] gets id [i]. *)
+let interner names =
   let ingest = Ingest.create () in
   Array.iteri
     (fun i name ->
@@ -36,9 +42,7 @@ let restore ~registry ~names traces =
         invalid_arg
           (Printf.sprintf "interner table not in first-seen order at %d" i))
     names;
-  { registry;
-    engine = Engine.restore ~monitors:(Registry.monitors registry) traces;
-    ingest }
+  ingest
 
 let registry t = t.registry
 let engine t = t.engine
@@ -112,7 +116,7 @@ let of_artifact ~registry blob =
               Some { Engine.ts_events; ts_states; ts_live; ts_tripped_at })
       in
       Wire.expect_end r;
-      let t = restore ~registry ~names traces in
+      let t = restore ~registry ~ingest:(interner names) traces in
       (* The stored counters are the census of the stored traces: a
          counter that is not was forged or corrupted. *)
       let check what stored derived =

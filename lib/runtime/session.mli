@@ -34,15 +34,17 @@ val create : registry:Registry.t -> unit -> t
     no traces, zero counters. *)
 
 val restore :
-  registry:Registry.t -> names:string array ->
+  registry:Registry.t -> ingest:Ingest.t ->
   Engine.trace_state option array -> t
-(** A session over [registry] resuming a run: [names] interned in
-    order, so trace id [i] is [names.(i)], and the engine built by
+(** A session over [registry] resuming a run: trace id [i] keeps the
+    name [ingest] gave it, and the engine is built by
     {!Engine.restore} from [traces] (indexed by trace id, no longer
-    than [names]); its counters are the traces' census. Both
-    {!of_artifact} and reload carry-over come through here.
-    @raise Invalid_argument if a name repeats or a trace fails
-    validation. *)
+    than [ingest]'s table); its counters are the traces' census. The
+    session takes [ingest] over as it is, not a copy: reload
+    carry-over hands the running interner on, so scanners bound to it
+    stay valid. {!of_artifact} builds a fresh interner from the
+    snapshot's names.
+    @raise Invalid_argument if a trace fails validation. *)
 
 val registry : t -> Registry.t
 val engine : t -> Engine.t

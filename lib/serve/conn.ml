@@ -1,15 +1,6 @@
 open Sl_runtime
 module Obs = Sl_obs.Obs
 
-(* Pipeline-stage timing (socket path): the parse stage is the time
-   [on_bytes] spends splitting lines and batching events, minus the
-   nested engine-feed time — observed once per [on_bytes] call, never
-   per line. The same family is recorded by [Ingest] offline. *)
-let h_stage_parse =
-  Obs.Metrics.histogram
-    ~help:"Pipeline stage: line parse/accumulate latency per chunk"
-    "stage_ingest_parse_ns"
-
 (* Per-listener labeled series. The label is the listener kind, not the
    connection id: ids are unbounded over a daemon's lifetime and would
    blow up the exposition's cardinality, so exact per-connection state
@@ -25,6 +16,7 @@ let v_conn_errors =
     "conn_errors_total" ~labels:[ "listener" ]
 
 type mode =
+  | Undecided  (* the first line may still be a GET request *)
   | Lines  (* streaming the Ingest line protocol *)
   | Http  (* one-shot GET answered, ignoring further input *)
   | Done  (* EOF seen, draining *)
@@ -46,7 +38,9 @@ let slab_cap = 65536
    connection takes no more input and renders nothing. *)
 let released =
   {
-    Daemon.chunk = Ingest.create_chunk 1;
+    Daemon.scanner =
+      Ingest.scanner ~chunk_size:1 ~alphabet:1 (Ingest.create ())
+        ~on_chunk:ignore ~on_error:ignore;
     scratch = Buffer.create 1;
     slab = Bytes.empty;
     touched = Daemon.Ids.create 1;
@@ -59,11 +53,10 @@ type t = {
   hwm : int;
   listener : string;  (* "unix" | "tcp" | "local" (tests) *)
   http_handler : (string -> (string * string * string) option) option;
-  buf : Buffer.t;  (* at most one partial line *)
+  head : Buffer.t;  (* the first line's bytes while [Undecided] *)
   mutable bufs : Daemon.bufs;  (* pooled; [released] once returned *)
-  mutable oversized : bool;  (* discarding until the next newline *)
-  mutable nlines : int;
   mutable mode : mode;
+  mutable requested : bool;  (* the first line was an HTTP request *)
   mutable out_off : int;  (* slab bytes [out_off, out_len) are unwritten *)
   mutable out_len : int;
   mutable dump : Daemon.snapshot option;  (* EOF dump still to render *)
@@ -71,7 +64,6 @@ type t = {
   mutable conn_events : int;
   mutable conn_errors : int;
   mutable draining : bool;
-  mutable feed_us : float;  (* engine time nested in the current on_bytes *)
   ev_child : Obs.Metrics.counter;
   err_child : Obs.Metrics.counter;
 }
@@ -138,35 +130,79 @@ let refill c =
       done;
       if !finished then c.dump <- None
 
+(* The greeting opens every NDJSON stream, but only once the first line
+   has ruled out HTTP mode — a Prometheus scraper must see the status
+   line first, not a stray JSON record. *)
+let greet c =
+  if not c.greeted then begin
+    c.greeted <- true;
+    let registry = Daemon.registry c.daemon in
+    Records.add_hello c.bufs.scratch ~version:"1.0.0"
+      ~props:(Registry.nprops registry)
+      ~monitors:(Registry.nmonitors registry)
+      ~fingerprint:(Registry.fingerprint registry)
+  end
+
+(* The scanner's callbacks. A chunk's ids join the touched set and its
+   events go through the engine, their records into the scratch.
+
+   The hello precedes every record except the errors of leading
+   over-cap lines: a line over the cap decides nothing, so the greeting
+   waits for the first line that fits, or for EOF. Until then every
+   error rendered was an over-cap one, so [e_line = conn_errors + 1]
+   says that every line before this over-cap one was over the cap
+   too. *)
+let on_chunk c (chunk : Ingest.chunk) =
+  greet c;
+  let { Daemon.touched; scratch; _ } = c.bufs in
+  for k = 0 to chunk.Ingest.len - 1 do
+    Daemon.Ids.replace touched chunk.Ingest.trace_ids.(k) ()
+  done;
+  c.conn_events <- c.conn_events + chunk.Ingest.len;
+  Obs.Metrics.add c.ev_child chunk.Ingest.len;
+  Daemon.feed c.daemon ~buf:scratch chunk;
+  if Buffer.length scratch >= slab_cap then flush_slab c
+
+let on_error c (e : Ingest.error) =
+  if not (e.Ingest.e_trace = None && e.Ingest.e_line = c.conn_errors + 1)
+  then greet c;
+  c.conn_errors <- c.conn_errors + 1;
+  Obs.Metrics.incr c.err_child;
+  Records.add_error c.bufs.scratch ~line:e.Ingest.e_line ~trace:e.Ingest.e_trace
+    ~reason:e.Ingest.e_reason
+
 let next_id = ref 0
 
 let create ?(max_line = 65536) ?(hwm = 262144) ?(listener = "local") ?http
     daemon =
   let id = !next_id in
   incr next_id;
-  {
-    id;
-    daemon;
-    max_line;
-    hwm;
-    listener;
-    http_handler = http;
-    buf = Buffer.create 256;
-    bufs = Daemon.take_bufs daemon;
-    oversized = false;
-    nlines = 0;
-    mode = Lines;
-    out_off = 0;
-    out_len = 0;
-    dump = None;
-    greeted = false;
-    conn_events = 0;
-    conn_errors = 0;
-    draining = false;
-    feed_us = 0.;
-    ev_child = Obs.Metrics.counter_child v_conn_events [ listener ];
-    err_child = Obs.Metrics.counter_child v_conn_errors [ listener ];
-  }
+  let c =
+    {
+      id;
+      daemon;
+      max_line;
+      hwm;
+      listener;
+      http_handler = http;
+      head = Buffer.create 16;
+      bufs = Daemon.take_bufs daemon;
+      mode = Undecided;
+      requested = false;
+      out_off = 0;
+      out_len = 0;
+      dump = None;
+      greeted = false;
+      conn_events = 0;
+      conn_errors = 0;
+      draining = false;
+      ev_child = Obs.Metrics.counter_child v_conn_events [ listener ];
+      err_child = Obs.Metrics.counter_child v_conn_errors [ listener ];
+    }
+  in
+  Ingest.restart c.bufs.scanner ~max_line ~on_chunk:(on_chunk c)
+    ~on_error:(on_error c);
+  c
 
 let release c =
   if c.bufs != released then begin
@@ -182,42 +218,12 @@ let release c =
 let should_close c =
   c.draining && pending_output c = 0 && Option.is_none c.dump
 
-(* The greeting opens every NDJSON stream, but only once the first line
-   has ruled out HTTP mode — a Prometheus scraper must see the status
-   line first, not a stray JSON record. *)
-let greet c =
-  if not c.greeted then begin
-    c.greeted <- true;
-    let registry = Daemon.registry c.daemon in
-    Records.add_hello c.bufs.scratch ~version:"1.0.0"
-      ~props:(Registry.nprops registry)
-      ~monitors:(Registry.nmonitors registry)
-      ~fingerprint:(Registry.fingerprint registry)
-  end
-
-let report c ~trace reason =
-  c.conn_errors <- c.conn_errors + 1;
-  Obs.Metrics.incr c.err_child;
-  Records.add_error c.bufs.scratch ~line:c.nlines ~trace ~reason
-
-let flush_chunk c =
-  let { Daemon.chunk; scratch; _ } = c.bufs in
-  if chunk.Ingest.len > 0 then begin
-    (if Obs.is_enabled () then begin
-       let t0 = Obs.Clock.now_us () in
-       Daemon.feed c.daemon ~buf:scratch chunk;
-       c.feed_us <- c.feed_us +. (Obs.Clock.now_us () -. t0);
-       Obs.Metrics.add c.ev_child chunk.Ingest.len
-     end
-     else Daemon.feed c.daemon ~buf:scratch chunk);
-    chunk.Ingest.len <- 0
-  end
-
 let http c line =
   (* records already rendered (the EOF-path greeting) must reach the
      queue before the HTTP reply, which bypasses the scratch *)
   flush_slab c;
   c.mode <- Http;
+  c.requested <- true;
   c.draining <- true;
   let path =
     match String.split_on_char ' ' line with
@@ -238,120 +244,66 @@ let http c line =
         close\r\n\r\n%s"
        status ctype (String.length body) body)
 
-(* One complete protocol line as a slice of the transport block —
-   scanned in place by [Ingest.scan_event] (the allocation-free fast
-   path); blank/comment/malformed lines fall back to [Ingest.scan_line]
-   for the exact skip/error result. *)
-let process_slice c s off len =
-  if
-    c.nlines = 1 && len >= 4
-    && String.unsafe_get s off = 'G'
-    && String.unsafe_get s (off + 1) = 'E'
-    && String.unsafe_get s (off + 2) = 'T'
-    && String.unsafe_get s (off + 3) = ' '
-  then http c (String.sub s off len)
+(* One block in line mode: the scanner delivers every complete line's
+   events before the block returns, so no chunk straddles a reload. *)
+let scan c s off len =
+  let sc = c.bufs.scanner in
+  Ingest.scan_string sc s off len;
+  Ingest.scan_flush sc;
+  flush_slab c
+
+(* Line mode from here on; the first line's bytes held so far go to the
+   scanner first. *)
+let start_lines c =
+  c.mode <- Lines;
+  if Buffer.length c.head > 0 then begin
+    Ingest.scan_string c.bufs.scanner (Buffer.contents c.head) 0
+      (Buffer.length c.head);
+    Buffer.reset c.head
+  end
+
+(* The protocol decision: a first line that starts with "GET " and fits
+   the cap is an HTTP request; anything else starts the line protocol.
+   Until the first line's bytes settle it, they wait in [head]. [byte k]
+   is the stream's [k]-th byte, in [head] or in the block [s.[off ..]];
+   the block may be a view of a reusable read buffer, so the newline
+   search stops at its end. *)
+let byte c s off k =
+  let h = Buffer.length c.head in
+  if k < h then Buffer.nth c.head k else String.unsafe_get s (off + k - h)
+
+let rec agrees c s off stop k =
+  k = 4
+  || k = Buffer.length c.head + stop - off
+  || (byte c s off k = "GET ".[k] && agrees c s off stop (k + 1))
+
+let rec newline s i stop =
+  if i = stop || s.[i] = '\n' then i else newline s (i + 1) stop
+
+let decide c s off len =
+  let h = Buffer.length c.head and stop = off + len in
+  let nl = if h + len < 4 then stop else newline s (off + max 0 (4 - h)) stop in
+  if (not (agrees c s off stop 0)) || h + nl - off > c.max_line then begin
+    start_lines c;
+    scan c s off len
+  end
   else begin
-    greet c;
-    let ingest = Daemon.ingest c.daemon in
-    let alphabet = Daemon.alphabet c.daemon in
-    let { Daemon.chunk; touched; scratch; _ } = c.bufs in
-    let push id symbol =
-      Daemon.Ids.replace touched id ();
-      chunk.Ingest.trace_ids.(chunk.Ingest.len) <- id;
-      chunk.Ingest.symbols.(chunk.Ingest.len) <- symbol;
-      chunk.Ingest.len <- chunk.Ingest.len + 1;
-      c.conn_events <- c.conn_events + 1;
-      if chunk.Ingest.len = Array.length chunk.Ingest.trace_ids then begin
-        flush_chunk c;
-        if Buffer.length scratch >= slab_cap then flush_slab c
-      end
-    in
-    let id = Ingest.scan_event ingest ~alphabet s off len in
-    if id >= 0 then push id (Ingest.scanned_symbol ingest)
-    else
-      match Ingest.scan_line ingest ~alphabet s off len with
-      | `Skip -> ()
-      | `Error (trace, reason) -> report c ~trace reason
-      | `Event (id, symbol) ->
-          (* unreachable: [scan_event] accepts every event line *)
-          push id symbol
+    Buffer.add_substring c.head s off (nl - off);
+    if nl < stop then http c (Buffer.contents c.head)
   end
 
-(* A complete line arrived: the partial buffer plus the slice. *)
-let complete_slice c s off len =
-  c.nlines <- c.nlines + 1;
-  if c.oversized then begin
-    (* tail of a line already reported over-length — resynchronize *)
-    c.oversized <- false;
-    Buffer.clear c.buf
-  end
-  else if Buffer.length c.buf + len > c.max_line then begin
-    Buffer.clear c.buf;
-    report c ~trace:None
-      (Printf.sprintf "line exceeds %d bytes (skipped)" c.max_line)
-  end
-  else if Buffer.length c.buf = 0 then process_slice c s off len
-  else begin
-    (* line split across reads: materialize once and re-scan *)
-    Buffer.add_substring c.buf s off len;
-    let line = Buffer.contents c.buf in
-    Buffer.clear c.buf;
-    process_slice c line 0 (String.length line)
-  end
-
-(* A partial line (no newline yet): buffer, or tip over the cap. *)
-let partial_slice c s off len =
-  if not c.oversized then begin
-    if Buffer.length c.buf + len > c.max_line then begin
-      c.oversized <- true;
-      Buffer.clear c.buf;
-      c.nlines <- c.nlines + 1;
-      report c ~trace:None
-        (Printf.sprintf "line exceeds %d bytes (skipped)" c.max_line);
-      (* the count stays on this line while we discard its tail *)
-      c.nlines <- c.nlines - 1
-    end
-    else Buffer.add_substring c.buf s off len
-  end
-
-(* The core loop over one transport block [s.[off, off+len)]. The
-   newline scan is [Ingest.find_newline] (C memchr) bounded by [stop] —
-   the block may be a view of a reusable read buffer whose bytes beyond
-   [len] are stale, where [String.index_from_opt] could find a newline
-   from a previous read. *)
 let on_bytes_str c s off len =
-  if c.mode = Lines then begin
-    let enabled = Obs.is_enabled () in
-    let t0 = if enabled then Obs.Clock.now_us () else 0. in
-    c.feed_us <- 0.;
-    let stop = off + len in
-    let i = ref off in
-    while !i < stop && c.mode = Lines do
-      let j = Ingest.find_newline s !i stop in
-      if j >= 0 then begin
-        complete_slice c s !i (j - !i);
-        i := j + 1
-      end
-      else begin
-        partial_slice c s !i (stop - !i);
-        i := stop
-      end
-    done;
-    flush_chunk c;
-    if enabled && c.mode = Lines then begin
-      let parse_us = Obs.Clock.now_us () -. t0 -. c.feed_us in
-      if parse_us >= 0. then
-        Obs.Metrics.observe h_stage_parse (int_of_float (parse_us *. 1e3))
-    end;
-    flush_slab c
-  end
+  match c.mode with
+  | Lines -> scan c s off len
+  | Undecided -> decide c s off len
+  | Http | Done -> ()
 
 let on_bytes c s = on_bytes_str c s 0 (String.length s)
 
 (* Reading into one reusable [Bytes.t] and scanning it in place is
    sound: nothing past this call retains a reference into the block —
-   [Ingest.scan_line] copies what it keeps, and so do the partial-line
-   buffer and the error records. *)
+   the scanner copies what it keeps, and so do the first-line buffer
+   and the error records. *)
 let on_bytes_raw c b off len =
   if off < 0 || len < 0 || off + len > Bytes.length b then
     invalid_arg "Conn.on_bytes_raw";
@@ -368,19 +320,17 @@ let touched_ids c =
   Array.sort Int.compare ids;
   ids
 
+(* An unterminated first line still undecided at EOF is a request if it
+   starts with "GET " (any longer line would have been decided), after
+   the greeting. *)
 let on_eof c =
   (match c.mode with
-  | Lines ->
+  | Undecided | Lines ->
       greet c;
-      flush_chunk c;
-      if (not c.oversized) && Buffer.length c.buf > 0 then begin
-        (* final line without a newline *)
-        let line = Buffer.contents c.buf in
-        Buffer.clear c.buf;
-        c.nlines <- c.nlines + 1;
-        process_slice c line 0 (String.length line);
-        flush_chunk c
-      end;
+      if c.mode = Undecided then
+        if Buffer.length c.head >= 4 then http c (Buffer.contents c.head)
+        else start_lines c;
+      Ingest.scan_eof c.bufs.scanner;
       c.dump <-
         Some
           (Daemon.snapshot c.daemon ~ids:(touched_ids c)
@@ -391,10 +341,11 @@ let on_eof c =
   flush_slab c;
   refill c
 
-let wants_read c =
-  (match c.mode with Lines -> true | Http | Done -> false)
-  && (not c.draining)
-  && pending_output c < c.hwm
+let streaming c =
+  (match c.mode with Undecided | Lines -> true | Http | Done -> false)
+  && not c.draining
+
+let wants_read c = streaming c && pending_output c < c.hwm
 
 let output c = (c.bufs.slab, c.out_off, pending_output c)
 
@@ -427,12 +378,15 @@ let touched c = Array.to_list (touched_ids c)
 let events c = c.conn_events
 let errors c = c.conn_errors
 let id c = c.id
-let lines c = c.nlines
+let lines c = if c.requested then 1 else Ingest.lines c.bufs.scanner
 let listener c = c.listener
 
 let mode_name c =
-  match c.mode with Lines -> "lines" | Http -> "http" | Done -> "done"
+  match c.mode with
+  | Undecided | Lines -> "lines"
+  | Http -> "http"
+  | Done -> "done"
 
 (* Back-pressured: still streaming but over the high-water mark, so the
    loop has stopped selecting the socket for reads. *)
-let stalled c = c.mode = Lines && (not c.draining) && pending_output c >= c.hwm
+let stalled c = streaming c && pending_output c >= c.hwm

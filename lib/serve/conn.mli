@@ -2,17 +2,17 @@
     transport-agnostic (the select loop moves bytes; tests drive it
     directly).
 
-    Input side: complete lines within a transport block are scanned in
-    place by {!Sl_runtime.Ingest.scan_line} — an event line for a known
-    trace id allocates nothing — and only a line straddling a read
-    boundary is buffered (at most one partial line of [max_line]
-    bytes). A longer line is reported once as a structured [error]
-    record and discarded up to its newline — the connection survives,
-    memory does not grow with hostile input. Valid events batch into
-    the connection's reusable chunk, flushed through {!Daemon.feed}
-    before {!on_bytes} returns (so the chunk never straddles a registry
-    reload); malformed lines are echoed back as [error] records and
-    skipped.
+    Input side: the connection drives one {!Sl_runtime.Ingest.scanner}
+    — the line framer [slc monitor] uses — capped at [max_line], so at
+    most one partial line of [max_line] bytes is buffered and an event
+    line for a known trace id allocates nothing. A longer line is
+    reported once as a structured [error] record and discarded up to
+    its newline — the connection survives, memory does not grow with
+    hostile input. Malformed lines are echoed back as [error] records
+    and skipped. Valid events batch into the scanner's chunk, whose ids
+    join the connection's touched set and which goes through
+    {!Daemon.feed}; the chunk is flushed before {!on_bytes} returns, so
+    it never straddles a registry reload.
 
     Output side: one reusable byte slab per connection, written to the
     socket in place through {!output}. Records rendered while
@@ -25,13 +25,14 @@
     reading, so the queue is bounded by [hwm] plus one read's worth of
     records.
 
-    A first line starting with ["GET "] flips the connection into
-    one-shot HTTP mode: a [200] Prometheus exposition for [/metrics],
-    any reply the optional [http] handler produces for other paths
-    (the daemon plugs {!Introspect.handler} in here), and a [404]
-    otherwise — queued, then the connection closes after the write
-    drains. [slc serve] needs no second protocol or port for
-    scraping.
+    A first line that starts with ["GET "] and fits [max_line] flips
+    the connection into one-shot HTTP mode — decided before the
+    scanner sees a byte, however the reads split the line: a [200]
+    Prometheus exposition for [/metrics], any reply the optional
+    [http] handler produces for other paths (the daemon plugs
+    {!Introspect.handler} in here), and a [404] otherwise — queued,
+    then the connection closes after the write drains. [slc serve]
+    needs no second protocol or port for scraping.
 
     Client EOF ({!on_eof}) finalizes: any unterminated last line is
     processed, then every touched trace's verdicts and the summary
@@ -43,9 +44,9 @@
     whatever other connections or a reload do in between. The
     connection then drains and closes.
 
-    Buffers: the input chunk, the scratch, the slab and the
-    touched-trace set come from the daemon's free list
-    ({!Daemon.take_bufs}) and return to it when the connection is done
+    Buffers: the scanner (with its chunk and carry buffers), the
+    scratch, the slab and the touched-trace set come from the daemon's
+    free list ({!Daemon.take_bufs}) and return to it when the connection is done
     and fully drained (in {!consumed} or {!drain_output}), or when the
     loop {!release}s it. A slab that grew past [hwm] + 64 KiB is
     dropped rather than pooled. *)

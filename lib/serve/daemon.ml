@@ -27,26 +27,17 @@ module Ids = Hashtbl.Make (struct
 end)
 
 type bufs = {
-  chunk : Ingest.chunk;
+  scanner : Ingest.scanner;
   scratch : Buffer.t;
   mutable slab : Bytes.t;
   touched : unit Ids.t;
 }
 
-let chunk_size = 4096
 let slab_size = 65536
 
 (* A table holding more ids than this keeps a bucket array too large to
    park in the free list ([Ids.clear] keeps the array). *)
 let touched_cap = 65536
-
-let fresh_bufs () =
-  {
-    chunk = Ingest.create_chunk chunk_size;
-    scratch = Buffer.create 4096;
-    slab = Bytes.create slab_size;
-    touched = Ids.create 16;
-  }
 
 type t = {
   mutable session : Session.t;
@@ -273,13 +264,23 @@ let render_page d s buf ~limit =
   end;
   s.next > total
 
+(* A pooled scanner stays bound to the daemon's interner and alphabet,
+   which no reload changes (see [swap_session]). *)
 let take_bufs d =
   match d.pool with
   | b :: rest ->
       d.pool <- rest;
       d.pooled <- d.pooled - 1;
       b
-  | [] -> fresh_bufs ()
+  | [] ->
+      {
+        scanner =
+          Ingest.scanner ~alphabet:(alphabet d) (ingest d)
+            ~on_chunk:ignore ~on_error:ignore;
+        scratch = Buffer.create 4096;
+        slab = Bytes.create slab_size;
+        touched = Ids.create 16;
+      }
 
 let give_bufs d ~max_slab b =
   if
@@ -287,7 +288,6 @@ let give_bufs d ~max_slab b =
     && Bytes.length b.slab <= max_slab
     && Ids.length b.touched <= touched_cap
   then begin
-    b.chunk.Ingest.len <- 0;
     Buffer.clear b.scratch;
     Ids.clear b.touched;
     d.pool <- b :: d.pool;
@@ -295,5 +295,9 @@ let give_bufs d ~max_slab b =
   end
 
 let swap_session d session =
+  if
+    Session.ingest session != ingest d
+    || Registry.alphabet (Session.registry session) <> alphabet d
+  then invalid_arg "Daemon.swap_session: interner or alphabet changed";
   Engine.set_retire_hook (Session.engine d.session) None;
   adopt d session

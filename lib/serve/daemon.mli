@@ -83,15 +83,17 @@ module Ids : Hashtbl.S with type key = int
 (** Trace-id sets hashed by identity. *)
 
 type bufs = {
-  chunk : Sl_runtime.Ingest.chunk;  (** events batched for {!feed} *)
+  scanner : Sl_runtime.Ingest.scanner;
+      (** the connection's line framer, bound to the daemon's interner;
+          its chunk and carry buffers are pooled with it *)
   scratch : Buffer.t;  (** records rendered by one call *)
   mutable slab : Bytes.t;  (** unwritten output bytes *)
   touched : unit Ids.t;  (** trace ids fed *)
 }
 
 val take_bufs : t -> bufs
-(** A set from the free list (chunk, scratch and touched set empty), or
-    a fresh one. *)
+(** A set from the free list (scratch and touched set empty; the taker
+    {!Sl_runtime.Ingest.restart}s the scanner), or a fresh one. *)
 
 val give_bufs : t -> max_slab:int -> bufs -> unit
 (** Return a set once its owner is done with it. It is dropped instead
@@ -102,4 +104,7 @@ val swap_session : t -> Sl_runtime.Session.t -> unit
 (** Hot-reload commit point: detach the hook from the old engine,
     adopt [s] and install the hook there. All monitor/property lookup
     tables are rebuilt from the new registry; traces present in [s]
-    count as announced. *)
+    count as announced. [s] must share the running session's interner
+    and alphabet, as {!Reload.carry_over}'s sessions do: live and
+    pooled scanners keep interning into it.
+    @raise Invalid_argument otherwise. *)

@@ -50,24 +50,17 @@ let note cfg fmt =
 
 let build_registry cfg =
   let registry = Registry.create () in
-  let ic =
-    if cfg.props_file = "-" then stdin
-    else
-      try open_in cfg.props_file
-      with Sys_error msg -> prerr_endline ("slc serve: " ^ msg); exit 2
-  in
-  let errs =
-    Fun.protect
-      ~finally:(fun () -> if ic != stdin then close_in_noerr ic)
-      (fun () ->
-        Registry.load_channel registry ~path:cfg.props_file ic)
-  in
-  List.iter prerr_endline errs;
-  if Registry.nprops registry = 0 then begin
-    prerr_endline "slc serve: no well-formed properties; nothing to monitor";
-    exit 2
-  end;
-  registry
+  match Registry.load_file registry cfg.props_file with
+  | Error msg ->
+      prerr_endline ("slc serve: " ^ msg);
+      exit 2
+  | Ok errs ->
+      List.iter prerr_endline errs;
+      if Registry.nprops registry = 0 then begin
+        prerr_endline "slc serve: no well-formed properties; nothing to monitor";
+        exit 2
+      end;
+      registry
 
 let build_session cfg registry =
   match cfg.resume with

@@ -66,9 +66,7 @@ let carry_over ~old_session ~registry () =
             (Engine.export_trace old_engine id))
     in
     match
-      Session.restore ~registry
-        ~names:(Ingest.names (Session.ingest old_session))
-        traces
+      Session.restore ~registry ~ingest:(Session.ingest old_session) traces
     with
     | exception Invalid_argument e -> Error e
     | fresh ->
@@ -81,24 +79,15 @@ let carry_over ~old_session ~registry () =
   end
 
 let from_props_file ~old_session ~props_file () =
-  let old_registry = Session.registry old_session in
-  match open_in props_file with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-      let registry =
-        Registry.create ~alphabet:(Registry.alphabet old_registry) ()
-      in
-      let errs =
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> Registry.load_channel registry ~path:props_file ic)
-      in
-      if Registry.nprops registry = 0 then
-        Error
-          (Printf.sprintf "%s: no well-formed properties; reload refused"
-             props_file)
-      else begin
-        match carry_over ~old_session ~registry () with
-        | Ok (s, carried) -> Ok (s, carried, errs)
-        | Error e -> Error e
-      end
+  let alphabet = Registry.alphabet (Session.registry old_session) in
+  let registry = Registry.create ~alphabet () in
+  match Registry.load_file registry props_file with
+  | Error e -> Error e
+  | Ok _ when Registry.nprops registry = 0 ->
+      Error
+        (Printf.sprintf "%s: no well-formed properties; reload refused"
+           props_file)
+  | Ok errs ->
+      Result.map
+        (fun (s, carried) -> (s, carried, errs))
+        (carry_over ~old_session ~registry ())

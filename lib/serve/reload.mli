@@ -20,7 +20,8 @@
       unjudged, which is the honest semantics for a property that did
       not exist then). The new session is built by
       {!Sl_runtime.Session.restore}, so its counters are the carried
-      states' census; the trace-id interner carries over wholesale. *)
+      states' census; the trace-id interner is handed over as it is,
+      so connections keep scanning into it across the reload. *)
 
 val carry_over :
   old_session:Sl_runtime.Session.t ->
@@ -31,8 +32,9 @@ val carry_over :
     Returns the new session and the number of new-registry monitors
     that inherited state ([= nmonitors] for an identical registry).
     [Error] refuses the reload (alphabet change, or a carried trace
-    that fails {!Sl_runtime.Engine.restore}'s validation) — the old
-    session is never touched either way. *)
+    that fails {!Sl_runtime.Engine.restore}'s validation). The new
+    session shares the old one's interner; the old session is never
+    modified either way. *)
 
 val from_props_file :
   old_session:Sl_runtime.Session.t ->
@@ -43,5 +45,6 @@ val from_props_file :
     (same alphabet as startup) and
     {!carry_over}. Returns the session, carried-monitor count, and the
     per-line parse errors of the property file (skipped lines, reload
-    not refused). A file with no well-formed properties refuses the
-    reload. *)
+    not refused). A file that cannot be read (see
+    {!Sl_runtime.Registry.load_file}) or has no well-formed properties
+    refuses the reload. *)

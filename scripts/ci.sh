@@ -79,7 +79,22 @@ for cmd in classify decompose stats complement monitor; do
   [ "$(cat "$cap/err")" = "formula closure too large" ] \
     || { echo "slc $cmd over-cap: unexpected message"; exit 1; }
 done
-rm -rf "$cap"
+# A props path that opens but cannot be read (a directory) is an input
+# error: exit 2 with the path and the cause, never an escaped exception.
+for cmd in monitor pack serve; do
+  status=0
+  case $cmd in
+    monitor) set -- --trace examples/monitor.events ;;
+    pack) set -- -o "$cap/x.slpack" ;;
+    serve) set -- --socket "$cap/s.sock" ;;
+  esac
+  dune exec bin/slc.exe -- "$cmd" --props "$cap" "$@" > /dev/null \
+    2> "$cap.err" || status=$?
+  [ "$status" -eq 2 ] || { echo "slc $cmd --props DIR: exit $status"; exit 1; }
+  grep -Fq "$cap: Is a directory" "$cap.err" \
+    || { echo "slc $cmd --props DIR: unexpected message"; exit 1; }
+done
+rm -rf "$cap" "$cap.err"
 
 # Observability smoke: the same run with metrics collection on must keep
 # the same exit code and verdict summary, print the engine/registry

@@ -72,8 +72,9 @@ let parse_line line =
 
 (* Pull lines until [next_line] returns [None], batching valid events
    into one reused chunk and reporting malformed or out-of-alphabet
-   lines to [on_error]. *)
-let read ?(chunk_size = 4096) ~alphabet t ~next_line ~on_chunk ~on_error =
+   lines, and lines longer than [max_line] bytes, to [on_error]. *)
+let read ?(chunk_size = 4096) ?(max_line = max_int) ~alphabet t ~next_line
+    ~on_chunk ~on_error =
   let chunk = Ingest.create_chunk chunk_size in
   let flush () =
     if chunk.Ingest.len > 0 then begin
@@ -86,6 +87,11 @@ let read ?(chunk_size = 4096) ~alphabet t ~next_line ~on_chunk ~on_error =
   while !continue do
     match next_line () with
     | None -> continue := false
+    | Some line when String.length line > max_line ->
+        incr lineno;
+        on_error
+          { Ingest.e_line = !lineno; e_trace = None;
+            e_reason = Printf.sprintf "line exceeds %d bytes (skipped)" max_line }
     | Some line -> (
         incr lineno;
         match parse_line line with

@@ -569,6 +569,65 @@ let over_cap_reload () =
     [ reply ];
   say "SIGHUP onto an over-cap line: line skipped, served = offline"
 
+(* Framing over a real socket, on one daemon capped at --max-line 64: a
+   request written one byte per write still gets its 200 reply; a line
+   past the cap gets one error record while the next line is monitored;
+   and a SIGHUP onto a props path that has become a directory is refused
+   with the daemon alive. *)
+let framing () =
+  let path = file "framing.props" in
+  write_file path (read_file props);
+  let daemon = start ~props:path [ "--max-line"; "64" ] in
+  let fd = Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 in
+  within 120 "connect" (fun () -> Unix.connect fd (ADDR_UNIX (sock ())));
+  (* the daemon answers once the request line is in, and closes: the
+     bytes after it may meet a closed socket *)
+  let request = "GET /status HTTP/1.0\r\n\r\n" in
+  (try
+     String.iteri
+       (fun i _ ->
+         ignore (Unix.write_substring fd request i 1);
+         Unix.sleepf 0.002)
+       request
+   with Unix.Unix_error ((EPIPE | ECONNRESET), _, _) -> ());
+  let reply =
+    within 30 "byte-at-a-time GET" (fun () ->
+        In_channel.input_all (Unix.in_channel_of_descr fd))
+  in
+  Unix.close fd;
+  check
+    (String.starts_with ~prefix:"HTTP/1.0 200 OK" reply)
+    "a GET written byte by byte got %S" (String.sub reply 0 (min 40 (String.length reply)));
+  let out = stream ("a 0\n" ^ String.make 100 'x' ^ "\nb 1\n") in
+  check
+    (List.map (int "line") (Served.records_of_type "error" out) = [ 2 ])
+    "over-cap line: errors %s" out;
+  (match Served.records_of_type "summary" out with
+  | [ sm ] -> check (int "conn_events" sm = 2) "over-cap line: %s" out
+  | _ -> fail "over-cap line: no single summary in %s" out);
+  Sys.remove path;
+  Sys.mkdir path 0o700;
+  Unix.kill daemon Sys.sighup;
+  let deadline = now () +. 30. in
+  let rec refused () =
+    let r = mem "reloads" (check_status (get "/status")) in
+    if int "failures" r <> 1 then begin
+      check (now () < deadline) "directory reload never refused";
+      Unix.sleepf 0.05;
+      refused ()
+    end
+  in
+  refused ();
+  check
+    (metric (get "/metrics") "serve_reload_failures_total" = Some "1")
+    "directory reload: failure not counted";
+  let reply = stream (read_file example) in
+  stop "framing" daemon;
+  Sys.rmdir path;
+  same_verdicts "directory reload" ~offline:(Lazy.force example_offline)
+    [ reply ];
+  say "byte-at-a-time GET, an over-cap line, a SIGHUP onto a directory"
+
 (* After a connection storm the daemon must still be up, have counted a
    refused accept, and serve a fresh client the offline verdicts. *)
 let after_storm what daemon =
@@ -811,7 +870,7 @@ let () =
     | [ "report-size" ] -> report_size ()
     | [ "serve" ] ->
         served_offline (); split_fleet (); fresh_monitor_reload ();
-        over_cap_reload (); fd_exhaustion ();
+        over_cap_reload (); framing (); fd_exhaustion ();
         many_connections ();
         slow_reader (); restart (); soak ()
     | [ "words120"; d ] ->

@@ -252,7 +252,19 @@ let test_registry_malformed_lines () =
         String.length e1 >= 12
         && String.sub e1 0 12 = "props.txt:4:"
         && String.sub e2 0 12 = "props.txt:6:"
-    | _ -> false)
+    | _ -> false);
+  (* a path that opens but cannot be read is an [Error], and compiles
+     nothing *)
+  let dir = Filename.temp_file "slc-registry-test" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o700;
+  (match Registry.load_file reg dir with
+  | Ok _ -> Alcotest.fail "a directory must not load"
+  | Error e ->
+      check "the error names the path and the cause" true
+        (e = dir ^ ": Is a directory"));
+  check_int "nothing compiled from the directory" 2 (Registry.nprops reg);
+  Sys.rmdir dir
 
 (* [G !w] for the 10-letter word of a's: its tableau closure (21) is
    one past the cap, so [Translate] refuses it. *)
@@ -408,12 +420,12 @@ let test_parse_line () =
   check "leading zeros are plain decimal" true
     (Ingest_ref.parse_line "t1 007" = `Event ("t1", 7))
 
-let drive_ingest ?(chunk_size = 3) ~alphabet lines =
+let drive_ingest ?(chunk_size = 3) ?max_line ~alphabet lines =
   let ing = Ingest.create () in
   let remaining = ref lines in
   let events = ref [] in
   let errors = ref [] in
-  Ingest_ref.read ~chunk_size ~alphabet ing
+  Ingest_ref.read ~chunk_size ?max_line ~alphabet ing
     ~next_line:(fun () ->
       match !remaining with
       | [] -> None
@@ -471,20 +483,20 @@ let lines_of_stream s =
   done;
   List.rev !lines
 
-let drive_reference ~alphabet s =
+let drive_reference ?max_line ~alphabet s =
   let ing, events, errors =
-    drive_ingest ~chunk_size:3 ~alphabet (lines_of_stream s)
+    drive_ingest ~chunk_size:3 ?max_line ~alphabet (lines_of_stream s)
   in
   (Array.to_list (Ingest.names ing), events, errors)
 
 (* Scan [s] as two blocks split at byte [k] (the straddled line, if
    any, takes the carry path). *)
-let drive_scanner ~alphabet s k =
+let drive_scanner ?max_line ~alphabet s k =
   let ing = Ingest.create () in
   let events = ref [] in
   let errors = ref [] in
   let sc =
-    Ingest.scanner ~chunk_size:3 ~alphabet ing
+    Ingest.scanner ~chunk_size:3 ?max_line ~alphabet ing
       ~on_chunk:(fun c ->
         for j = 0 to c.Ingest.len - 1 do
           events := (c.Ingest.trace_ids.(j), c.Ingest.symbols.(j)) :: !events
@@ -516,7 +528,22 @@ let test_scanner_boundaries () =
     (List.map (fun (l, _, _) -> l) errors);
   Alcotest.(check (list (option string)))
     "error traces" [ Some "bad"; Some "a" ]
-    (List.map (fun (_, t, _) -> t) errors)
+    (List.map (fun (_, t, _) -> t) errors);
+  (* capped at 6 bytes: the 7- and 9-byte lines are reported (once,
+     with their own line numbers) and skipped, the rest scan as
+     before, at every split *)
+  let s = "a 0\nlong 01\nb 1\nlonger 01\nc 0\nlong 01" in
+  let reference = drive_reference ~max_line:6 ~alphabet:2 s in
+  for k = 0 to String.length s do
+    let scanned = drive_scanner ~max_line:6 ~alphabet:2 s k in
+    check (Printf.sprintf "capped split at %d" k) true (scanned = reference)
+  done;
+  let _, events, errors = reference in
+  Alcotest.(check (list (pair int int)))
+    "capped events" [ (0, 0); (1, 1); (2, 0) ] events;
+  Alcotest.(check (list (pair int (option string))))
+    "capped errors" [ (2, None); (4, None); (6, None) ]
+    (List.map (fun (l, t, _) -> (l, t)) errors)
 
 (* Hostile line pool: blank, comments, \r line endings, radix prefixes,
    negatives, out-of-alphabet, overflow, extra fields, long tokens. *)
@@ -526,20 +553,22 @@ let hostile_pool =
      "t 99999999999999999999"; "a 0 1"; "long-trace-id-0123456789 1";
      "a 0\r"; "c\r"; "new-trace-every-time 1" |]
 
+(* The cap is drawn too: none (the [slc monitor] path), or one that
+   some pool lines pass — the longest is 26 bytes. *)
 let prop_scanner_equals_reference =
   QCheck.Test.make
     ~name:"zero-copy scanner = reference parser (every split)"
     ~count:30
     QCheck.(
-      pair (list_of_size Gen.(0 -- 12) (int_range 0 (Array.length hostile_pool - 1)))
-        bool)
-    (fun (picks, trailing_nl) ->
+      triple (list_of_size Gen.(0 -- 12) (int_range 0 (Array.length hostile_pool - 1)))
+        bool (option (int_range 0 24)))
+    (fun (picks, trailing_nl, max_line) ->
       let lines = List.map (fun i -> hostile_pool.(i)) picks in
       let s = String.concat "\n" lines ^ if trailing_nl then "\n" else "" in
-      let reference = drive_reference ~alphabet:2 s in
+      let reference = drive_reference ?max_line ~alphabet:2 s in
       let ok = ref true in
       for k = 0 to String.length s do
-        if drive_scanner ~alphabet:2 s k <> reference then ok := false
+        if drive_scanner ?max_line ~alphabet:2 s k <> reference then ok := false
       done;
       !ok)
 
@@ -1010,7 +1039,7 @@ let test_restore_outside_product () =
 let oracle_valuation symbol p = String.equal p "a" && symbol = 0
 
 (* The first k at which w[0..k) has no extension in L(f), if any. *)
-let oracle_trip f w =
+let oracle_trip f =
   let b = Translate.translate ~alphabet:2 ~valuation:oracle_valuation f in
   let live = Buchi.live_states b in
   let alive set = List.exists (fun q -> live.(q)) set in
@@ -1024,7 +1053,7 @@ let oracle_trip f w =
         in
         go (k + 1) next rest
   in
-  go 0 [ b.Buchi.start ] w
+  fun w -> go 0 [ b.Buchi.start ] w
 
 let gen_small_formula =
   QCheck.Gen.(
@@ -1044,56 +1073,128 @@ let gen_small_formula =
                   map2 (fun a b -> Formula.Until (a, b)) sub sub;
                   map2 (fun a b -> Formula.Release (a, b)) sub sub ]))
 
+let gen_bits lo hi = QCheck.Gen.(list_size (int_range lo hi) (int_range 0 1))
+
+(* Formulas whose first bad prefix can come late, all within the
+   tableau's closure cap: [G !w] for a word [w] of up to 9 letters
+   (symbol 0 is [a]), the response [G (a -> X^k !a)], and [X^j G !w]
+   with nested [X]. *)
+let word_formula w =
+  let lit s = if s = 0 then Formula.Prop "a" else Formula.Not (Formula.Prop "a") in
+  let rec conj = function
+    | [] -> Formula.True
+    | [ s ] -> lit s
+    | s :: rest -> Formula.And (lit s, Formula.Next (conj rest))
+  in
+  Formula.Always (Formula.Not (conj w))
+
+let rec nexts k f = if k = 0 then f else Formula.Next (nexts (k - 1) f)
+
+let gen_late_formula =
+  QCheck.Gen.(
+    oneof
+      [ map word_formula (gen_bits 3 9);
+        map
+          (fun k ->
+            Formula.Always
+              (Formula.Implies
+                 (Formula.Prop "a", nexts k (Formula.Not (Formula.Prop "a")))))
+          (int_range 2 6);
+        map2 (fun j w -> nexts j (word_formula w)) (int_range 1 8) (gen_bits 2 5) ])
+
+(* A case: random small formulas (checked with their pairwise
+   conjunctions), late formulas, and words of up to 64 letters. The
+   last word is [b^p · w · tail] with p >= 33 and an [a] in [w], so
+   [G !w], the last formula, first trips there, after position 33. *)
+let gen_oracle_case =
+  QCheck.Gen.(
+    let* small = list_size (int_range 2 4) gen_small_formula in
+    let* late = list_size (int_range 1 3) gen_late_formula in
+    let* words = list_size (int_range 1 6) (gen_bits 0 64) in
+    let* p = int_range 33 48 in
+    let* w = gen_bits 3 6 in
+    let w = 0 :: List.tl w in
+    let* tail = gen_bits 0 10 in
+    return
+      ( small,
+        late @ [ word_formula w ],
+        words @ [ List.init p (fun _ -> 1) @ w @ tail ] ))
+
+let print_oracle_case (small, late, words) =
+  Printf.sprintf "%s | %s | %s"
+    (String.concat "; " (List.map Formula.to_string small))
+    (String.concat "; " (List.map Formula.to_string late))
+    (String.concat " "
+       (List.map (fun w -> String.concat "" (List.map string_of_int w)) words))
+
+(* The engine's trips, passed through [filter] (the identity but in the
+   mutation check), against the oracle's, and [f & g] tripping no later
+   than [f] for the small formulas. *)
+let oracle_agrees ?(filter = Fun.id) (small, late, words) =
+  let conj =
+    List.concat_map
+      (fun f -> List.map (fun g -> (f, g, Formula.And (f, g))) small)
+      small
+  in
+  let all = small @ late @ List.map (fun (_, _, c) -> c) conj in
+  let reg = Registry.create () in
+  let ids = List.map (fun f -> Registry.add_formula reg f) all in
+  let eng = Engine.create ~monitors:(Registry.monitors reg) () in
+  List.iteri
+    (fun trace w -> List.iter (fun symbol -> Engine.step eng ~trace ~symbol) w)
+    words;
+  let trip trace id =
+    filter
+      (match
+         Engine.verdict eng ~trace ~monitor:(Registry.monitor_of_prop reg id)
+       with
+      | Engine.Violation { position } -> Some position
+      | Engine.Admissible | Engine.Vacuous -> None)
+  in
+  let table = List.combine all ids in
+  let oracles = List.map2 (fun f id -> (id, oracle_trip f)) all ids in
+  List.for_all2
+    (fun trace w ->
+      List.for_all (fun (id, oracle) -> trip trace id = oracle w) oracles
+      && List.for_all
+           (fun (f, _, c) ->
+             match (trip trace (List.assoc f table), trip trace (List.assoc c table)) with
+             | Some kf, Some kc -> kc <= kf
+             | Some _, None -> false
+             | None, _ -> true)
+           conj)
+    (List.init (List.length words) Fun.id)
+    words
+
 let prop_semantic_oracle =
   QCheck.Test.make ~name:"trips = first prefix with no extension in L"
     ~count:60
-    QCheck.(
-      pair
-        (make
-           ~print:(fun fs -> String.concat "; " (List.map Formula.to_string fs))
-           Gen.(list_size (int_range 2 4) gen_small_formula))
-        (list_of_size Gen.(1 -- 6) (list_of_size Gen.(0 -- 12) (int_range 0 1))))
-    (fun (fs, words) ->
-      (* the fleet: each formula and each pairwise conjunction *)
-      let conj =
-        List.concat_map
-          (fun f -> List.map (fun g -> (f, g, Formula.And (f, g))) fs)
-          fs
-      in
-      let all = fs @ List.map (fun (_, _, c) -> c) conj in
-      let reg = Registry.create () in
-      let ids = List.map (fun f -> Registry.add_formula reg f) all in
-      let eng = Engine.create ~monitors:(Registry.monitors reg) () in
-      List.iteri
-        (fun trace w -> List.iter (fun symbol -> Engine.step eng ~trace ~symbol) w)
-        words;
-      let trip trace id =
-        match
-          Engine.verdict eng ~trace ~monitor:(Registry.monitor_of_prop reg id)
-        with
-        | Engine.Violation { position } -> Some position
-        | Engine.Admissible | Engine.Vacuous -> None
-      in
-      let table = List.combine all ids in
-      List.for_all2
-        (fun trace w ->
-          List.for_all (fun (f, id) -> trip trace id = oracle_trip f w) table
-          && List.for_all
-               (fun (f, _, c) ->
-                 match (trip trace (List.assoc f table), trip trace (List.assoc c table)) with
-                 | Some kf, Some kc -> kc <= kf
-                 | Some _, None -> false
-                 | None, _ -> true)
-               conj)
-        (List.init (List.length words) Fun.id)
-        words)
+    (QCheck.make ~print:print_oracle_case gen_oracle_case)
+    (fun case -> oracle_agrees case)
+
+(* The oracle must see late trips: with every trip past position k
+   dropped from the engine's verdicts, it fails for each k in
+   {8, 16, 32}, on the case of every seed. *)
+let test_oracle_sees_late_trips () =
+  for seed = 0 to 9 do
+    let case =
+      QCheck.Gen.generate1 ~rand:(Random.State.make [| seed |]) gen_oracle_case
+    in
+    check (Printf.sprintf "seed %d: the oracle agrees" seed) true
+      (oracle_agrees case);
+    List.iter
+      (fun k ->
+        let filter = function Some p when p > k -> None | t -> t in
+        check
+          (Printf.sprintf "seed %d: trips past %d dropped are caught" seed k)
+          false (oracle_agrees ~filter case))
+      [ 8; 16; 32 ]
+  done
 
 (* The closure side of Theorem 2: L(bcl(B_f)) = lcl(L(f)), decided by
    lasso membership in the closure of [f]'s translated automaton. *)
 let closure_of f =
   Closure.bcl (Translate.translate ~alphabet:2 ~valuation:oracle_valuation f)
-
-let gen_bits lo hi = QCheck.Gen.(list_size (int_range lo hi) (int_range 0 1))
 
 let print_formulas fs = String.concat "; " (List.map Formula.to_string fs)
 
@@ -1220,5 +1321,7 @@ let tests =
     Alcotest.test_case "restore outside the start product"
       `Quick test_restore_outside_product;
     QCheck_alcotest.to_alcotest prop_semantic_oracle;
+    Alcotest.test_case "the oracle sees late trips" `Quick
+      test_oracle_sees_late_trips;
     QCheck_alcotest.to_alcotest prop_lasso_oracle;
     QCheck_alcotest.to_alcotest prop_retirement_oracle ]

@@ -109,9 +109,9 @@ let render_lines events =
 
 (* Feed [bytes] to a fresh connection cut at [splits] (ascending byte
    offsets), half-close, and return everything it wrote. *)
-let serve_split ?props ~splits bytes =
+let serve_split ?props ?max_line ~splits bytes =
   let daemon = mk_daemon ?props () in
-  let conn = Conn.create daemon in
+  let conn = Conn.create ?max_line daemon in
   let n = String.length bytes in
   let cuts = List.sort_uniq compare (List.filter (fun c -> c > 0 && c < n) splits) in
   let rec feed off = function
@@ -235,7 +235,23 @@ let test_oversized_line () =
     | _ -> false);
   check_int "the next line still monitors" 1 (Conn.events conn);
   check "t2 served" true
-    (Tuples.equal (offline_tuples [ ("t2", 1) ]) (served_tuples out))
+    (Tuples.equal (offline_tuples [ ("t2", 1) ]) (served_tuples out));
+  (* an over-cap second line, split at every byte and byte by byte:
+     one error, always for line 2, and the third line monitored *)
+  let bytes = "a 0\n" ^ String.make 40 'x' ^ "\nt2 1\n" in
+  let offline = offline_tuples [ ("a", 0); ("t2", 1) ] in
+  let n = String.length bytes in
+  List.iter
+    (fun splits ->
+      let what = Printf.sprintf "%d cuts from %d" (List.length splits)
+          (match splits with k :: _ -> k | [] -> 0) in
+      let conn, out = serve_split ~max_line:32 ~splits bytes in
+      check (what ^ ": one error, line 2") true
+        (List.map (jint "line") (records_of_type "error" out) = [ 2 ]);
+      check_int (what ^ ": both events") 2 (Conn.events conn);
+      check (what ^ ": served = offline") true
+        (Tuples.equal offline (served_tuples out)))
+    (List.init n (fun k -> [ k ]) @ [ List.init n Fun.id ])
 
 let test_half_close_dump () =
   (* a client that writes nothing and half-closes still gets hello,
@@ -271,7 +287,29 @@ let test_http_metrics () =
   let conn2 = Conn.create daemon in
   Conn.on_bytes conn2 "GET /nope HTTP/1.0\r\n";
   let out2 = Conn.drain_output conn2 in
-  check "404 elsewhere" true (String.sub out2 0 12 = "HTTP/1.0 404")
+  check "404 elsewhere" true (String.sub out2 0 12 = "HTTP/1.0 404");
+  (* The protocol is decided by the first line wherever the reads split
+     it: each input, fed at every two-way split and byte by byte, gives
+     the bytes of the one-shot feed. A request stays a request; a first
+     line that is not one, even a blank one before a GET, opens the
+     line protocol. *)
+  List.iter
+    (fun (bytes, http) ->
+      let _, one_shot = serve_split ~splits:[] bytes in
+      check (String.escaped bytes ^ ": protocol") true
+        (String.starts_with ~prefix:"HTTP/1.0 200 OK" one_shot = http
+        && (http || jstr "type" (List.hd (records one_shot)) = "hello"));
+      let n = String.length bytes in
+      List.iter
+        (fun splits ->
+          let _, out = serve_split ~splits bytes in
+          check
+            (Printf.sprintf "%s cut at [%s]" (String.escaped bytes)
+               (String.concat "," (List.map string_of_int splits)))
+            true (out = one_shot))
+        (List.init n (fun k -> [ k ]) @ [ List.init n Fun.id ]))
+    [ ("GET /metrics HTTP/1.0\r\n\r\n", true); ("GE\nt 0\n", false);
+      ("\nGET / x\n", false) ]
 
 let test_backpressure () =
   let daemon = mk_daemon () in
@@ -517,10 +555,17 @@ let test_reload_alphabet_refused () =
   let session = Session.create ~registry () in
   let wide = Registry.create ~alphabet:3 () in
   ignore (Registry.add_formula wide (Formula.parse_exn "G a"));
-  match Reload.carry_over ~old_session:session ~registry:wide () with
+  (match Reload.carry_over ~old_session:session ~registry:wide () with
   | Ok _ -> Alcotest.fail "alphabet change must refuse"
   | Error e -> check "refusal names the alphabet" true
-      (find_sub e "alphabet" <> None)
+      (find_sub e "alphabet" <> None));
+  (* the daemon's scanners are bound to its interner: a session with
+     another one cannot be swapped in *)
+  let daemon = Daemon.make session in
+  check "swap onto a fresh interner refused" true
+    (match Daemon.swap_session daemon (Session.create ~registry ()) with
+    | () -> false
+    | exception Invalid_argument _ -> true)
 
 let test_reload_from_props_file () =
   let dir = Filename.temp_file "slc-serve-test" "" in
@@ -534,9 +579,7 @@ let test_reload_from_props_file () =
   in
   write "G a\nF !a\n";
   let registry = Registry.create ~alphabet:2 () in
-  let ic = open_in props in
-  ignore (Registry.load_channel registry ~path:props ic);
-  close_in ic;
+  ignore (Registry.load_file registry props);
   let session = Session.create ~registry () in
   let daemon = Daemon.make session in
   let conn = Conn.create daemon in
@@ -564,7 +607,24 @@ let test_reload_from_props_file () =
   | Ok _ -> Alcotest.fail "empty props file must refuse"
   | Error e -> check "refusal mentions the file" true
       (find_sub e "no well-formed" <> None));
+  (* a props path that opens but cannot be read: refused, not raised *)
   Sys.remove props;
+  Sys.mkdir props 0o700;
+  (match
+     Reload.from_props_file ~old_session:(Daemon.session daemon)
+       ~props_file:props ()
+   with
+  | Ok _ -> Alcotest.fail "a directory must refuse"
+  | Error e ->
+      check "refusal names the read error" true
+        (find_sub e "Is a directory" <> None));
+  let conn = Conn.create daemon in
+  Conn.on_bytes conn "u 1\n";
+  Conn.on_eof conn;
+  check "the daemon serves on after the refusal" true
+    (Tuples.mem ("u", "!a", "admissible", -1)
+       (served_tuples (Conn.drain_output conn)));
+  Sys.rmdir props;
   Sys.rmdir dir
 
 (* A reload onto a file with a property past the tableau's closure cap
@@ -618,35 +678,32 @@ let test_reload_over_cap_line () =
   Sys.remove props;
   Sys.rmdir dir
 
-(* Reload mid-stream at every split point: equivalence with the
-   never-reloaded run must hold wherever the SIGHUP lands. *)
+(* Reload mid-stream at every byte offset, so a partial line is carried
+   across the reload: an identical-registry carry-over must serve the
+   bytes of the never-reloaded run, wherever the SIGHUP lands. *)
 let test_reload_at_every_chunk () =
-  let events =
-    [ ("t1", 0); ("t2", 1); ("t1", 0); ("t2", 0); ("t1", 1); ("t2", 1) ]
+  let bytes =
+    render_lines
+      [ ("t1", 0); ("t2", 1); ("t1", 0); ("t2", 0); ("t1", 1); ("t2", 1) ]
   in
-  let offline = offline_tuples events in
-  let n = List.length events in
+  let n = String.length bytes in
   for k = 0 to n do
+    let _, uninterrupted = serve_split ~splits:[ k ] bytes in
     let registry = mk_registry () in
     let daemon = Daemon.make (Session.create ~registry ()) in
     let conn = Conn.create daemon in
-    let before, after =
-      (List.filteri (fun i _ -> i < k) events,
-       List.filteri (fun i _ -> i >= k) events)
-    in
-    Conn.on_bytes conn (render_lines before);
+    Conn.on_bytes conn (String.sub bytes 0 k);
     (match
        Reload.carry_over ~old_session:(Daemon.session daemon)
          ~registry:(mk_registry ()) ()
      with
     | Ok (s, _) -> Daemon.swap_session daemon s
     | Error e -> Alcotest.failf "reload at %d refused: %s" k e);
-    Conn.on_bytes conn (render_lines after);
+    Conn.on_bytes conn (String.sub bytes k (n - k));
     Conn.on_eof conn;
-    check
-      (Printf.sprintf "reload after %d events = uninterrupted" k)
-      true
-      (Tuples.equal offline (served_tuples (Conn.drain_output conn)))
+    check_str
+      (Printf.sprintf "reload at byte %d = uninterrupted" k)
+      uninterrupted (Conn.drain_output conn)
   done
 
 (* {2 Introspection: /status, /monitors, /traces, /healthz} *)
