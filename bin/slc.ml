@@ -160,7 +160,7 @@ let stats_cmd =
         Format.printf "sccs:            %d (%d nontrivial)@."
           r.Sl_core.Digraph.count nontrivial;
         Format.printf "classification:  %s@."
-          (Decompose.classification_to_string (Decompose.classify b));
+          (Decompose.classification_to_string (Examples.classify f));
         0
   in
   Cmd.v
@@ -932,9 +932,7 @@ let version_cmd =
       (String.concat ", "
          (List.map
             (fun (name, kind) -> Printf.sprintf "%s(%d)" name kind)
-            [ ("dfa", Wire.kind_packed_dfa); ("buchi", Wire.kind_buchi);
-              ("digraph", Wire.kind_digraph); ("pack", Wire.kind_pack);
-              ("session", Wire.kind_session) ]));
+            [ ("pack", Wire.kind_pack); ("session", Wire.kind_session) ]));
     Format.printf "report schema: sl-monitor-report/1@.";
     Format.printf "status schema: sl-status/1@.";
     0

@@ -205,58 +205,6 @@ let pp fmt b =
   done;
   Format.fprintf fmt "@]"
 
-(* Serialization: dimensions, start, acceptance bits, then one
-   length-prefixed successor list per (state, symbol) cell in row-major
-   order. Decoding funnels through [make], so every shape and range
-   check a constructed automaton passes, a decoded one passes too —
-   [Invalid_argument] from [make] is re-raised as [Wire.Corrupt] since
-   on this path it means bad bytes, not a caller bug. *)
-module Wire = Sl_core.Wire
-
-let encode w b =
-  Wire.put_int w b.alphabet;
-  Wire.put_int w b.nstates;
-  Wire.put_int w b.start;
-  Wire.put_bool_array w b.accepting;
-  Array.iter
-    (fun row -> Array.iter (fun l -> Wire.put_int_array w (Array.of_list l)) row)
-    b.delta
-
-let decode r =
-  let fail fmt = Printf.ksprintf (fun s -> raise (Wire.Corrupt s)) fmt in
-  let alphabet = Wire.get_int r in
-  let nstates = Wire.get_int r in
-  let start = Wire.get_int r in
-  if alphabet < 1 || alphabet > 0xffff then fail "buchi: bad alphabet %d" alphabet;
-  let accepting = Wire.get_bool_array r in
-  (* Every (state, symbol) cell carries at least its 8-byte length
-     prefix, so the table bound below rejects forged state counts
-     before [Array.init] tries to allocate them. *)
-  if nstates < 1 || nstates > Wire.remaining r / 8 / alphabet then
-    fail "buchi: bad state count %d" nstates;
-  let delta =
-    Array.init nstates (fun _ ->
-        Array.init alphabet (fun _ -> Array.to_list (Wire.get_int_array r)))
-  in
-  match make ~alphabet ~nstates ~start ~delta ~accepting with
-  | b -> b
-  | exception Invalid_argument msg -> fail "buchi: %s" msg
-
-let to_artifact b =
-  let w = Wire.writer () in
-  encode w b;
-  Wire.to_artifact ~kind:Wire.kind_buchi w
-
-let of_artifact s =
-  match
-    let r = Wire.of_artifact_kind ~kind:Wire.kind_buchi s in
-    let b = decode r in
-    Wire.expect_end r;
-    b
-  with
-  | b -> Some b
-  | exception Wire.Corrupt _ -> None
-
 (* Compile-time witness: this module has the shared automaton shape. *)
 module _ : Asig.S with type t = t = struct
   type nonrec t = t

@@ -95,27 +95,6 @@ val size_info : t -> string
 
 val pp : Format.formatter -> t -> unit
 
-(** {1 Serialization}
-
-    Büchi automata round-trip through the [sl-artifact/1] format (see
-    {!Sl_core.Wire}). Decoding funnels through {!make}, so a decoded
-    automaton satisfies every invariant a constructed one does. *)
-
-val encode : Sl_core.Wire.writer -> t -> unit
-(** Append the automaton's payload (no framing) to a writer. *)
-
-val decode : Sl_core.Wire.reader -> t
-(** Inverse of {!encode}.
-    @raise Sl_core.Wire.Corrupt on any malformed bytes. *)
-
-val to_artifact : t -> string
-(** The automaton framed as a standalone [sl-artifact/1] blob
-    (kind {!Sl_core.Wire.kind_buchi}). *)
-
-val of_artifact : string -> t option
-(** Decode a standalone artifact; [None] on {e any} corruption, never
-    an exception. *)
-
 val random : ?seed:int -> alphabet:int -> nstates:int -> density:float ->
   accepting_fraction:float -> unit -> t
 (** Random automaton for property tests and benches: each [(q, s, q')]

@@ -293,58 +293,6 @@ let has_good_scc ?filter g ~predicates =
   let r, good = good_comps ?filter g ~predicates in
   List.exists good r.comps
 
-(* Serialization: the CSR representation is already flat, so the
-   payload is just the two dimensions and the two arrays. Decoding
-   re-establishes every invariant [of_delta] would have enforced —
-   anything a builder rejects, the decoder rejects as [Wire.Corrupt],
-   so a stored artifact can never smuggle in a graph this module could
-   not have produced. *)
-
-let encode w g =
-  Wire.put_int w g.nodes;
-  Wire.put_int w g.nsyms;
-  Wire.put_int_array w g.off;
-  Wire.put_int_array w g.succ
-
-let decode r =
-  let fail fmt = Printf.ksprintf (fun s -> raise (Wire.Corrupt s)) fmt in
-  let nodes = Wire.get_int r in
-  let nsyms = Wire.get_int r in
-  let off = Wire.get_int_array r in
-  let succ = Wire.get_int_array r in
-  if nodes < 0 then fail "digraph: negative node count %d" nodes;
-  if nsyms < 1 then fail "digraph: bad symbol count %d" nsyms;
-  if Array.length off <> (nodes * nsyms) + 1 then
-    fail "digraph: offset array length %d for %d nodes x %d symbols"
-      (Array.length off) nodes nsyms;
-  if off.(0) <> 0 then fail "digraph: offsets do not start at 0";
-  for i = 1 to Array.length off - 1 do
-    if off.(i) < off.(i - 1) then fail "digraph: offsets not monotone at %d" i
-  done;
-  if off.(Array.length off - 1) <> Array.length succ then
-    fail "digraph: offsets end at %d but %d edges stored"
-      off.(Array.length off - 1)
-      (Array.length succ);
-  Array.iter
-    (fun w -> if w < 0 || w >= nodes then fail "digraph: edge target %d" w)
-    succ;
-  { nodes; nsyms; off; succ }
-
-let to_artifact g =
-  let w = Wire.writer () in
-  encode w g;
-  Wire.to_artifact ~kind:Wire.kind_digraph w
-
-let of_artifact s =
-  match
-    let r = Wire.of_artifact_kind ~kind:Wire.kind_digraph s in
-    let g = decode r in
-    Wire.expect_end r;
-    g
-  with
-  | g -> Some g
-  | exception Wire.Corrupt _ -> None
-
 let good_scc_members ?filter g ~predicates =
   let r, good = good_comps ?filter g ~predicates in
   let marked = Array.make g.nodes false in

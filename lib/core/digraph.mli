@@ -102,29 +102,6 @@ val condense : t -> scc -> t
 (** The component DAG: one node per component, edges between distinct
     components, deduplicated. Node ids are component ids. *)
 
-(** {1 Serialization}
-
-    CSR graphs round-trip through the {!Wire} [sl-artifact/1] format.
-    Decoding re-validates every builder invariant (offset monotonicity,
-    edge-target range), so a decoded graph is indistinguishable from a
-    freshly built one. *)
-
-val encode : Wire.writer -> t -> unit
-(** Append the graph's payload (no framing) to a writer — used when a
-    graph is one field of a larger artifact. *)
-
-val decode : Wire.reader -> t
-(** Inverse of {!encode}.
-    @raise Wire.Corrupt on any malformed or invariant-violating bytes. *)
-
-val to_artifact : t -> string
-(** The graph framed as a standalone [sl-artifact/1] blob
-    (kind {!Wire.kind_digraph}). *)
-
-val of_artifact : string -> t option
-(** Decode a standalone artifact; [None] on {e any} corruption, never
-    an exception. *)
-
 (** {1 Cycle search} *)
 
 val has_good_scc : ?filter:(int -> bool) -> t -> predicates:(int -> bool) list -> bool

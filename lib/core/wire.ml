@@ -11,9 +11,8 @@ let format_version = 1
 let header_len = String.length magic + 2
 let trailer_len = 8
 
-let kind_packed_dfa = 1
-let kind_buchi = 2
-let kind_digraph = 3
+(* Kinds 1-3 (standalone packed DFA, Büchi, digraph) are retired;
+   their numbers are not reused. *)
 let kind_pack = 4
 let kind_session = 5
 
@@ -73,6 +72,19 @@ let publish ~path blob =
   with e ->
     (try Sys.remove tmp with Sys_error _ -> ());
     raise e
+
+let read ~path =
+  match open_in_bin path with
+  | exception Sys_error msg -> Error (`Open msg)
+  | ic -> (
+      match
+        Fun.protect
+          ~finally:(fun () -> close_in_noerr ic)
+          (fun () -> really_input_string ic (in_channel_length ic))
+      with
+      | blob -> Ok blob
+      | exception Sys_error msg -> Error (`Read msg)
+      | exception End_of_file -> Error `Truncated)
 
 type reader = { s : string; mutable pos : int; stop : int }
 

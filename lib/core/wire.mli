@@ -1,7 +1,8 @@
 (** Endian-stable binary serialization for the [sl-artifact/1] format.
 
-    Compiled monitors, Büchi automata and CSR digraphs are flat int
-    arrays, so an artifact is a fixed header (magic, format version,
+    Two kinds of file are written in it: monitor packs ([slc pack]) and
+    session snapshots ([--snapshot]). Both are flat int arrays and
+    strings, so an artifact is a fixed header (magic, format version,
     payload kind), a payload of length-prefixed primitives, and an
     FNV-1a checksum trailer. Every multi-byte value is little-endian
     regardless of host, so artifacts written on one machine load on any
@@ -9,9 +10,9 @@
 
     The reading side is written for hostile bytes in the weak sense a
     file reader needs: any truncation, bit flip, version skew or kind
-    mismatch raises {!Corrupt}, which decoders turn into [None] or
-    [Error] — never a crash, never a torn value. (Integrity is the
-    checksum's job; artifacts are not authenticated.) *)
+    mismatch raises {!Corrupt}, which decoders turn into [Error] —
+    never a crash, never a torn value. (Integrity is the checksum's
+    job; artifacts are not authenticated.) *)
 
 exception Corrupt of string
 (** Raised by every decoding entry point on malformed input. *)
@@ -23,11 +24,11 @@ val format_version : int
 
 (** {1 Payload kinds} *)
 
-val kind_packed_dfa : int
-val kind_buchi : int
-val kind_digraph : int
 val kind_pack : int
+(** A monitor pack ([slc pack]): [4]. *)
+
 val kind_session : int
+(** A session snapshot ([--snapshot]): [5]. *)
 
 (** {1 Writing} *)
 
@@ -52,6 +53,15 @@ val publish : path:string -> string -> unit
     over [path], so a reader sees the old file or the new one, never a
     torn one. On any failure, the rename's included, the temp file is
     removed and the [Sys_error] propagates. *)
+
+val read :
+  path:string ->
+  (string, [ `Open of string | `Read of string | `Truncated ]) result
+(** The whole file at [path], the reading side of {!publish}. The
+    channel is closed on every path. [`Open] carries the open's
+    [Sys_error] message (it names the path), [`Read] a failure after
+    the open (sizing or reading: a directory opens, then fails here),
+    and [`Truncated] a file that shrank while it was read. *)
 
 (** {1 Reading} *)
 

@@ -15,10 +15,10 @@
     mask order. The step relation out of a set is one [(mask, value)]
     pair: a successor [e'] must satisfy [e' land mask = value]. Whether a
     set fits a letter is one compare against the letter's proposition
-    bits. The test suite pins the result byte for byte
-    ({!Sl_buchi.Buchi.to_artifact}) to a predicate tableau kept as a test
-    reference, which filters all [2^n] subsets and tests every pair of
-    sets.
+    bits. The test suite pins the result, by structural equality of
+    the automaton (every state, edge and edge order), to a predicate
+    tableau kept as a test reference, which filters all [2^n] subsets
+    and tests every pair of sets.
 
     Correctness is established in the test suite by checking agreement
     with the fixpoint evaluator {!Semantics.eval} on every canonical lasso

@@ -81,13 +81,7 @@ let of_artifact s =
 let write pk ~path = Wire.publish ~path (to_artifact pk)
 
 let read ~path =
-  match open_in_bin path with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          match really_input_string ic (in_channel_length ic) with
-          | s -> of_artifact s
-          | exception (Sys_error _ | End_of_file) ->
-              Error (path ^ ": unreadable"))
+  match Wire.read ~path with
+  | Ok blob -> of_artifact blob
+  | Error (`Open msg) -> Error msg
+  | Error (`Read _ | `Truncated) -> Error (path ^ ": unreadable")

@@ -185,21 +185,6 @@ let decode r =
   if not (String.equal key pd.key) then fail "packed_dfa: key mismatch";
   pd
 
-let to_artifact pd =
-  let w = Wire.writer () in
-  encode w pd;
-  Wire.to_artifact ~kind:Wire.kind_packed_dfa w
-
-let of_artifact s =
-  match
-    let r = Wire.of_artifact_kind ~kind:Wire.kind_packed_dfa s in
-    let pd = decode r in
-    Wire.expect_end r;
-    pd
-  with
-  | pd -> Some pd
-  | exception Wire.Corrupt _ -> None
-
 let pp fmt pd =
   Format.fprintf fmt "packed-dfa(%d states, alphabet %d%s%s)" pd.nstates
     pd.alphabet

@@ -59,27 +59,18 @@ val fuse : t array -> int array * int array
 
 (** {1 Serialization}
 
-    Packed monitors round-trip through the [sl-artifact/1] format (see
-    {!Sl_core.Wire}). Only the defining fields — canonical key,
-    alphabet, state count, transition table, acceptance bits — are
-    stored; the derived fields ([can_trip], [pre_tripped], [vacuous])
-    are recomputed on decode exactly as compilation computes them, so a
-    decoded monitor is field-for-field identical to a fresh compile of
-    the same property. *)
+    Packed monitors reach disk as the entries of a monitor pack
+    ([Pack], kind {!Sl_core.Wire.kind_pack}). Only the defining fields
+    — canonical key, alphabet, state count, transition table,
+    acceptance bits — are stored; the derived fields ([can_trip],
+    [pre_tripped], [vacuous]) are recomputed on decode exactly as
+    compilation computes them, so a decoded monitor is field-for-field
+    identical to a fresh compile of the same property. *)
 
 val encode : Sl_core.Wire.writer -> t -> unit
-(** Append the monitor's payload (no framing) to a writer — used when
-    the monitor is one entry of a larger artifact (a monitor pack). *)
+(** Append the monitor's payload (no framing) to a writer. *)
 
 val decode : Sl_core.Wire.reader -> t
 (** Inverse of {!encode}. Validates table shape, successor ranges and
     that the stored key is the canonical key of the stored table.
     @raise Sl_core.Wire.Corrupt on any malformed bytes. *)
-
-val to_artifact : t -> string
-(** The monitor framed as a standalone [sl-artifact/1] blob
-    (kind {!Sl_core.Wire.kind_packed_dfa}). *)
-
-val of_artifact : string -> t option
-(** Decode a standalone artifact; [None] on {e any} corruption, never
-    an exception. *)

@@ -160,17 +160,11 @@ let save t ~path =
 let load ~registry ~path () =
   let sp = Obs.Span.enter "session.restore" in
   let result =
-    match
-      let ic = open_in_bin path in
-      let n = in_channel_length ic in
-      let blob = really_input_string ic n in
-      close_in ic;
-      blob
-    with
-    | exception Sys_error msg ->
+    match Wire.read ~path with
+    | Error (`Open msg | `Read msg) ->
         Error (Corrupt (Printf.sprintf "cannot read snapshot: %s" msg))
-    | exception End_of_file -> Error (Corrupt "snapshot truncated while reading")
-    | blob -> of_artifact ~registry blob
+    | Error `Truncated -> Error (Corrupt "snapshot truncated while reading")
+    | Ok blob -> of_artifact ~registry blob
   in
   (match result with
   | Ok t ->

@@ -219,8 +219,8 @@ let should_close c =
   c.draining && pending_output c = 0 && Option.is_none c.dump
 
 let http c line =
-  (* records already rendered (the EOF-path greeting) must reach the
-     queue before the HTTP reply, which bypasses the scratch *)
+  (* the reply goes straight into the slab, past the scratch: whatever
+     the scratch holds must reach the queue first *)
   flush_slab c;
   c.mode <- Http;
   c.requested <- true;
@@ -321,15 +321,14 @@ let touched_ids c =
   ids
 
 (* An unterminated first line still undecided at EOF is a request if it
-   starts with "GET " (any longer line would have been decided), after
-   the greeting. *)
+   starts with "GET " (any longer line would have been decided): it
+   gets the reply alone, as if its newline had arrived. *)
 let on_eof c =
   (match c.mode with
+  | Undecided when Buffer.length c.head >= 4 -> http c (Buffer.contents c.head)
   | Undecided | Lines ->
       greet c;
-      if c.mode = Undecided then
-        if Buffer.length c.head >= 4 then http c (Buffer.contents c.head)
-        else start_lines c;
+      if c.mode = Undecided then start_lines c;
       Ingest.scan_eof c.bufs.scanner;
       c.dump <-
         Some

@@ -34,8 +34,9 @@
     then the connection closes after the write drains. [slc serve]
     needs no second protocol or port for scraping.
 
-    Client EOF ({!on_eof}) finalizes: any unterminated last line is
-    processed, then every touched trace's verdicts and the summary
+    Client EOF ({!on_eof}) finalizes: an unterminated ["GET "] first
+    line is answered as a request, exactly as with its newline;
+    otherwise any unterminated last line is processed, then every touched trace's verdicts and the summary
     counters are frozen (8 bytes per (trace, property) record, see
     {!Daemon.snapshot}) and rendered in pages: a page is rendered
     while fewer than [hwm] bytes are pending, at EOF and again as
@@ -81,7 +82,8 @@ val on_bytes_raw : t -> bytes -> int -> int -> unit
 
 val on_eof : t -> unit
 (** The client half-closed: flush, dump verdicts for touched traces,
-    queue the summary, mark the connection draining. *)
+    queue the summary, mark the connection draining. An unterminated
+    request gets its HTTP reply alone. *)
 
 val wants_read : t -> bool
 (** The loop should select this connection for reading: still in

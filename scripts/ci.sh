@@ -35,6 +35,18 @@ dune exec bin/slc.exe -- classify "a & F !a" > /dev/null
 dune exec bin/slc.exe -- stats "G (a -> F !a)" > /dev/null
 dune exec bin/slc.exe -- theorems > /dev/null
 
+# stats classifies the way classify does, through the negation's
+# automaton: this safety property (whose rank-based complement needs
+# over 1.5 GB) classifies in a few MB, under an address-space limit.
+echo "--- slc stats smoke under ulimit -v"
+status=0
+sout=$(ulimit -v 1500000
+       exec _build/default/bin/slc.exe stats \
+         "G !(a & X (a & X (a & X (a & X a))))") || status=$?
+[ "$status" -eq 0 ] || { echo "slc stats under ulimit -v: exit $status"; exit 1; }
+echo "$sout" | grep -qx "classification:  safety" \
+  || { echo "slc stats under ulimit -v: wrong classification"; exit 1; }
+
 # Runtime-monitoring smoke: the checked-in example props/trace pair must
 # produce exactly this verdict summary, with exit code 1 (violations
 # found, inputs well-formed).
@@ -231,7 +243,7 @@ echo "--- slc version smoke"
 vout=$(dune exec bin/slc.exe -- version)
 echo "$vout" | grep -q "^slc 1.0.0$"
 echo "$vout" | grep -q "artifact format: sl-artifact/1"
-echo "$vout" | grep -q "dfa(1), buchi(2), digraph(3), pack(4), session(5)"
+echo "$vout" | grep -qx "artifact kinds: pack(4), session(5)"
 echo "$vout" | grep -q "sl-monitor-report/1"
 echo "$vout" | grep -q "sl-status/1"
 

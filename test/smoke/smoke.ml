@@ -598,6 +598,25 @@ let framing () =
   check
     (String.starts_with ~prefix:"HTTP/1.0 200 OK" reply)
     "a GET written byte by byte got %S" (String.sub reply 0 (min 40 (String.length reply)));
+  (* a request ended by the client's EOF, not by a newline, gets the
+     reply alone: the bytes of the terminated request, no JSON around *)
+  let terminated = stream "GET /nope\n" in
+  check
+    (String.starts_with ~prefix:"HTTP/1.0 404" terminated)
+    "GET /nope: %S" terminated;
+  let unterminated = stream "GET /nope" in
+  check (unterminated = terminated) "GET /nope then EOF: %S" unterminated;
+  let health = stream "GET /healthz" in
+  let record ty l =
+    String.starts_with ~prefix:(Printf.sprintf "{\"type\": %S" ty) l
+  in
+  check
+    (String.starts_with ~prefix:"HTTP/1.0 200 OK" health
+    && not
+         (List.exists
+            (fun l -> record "hello" l || record "summary" l)
+            (String.split_on_char '\n' health)))
+    "GET /healthz then EOF: %S" health;
   let out = stream ("a 0\n" ^ String.make 100 'x' ^ "\nb 1\n") in
   check
     (List.map (int "line") (Served.records_of_type "error" out) = [ 2 ])
@@ -626,7 +645,9 @@ let framing () =
   Sys.rmdir path;
   same_verdicts "directory reload" ~offline:(Lazy.force example_offline)
     [ reply ];
-  say "byte-at-a-time GET, an over-cap line, a SIGHUP onto a directory"
+  say
+    "byte-at-a-time GET, GETs ended by EOF, an over-cap line, a SIGHUP onto \
+     a directory"
 
 (* After a connection storm the daemon must still be up, have counted a
    refused accept, and serve a fresh client the offline verdicts. *)

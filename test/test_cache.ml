@@ -1,20 +1,23 @@
-(* The sl-artifact/1 codec, monitor packs and the atomic publish.
+(* The sl-artifact/1 container, monitor packs and the atomic publish.
 
-   The QCheck pins are the round-trip contract: decode(encode x)
-   must be structurally identical to the freshly compiled value — for
-   packed monitors including every *derived* field (can_trip,
+   Two kinds of artifact are written: monitor packs and session
+   snapshots. The pack round trip is the monitor contract:
+   decode(encode x) must be structurally identical to the freshly
+   compiled monitors, including every *derived* field (can_trip,
    pre_tripped, vacuous), since those are recomputed on decode. The
-   corruption pins are the invalidation contract: truncation, bit
-   flips, stale format versions and kind confusion must all read as
-   "absent", never as an exception or a wrong value. *)
+   corruption pins are the invalidation contract, on both kinds:
+   truncation, bit flips, stale format versions and kind confusion must
+   all read as an [Error], never as an exception or a wrong value. *)
 
 module Wire = Sl_core.Wire
-module Digraph = Sl_core.Digraph
 module Buchi = Sl_buchi.Buchi
 module Formula = Sl_ltl.Formula
 module Packed_dfa = Sl_runtime.Packed_dfa
 module Registry = Sl_runtime.Registry
 module Pack = Sl_runtime.Pack
+module Session = Sl_runtime.Session
+module Engine = Sl_runtime.Engine
+module Ingest = Sl_runtime.Ingest
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -30,7 +33,30 @@ let random_buchi seed =
     ~nstates:(2 + (seed mod 7))
     ~density:0.3 ~accepting_fraction:0.4 ()
 
-let random_packed seed = Packed_dfa.of_buchi (random_buchi seed)
+(* One to four random automata: a pack of several monitors, fewer when
+   two hash-cons to one. *)
+let random_registry seed =
+  let r = Registry.create ~alphabet:2 () in
+  for i = 0 to seed mod 4 do
+    ignore
+      (Registry.add_buchi r ~name:(Printf.sprintf "b%d" i)
+         (random_buchi (seed + (i * 5001))))
+  done;
+  r
+
+let random_pack seed = Pack.of_registry (random_registry seed)
+
+(* A session over a random registry after a few random events. *)
+let random_session seed =
+  let s = Session.create ~registry:(random_registry seed) () in
+  let st = Random.State.make [| seed |] in
+  for _ = 0 to Random.State.int st 12 do
+    Engine.step (Session.engine s)
+      ~trace:(Ingest.intern (Session.ingest s)
+                (Printf.sprintf "t%d" (Random.State.int st 3)))
+      ~symbol:(Random.State.int st 2)
+  done;
+  s
 
 let packed_equal (a : Packed_dfa.t) (b : Packed_dfa.t) =
   a.Packed_dfa.alphabet = b.Packed_dfa.alphabet
@@ -42,20 +68,7 @@ let packed_equal (a : Packed_dfa.t) (b : Packed_dfa.t) =
   && a.Packed_dfa.vacuous = b.Packed_dfa.vacuous
   && String.equal a.Packed_dfa.key b.Packed_dfa.key
 
-let digraph_equal g h =
-  Digraph.nodes g = Digraph.nodes h
-  && Digraph.nsyms g = Digraph.nsyms h
-  && Digraph.nedges g = Digraph.nedges h
-  &&
-  let ok = ref true in
-  for v = 0 to Digraph.nodes g - 1 do
-    for s = 0 to Digraph.nsyms g - 1 do
-      if Digraph.succs_sym g v s <> Digraph.succs_sym h v s then ok := false
-    done
-  done;
-  !ok
-
-(* --- Round trips --- *)
+(* --- Round trip --- *)
 
 let prop_packed_roundtrip =
   QCheck.Test.make
@@ -63,67 +76,58 @@ let prop_packed_roundtrip =
     ~count:50
     QCheck.(int_range 0 5000)
     (fun seed ->
-      let pd = random_packed seed in
-      match Packed_dfa.of_artifact (Packed_dfa.to_artifact pd) with
-      | Some pd' -> packed_equal pd pd'
-      | None -> false)
+      let pk = random_pack seed in
+      match Pack.of_artifact (Pack.to_artifact pk) with
+      | Ok pk' ->
+          pk.Pack.props = pk'.Pack.props
+          && Array.length pk.Pack.monitors = Array.length pk'.Pack.monitors
+          && Array.for_all2 packed_equal pk.Pack.monitors pk'.Pack.monitors
+      | Error _ -> false)
 
-let prop_buchi_roundtrip =
-  QCheck.Test.make ~name:"buchi: decode(encode x) = x" ~count:50
-    QCheck.(int_range 0 5000)
-    (fun seed ->
-      let b = random_buchi seed in
-      match Buchi.of_artifact (Buchi.to_artifact b) with
-      | Some b' ->
-          b.Buchi.alphabet = b'.Buchi.alphabet
-          && b.Buchi.nstates = b'.Buchi.nstates
-          && b.Buchi.start = b'.Buchi.start
-          && b.Buchi.delta = b'.Buchi.delta
-          && b.Buchi.accepting = b'.Buchi.accepting
-      | None -> false)
+(* --- Corruption: every defect decodes as an Error, never a crash --- *)
 
-let prop_digraph_roundtrip =
-  QCheck.Test.make ~name:"digraph: decode(encode x) = x" ~count:50
-    QCheck.(int_range 0 5000)
-    (fun seed ->
-      let st = Random.State.make [| seed |] in
-      let nodes = 1 + Random.State.int st 10 in
-      let nsyms = 1 + Random.State.int st 3 in
-      let delta =
-        Array.init nodes (fun _ ->
-            Array.init nsyms (fun _ ->
-                List.init (Random.State.int st 4) (fun _ ->
-                    Random.State.int st nodes)))
-      in
-      let g = Digraph.of_delta delta in
-      match Digraph.of_artifact (Digraph.to_artifact g) with
-      | Some h -> digraph_equal g h
-      | None -> false)
-
-(* --- Corruption: every defect decodes as None, never a crash --- *)
+(* A blob of each kind for [seed], with "decodes as itself" for it. *)
+let blobs seed =
+  let s = random_session seed in
+  let registry = Session.registry s in
+  [ ( "pack",
+      Pack.to_artifact (random_pack seed),
+      fun b -> Result.is_ok (Pack.of_artifact b) );
+    ( "session",
+      Session.to_artifact s,
+      fun b ->
+        match Session.of_artifact ~registry b with
+        | Ok _ -> true
+        | Error (Session.Corrupt _) -> false
+        | Error (Session.Fingerprint_mismatch _) ->
+            Alcotest.fail "corruption misread as a fingerprint mismatch" ) ]
 
 let prop_truncation_is_miss =
   QCheck.Test.make
-    ~name:"artifact truncated at any byte: decode = None" ~count:60
+    ~name:"artifact truncated at any byte: decode = Error" ~count:60
     QCheck.(pair (int_range 0 500) (int_range 0 10_000))
     (fun (seed, cut) ->
-      let s = Packed_dfa.to_artifact (random_packed seed) in
-      let s' = String.sub s 0 (cut mod String.length s) in
-      Packed_dfa.of_artifact s' = None)
+      List.for_all
+        (fun (_, s, decodes) ->
+          not (decodes (String.sub s 0 (cut mod String.length s))))
+        (blobs seed))
 
 let prop_bitflip_is_miss =
-  QCheck.Test.make ~name:"artifact with one flipped byte: decode = None"
+  QCheck.Test.make ~name:"artifact with one flipped byte: decode = Error"
     ~count:60
     QCheck.(pair (int_range 0 500) (int_range 0 10_000))
     (fun (seed, pos) ->
-      let s = Packed_dfa.to_artifact (random_packed seed) in
-      let b = Bytes.of_string s in
-      let i = pos mod Bytes.length b in
-      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x20));
-      (* Every FNV-1a step is a bijection of the running hash, so any
-         single-byte change is guaranteed (not just likely) to fail the
-         checksum — or, for a trailer byte, to disagree with it. *)
-      Packed_dfa.of_artifact (Bytes.to_string b) = None)
+      List.for_all
+        (fun (_, s, decodes) ->
+          let b = Bytes.of_string s in
+          let i = pos mod Bytes.length b in
+          Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x20));
+          (* Every FNV-1a step is a bijection of the running hash, so
+             any single-byte change is guaranteed (not just likely) to
+             fail the checksum — or, for a trailer byte, to disagree
+             with it. *)
+          not (decodes (Bytes.to_string b)))
+        (blobs seed))
 
 (* Rewrite an artifact's version byte and re-seal the checksum: the
    decoder must reject it on the version field itself, which is the
@@ -138,24 +142,24 @@ let reversion s version =
   Bytes.to_string b
 
 let test_stale_version_is_miss () =
-  let pd = random_packed 7 in
-  let s = Packed_dfa.to_artifact pd in
-  check "self-check: unmodified artifact decodes" true
-    (Packed_dfa.of_artifact s <> None);
-  check "version+1 with a valid checksum is rejected" true
-    (Packed_dfa.of_artifact (reversion s (Wire.format_version + 1)) = None);
-  check "version 0 with a valid checksum is rejected" true
-    (Packed_dfa.of_artifact (reversion s 0) = None)
+  List.iter
+    (fun (kind, s, decodes) ->
+      check (kind ^ " self-check: unmodified artifact decodes") true
+        (decodes s);
+      check (kind ^ " version+1 with a valid checksum is rejected") false
+        (decodes (reversion s (Wire.format_version + 1)));
+      check (kind ^ " version 0 with a valid checksum is rejected") false
+        (decodes (reversion s 0)))
+    (blobs 7)
 
 let test_kind_confusion_is_miss () =
-  let g = Digraph.of_delta [| [| [ 0 ] |] |] in
-  let s = Digraph.to_artifact g in
-  check "digraph artifact is not a packed monitor" true
-    (Packed_dfa.of_artifact s = None);
-  check "digraph artifact is not a buchi automaton" true
-    (Buchi.of_artifact s = None);
-  check "digraph artifact still decodes as itself" true
-    (Digraph.of_artifact s <> None)
+  match blobs 7 with
+  | [ (_, pack, pack_decodes); (_, session, session_decodes) ] ->
+      check "a pack is not a session" false (session_decodes pack);
+      check "a session is not a pack" false (pack_decodes session);
+      check "each still decodes as itself" true
+        (pack_decodes pack && session_decodes session)
+  | _ -> assert false
 
 (* --- Monitor packs --- *)
 
@@ -164,8 +168,6 @@ let props_src =
 
 let named_props =
   List.map (fun s -> (Some s, Formula.parse_exn s)) props_src
-
-(* --- Monitor packs --- *)
 
 let test_pack_roundtrip () =
   let r = Registry.create ~alphabet:2 () in
@@ -236,8 +238,6 @@ let test_failed_publish_leaves_no_temp () =
 
 let tests =
   [ QCheck_alcotest.to_alcotest prop_packed_roundtrip;
-    QCheck_alcotest.to_alcotest prop_buchi_roundtrip;
-    QCheck_alcotest.to_alcotest prop_digraph_roundtrip;
     QCheck_alcotest.to_alcotest prop_truncation_is_miss;
     QCheck_alcotest.to_alcotest prop_bitflip_is_miss;
     Alcotest.test_case "stale format version is a miss" `Quick

@@ -79,8 +79,9 @@ let test_modelcheck_vs_path_semantics () =
     [ "G F tok0"; "F G tok0"; "G (tok0 -> X tok1)"; "G (tok0 -> X tok2)";
       "tok0 U tok1" ]
 
-(* 3. Classification is consistent across levels: formula, automaton,
-   and abstract lattice. *)
+(* 3. Classification is consistent across levels: formula (through the
+   negation's automaton), automaton (through the rank-based complement)
+   and abstract lattice, on every one of Rem's p0-p6. *)
 let test_classification_three_ways () =
   List.iter
     (fun (name, f) ->
@@ -103,8 +104,7 @@ let test_classification_three_ways () =
       check (name ^ ": lattice liveness")
         (by_formula = Decompose.Liveness || by_formula = Decompose.Both)
         lattice_liveness)
-    [ ("p1", Lexamples.p1); ("p3", Lexamples.p3); ("p5", Lexamples.p5);
-      ("p6", Lexamples.p6) ]
+    Lexamples.all
 
 (* 4. Random distributive lattices via Birkhoff: theorems hold with
    randomly chosen closures. *)

@@ -369,19 +369,21 @@ let prop_translation_random_formulas =
 (* --- Reference pin: the bit-mask tableau against the predicate one ---
 
    [Translate] must build the automaton the predicate tableau
-   ([Translate_ref]) builds, byte for byte, with the same GNBA sizes,
-   and refuse the same formulas past the closure cap. *)
+   ([Translate_ref]) builds, structurally equal (the record holds only
+   ints, lists and arrays, so [=] compares every state, edge and its
+   order), with the same GNBA sizes, and refuse the same formulas past
+   the closure cap. *)
 
 let ab_v = Semantics.subset_valuation [ "a"; "b" ]
 
-type outcome = Built of string * (int * int * int) | Refused of string
+type outcome = Built of Buchi.t * (int * int * int) | Refused of string
 
 let outcome ~alphabet ~valuation ~translate ~gnba_stats f =
   match
-    ( Buchi.to_artifact (translate ~alphabet ~valuation f),
+    ( translate ~alphabet ~valuation f,
       gnba_stats ~alphabet ~valuation f )
   with
-  | artifact, stats -> Built (artifact, stats)
+  | b, stats -> Built (b, stats)
   | exception Invalid_argument msg -> Refused msg
 
 let pinned ~alphabet ~valuation f =

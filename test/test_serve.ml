@@ -311,6 +311,25 @@ let test_http_metrics () =
     [ ("GET /metrics HTTP/1.0\r\n\r\n", true); ("GE\nt 0\n", false);
       ("\nGET / x\n", false) ]
 
+(* A request whose newline never comes is still a request: EOF right
+   after [GET /nope] gives the reply of [GET /nope\n], with no hello
+   before it and no summary after it, however the reads split it. *)
+let test_http_unterminated_at_eof () =
+  let _, terminated = serve_split ~splits:[] "GET /nope\n" in
+  check_str "terminated request: the 404 alone"
+    "HTTP/1.0 404 Not Found\r\nContent-Type: text/plain\r\n\
+     Content-Length: 10\r\nConnection: close\r\n\r\nnot found\n"
+    terminated;
+  let bytes = "GET /nope" in
+  List.iter
+    (fun splits ->
+      check_str
+        (Printf.sprintf "cut at [%s]"
+           (String.concat "," (List.map string_of_int splits)))
+        terminated
+        (snd (serve_split ~splits bytes)))
+    ([] :: List.init (String.length bytes) (fun k -> [ k ]))
+
 let test_backpressure () =
   let daemon = mk_daemon () in
   let conn = Conn.create ~hwm:256 daemon in
@@ -1021,4 +1040,6 @@ let tests =
     Alcotest.test_case "json parser" `Quick test_json_reader;
     Alcotest.test_case "record escaping" `Quick test_record_escaping;
     QCheck_alcotest.to_alcotest qcheck_add_int;
+    Alcotest.test_case "unterminated GET at EOF = terminated GET" `Quick
+      test_http_unterminated_at_eof;
   ]

@@ -10,7 +10,6 @@
    structurally different registry must refuse to restore. *)
 
 module Wire = Sl_core.Wire
-module Digraph = Sl_core.Digraph
 module Buchi = Sl_buchi.Buchi
 module Formula = Sl_ltl.Formula
 module Packed_dfa = Sl_runtime.Packed_dfa
@@ -167,6 +166,30 @@ let test_file_roundtrip () =
   | Error (Session.Corrupt _) -> ()
   | _ -> Alcotest.fail "missing file did not load as Corrupt"
 
+(* A directory opens and then fails to read. Every load of one must
+   close what it opened: the descriptor count is the same before and
+   after twenty loads, and each load is [Corrupt], not an exception. *)
+let test_load_directory_closes () =
+  let registry = Lazy.force registry in
+  let dir = Filename.temp_file "slc-session-dir" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o700;
+  let fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  let before = fds () in
+  for _ = 1 to 20 do
+    match Session.load ~registry ~path:dir () with
+    | Error (Session.Corrupt msg) ->
+        check "read failure reported" true
+          (String.starts_with ~prefix:"cannot read snapshot: " msg)
+    | _ -> Alcotest.fail "a directory did not load as Corrupt"
+  done;
+  for _ = 1 to 20 do
+    check "pack read of a directory" true
+      (Pack.read ~path:dir = Error (dir ^ ": unreadable"))
+  done;
+  check_int "no descriptor leaked" before (fds ());
+  Sys.rmdir dir
+
 (* --- Split-feed equivalence: the PR's acceptance property --- *)
 
 let prop_split_feed_equivalence =
@@ -281,10 +304,7 @@ let prop_session_reseal_validated =
 
 let all_decoders registry : (string * (string -> bool)) list =
   let benign f = match f () with _ -> true | exception Wire.Corrupt _ -> true in
-  [ ("packed_dfa", fun s -> benign (fun () -> Packed_dfa.of_artifact s));
-    ("buchi", fun s -> benign (fun () -> Buchi.of_artifact s));
-    ("digraph", fun s -> benign (fun () -> Digraph.of_artifact s));
-    ("pack", fun s -> benign (fun () -> Pack.of_artifact s));
+  [ ("pack", fun s -> benign (fun () -> Pack.of_artifact s));
     ("session",
      fun s -> benign (fun () -> Session.of_artifact ~registry s)) ]
 
@@ -306,10 +326,13 @@ let prop_hostile_bytes_all_decoders =
       in
       let b = Buchi.random ~seed ~alphabet:2 ~nstates:(2 + (seed mod 5))
           ~density:0.3 ~accepting_fraction:0.4 () in
+      let random_pack =
+        let r = Registry.create ~alphabet:2 () in
+        ignore (Registry.add_buchi r ~name:"random" b);
+        Pack.to_artifact (Pack.of_registry r)
+      in
       let bases =
-        [| session_blob; Buchi.to_artifact b;
-           Packed_dfa.to_artifact (Packed_dfa.of_buchi b);
-           Digraph.to_artifact (Buchi.graph b);
+        [| session_blob; random_pack;
            Pack.to_artifact (Pack.of_registry registry) |]
       in
       let base = bases.(Random.State.int st (Array.length bases)) in
@@ -578,4 +601,6 @@ let tests =
     Alcotest.test_case "ingest pins: chunk-boundary lines and dense interning"
       `Quick test_ingest_chunk_boundary;
     Alcotest.test_case "interner round-trips through the session codec"
-      `Quick test_interner_roundtrip_through_codec ]
+      `Quick test_interner_roundtrip_through_codec;
+    Alcotest.test_case "loading a directory leaks no descriptor" `Quick
+      test_load_directory_closes ]
