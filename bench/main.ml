@@ -236,6 +236,15 @@ let words120_monitors =
          done)
        [ 3; 4; 5; 6 ];
      Sl_runtime.Registry.monitors r)
+(* MONITOR fixture: the packed monitor of a request/grant policy and
+   one 1k-event trace with a request (symbol 1) every seventh event,
+   from the first on. *)
+let grant_monitor =
+  lazy (Sl_runtime.Packed_dfa.of_buchi Bpatterns.no_grant_without_request)
+
+let grant_trace_syms = Array.init 1000 (fun i -> if i mod 7 = 0 then 1 else 0)
+let grant_trace_ids = Array.make 1000 0
+
 let complement_input = Lexamples.automaton (Formula.parse_exn "F a")
 
 (* Disabled-kernel probes for the OBS overhead budget (DESIGN.md §6.8):
@@ -408,11 +417,12 @@ let make_tests () =
               (Bdecompose.decompose Bpatterns.p3).Bdecompose.liveness) ];
       (* Monitoring throughput (Schneider connection). *)
       [ t "monitor/feed-1k" (fun () ->
-            let m =
-              Sl_buchi.Monitor.create Bpatterns.no_grant_without_request
+            let eng =
+              Sl_runtime.Engine.create ~monitors:[| Lazy.force grant_monitor |]
+                ()
             in
-            Sl_buchi.Monitor.feed m
-              (List.init 1000 (fun i -> if i mod 7 = 0 then 1 else 0))) ];
+            Sl_runtime.Engine.feed eng ~n:1000 ~traces:grant_trace_ids
+              ~symbols:grant_trace_syms ()) ];
       (* OBS dark-mode probes: an instrumented counter bump and a full
          span enter/exit pair while the kernel is off. *)
       [ t "obs/counter-incr-disabled" (fun () ->

@@ -122,7 +122,12 @@ let decompose_cmd =
         Format.printf "@.B_L = B ∪ ¬B_S (liveness): %s@.%a@."
           (Buchi.size_info d.Decompose.liveness)
           Buchi.pp d.Decompose.liveness;
-        (match Decompose.verify_exact d with
+        (* Verified through the negation's automaton, as [classify]
+           does: the rank-based complement of B can exhaust memory. *)
+        (match
+           Decompose.verify_via_negation d
+             ~negation:(Examples.automaton (Formula.Not f))
+         with
         | [] -> Format.printf "@.L(B) = L(B_S) ∩ L(B_L): verified@."; 0
         | fails ->
             List.iter
@@ -258,28 +263,47 @@ let theorems_cmd =
     (obs_term (Term.const run))
 
 (* One-shot mode, kept from the original CLI: one formula, the trace
-   inline on the command line. *)
+   inline on the command line. It compiles through the registry and
+   steps the packed engine, as the streaming mode does, with the
+   symbols as one trace. *)
 let monitor_oneshot s trace =
+  let module Registry = Sl_runtime.Registry in
+  let module Engine = Sl_runtime.Engine in
+  let module Packed_dfa = Sl_runtime.Packed_dfa in
+  let pp_word w = String.concat "; " (List.map string_of_int w) in
   match parse_formula s with
   | Error (`Msg m) -> prerr_endline m; 1
-  | Ok f ->
-      let b = Examples.automaton f in
-      let m = Sl_buchi.Monitor.create b in
-      (match Sl_buchi.Monitor.shortest_bad_prefix b with
-      | None ->
-          Format.printf
-            "property is liveness-only: the monitor is vacuous@."
-      | Some bad ->
-          Format.printf "shortest bad prefix: [%s]@."
-            (String.concat "; " (List.map string_of_int bad)));
-      (match Sl_buchi.Monitor.feed m trace with
-      | Sl_buchi.Monitor.Admissible ->
-          Format.printf "trace admissible@.";
-          0
-      | Sl_buchi.Monitor.Violation bad ->
-          Format.printf "VIOLATION at prefix [%s]@."
-            (String.concat "; " (List.map string_of_int bad));
-          1)
+  | Ok f -> (
+      let registry = Registry.create () in
+      let alphabet = Registry.alphabet registry in
+      match List.find_opt (fun sym -> sym < 0 || sym >= alphabet) trace with
+      | Some sym ->
+          Format.eprintf "monitor: symbol %d outside alphabet [0, %d)@." sym
+            alphabet;
+          2
+      | None -> (
+          let monitor =
+            Registry.monitor_of_prop registry (Registry.add_formula registry f)
+          in
+          let monitors = Registry.monitors registry in
+          (match Packed_dfa.shortest_bad_prefix monitors.(monitor) with
+          | None ->
+              Format.printf
+                "property is liveness-only: the monitor is vacuous@."
+          | Some bad ->
+              Format.printf "shortest bad prefix: [%s]@." (pp_word bad));
+          let engine = Engine.create ~monitors () in
+          let symbols = Array.of_list trace in
+          let n = Array.length symbols in
+          Engine.feed engine ~n ~traces:(Array.make n 0) ~symbols ();
+          match Engine.verdict engine ~trace:0 ~monitor with
+          | Engine.Vacuous | Engine.Admissible ->
+              Format.printf "trace admissible@.";
+              0
+          | Engine.Violation { position } ->
+              Format.printf "VIOLATION at prefix [%s]@."
+                (pp_word (List.filteri (fun i _ -> i < position) trace));
+              1))
 
 (* Streaming mode: compile a property file once into the registry
    (malformed lines are reported with file/line and skipped, turning the

@@ -23,35 +23,38 @@ let check_claims ~intersection_ok d =
   | Some diag -> record "intersection does not recover L(B)" diag);
   List.rev !failures
 
-let verify_exact ?max_states d =
+let verify_via_negation d ~negation =
   check_claims d ~intersection_ok:(fun () ->
       (* Exact equality L(B_S) ∩ L(B_L) = L(B) without ever complementing
-         the (large) liveness automaton. Complement only the original:
-         since decompose builds B_L = B ∪ ¬B_S with ¬B_S deterministic,
-         ¬L(B_L) = ¬L(B) ∩ L(B_S), so
+         the (large) liveness automaton. Given ¬B: since decompose builds
+         B_L = B ∪ ¬B_S with ¬B_S deterministic, ¬L(B_L) = ¬L(B) ∩ L(B_S),
+         so
 
          - meet ⊆ B       reduces to  meet ∩ ¬B = ∅;
          - B ⊆ B_S        is a subset test against a closed language;
          - B ⊆ B_L        reduces to  B ∩ ¬B ∩ B_S = ∅ (trivial once ¬B is
            correct, but checked anyway to keep the claim honest). *)
-      let not_original =
-        if Buchi.is_empty d.original then
-          Buchi.universal ~alphabet:d.original.alphabet
-        else if Closure.is_closure_shaped d.original then
-          Complement.complement_closed d.original
-        else Complement.rank_based ?max_states d.original
-      in
       let meet = Ops.intersect d.safety d.liveness in
-      if not (Buchi.is_empty (Ops.intersect meet not_original)) then
+      if not (Buchi.is_empty (Ops.intersect meet negation)) then
         Some "L(B_S) /\\ L(B_L) not included in L(B)"
       else if not (Lang.subset d.original d.safety) then
         Some "L(B) not included in L(B_S)"
       else if
         not
           (Buchi.is_empty
-             (Ops.intersect d.original (Ops.intersect not_original d.safety)))
+             (Ops.intersect d.original (Ops.intersect negation d.safety)))
       then Some "L(B) not included in L(B_L)"
       else None)
+
+let verify_exact ?max_states d =
+  let negation =
+    if Buchi.is_empty d.original then
+      Buchi.universal ~alphabet:d.original.alphabet
+    else if Closure.is_closure_shaped d.original then
+      Complement.complement_closed d.original
+    else Complement.rank_based ?max_states d.original
+  in
+  verify_via_negation d ~negation
 
 let verify_sampled ~max_prefix ~max_cycle d =
   check_claims d ~intersection_ok:(fun () ->

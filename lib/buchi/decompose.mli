@@ -16,14 +16,22 @@ type t = {
 val decompose : Buchi.t -> t
 (** Always succeeds: only safety-complementation is needed. *)
 
-val verify_exact : ?max_states:int -> t -> (string * string) list
+val verify_via_negation : t -> negation:Buchi.t -> (string * string) list
 (** Exact checks of the three claims (safety part closed, liveness part
     dense, intersection recovers the language); returns failing claims
-    with diagnostics. Exploits the decomposition's structure
-    ([B_L = B ∪ ¬B_S] with [¬B_S] deterministic) so that only the
-    {e original} automaton is ever complemented with the rank-based
-    construction (@raise Complement.Too_large if even that exceeds the
-    budget). *)
+    with diagnostics. Like {!classify_via_negation}, it takes a
+    caller-supplied automaton for the complement of the {e original}
+    language — for LTL, the negated formula's translation — and
+    exploits the decomposition's structure ([B_L = B ∪ ¬B_S] with
+    [¬B_S] deterministic) so that nothing is complemented with the
+    rank-based construction. Polynomial given the negation. A claimed
+    negation that overlaps [L(B)] fails the third claim. *)
+
+val verify_exact : ?max_states:int -> t -> (string * string) list
+(** {!verify_via_negation} with the negation computed: only the
+    {e original} automaton is complemented, with the rank-based
+    construction unless it is empty or closure-shaped
+    (@raise Complement.Too_large if that exceeds the budget). *)
 
 val verify_sampled : max_prefix:int -> max_cycle:int -> t -> (string * string) list
 (** Lasso-sampled version of the intersection claim plus exact

@@ -1,16 +1,8 @@
-module Dfa = Sl_nfa.Dfa
 module Nfa = Sl_nfa.Nfa
 
-type verdict =
-  | Admissible
-  | Violation of int list
-
 type t = {
-  dfa : Dfa.t;
+  dfa : Sl_nfa.Dfa.t;
   empty_property : bool;  (** degenerate: even the empty prefix is bad *)
-  mutable state : int;
-  mutable seen : int list;  (** reversed prefix *)
-  mutable tripped : int list option;  (** the bad prefix once found *)
 }
 
 let create b =
@@ -18,48 +10,7 @@ let create b =
   let dfa = Nfa.determinize (Buchi.to_prefix_nfa safety) in
   (* Degenerate corner: the empty property has no admissible prefix at
      all — even the empty one is bad. *)
-  let empty_property = Buchi.is_empty safety in
-  let tripped = if empty_property then Some [] else None in
-  { dfa; empty_property; state = dfa.Dfa.start; seen = []; tripped }
-
-let verdict m =
-  match m.tripped with
-  | Some bad -> Violation bad
-  | None -> Admissible
-
-let step m symbol =
-  (match m.tripped with
-  | Some _ -> ()
-  | None ->
-      m.seen <- symbol :: m.seen;
-      m.state <- Dfa.step m.dfa m.state symbol;
-      (* The prefix language is prefix-closed, so acceptance is lost at
-         most once — at the end of the shortest bad prefix. *)
-      if not m.dfa.Dfa.accepting.(m.state) then
-        m.tripped <- Some (List.rev m.seen));
-  verdict m
-
-(* Short-circuit on the first violation: the verdict is irrevocable, so
-   stepping the tripped automaton through the rest of the batch is pure
-   waste. *)
-let rec feed m word =
-  match word with
-  | [] -> verdict m
-  | s :: rest -> (
-      match step m s with
-      | Violation _ as v -> v
-      | Admissible -> feed m rest)
+  { dfa; empty_property = Buchi.is_empty safety }
 
 let dfa m = m.dfa
 let empty_property m = m.empty_property
-
-let reset m =
-  m.state <- m.dfa.Dfa.start;
-  m.seen <- [];
-  m.tripped <- (if m.empty_property then Some [] else None)
-
-let is_vacuous m = Dfa.is_empty (Dfa.complement m.dfa)
-
-let shortest_bad_prefix b =
-  let m = create b in
-  Dfa.some_accepted_word (Dfa.complement m.dfa)

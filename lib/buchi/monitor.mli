@@ -7,46 +7,24 @@
     only there does every violation have a finite witness; for any other
     property the monitor built here is the monitor of its safety part
     ([bcl B]) — the strongest enforceable approximation (Theorem 6 is why
-    it is the strongest). *)
+    it is the strongest).
+
+    This module only compiles. The runtime ([Sl_runtime.Packed_dfa])
+    minimizes and packs the DFA, and [Sl_runtime.Engine] steps it. *)
 
 type t
-(** A deterministic monitor (the subset DFA of the safety part's prefix
-    language) plus its current state. Mutable. *)
-
-type verdict =
-  | Admissible  (** the prefix extends to some member of the property *)
-  | Violation of int list
-      (** the shortest bad prefix seen, ending at the first offending
-          symbol; irrevocable *)
+(** A compiled monitor: the subset DFA of the safety part's prefix
+    language. Immutable. *)
 
 val create : Buchi.t -> t
 (** Monitor for the safety part of an arbitrary property automaton. *)
 
-val step : t -> int -> verdict
-(** Feed one symbol. After a [Violation] the monitor stays tripped. *)
-
-val feed : t -> int list -> verdict
-(** Feed many symbols; stops at the first [Violation] (the verdict is
-    irrevocable, so the rest of the batch is not stepped). *)
-
-val verdict : t -> verdict
-val reset : t -> unit
-
 val dfa : t -> Sl_nfa.Dfa.t
 (** The compiled monitor automaton: the subset DFA of the safety part's
-    prefix language. Exposed so the runtime registry ([Sl_runtime]) can
-    pack it into flat transition tables without recompiling. *)
+    prefix language. A prefix is bad exactly when it leads to a
+    rejecting state; the language is prefix-closed, so a run never
+    returns to acceptance. *)
 
 val empty_property : t -> bool
 (** The degenerate corner: the property's safety part is empty, so even
     the empty prefix is bad and {!dfa} is not meaningful. *)
-
-val is_vacuous : t -> bool
-(** The monitor can never trip: the property's safety part is the
-    universal language — i.e. the property is liveness. Schneider's
-    theorem in one boolean: enforceable content = none. *)
-
-val shortest_bad_prefix : Buchi.t -> int list option
-(** The shortest finite word no member of the property's safety part
-    extends ([None] for liveness properties). This is the certificate a
-    security auditor would ship with a rejected policy. *)

@@ -69,7 +69,6 @@ module Metrics = struct
   }
 
   type counter_vec = family
-  type histogram_vec = family
 
   (* Log-2 bucketing: bucket 0 holds samples <= 0, bucket i >= 1 holds
      [2^(i-1), 2^i - 1]. With 63-bit ints, [nbuckets - 1] = 62 already
@@ -151,21 +150,15 @@ module Metrics = struct
   let gauge ?help name : gauge = flat ?help name Kgauge
   let histogram ?help name : histogram = flat ?help name Khistogram
 
-  let vec ?help name ~labels kind =
+  let counter_vec ?help name ~labels : counter_vec =
     if labels = [] then
       invalid_arg ("Obs.Metrics: vec " ^ name ^ " needs at least one label");
-    family ?help ~labels name kind
+    family ?help ~labels name Kcounter
 
-  let counter_vec ?help name ~labels : counter_vec =
-    vec ?help name ~labels Kcounter
-
-  let histogram_vec ?help name ~labels : histogram_vec =
-    vec ?help name ~labels Khistogram
-
-  (* Child interning: one cell block per distinct label-value tuple,
+  (* Child interning: one cell per distinct label-value tuple,
      created on first use (idempotent — the joined values are the
      key). *)
-  let child (f : family) values : int =
+  let counter_child (f : counter_vec) values : counter =
     if List.length values <> List.length f.flabels then
       invalid_arg
         (Printf.sprintf "Obs.Metrics: %s takes %d label values" f.fname
@@ -178,9 +171,6 @@ module Metrics = struct
         Hashtbl.replace f.children key i;
         f.samples <- (values, i) :: f.samples;
         i
-
-  let counter_child : counter_vec -> string list -> counter = child
-  let histogram_child : histogram_vec -> string list -> histogram = child
 
   (* The recording fast path: one flag check, then one read-modify-write
      on the cell (indices are valid by construction of the handles). *)

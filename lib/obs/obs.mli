@@ -69,31 +69,24 @@ module Metrics : sig
 
   (** {2 Labeled families}
 
-      A vec is a metric family with a fixed list of label {e names};
-      {!counter_child} etc. intern one child series per distinct label
-      {e value} tuple. Child handles are ordinary {!counter} /
-      {!histogram} handles — recording into a labeled
-      series costs exactly a flat record — and the family renders in
-      the exposition as [name{label="value",...}] lines with values
-      escaped per the text-format spec. *)
+      A vec is a counter family with a fixed list of label {e names};
+      {!counter_child} interns one child series per distinct label
+      {e value} tuple. Child handles are ordinary {!counter} handles —
+      recording into a labeled series costs exactly a flat record — and
+      the family renders in the exposition as [name{label="value",...}]
+      lines with values escaped per the text-format spec. *)
 
   type counter_vec
-  type histogram_vec
 
   val counter_vec : ?help:string -> string -> labels:string list -> counter_vec
   (** @raise Invalid_argument on an empty label list, a kind clash, or
       a label-list clash with an earlier registration of the name. *)
-
-  val histogram_vec :
-    ?help:string -> string -> labels:string list -> histogram_vec
 
   val counter_child : counter_vec -> string list -> counter
   (** The family's series for this label-value tuple, interned on
       first use (idempotent by values).
       @raise Invalid_argument if the value count differs from the
       family's label count. *)
-
-  val histogram_child : histogram_vec -> string list -> histogram
 
   val incr : counter -> unit
   val add : counter -> int -> unit

@@ -118,6 +118,40 @@ let is_accepting pd q = pd.accepting.(q)
 let can_trip pd q = pd.can_trip.(q)
 let key pd = pd.key
 
+(* The monitor's certificate: BFS over the flat table from the start,
+   trying symbols in ascending order, stopping at the first rejecting
+   state discovered. Words are discovered in (length, lexicographic)
+   order, so the path found is the least of the shortest bad prefixes —
+   a function of the language alone, unchanged by minimization. *)
+let shortest_bad_prefix pd =
+  if pd.pre_tripped then Some []
+  else if pd.vacuous then None
+  else begin
+    let parent = Array.make pd.nstates (-1) in
+    let queue = Queue.create () in
+    parent.(start) <- start;
+    Queue.push start queue;
+    let found = ref (-1) in
+    while !found < 0 do
+      let q = Queue.pop queue in
+      for s = 0 to pd.alphabet - 1 do
+        let q' = step pd q s in
+        if !found < 0 && parent.(q') < 0 then begin
+          parent.(q') <- (q * pd.alphabet) + s;
+          if not pd.accepting.(q') then found := q';
+          Queue.push q' queue
+        end
+      done
+    done;
+    let rec unwind q acc =
+      if q = start then acc
+      else
+        let e = parent.(q) in
+        unwind (e / pd.alphabet) ((e mod pd.alphabet) :: acc)
+    in
+    Some (unwind !found [])
+  end
+
 (* Fused megatable: every monitor's transition rows concatenated into
    one contiguous array, each entry carrying the successor together
    with its verdict-relevant bits — [(s' lsl 2) lor (can_trip(s') lsl

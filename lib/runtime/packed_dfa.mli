@@ -1,11 +1,11 @@
 (** Compiled safety monitors in packed transition-table form.
 
     A monitor DFA (the subset automaton of the safety part's prefix
-    language, see [Sl_buchi.Monitor]) is minimized, renumbered into the
-    canonical BFS order, and flattened into a single [int array] indexed
-    by [state * alphabet + symbol] — one array read per event, no
-    per-step allocation. Because the minimal DFA is unique up to
-    isomorphism and the BFS numbering fixes the isomorphism,
+    language, compiled by [Sl_buchi.Monitor]) is minimized, renumbered
+    into the canonical BFS order, and flattened into a single [int
+    array] indexed by [state * alphabet + symbol] — one array read per
+    event, no per-step allocation. Because the minimal DFA is unique up
+    to isomorphism and the BFS numbering fixes the isomorphism,
     language-equal monitors pack to {e identical} tables; {!key} exposes
     that identity so the registry can hash-cons monitors across
     properties. *)
@@ -45,6 +45,15 @@ val step : t -> int -> int -> int
 val is_accepting : t -> int -> bool
 val can_trip : t -> int -> bool
 val key : t -> string
+
+val shortest_bad_prefix : t -> int list option
+(** The monitor's certificate: the least (in length, then
+    lexicographic order) finite word that no member of the property's
+    safety part extends — a BFS path from {!start} to a rejecting
+    state. [Some []] when the monitor is [pre_tripped] (the empty
+    property), [None] when it is [vacuous] (pure liveness: no bad
+    prefix exists). *)
+
 val pp : Format.formatter -> t -> unit
 
 val fuse : t array -> int array * int array

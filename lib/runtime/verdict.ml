@@ -129,12 +129,6 @@ let of_session ?elapsed_s session () =
   make ~registry:(Session.registry session) ~engine:(Session.engine session)
     ~trace_name:(Ingest.name ingest) ?elapsed_s ()
 
-let verdict_to_string = function
-  | Engine.Vacuous -> "vacuous"
-  | Engine.Admissible -> "admissible"
-  | Engine.Violation { position } ->
-      Printf.sprintf "VIOLATION at event %d" position
-
 let pp_text fmt r =
   let c = r.counters in
   Format.fprintf fmt "@[<v>props: %d loaded, %d distinct monitor(s), %d \

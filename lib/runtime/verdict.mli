@@ -68,8 +68,6 @@ val of_session : ?elapsed_s:float -> Session.t -> unit -> report
     names come from {!Ingest.name}, so a restored session reports the
     original external trace ids. *)
 
-val verdict_to_string : Engine.verdict -> string
-
 val pp_text : Format.formatter -> report -> unit
 (** Human-readable rendering; ends with a stable one-line
     [summary: traces=... events=...] record (CI greps it). *)

@@ -47,6 +47,41 @@ sout=$(ulimit -v 1500000
 echo "$sout" | grep -qx "classification:  safety" \
   || { echo "slc stats under ulimit -v: wrong classification"; exit 1; }
 
+# decompose verifies its three claims the same way, through the
+# negation's automaton: this formula's 22-state automaton exhausts the
+# address-space limit under the rank-based complement.
+echo "--- slc decompose smoke under ulimit -v"
+status=0
+dout=$(ulimit -v 1500000
+       exec _build/default/bin/slc.exe decompose "(a U !a) & G F a") \
+  || status=$?
+[ "$status" -eq 0 ] \
+  || { echo "slc decompose under ulimit -v: exit $status"; exit 1; }
+echo "$dout" | grep -qx "L(B) = L(B_S) ∩ L(B_L): verified" \
+  || { echo "slc decompose under ulimit -v: not verified"; exit 1; }
+
+# One-shot monitor: the empty property's certificate is the empty
+# prefix, and a symbol outside the alphabet is refused before any
+# output, exit 2 like malformed streaming input, never an escaped
+# exception.
+echo "--- slc monitor one-shot smoke"
+status=0
+oout=$(_build/default/bin/slc.exe monitor false) || status=$?
+[ "$status" -eq 1 ] || { echo "slc monitor false: exit $status"; exit 1; }
+echo "$oout" | grep -qx "shortest bad prefix: \[\]" \
+  || { echo "slc monitor false: wrong certificate"; exit 1; }
+oerr=$(mktemp /tmp/slc-ci.XXXXXX.err)
+status=0
+oout=$(_build/default/bin/slc.exe monitor "G a" 5 2> "$oerr") || status=$?
+[ "$status" -eq 2 ] || { echo "slc monitor 'G a' 5: exit $status"; exit 1; }
+[ -z "$oout" ] || { echo "slc monitor 'G a' 5: output before refusal"; exit 1; }
+if grep -q "uncaught exception" "$oerr"; then
+  echo "slc monitor 'G a' 5: uncaught exception"; exit 1
+fi
+grep -qx "monitor: symbol 5 outside alphabet \[0, 2)" "$oerr" \
+  || { echo "slc monitor 'G a' 5: unexpected message"; exit 1; }
+rm -f "$oerr"
+
 # Runtime-monitoring smoke: the checked-in example props/trace pair must
 # produce exactly this verdict summary, with exit code 1 (violations
 # found, inputs well-formed).

@@ -333,46 +333,57 @@ let prop_lemma3_languages =
           (not (Buchi.accepts_lasso lhs w)) || Buchi.accepts_lasso rhs w)
         small_lassos)
 
-(* --- Monitors --- *)
+(* --- Monitors ---
 
-module Monitor = Sl_buchi.Monitor
+   [Sl_buchi.Monitor] compiles; the runtime packs the DFA and steps it,
+   so the monitor's behaviour is checked through the packed engine. *)
+
+module Packed_dfa = Sl_runtime.Packed_dfa
+module Engine = Sl_runtime.Engine
+
+(* A one-monitor engine and a way to feed it one trace's events. *)
+let monitor_engine b =
+  let pd = Packed_dfa.of_buchi b in
+  let eng = Engine.create ~monitors:[| pd |] () in
+  let feed ~trace word =
+    let symbols = Array.of_list word in
+    let n = Array.length symbols in
+    Engine.feed eng ~n ~traces:(Array.make n trace) ~symbols ();
+    Engine.verdict eng ~trace ~monitor:0
+  in
+  (pd, feed)
 
 let test_monitor_safety_policy () =
-  let m = Monitor.create Patterns.no_grant_without_request in
-  check "fresh monitor admissible" true (Monitor.verdict m = Admissible);
+  let pd, feed = monitor_engine Patterns.no_grant_without_request in
+  check "fresh monitor admissible" true (feed ~trace:0 [] = Admissible);
   (* quiet, req, grant: fine. *)
-  check "good trace" true (Monitor.feed m [ 0; 1; 2 ] = Admissible);
-  Monitor.reset m;
-  (* A bare grant trips immediately with the shortest bad prefix. *)
-  (match Monitor.feed m [ 0; 2; 0 ] with
-  | Violation bad -> Alcotest.(check (list int)) "bad prefix" [ 0; 2 ] bad
-  | Admissible -> Alcotest.fail "should trip");
+  check "good trace" true (feed ~trace:0 [ 0; 1; 2 ] = Admissible);
+  (* A bare grant trips at once: the shortest bad prefix is [0; 2]. *)
+  check "bad prefix" true
+    (feed ~trace:1 [ 0; 2; 0 ] = Violation { position = 2 });
   (* Tripping is irrevocable. *)
   check "still tripped" true
-    (match Monitor.step m 1 with Violation _ -> true | _ -> false);
-  check "not vacuous" false (Monitor.is_vacuous m)
+    (feed ~trace:1 [ 1 ] = Violation { position = 2 });
+  check "not vacuous" false pd.Packed_dfa.vacuous
 
 let test_monitor_liveness_is_vacuous () =
   (* Pure liveness has no enforceable content: the monitor never trips. *)
-  let m = Monitor.create Patterns.request_response in
-  check "vacuous" true (Monitor.is_vacuous m);
-  check "nothing bad ever" true
-    (Monitor.feed m [ 1; 0; 0; 0; 0; 0 ] = Admissible);
-  check "no bad prefix exists" true
-    (Monitor.shortest_bad_prefix Patterns.request_response = None)
+  let pd, feed = monitor_engine Patterns.request_response in
+  check "vacuous" true pd.Packed_dfa.vacuous;
+  check "nothing bad ever" true (feed ~trace:0 [ 1; 0; 0; 0; 0; 0 ] = Vacuous);
+  check "no bad prefix exists" true (Packed_dfa.shortest_bad_prefix pd = None)
 
 let test_monitor_shortest_bad_prefix () =
+  let certificate b = Packed_dfa.shortest_bad_prefix (Packed_dfa.of_buchi b) in
   (* For p1 ("first symbol is a") the shortest bad prefix is [b]. *)
   Alcotest.(check (option (list int))) "p1 bad prefix" (Some [ 1 ])
-    (Monitor.shortest_bad_prefix Patterns.p1);
+    (certificate Patterns.p1);
   (* For p3 the monitor watches its safety part p1: same bad prefix. *)
   Alcotest.(check (option (list int))) "p3 bad prefix" (Some [ 1 ])
-    (Monitor.shortest_bad_prefix Patterns.p3);
+    (certificate Patterns.p3);
   (* The empty property is bad from the start. *)
   Alcotest.(check (option (list int))) "empty property" (Some [])
-    (match Monitor.verdict (Monitor.create Patterns.p0) with
-    | Violation bad -> Some bad
-    | Admissible -> None)
+    (certificate Patterns.p0)
 
 (* --- Generalized Büchi --- *)
 

@@ -11,7 +11,8 @@ module Finite_check = Sl_core.Finite_check
 module Lasso = Sl_word.Lasso
 module Buchi = Sl_buchi.Buchi
 module Decompose = Sl_buchi.Decompose
-module Monitor = Sl_buchi.Monitor
+module Packed_dfa = Sl_runtime.Packed_dfa
+module Engine = Sl_runtime.Engine
 module Formula = Sl_ltl.Formula
 module Semantics = Sl_ltl.Semantics
 module Translate = Sl_ltl.Translate
@@ -27,24 +28,29 @@ let check = Alcotest.(check bool)
 let lassos = Lasso.enumerate ~alphabet:2 ~max_prefix:2 ~max_cycle:3
 
 (* 1. Monitors never reject prefixes of accepted words, and always reject
-   some prefix of safety-violating words. *)
+   some prefix of safety-violating words. Each lasso's first 8 symbols
+   are one trace of the packed engine. *)
 let test_monitor_vs_membership () =
   List.iter
     (fun (name, f) ->
       let b = Lexamples.automaton f in
       let safety = Sl_buchi.Closure.bcl b in
-      List.iter
-        (fun w ->
-          let m = Monitor.create b in
-          let verdict = Monitor.feed m (Lasso.first_n w 8) in
+      let eng = Engine.create ~monitors:[| Packed_dfa.of_buchi b |] () in
+      List.iteri
+        (fun trace w ->
+          let symbols = Array.of_list (Lasso.first_n w 8) in
+          Engine.feed eng ~n:8 ~traces:(Array.make 8 trace) ~symbols ();
+          let tripped =
+            match Engine.verdict eng ~trace ~monitor:0 with
+            | Engine.Violation _ -> true
+            | _ -> false
+          in
           if Buchi.accepts_lasso b w then
-            check (name ^ ": member never tripped") true
-              (verdict = Monitor.Admissible);
+            check (name ^ ": member never tripped") false tripped;
           if not (Buchi.accepts_lasso safety w) then
-            check (name ^ ": safety violator tripped") true
-              (match verdict with Monitor.Violation _ -> true | _ -> false))
+            check (name ^ ": safety violator tripped") true tripped)
         lassos)
-    (List.filter (fun (n, _) -> n <> "p0") Lexamples.all)
+    Lexamples.all
 
 (* 2. Model checking = universal truth over the structure's lasso paths. *)
 let test_modelcheck_vs_path_semantics () =

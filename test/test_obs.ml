@@ -129,17 +129,7 @@ let test_labeled_families () =
   List.iter
     (fun line -> check ("vec exposition has " ^ line) true (has_sub text line))
     [ "# TYPE test_vec_total counter"; "test_vec_total{monitor=\"m0\"} 4";
-      "test_vec_total{monitor=\"m1\"} 1" ];
-  (* Labeled histograms put [le] after the family labels. *)
-  let hv = Obs.Metrics.histogram_vec "test_vec_hist" ~labels:[ "shard" ] in
-  let h0 = Obs.Metrics.histogram_child hv [ "0" ] in
-  Obs.Metrics.observe h0 2;
-  let text = Obs.Metrics.to_prometheus () in
-  List.iter
-    (fun line -> check ("vec histogram has " ^ line) true (has_sub text line))
-    [ "test_vec_hist_bucket{shard=\"0\",le=\"3\"} 1";
-      "test_vec_hist_bucket{shard=\"0\",le=\"+Inf\"} 1";
-      "test_vec_hist_sum{shard=\"0\"} 2"; "test_vec_hist_count{shard=\"0\"} 1" ]
+      "test_vec_total{monitor=\"m1\"} 1" ]
 
 let test_exposition_escaping () =
   Obs.enable ();

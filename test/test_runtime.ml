@@ -1,10 +1,11 @@
 (* The streaming runtime subsystem, pinned against the one-trace
    one-property reference monitor it industrializes: the packed engine
    must produce the same verdicts at the same positions as per-event
-   Sl_buchi.Monitor.step, on random automata and seeded random traces. *)
+   Monitor_ref.step (the seed's subset-DFA stepping loop), on random
+   automata and seeded random traces. *)
 
 module Buchi = Sl_buchi.Buchi
-module Monitor = Sl_buchi.Monitor
+module Monitor_ref = Reference.Monitor_ref
 module Formula = Sl_ltl.Formula
 module Lexamples = Sl_ltl.Examples
 module Packed_dfa = Sl_runtime.Packed_dfa
@@ -23,12 +24,18 @@ let check_int = Alcotest.(check int)
 
 (* Engine verdicts vs the reference monitor: engine [Vacuous] means the
    reference never trips, so it reads as Admissible there. *)
-let agree (reference : Monitor.verdict) (packed : Engine.verdict) =
+let agree (reference : Monitor_ref.verdict) (packed : Engine.verdict) =
   match (reference, packed) with
-  | Monitor.Admissible, (Engine.Admissible | Engine.Vacuous) -> true
-  | Monitor.Violation bad, Engine.Violation { position } ->
+  | Monitor_ref.Admissible, (Engine.Admissible | Engine.Vacuous) -> true
+  | Monitor_ref.Violation bad, Engine.Violation { position } ->
       List.length bad = position
   | _ -> false
+
+(* Feed [word] as the events of one trace. *)
+let feed_word eng ~trace word =
+  let symbols = Array.of_list word in
+  let n = Array.length symbols in
+  Engine.feed eng ~n ~traces:(Array.make n trace) ~symbols ()
 
 (* --- Packed compilation --- *)
 
@@ -48,72 +55,111 @@ let test_packed_shape () =
     (String.equal (Packed_dfa.key pd) (Packed_dfa.key pd3))
 
 let test_vacuity_rem_examples () =
-  (* is_vacuous over the Rem table: exactly the pure-liveness rows (and
-     p6, whose safety part is the universal property). *)
+  (* Vacuity over the Rem table: exactly the pure-liveness rows (and
+     p6, whose safety part is the universal property) — the monitors
+     with no bad prefix, which the engine reports as [Vacuous]. *)
   List.iter
     (fun (name, f, expected) ->
-      let m = Monitor.create (Lexamples.automaton f) in
-      check ("Monitor.is_vacuous " ^ name) expected (Monitor.is_vacuous m);
       let pd = Packed_dfa.of_buchi (Lexamples.automaton f) in
-      check ("packed vacuous " ^ name) expected pd.Packed_dfa.vacuous)
+      check ("packed vacuous " ^ name) expected pd.Packed_dfa.vacuous;
+      check ("no bad prefix " ^ name) expected
+        (Packed_dfa.shortest_bad_prefix pd = None);
+      let eng = Engine.create ~monitors:[| pd |] () in
+      feed_word eng ~trace:0 [ 1; 0; 1 ];
+      check ("engine vacuous " ^ name) expected
+        (Engine.verdict eng ~trace:0 ~monitor:0 = Engine.Vacuous))
     [ ("p0", Lexamples.p0, false); ("p1", Lexamples.p1, false);
       ("p2", Lexamples.p2, false); ("p3", Lexamples.p3, false);
       ("p4", Lexamples.p4, true); ("p5", Lexamples.p5, true);
       ("p6", Lexamples.p6, true) ]
 
-(* --- Monitor satellite fixes --- *)
+(* --- One trace through the engine, as one-shot [slc monitor] runs it --- *)
 
-let test_monitor_feed_short_circuit () =
-  let m = Monitor.create (Lexamples.automaton Lexamples.p1) in
-  (* p1 = 'a': the shortest bad prefix is [1]; feed must stop there and
-     report it unchanged no matter what follows in the batch. *)
-  (match Monitor.feed m [ 1; 0; 1; 0; 0 ] with
-  | Monitor.Violation bad ->
-      Alcotest.(check (list int)) "bad prefix unaffected by batch tail"
-        [ 1 ] bad
-  | Monitor.Admissible -> Alcotest.fail "expected violation");
+let test_trip_survives_batch_tail () =
+  let pd = Packed_dfa.of_buchi (Lexamples.automaton Lexamples.p1) in
+  let eng = Engine.create ~monitors:[| pd |] () in
+  (* p1 = 'a': the shortest bad prefix is [1]; the trip position stays
+     there no matter what follows in the batch. *)
+  feed_word eng ~trace:0 [ 1; 0; 1; 0; 0 ];
+  let tripped_at_1 () =
+    Engine.verdict eng ~trace:0 ~monitor:0 = Engine.Violation { position = 1 }
+  in
+  check "tripped at the first event" true (tripped_at_1 ());
   (* and the verdict is sticky across further feeds *)
-  check "sticky" true
-    (match Monitor.feed m [ 0; 0 ] with
-    | Monitor.Violation [ 1 ] -> true
-    | _ -> false)
+  feed_word eng ~trace:0 [ 0; 0 ];
+  check "sticky" true (tripped_at_1 ())
 
-let test_monitor_reset () =
-  let m = Monitor.create (Lexamples.automaton Lexamples.p1) in
+let test_fresh_trace_after_trip () =
+  let pd = Packed_dfa.of_buchi (Lexamples.automaton Lexamples.p1) in
+  let eng = Engine.create ~monitors:[| pd |] () in
+  feed_word eng ~trace:0 [ 1 ];
   check "trips" true
-    (match Monitor.feed m [ 1 ] with Monitor.Violation _ -> true | _ -> false);
-  Monitor.reset m;
-  check "fresh after reset" true (Monitor.verdict m = Monitor.Admissible);
-  check "good trace admissible after reset" true
-    (Monitor.feed m [ 0; 0; 1 ] = Monitor.Admissible);
-  (* the degenerate empty property stays tripped across resets *)
-  let m0 = Monitor.create (Lexamples.automaton Lexamples.p0) in
-  Monitor.reset m0;
-  check "empty property re-trips on reset" true
-    (match Monitor.verdict m0 with Monitor.Violation [] -> true | _ -> false)
+    (match Engine.verdict eng ~trace:0 ~monitor:0 with
+    | Engine.Violation _ -> true
+    | _ -> false);
+  check "a fresh trace is admissible" true
+    (Engine.verdict eng ~trace:1 ~monitor:0 = Engine.Admissible);
+  feed_word eng ~trace:1 [ 0; 0; 1 ];
+  check "good trace admissible beside a tripped one" true
+    (Engine.verdict eng ~trace:1 ~monitor:0 = Engine.Admissible);
+  (* the degenerate empty property is tripped on every fresh trace *)
+  let pd0 = Packed_dfa.of_buchi (Lexamples.automaton Lexamples.p0) in
+  let eng0 = Engine.create ~monitors:[| pd0 |] () in
+  check "empty property tripped before any event" true
+    (Engine.verdict eng0 ~trace:0 ~monitor:0
+    = Engine.Violation { position = 0 })
 
 (* --- Engine vs reference monitor, property-based --- *)
+
+let random_monitor_buchi s1 =
+  Buchi.random ~seed:s1 ~alphabet:2 ~nstates:(3 + (s1 mod 6)) ~density:0.2
+    ~accepting_fraction:0.4 ()
 
 let prop_engine_agrees_with_monitor =
   QCheck.Test.make ~name:"packed engine = per-event Monitor.step" ~count:80
     QCheck.(pair (int_range 0 5000) (int_range 0 5000))
     (fun (s1, s2) ->
-      let b =
-        Buchi.random ~seed:s1 ~alphabet:2 ~nstates:(3 + (s1 mod 6))
-          ~density:0.2 ~accepting_fraction:0.4 ()
-      in
-      let m = Monitor.create b in
+      let b = random_monitor_buchi s1 in
+      let m = Monitor_ref.create b in
       let eng = Engine.create ~monitors:[| Packed_dfa.of_buchi b |] () in
       let st = Random.State.make [| s2 |] in
       let ok = ref true in
       for _ = 1 to 32 do
         let sym = Random.State.int st 2 in
-        let reference = Monitor.step m sym in
+        let reference = Monitor_ref.step m sym in
         Engine.step eng ~trace:0 ~symbol:sym;
         if not (agree reference (Engine.verdict eng ~trace:0 ~monitor:0))
         then ok := false
       done;
       !ok)
+
+(* The certificate, pinned by what the engine does with it: over every
+   word [u] as long as the shortest bad prefix [w], [u] trips before
+   [|w|] never, at [|w|] only if [u >= w] lexicographically, and [w]
+   itself trips there. So no shorter word trips, and [w] is the least
+   word of its length that does. [None] only for vacuous monitors. *)
+let prop_shortest_bad_prefix_trips =
+  QCheck.Test.make ~name:"shortest bad prefix trips exactly at its length"
+    ~count:80 (QCheck.int_range 0 5000)
+    (fun s1 ->
+      let pd = Packed_dfa.of_buchi (random_monitor_buchi s1) in
+      match Packed_dfa.shortest_bad_prefix pd with
+      | None -> pd.Packed_dfa.vacuous
+      | Some w ->
+          let len = List.length w in
+          let eng = Engine.create ~monitors:[| pd |] () in
+          (* trace [u] carries the word whose bits, read from the most
+             significant, are the binary digits of [u] *)
+          let word u = List.init len (fun i -> (u lsr (len - 1 - i)) land 1) in
+          let traces = List.init (1 lsl len) Fun.id in
+          List.iter (fun u -> feed_word eng ~trace:u (word u)) traces;
+          List.for_all
+            (fun u ->
+              match Engine.verdict eng ~trace:u ~monitor:0 with
+              | Engine.Violation { position } ->
+                  position = len && compare (word u) w >= 0
+              | Engine.Admissible | Engine.Vacuous -> word u <> w)
+            traces)
 
 let prop_engine_batched_equals_stepwise =
   QCheck.Test.make ~name:"batched feed = stepwise feed" ~count:40
@@ -1289,10 +1335,12 @@ let tests =
   [ Alcotest.test_case "packed compilation" `Quick test_packed_shape;
     Alcotest.test_case "vacuity on Rem p0-p6" `Quick
       test_vacuity_rem_examples;
-    Alcotest.test_case "Monitor.feed short-circuits" `Quick
-      test_monitor_feed_short_circuit;
-    Alcotest.test_case "Monitor.reset" `Quick test_monitor_reset;
+    Alcotest.test_case "trip survives the batch tail" `Quick
+      test_trip_survives_batch_tail;
+    Alcotest.test_case "fresh trace after a trip" `Quick
+      test_fresh_trace_after_trip;
     QCheck_alcotest.to_alcotest prop_engine_agrees_with_monitor;
+    QCheck_alcotest.to_alcotest prop_shortest_bad_prefix_trips;
     QCheck_alcotest.to_alcotest prop_engine_batched_equals_stepwise;
     Alcotest.test_case "interleaved traces" `Quick
       test_engine_interleaved_traces;
