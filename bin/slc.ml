@@ -589,8 +589,8 @@ let unpack_cmd =
 
 let complement_cmd =
   let max_states_arg =
-    let doc = "Abort if the complement's construction exceeds $(docv) \
-               ranking states." in
+    let doc = "Refuse (exit 1) if the complement's construction exceeds \
+               $(docv) ranking states." in
     Arg.(value & opt int 200_000 & info [ "max-states" ] ~docv:"N" ~doc)
   in
   let run s max_states =
@@ -611,7 +611,9 @@ let complement_cmd =
               (count (Buchi.reachable c))
               (count (Buchi.live_states c));
             0
-        | exception Invalid_argument m -> prerr_endline m; 1)
+        | exception
+            (Invalid_argument m | Sl_buchi.Complement.Too_large m) ->
+            prerr_endline m; 1)
   in
   Cmd.v
     (Cmd.info "complement"
@@ -629,13 +631,16 @@ let regex_cmd =
   let run s =
     match Sl_regex.Omega.parse s with
     | Error e -> prerr_endline ("parse error: " ^ e); 1
-    | Ok o ->
+    | Ok o -> (
         let b = Sl_regex.Omega.to_buchi ~alphabet:2 o in
         Format.printf "omega-regex: %s@." (Sl_regex.Omega.to_string o);
         Format.printf "buchi automaton: %s@." (Buchi.size_info b);
-        Format.printf "classification: %s@."
-          (Decompose.classification_to_string (Decompose.classify b));
-        0
+        match Decompose.classify b with
+        | c ->
+            Format.printf "classification: %s@."
+              (Decompose.classification_to_string c);
+            0
+        | exception Sl_buchi.Complement.Too_large m -> prerr_endline m; 1)
   in
   Cmd.v
     (Cmd.info "regex"

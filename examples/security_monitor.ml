@@ -5,8 +5,9 @@
    A runtime execution monitor can only ever see a finite prefix, so it
    can enforce a policy exactly when the policy is safety: reject as soon
    as the prefix leaves the prefix language of the (closed) property.
-   This example builds the monitor from the safety part B_S of a policy's
-   decomposition and shows that:
+   This example compiles the monitor from the safety part B_S of a
+   policy's decomposition, steps it with the runtime engine, and shows
+   that:
 
    - for the pure-safety policy "no grant before the first request" the
      monitor catches every violation at a finite point;
@@ -16,44 +17,45 @@
 
    Run with:  dune exec examples/security_monitor.exe *)
 
-module Buchi = Sl_buchi.Buchi
 module Patterns = Sl_buchi.Patterns
 module Decompose = Sl_buchi.Decompose
-module Nfa = Sl_nfa.Nfa
-module Dfa = Sl_nfa.Dfa
 module Alphabet = Sl_word.Alphabet
+module Registry = Sl_runtime.Registry
+module Engine = Sl_runtime.Engine
 
-(* An execution monitor: the subset DFA of the safety automaton's prefix
-   NFA; state None (the empty subset) means "violation detected". *)
-type monitor = { dfa : Dfa.t; mutable state : int; mutable tripped : bool }
-
-let monitor_of_policy policy =
-  let d = Decompose.decompose policy in
-  let dfa = Nfa.determinize (Buchi.to_prefix_nfa d.Decompose.safety) in
-  { dfa; state = dfa.Dfa.start; tripped = false }
-
-let step m symbol =
-  if not m.tripped then begin
-    m.state <- Dfa.step m.dfa m.state symbol;
-    (* The prefix language is prefix-closed: acceptance can only be lost
-       once, at the violation point. *)
-    if not m.dfa.Dfa.accepting.(m.state) then m.tripped <- true
-  end;
-  not m.tripped
-
-let run_trace policy_name policy trace =
-  let m = monitor_of_policy policy in
-  Format.printf "@.policy %-32s trace:" policy_name;
+(* An execution monitor: the registry compiles the safety part B_S of the
+   policy's decomposition to a minimal packed DFA, and the streaming
+   engine steps it, one engine trace id per trace. *)
+let run_policy policy_name policy traces =
+  let r = Registry.create ~alphabet:(Alphabet.size Patterns.ap_alphabet) () in
+  let monitor =
+    Registry.monitor_of_prop r (Registry.add_buchi r ~name:policy_name policy)
+  in
+  let e = Engine.create ~monitors:(Registry.monitors r) () in
   List.iteri
-    (fun i symbol ->
-      let ok = step m symbol in
-      Format.printf " %s%s"
-        (Alphabet.label Patterns.ap_alphabet symbol)
-        (if (not ok) && i >= 0 && m.tripped then "!" else ""))
-    trace;
-  Format.printf "@.  verdict: %s@."
-    (if m.tripped then "VIOLATION detected at a finite point"
-     else "prefix admissible (monitor cannot and need not decide liveness)")
+    (fun id trace ->
+      let n = List.length trace in
+      Engine.feed e ~n ~traces:(Array.make n id)
+        ~symbols:(Array.of_list trace) ();
+      (* The prefix language is prefix-closed: acceptance is lost once, at
+         the violation point, and every longer prefix is bad too. *)
+      let tripped_at =
+        match Engine.verdict e ~trace:id ~monitor with
+        | Engine.Violation { position } -> position
+        | Engine.Vacuous | Engine.Admissible -> max_int
+      in
+      Format.printf "@.policy %-32s trace:" policy_name;
+      List.iteri
+        (fun i symbol ->
+          Format.printf " %s%s"
+            (Alphabet.label Patterns.ap_alphabet symbol)
+            (if i + 1 >= tripped_at then "!" else ""))
+        trace;
+      Format.printf "@.  verdict: %s@."
+        (if tripped_at < max_int then "VIOLATION detected at a finite point"
+         else
+           "prefix admissible (monitor cannot and need not decide liveness)"))
+    traces
 
 let () =
   let quiet = 0 and req = 1 and grant = 2 in
@@ -64,10 +66,9 @@ let () =
   in
   Format.printf
     "Execution monitoring demo over the alphabet 2^{req, grant}@.";
-  List.iter (run_trace "no-grant-without-request"
-      Patterns.no_grant_without_request) traces;
-  List.iter (run_trace "G (req -> F grant)" Patterns.request_response)
+  run_policy "no-grant-without-request" Patterns.no_grant_without_request
     traces;
+  run_policy "G (req -> F grant)" Patterns.request_response traces;
   Format.printf
     "@.The liveness violation (request never granted) is invisible to \
      both monitors:@.no finite prefix refutes it — exactly why \

@@ -59,32 +59,12 @@ module _ : Sl_core.Automaton_sig.S with type t = t = struct
   let graph = graph
 end
 
-(* --- The automaton × lasso product as a kernel graph. --- *)
+(* --- Acceptance checks on the automaton × lasso product. --- *)
 
-type product = {
-  nnodes : int;
-  graph : Digraph.t;
-  node_state : int -> int;  (** automaton state of a product node *)
-  reach : bool array;  (** reachable from (start, 0) *)
-}
-
-let product a w =
-  let sp = Lasso.spoke w and pe = Lasso.period w in
-  let total = sp + pe in
-  let next p = if p + 1 < total then p + 1 else sp in
-  let node q p = (q * total) + p in
-  let nnodes = a.nstates * total in
-  let succs =
-    Array.init nnodes (fun v ->
-        let q = v / total and p = v mod total in
-        List.map (fun q' -> node q' (next p)) a.delta.(q).(Lasso.at w p))
-  in
-  let graph = Digraph.of_successors succs in
-  let reach = Digraph.reachable graph [ node a.start 0 ] in
-  { nnodes; graph; node_state = (fun v -> v / total); reach }
+let node_state (pr : Buchi.lasso_product) v = v / pr.positions
 
 (* Reachable nontrivial SCCs of the product restricted to [keep]-nodes. *)
-let sccs_within pr keep =
+let sccs_within (pr : Buchi.lasso_product) keep =
   let r = Digraph.sccs ~filter:(fun v -> pr.reach.(v) && keep v) pr.graph in
   List.filter
     (function
@@ -93,23 +73,23 @@ let sccs_within pr keep =
     r.Digraph.comps
 
 let projection pr nodes =
-  List.sort_uniq compare (List.map pr.node_state nodes)
+  List.sort_uniq compare (List.map (node_state pr) nodes)
 
 let accepts_rabin pr pairs =
   List.exists
     (fun (green, red) ->
       (* A reachable cycle avoiding red and meeting green. *)
       List.exists
-        (fun comp -> List.exists (fun v -> green.(pr.node_state v)) comp)
-        (sccs_within pr (fun v -> not red.(pr.node_state v))))
+        (fun comp -> List.exists (fun v -> green.(node_state pr v)) comp)
+        (sccs_within pr (fun v -> not red.(node_state pr v))))
     pairs
 
 (* Streett: SCC peeling — remove the greens of pairs whose reds are absent
    and recurse; a surviving nontrivial component satisfies all pairs. *)
-let accepts_streett pr pairs =
+let accepts_streett (pr : Buchi.lasso_product) pairs =
   let rec satisfiable nodes =
     (* Sub-SCCs of the induced subgraph. *)
-    let keep = Array.make pr.nnodes false in
+    let keep = Array.make (Digraph.nodes pr.graph) false in
     List.iter (fun v -> keep.(v) <- true) nodes;
     let comps = sccs_within pr (fun v -> keep.(v)) in
     List.exists
@@ -129,7 +109,7 @@ let accepts_streett pr pairs =
               (fun v ->
                 not
                   (List.exists
-                     (fun (green, _) -> green.(pr.node_state v))
+                     (fun (green, _) -> green.(node_state pr v))
                      offending))
               comp
           in
@@ -140,7 +120,7 @@ let accepts_streett pr pairs =
   in
   satisfiable
     (List.filter (fun v -> pr.reach.(v))
-       (List.init pr.nnodes (fun v -> v)))
+       (List.init (Digraph.nodes pr.graph) Fun.id))
 
 let accepts_parity pr priorities =
   let evens =
@@ -151,8 +131,8 @@ let accepts_parity pr priorities =
     (fun d ->
       List.exists
         (fun comp ->
-          List.exists (fun v -> priorities.(pr.node_state v) = d) comp)
-        (sccs_within pr (fun v -> priorities.(pr.node_state v) >= d)))
+          List.exists (fun v -> priorities.(node_state pr v) = d) comp)
+        (sccs_within pr (fun v -> priorities.(node_state pr v) >= d)))
     evens
 
 let accepts_muller pr sets =
@@ -169,11 +149,11 @@ let accepts_muller pr sets =
            (fun comp ->
              (* The SCC lies inside the set; it must cover it. *)
              projection pr comp = target)
-           (sccs_within pr (fun v -> set.(pr.node_state v))))
+           (sccs_within pr (fun v -> set.(node_state pr v))))
     sets
 
 let accepts_lasso a w =
-  let pr = product a w in
+  let pr = Buchi.lasso_product ~start:a.start ~delta:a.delta w in
   match a.condition with
   | Rabin pairs -> accepts_rabin pr pairs
   | Streett pairs -> accepts_streett pr pairs

@@ -159,26 +159,34 @@ let nonempty_witness b =
       | Some (cycle_word, _) ->
           Some (Lasso.make ~prefix:spoke_word ~cycle:cycle_word))
 
-let accepts_lasso b w =
-  let sp = Lasso.spoke w and pe = Lasso.period w in
-  let total = sp + pe in
+type lasso_product = {
+  graph : Digraph.t;
+  reach : bool array;
+  positions : int;
+}
+
+(* Product graph over (state, position): a cycle in it necessarily lives
+   in the periodic positions, so lasso membership under any acceptance
+   condition is a cycle query restricted to the reachable part. *)
+let lasso_product ~start ~delta w =
+  let sp = Lasso.spoke w in
+  let total = sp + Lasso.period w in
   let next p = if p + 1 < total then p + 1 else sp in
-  (* Product graph over (state, position); find a reachable accepting
-     product-cycle. A cycle in the product necessarily lives in the
-     periodic positions, so the search is exactly the kernel's good-SCC
-     query restricted to the reachable part. *)
-  let n = b.nstates in
   let node q p = (q * total) + p in
   let succs =
-    Array.init (n * total) (fun v ->
+    Array.init (Array.length delta * total) (fun v ->
         let q = v / total and p = v mod total in
-        List.map (fun q' -> node q' (next p)) b.delta.(q).(Lasso.at w p))
+        List.map (fun q' -> node q' (next p)) delta.(q).(Lasso.at w p))
   in
-  let g = Digraph.of_successors succs in
-  let reach = Digraph.reachable g [ node b.start 0 ] in
-  Digraph.has_good_scc g
-    ~filter:(fun v -> reach.(v))
-    ~predicates:[ (fun v -> b.accepting.(v / total)) ]
+  let graph = Digraph.of_successors succs in
+  { graph; reach = Digraph.reachable graph [ node start 0 ];
+    positions = total }
+
+let accepts_lasso b w =
+  let pr = lasso_product ~start:b.start ~delta:b.delta w in
+  Digraph.has_good_scc pr.graph
+    ~filter:(fun v -> pr.reach.(v))
+    ~predicates:[ (fun v -> b.accepting.(v / pr.positions)) ]
 
 let to_prefix_nfa b =
   Sl_nfa.Nfa.make ~alphabet:b.alphabet ~nstates:b.nstates ~starts:[ b.start ]

@@ -77,9 +77,22 @@ val nonempty_witness : t -> Lasso.t option
 (** A lasso in the language, if nonempty (shortest-path BFS for both the
     spoke and the cycle). *)
 
+type lasso_product = {
+  graph : Sl_core.Digraph.t;
+      (** node [q * positions + p]: state [q] at lasso position [p] *)
+  reach : bool array;  (** nodes reachable from [(start, 0)] *)
+  positions : int;  (** spoke + period *)
+}
+
+val lasso_product :
+  start:int -> delta:int list array array -> Lasso.t -> lasso_product
+(** A transition structure × a lasso's positions, the library's one such
+    product: {!accepts_lasso}, [Gnba] and [Acceptance] each run their own
+    acceptance check on it. *)
+
 val accepts_lasso : t -> Lasso.t -> bool
 (** Membership of an ultimately periodic word: search for an accepting
-    cycle in the product of the automaton with the lasso's positions. *)
+    cycle in {!lasso_product}. *)
 
 val to_prefix_nfa : t -> Sl_nfa.Nfa.t
 (** The same graph read as an NFA on finite words, all states accepting:

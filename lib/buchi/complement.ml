@@ -190,3 +190,7 @@ let rank_based ?(max_states = 200_000) (b : Buchi.t) =
       Obs.Span.attr sp "interner_hits" hits;
       Obs.Span.exit sp;
       result
+
+let negate (b : Buchi.t) =
+  if Buchi.is_empty b || Closure.is_closure_shaped b then complement_closed b
+  else rank_based b

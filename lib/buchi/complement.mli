@@ -1,6 +1,7 @@
 (** Complementation of Büchi automata.
 
-    Two constructions:
+    Two constructions, and {!negate}, the one place that chooses between
+    them:
 
     - {!complement_closed} — for closure automata (safety languages) only.
       A closed language is determined by its prefix set; since that set is
@@ -34,3 +35,10 @@ val rank_based : ?max_states:int -> Buchi.t -> Buchi.t
     a whole-structure hash, in breadth-first order. [max_states] (default
     [200_000]) bounds the explored complement automaton.
     @raise Too_large when exceeded. *)
+
+val negate : Buchi.t -> Buchi.t
+(** The complement by the cheapest construction that applies:
+    {!complement_closed} for an empty language or a closure-shaped
+    automaton, {!rank_based} with its default budget otherwise. The one
+    negation behind the exact queries of {!Lang} and [Decompose].
+    @raise Too_large when {!rank_based} exceeds its budget. *)

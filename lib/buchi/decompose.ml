@@ -46,15 +46,8 @@ let verify_via_negation d ~negation =
       then Some "L(B) not included in L(B_L)"
       else None)
 
-let verify_exact ?max_states d =
-  let negation =
-    if Buchi.is_empty d.original then
-      Buchi.universal ~alphabet:d.original.alphabet
-    else if Closure.is_closure_shaped d.original then
-      Complement.complement_closed d.original
-    else Complement.rank_based ?max_states d.original
-  in
-  verify_via_negation d ~negation
+let verify_exact d =
+  verify_via_negation d ~negation:(Complement.negate d.original)
 
 let verify_sampled ~max_prefix ~max_cycle d =
   check_claims d ~intersection_ok:(fun () ->
@@ -76,36 +69,35 @@ let classification_to_string = function
 let is_liveness b =
   Buchi.is_empty (Complement.complement_closed (Closure.bcl b))
 
-let is_safety ?max_states b =
-  (* L(B) ⊆ lcl L(B) always; safety iff the converse. *)
-  Lang.subset ?max_states (Closure.bcl b) b
+(* L(B) ⊆ lcl L(B) always, so B is safety iff lcl L(B) ∩ ¬L(B) = ∅. *)
+let is_closed_against b negation =
+  Buchi.is_empty (Ops.intersect (Closure.bcl b) negation)
 
-let classify ?max_states b =
-  match (is_safety ?max_states b, is_liveness b) with
+(* The one classifier body, over a given ¬B. *)
+let classify_against b ~negation =
+  match (is_closed_against b negation, is_liveness b) with
   | true, true -> Both
   | true, false -> Safety
   | false, true -> Liveness
   | false, false -> Neither
+
+let is_safety b = is_closed_against b (Complement.negate b)
+let classify b = classify_against b ~negation:(Complement.negate b)
 
 let classify_via_negation b ~negation =
   (* Sanity: a genuine complement is disjoint from the automaton. (The
      converse inclusion cannot be checked cheaply; the caller vouches.) *)
   if not (Buchi.is_empty (Ops.intersect b negation)) then
     invalid_arg "Decompose.classify_via_negation: negation overlaps language";
-  let safety = Buchi.is_empty (Ops.intersect (Closure.bcl b) negation) in
-  match (safety, is_liveness b) with
-  | true, true -> Both
-  | true, false -> Safety
-  | false, true -> Liveness
-  | false, false -> Neither
+  classify_against b ~negation
 
-let language_lattice ~alphabet ?max_states () :
+let language_lattice ~alphabet :
     (module Sl_core.Theory.COMPLEMENTED with type t = Buchi.t) =
   (module struct
     type nonrec t = Buchi.t
 
-    let equal a b = Lang.equal ?max_states a b
-    let leq a b = Lang.subset ?max_states a b
+    let equal = Lang.equal
+    let leq = Lang.subset
     let meet = Ops.intersect
     let join = Ops.union
     let bot = Buchi.empty_language ~alphabet
@@ -115,11 +107,7 @@ let language_lattice ~alphabet ?max_states () :
       Format.fprintf fmt "<buchi %s>" (Buchi.size_info b)
 
     let complement b =
-      if Buchi.is_empty b then Some top
-      else if Closure.is_closure_shaped b then
-        Some (Complement.complement_closed b)
-      else
-        match Complement.rank_based ?max_states b with
-        | c -> Some c
-        | exception Complement.Too_large _ -> None
+      match Complement.negate b with
+      | c -> Some c
+      | exception Complement.Too_large _ -> None
   end)

@@ -27,11 +27,10 @@ val verify_via_negation : t -> negation:Buchi.t -> (string * string) list
     rank-based construction. Polynomial given the negation. A claimed
     negation that overlaps [L(B)] fails the third claim. *)
 
-val verify_exact : ?max_states:int -> t -> (string * string) list
+val verify_exact : t -> (string * string) list
 (** {!verify_via_negation} with the negation computed: only the
-    {e original} automaton is complemented, with the rank-based
-    construction unless it is empty or closure-shaped
-    (@raise Complement.Too_large if that exceeds the budget). *)
+    {e original} automaton is complemented, by {!Complement.negate}
+    (@raise Complement.Too_large if that exceeds its budget). *)
 
 val verify_sampled : max_prefix:int -> max_cycle:int -> t -> (string * string) list
 (** Lasso-sampled version of the intersection claim plus exact
@@ -43,23 +42,26 @@ type classification = Safety | Liveness | Both | Neither
 
 val classification_to_string : classification -> string
 
-val classify : ?max_states:int -> Buchi.t -> classification
+val classify : Buchi.t -> classification
 (** - [Safety]: [L(B) = lcl L(B)] (closed);
     - [Liveness]: [lcl L(B) = Σ^ω] (dense);
     - [Both]: only [Σ^ω] itself;
     - [Neither]: e.g. Rem's p3.
-    The safety test needs general complementation of [B]
+    {!classify_via_negation} with [¬B] from {!Complement.negate}, less
+    its overlap check: the safety test is [lcl L(B) ∩ ¬L(B) = ∅]
     (@raise Complement.Too_large on big inputs); the liveness test is
     always cheap. *)
 
-val is_safety : ?max_states:int -> Buchi.t -> bool
+val is_safety : Buchi.t -> bool
+(** The safety half of {!classify}, without the liveness test. *)
+
 val is_liveness : Buchi.t -> bool
 
 val classify_via_negation : Buchi.t -> negation:Buchi.t -> classification
-(** Like {!classify}, but takes a caller-supplied automaton for the
-    complement language instead of complementing — the standard trick for
-    LTL-derived automata, where [¬L(B_φ) = L(B_{¬φ})] comes from
-    translating the negated formula. Polynomial given the negation.
+(** Like {!classify} (the same body), but takes a caller-supplied
+    automaton for the complement language instead of complementing — the
+    standard trick for LTL-derived automata, where [¬L(B_φ) = L(B_{¬φ})]
+    comes from translating the negated formula. Polynomial given the negation.
     @raise Invalid_argument if the claimed negation visibly overlaps
     [L(B)]. *)
 
@@ -68,11 +70,12 @@ val classify_via_negation : Buchi.t -> negation:Buchi.t -> classification
     The Boolean algebra of ω-regular languages over a fixed alphabet,
     packaged for [Sl_core.Theory.Make]. Elements are automata; equality is
     language equality. This is the lattice the paper notes is {e not}
-    [-]-complete, hence outside Gumm's framework, yet inside ours. *)
+    [-]-complete, hence outside Gumm's framework, yet inside ours.
+    Order and equality are {!Lang.subset} and {!Lang.equal}; [complement]
+    is {!Complement.negate}, [None] where that exceeds its budget. *)
 
 val language_lattice :
-  alphabet:int -> ?max_states:int -> unit ->
-  (module Sl_core.Theory.COMPLEMENTED with type t = Buchi.t)
+  alphabet:int -> (module Sl_core.Theory.COMPLEMENTED with type t = Buchi.t)
 
 val lcl : Buchi.t -> Buchi.t
 (** The closure operator on the language lattice: {!Closure.bcl}. *)

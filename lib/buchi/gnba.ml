@@ -68,20 +68,10 @@ end
    predicate. *)
 
 let accepts_lasso g w =
-  let sp = Lasso.spoke w and pe = Lasso.period w in
-  let total = sp + pe in
-  let next p = if p + 1 < total then p + 1 else sp in
-  let node q p = (q * total) + p in
-  let succs =
-    Array.init (g.nstates * total) (fun v ->
-        let q = v / total and p = v mod total in
-        List.map (fun q' -> node q' (next p)) g.delta.(q).(Lasso.at w p))
-  in
-  let dg = Digraph.of_successors succs in
-  let reach = Digraph.reachable dg [ node g.start 0 ] in
-  Digraph.has_good_scc dg
-    ~filter:(fun v -> reach.(v))
-    ~predicates:(List.map (fun set v -> set.(v / total)) g.acceptance)
+  let pr = Buchi.lasso_product ~start:g.start ~delta:g.delta w in
+  Digraph.has_good_scc pr.graph
+    ~filter:(fun v -> pr.reach.(v))
+    ~predicates:(List.map (fun set v -> set.(v / pr.positions)) g.acceptance)
 
 let is_empty g =
   let dg = graph g in

@@ -1,17 +1,11 @@
 module Lasso = Sl_word.Lasso
 
-let negate ?max_states (b : Buchi.t) =
-  if Buchi.is_empty b then Buchi.universal ~alphabet:b.alphabet
-  else if Closure.is_closure_shaped b then Complement.complement_closed b
-  else Complement.rank_based ?max_states b
+let subset a b = Buchi.is_empty (Ops.intersect a (Complement.negate b))
 
-let subset ?max_states a b =
-  Buchi.is_empty (Ops.intersect a (negate ?max_states b))
+let equal a b = subset a b && subset b a
 
-let equal ?max_states a b = subset ?max_states a b && subset ?max_states b a
-
-let is_universal ?max_states (b : Buchi.t) =
-  subset ?max_states (Buchi.universal ~alphabet:b.alphabet) b
+let is_universal (b : Buchi.t) =
+  subset (Buchi.universal ~alphabet:b.alphabet) b
 
 let separating_lasso ~max_prefix ~max_cycle (a : Buchi.t) (b : Buchi.t) =
   List.find_opt

@@ -11,16 +11,16 @@ module Lasso = Sl_word.Lasso
       Sound for refutation; complete in the limit (two ω-regular languages
       are equal iff they agree on all lassos). *)
 
-val subset : ?max_states:int -> Buchi.t -> Buchi.t -> bool
+val subset : Buchi.t -> Buchi.t -> bool
 (** [subset a b] decides [L(a) ⊆ L(b)] exactly, via
-    [L(a) ∩ ¬L(b) = ∅]. Uses {!Complement.complement_closed} when [b] is
-    closure-shaped (or empty), falling back to {!Complement.rank_based}.
-    @raise Complement.Too_large if the fallback exceeds its budget. *)
+    [L(a) ∩ ¬L(b) = ∅], with [¬L(b)] from {!Complement.negate}.
+    @raise Complement.Too_large if [b] needs the rank-based construction
+    and it exceeds its budget. *)
 
-val equal : ?max_states:int -> Buchi.t -> Buchi.t -> bool
+val equal : Buchi.t -> Buchi.t -> bool
 (** Exact language equality (two subset tests). *)
 
-val is_universal : ?max_states:int -> Buchi.t -> bool
+val is_universal : Buchi.t -> bool
 (** [L(B) = Σ^ω]. *)
 
 val separating_lasso :

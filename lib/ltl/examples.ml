@@ -17,9 +17,11 @@ let all =
 
 let automaton f = Translate.translate ~alphabet:2 ~valuation f
 
-let classify f =
-  Decompose.classify_via_negation (automaton f)
-    ~negation:(automaton (Formula.Not f))
+(* [b] is [f]'s automaton; its negation is the negated formula's. *)
+let classify_automaton f b =
+  Decompose.classify_via_negation b ~negation:(automaton (Formula.Not f))
+
+let classify f = classify_automaton f (automaton f)
 
 type row = {
   name : string;
@@ -46,10 +48,7 @@ let table () =
             else None)
           automata
       in
-      { name; formula = f;
-        classification =
-          Decompose.classify_via_negation b
-            ~negation:(automaton (Formula.Not f));
+      { name; formula = f; classification = classify_automaton f b;
         closure_of })
     automata
 

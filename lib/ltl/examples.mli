@@ -31,8 +31,9 @@ val automaton : Formula.t -> Sl_buchi.Buchi.t
 
 val classify : Formula.t -> Sl_buchi.Decompose.classification
 (** Safety/liveness classification of an arbitrary formula over ["a"],
-    decided through the automaton (closure + complementation), exactly the
-    paper's Section 2.4 route. *)
+    decided through the automaton (closure, with the negated formula's
+    automaton as the complement): {!Sl_buchi.Decompose.classify_via_negation},
+    the paper's Section 2.4 route. {!table} classifies the same way. *)
 
 type row = {
   name : string;

@@ -82,6 +82,23 @@ grep -qx "monitor: symbol 5 outside alphabet \[0, 2)" "$oerr" \
   || { echo "slc monitor 'G a' 5: unexpected message"; exit 1; }
 rm -f "$oerr"
 
+# A rank-based complement past its --max-states budget is refused like
+# any other bad input: exit 1 and one line on stderr, never an escaped
+# Complement.Too_large.
+echo "--- slc complement --max-states smoke"
+cerr=$(mktemp /tmp/slc-ci.XXXXXX.err)
+status=0
+_build/default/bin/slc.exe complement --max-states 3 "G F a" \
+  > /dev/null 2> "$cerr" || status=$?
+[ "$status" -eq 1 ] \
+  || { echo "slc complement --max-states 3: exit $status"; exit 1; }
+[ "$(wc -l < "$cerr")" -eq 1 ] \
+  || { echo "slc complement --max-states 3: not one stderr line"; exit 1; }
+if grep -q "uncaught exception" "$cerr"; then
+  echo "slc complement --max-states 3: uncaught exception"; exit 1
+fi
+rm -f "$cerr"
+
 # Runtime-monitoring smoke: the checked-in example props/trace pair must
 # produce exactly this verdict summary, with exit code 1 (violations
 # found, inputs well-formed).

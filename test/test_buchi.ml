@@ -199,6 +199,46 @@ let test_rank_based_complement () =
         small_lassos)
     Patterns.rem_examples
 
+let test_negate_complements () =
+  (* The one dispatch: empty language, closure-shaped, rank-based. The
+     empty-language automaton has an accepting dead end, so it is not
+     closure-shaped. *)
+  let dead_end =
+    Buchi.of_edges ~alphabet:2 ~nstates:2 ~start:0 ~edges:[ (0, 0, 1) ]
+      ~accepting:[ 1 ]
+  in
+  let protocols =
+    [ ("request_response", Patterns.request_response);
+      ("no_grant_without_request", Patterns.no_grant_without_request);
+      ("always_eventually_grant", Patterns.always_eventually_grant) ]
+  in
+  let cases =
+    List.map (fun (name, _, b) -> (name, b)) Patterns.rem_examples
+    @ protocols @ [ ("dead end", dead_end) ]
+  in
+  let branches = Array.make 3 0 in
+  List.iter
+    (fun (name, b) ->
+      let branch =
+        if Buchi.is_empty b then 0
+        else if Closure.is_closure_shaped b then 1
+        else 2
+      in
+      branches.(branch) <- branches.(branch) + 1;
+      let neg = Complement.negate b in
+      List.iter
+        (fun w ->
+          check
+            (Printf.sprintf "negate %s on %s" name (Lasso.to_string w))
+            (not (Buchi.accepts_lasso b w))
+            (Buchi.accepts_lasso neg w))
+        (Lasso.enumerate ~alphabet:b.Buchi.alphabet ~max_prefix:3
+           ~max_cycle:3))
+    cases;
+  Array.iteri
+    (fun i n -> check (Printf.sprintf "branch %d taken" i) true (n > 0))
+    branches
+
 let test_subset_equal () =
   check "p3 subset p1" true (Lang.subset Patterns.p3 Patterns.p1);
   check "p1 not subset p3" false (Lang.subset Patterns.p1 Patterns.p3);
@@ -485,7 +525,7 @@ let prop_simulation_random =
 let test_language_lattice_instance () =
   (* Run the generic Theorem 2 construction over the automata-backed
      Boolean algebra and verify the decomposition of p3. *)
-  let module L = (val Decompose.language_lattice ~alphabet:2 ()) in
+  let module L = (val Decompose.language_lattice ~alphabet:2) in
   let module T = Sl_core.Theory.Make (L) in
   match T.decompose ~cl2:Decompose.lcl Patterns.p3 with
   | None -> Alcotest.fail "language lattice complement failed"
@@ -548,4 +588,6 @@ let tests =
     QCheck_alcotest.to_alcotest prop_closure_extensive_idempotent;
     QCheck_alcotest.to_alcotest prop_complement_closed_random;
     QCheck_alcotest.to_alcotest prop_rank_complement_random;
-    QCheck_alcotest.to_alcotest prop_lemma3_languages ]
+    QCheck_alcotest.to_alcotest prop_lemma3_languages;
+    Alcotest.test_case "negate complements membership" `Quick
+      test_negate_complements ]

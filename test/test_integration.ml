@@ -100,7 +100,7 @@ let test_classification_three_ways () =
         (Decompose.classification_to_string by_automaton);
       (* Lattice view: safety iff the element equals its closure, decided
          by the generic predicates over the language lattice. *)
-      let module L = (val Decompose.language_lattice ~alphabet:2 ()) in
+      let module L = (val Decompose.language_lattice ~alphabet:2) in
       let module T = Sl_core.Theory.Make (L) in
       let lattice_safety = T.is_safety Decompose.lcl b in
       let lattice_liveness = T.is_liveness Decompose.lcl b in
