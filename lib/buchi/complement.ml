@@ -8,25 +8,28 @@ let m_rank_runs = Obs.Metrics.counter "buchi_rank_complement_runs_total"
 let h_rank_states = Obs.Metrics.histogram "buchi_rank_complement_states"
 let m_rank_interner_hits = Obs.Metrics.counter "buchi_rank_interner_hits_total"
 
+(* The complement of a closure-shaped automaton with a non-empty
+   language; the caller has checked both. The prefix language P of a
+   closure automaton is prefix-closed and its complement is
+   extension-closed, so in the subset DFA the empty set is the unique
+   rejecting sink: a word is outside the closed ω-language iff its run
+   eventually falls into that sink. *)
+let complement_closure_shaped (b : Buchi.t) =
+  let dfa = Sl_nfa.Nfa.determinize (Buchi.to_prefix_nfa b) in
+  let delta = Array.map (fun row -> Array.map (fun q -> [ q ]) row)
+      dfa.Sl_nfa.Dfa.delta in
+  let accepting = Array.map not dfa.Sl_nfa.Dfa.accepting in
+  if not (Array.exists Fun.id accepting) then
+    Buchi.empty_language ~alphabet:b.alphabet
+  else
+    Buchi.make ~alphabet:b.alphabet ~nstates:dfa.Sl_nfa.Dfa.nstates
+      ~start:dfa.Sl_nfa.Dfa.start ~delta ~accepting
+
 let complement_closed (b : Buchi.t) =
   if Buchi.is_empty b then Buchi.universal ~alphabet:b.alphabet
   else if not (Closure.is_closure_shaped b) then
     invalid_arg "Complement.complement_closed: automaton is not closure-shaped"
-  else begin
-    (* The prefix language P of a closure automaton is prefix-closed and
-       its complement is extension-closed, so in the subset DFA the empty
-       set is the unique rejecting sink: a word is outside the closed
-       ω-language iff its run eventually falls into that sink. *)
-    let dfa = Sl_nfa.Nfa.determinize (Buchi.to_prefix_nfa b) in
-    let delta = Array.map (fun row -> Array.map (fun q -> [ q ]) row)
-        dfa.Sl_nfa.Dfa.delta in
-    let accepting = Array.map not dfa.Sl_nfa.Dfa.accepting in
-    if not (Array.exists Fun.id accepting) then
-      Buchi.empty_language ~alphabet:b.alphabet
-    else
-      Buchi.make ~alphabet:b.alphabet ~nstates:dfa.Sl_nfa.Dfa.nstates
-        ~start:dfa.Sl_nfa.Dfa.start ~delta ~accepting
-  end
+  else complement_closure_shaped b
 
 (* Kupferman–Vardi rank-based complementation. Complement states are pairs
    (g, O): g a level ranking (rank per tracked state of B, -1 for absent;
@@ -192,5 +195,6 @@ let rank_based ?(max_states = 200_000) (b : Buchi.t) =
       result
 
 let negate (b : Buchi.t) =
-  if Buchi.is_empty b || Closure.is_closure_shaped b then complement_closed b
+  if Buchi.is_empty b then Buchi.universal ~alphabet:b.alphabet
+  else if Closure.is_closure_shaped b then complement_closure_shaped b
   else rank_based b

@@ -66,22 +66,25 @@ let classification_to_string = function
   | Both -> "both (Sigma^omega)"
   | Neither -> "neither"
 
-let is_liveness b =
-  Buchi.is_empty (Complement.complement_closed (Closure.bcl b))
+(* Over [closure] = bcl B: B is liveness iff lcl L(B) is universal,
+   and, since L(B) ⊆ lcl L(B) always, safety iff lcl L(B) ∩ ¬L(B) = ∅. *)
+let dense closure = Buchi.is_empty (Complement.complement_closed closure)
 
-(* L(B) ⊆ lcl L(B) always, so B is safety iff lcl L(B) ∩ ¬L(B) = ∅. *)
-let is_closed_against b negation =
-  Buchi.is_empty (Ops.intersect (Closure.bcl b) negation)
+let closed_against closure negation =
+  Buchi.is_empty (Ops.intersect closure negation)
+
+let is_liveness b = dense (Closure.bcl b)
 
 (* The one classifier body, over a given ¬B. *)
 let classify_against b ~negation =
-  match (is_closed_against b negation, is_liveness b) with
+  let closure = Closure.bcl b in
+  match (closed_against closure negation, dense closure) with
   | true, true -> Both
   | true, false -> Safety
   | false, true -> Liveness
   | false, false -> Neither
 
-let is_safety b = is_closed_against b (Complement.negate b)
+let is_safety b = closed_against (Closure.bcl b) (Complement.negate b)
 let classify b = classify_against b ~negation:(Complement.negate b)
 
 let classify_via_negation b ~negation =

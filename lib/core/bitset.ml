@@ -140,8 +140,7 @@ module Interner = struct
 
   type t = { table : int H.t; mutable sets : bitset array; mutable count : int }
 
-  let create ?(expected = 64) () =
-    { table = H.create expected; sets = [||]; count = 0 }
+  let create () = { table = H.create 64; sets = [||]; count = 0 }
 
   let count t = t.count
 

@@ -62,7 +62,7 @@ module Interner : sig
   type bitset = t
   type t
 
-  val create : ?expected:int -> unit -> t
+  val create : unit -> t
   val count : t -> int
 
   val intern : t -> bitset -> int

@@ -64,21 +64,6 @@ module Make (L : COMPLEMENTED) = struct
     not
       (is_safety cl2 s && is_liveness cl1 l && L.equal (L.meet s l) a)
 
-  let closure_violation cl ~sample =
-    let bad = ref None in
-    let record law ws = if !bad = None then bad := Some (law, ws) in
-    List.iter
-      (fun x ->
-        if not (L.leq x (cl x)) then record "extensive" [ x ];
-        if not (L.equal (cl (cl x)) (cl x)) then record "idempotent" [ x ];
-        List.iter
-          (fun y ->
-            if L.leq x y && not (L.leq (cl x) (cl y)) then
-              record "monotone" [ x; y ])
-          sample)
-      sample;
-    !bad
-
   let gumm_join_preservation_violation cl ~sample =
     let bad = ref None in
     List.iter

@@ -47,8 +47,8 @@ type 'a decomposition = { element : 'a; safety : 'a; liveness : 'a }
 module Make (L : COMPLEMENTED) : sig
   type closure = L.t -> L.t
   (** Closure operators are passed as plain functions; validity (extensive,
-      idempotent, monotone) is the caller's obligation, checkable with
-      {!closure_violation} on a sample. *)
+      idempotent, monotone) is the caller's obligation, checkable on a
+      finite lattice with [Sl_lattice.Closure.validate]. *)
 
   (** {1 Safety and liveness elements} *)
 
@@ -120,10 +120,6 @@ module Make (L : COMPLEMENTED) : sig
       every pair. *)
 
   (** {1 Diagnostics} *)
-
-  val closure_violation : closure -> sample:L.t list -> (string * L.t list) option
-  (** Sampled check that a function is a lattice closure (extensive,
-      idempotent, monotone on all pairs drawn from [sample]). *)
 
   val gumm_join_preservation_violation : closure -> sample:L.t list -> (L.t * L.t) option
   (** Gumm's framework additionally requires [cl (a v b) = cl a v cl b].

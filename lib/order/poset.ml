@@ -109,9 +109,6 @@ let covers p =
 let covers_of p x =
   List.filter_map (fun (a, b) -> if a = x then Some b else None) (covers p)
 
-let covered_by p x =
-  List.filter_map (fun (a, b) -> if b = x then Some a else None) (covers p)
-
 let minimal p =
   List.filter
     (fun x -> not (List.exists (fun y -> lt p y x) (elements p)))

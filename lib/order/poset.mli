@@ -75,9 +75,6 @@ val covers : t -> (elt * elt) list
 val covers_of : t -> elt -> elt list
 (** [covers_of p x] lists the elements covering [x] (immediately above). *)
 
-val covered_by : t -> elt -> elt list
-(** [covered_by p x] lists the elements covered by [x] (immediately below). *)
-
 (** {1 Extremal elements and bounds} *)
 
 val minimal : t -> elt list

@@ -263,7 +263,7 @@ let run_graph_violates ~npos ~succ ~reachable ~state_of ~pairs =
   in
   violating (List.filter (fun v -> reachable.(v)) (List.init npos Fun.id))
 
-let accepts_general ~max_product b t =
+let accepts_general b t =
   let encode, moves = product_moves b t in
   let npos = b.nstates * t.Rtree.nstates in
   let choice_lists = Array.init npos moves in
@@ -274,7 +274,7 @@ let accepts_general ~max_product b t =
           acc * List.length l)
       1 choice_lists
   in
-  if combos > max_product then
+  if combos > 4096 then
     invalid_arg "Rabin.accepts: strategy enumeration exceeds guard";
   let start = encode b.start t.Rtree.root in
   (* Enumerate strategies: index into each position's choice list. *)
@@ -322,9 +322,8 @@ let accepts_general ~max_product b t =
   in
   try_all (Array.make npos 0) 0
 
-let accepts ?(max_product = 4096) b t =
-  if is_buchi_shaped b then accepts_buchi b t
-  else accepts_general ~max_product b t
+let accepts b t =
+  if is_buchi_shaped b then accepts_buchi b t else accepts_general b t
 
 let extends b x =
   if not (is_buchi_shaped b) then

@@ -72,11 +72,11 @@ val nonempty_witness : t -> Rtree.t option
     and a transition tuple; reading the strategy as a pointed graph gives
     a regular tree together with its accepting run. Büchi-shaped only. *)
 
-val accepts : ?max_product:int -> t -> Rtree.t -> bool
+val accepts : t -> Rtree.t -> bool
 (** Membership of a regular tree. General Rabin conditions fall back to
-    memoryless-strategy enumeration, guarded by [max_product] (default
-    [4096] strategy candidates). @raise Invalid_argument when the
-    fallback would exceed the guard. *)
+    memoryless-strategy enumeration, guarded at 4096 strategy
+    candidates. @raise Invalid_argument when the fallback would exceed
+    the guard. *)
 
 val extends : t -> Ftree.t -> bool
 (** Does some accepted tree extend the given finite k-branching prefix?

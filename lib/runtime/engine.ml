@@ -1,10 +1,12 @@
 module Obs = Sl_obs.Obs
 
 (* Engine telemetry. The per-event hot path ([step_trace]) stays
-   untouched — metrics are recorded once per chunk/call from the [feed]
-   and [step] epilogues as deltas of the engine's own counters, so the
-   disabled-mode cost is one flag check per chunk, not per event.
-   Counters aggregate across all engines of the process. *)
+   untouched — metrics are recorded once per chunk from the [feed]
+   epilogue as deltas of the engine's own counters, so the
+   disabled-mode cost is one flag check per chunk, not per event; only
+   the per-monitor retirement counters move at the retirement itself.
+   {!step} records nothing. Counters aggregate across all engines of
+   the process. *)
 let m_events =
   Obs.Metrics.counter ~help:"Events stepped by the engine" "engine_events_total"
 
@@ -40,10 +42,10 @@ let g_minor_words_per_event =
 
 (* Labeled telemetry. Per-monitor series are labeled by the FNV-64
    hash of the monitor's canonical key — stable across reloads and
-   processes, unlike the distinct-monitor index. The hot loop only
-   bumps plain int arrays at retirements; label lookup and the counter
-   writes happen in the chunk epilogue, and only while collection is
-   enabled. *)
+   processes, unlike the distinct-monitor index. Label handles are
+   interned at engine creation, so a retirement that fires the hook
+   bumps its monitor's series with one flag check and one counter add,
+   never a label lookup. *)
 let v_monitor_trips =
   Obs.Metrics.counter_vec
     ~help:"Violation retirements per distinct monitor (canonical-key hash)"
@@ -387,7 +389,7 @@ type t = {
   monitors : Packed_dfa.t array;
   alphabet : int;
   nvacuous : int;
-  npretripped : int;
+  pretripped : int array;  (* pre-tripped monitor indices, ascending *)
   groups : group array;
   where : int array;
       (* monitor -> (group lsl 6) lor bit; -1 if vacuous or pre-tripped *)
@@ -408,17 +410,10 @@ type t = {
     (trace:int -> monitor:int -> position:int -> tripped:bool -> unit) option;
       (** incremental retirement callback; [None] (the default) keeps
           the hot path at one comparison per retirement *)
-  (* Per-monitor retirement telemetry: cumulative since creation,
-     process-local (snapshots neither save nor restore it, like the
-     engine_*_total metrics). Bumped unconditionally — one int store
-     per retirement, never per event — so the chunk epilogue can flush
-     deltas into the labeled counters without touching the hot loop. *)
-  mtrips : int array;  (* violation retirements per distinct monitor *)
-  mretires : int array;  (* admissible-forever retirements *)
-  mtrips0 : int array;  (* epilogue scratch: values at chunk start *)
-  mretires0 : int array;
-  mtrip_children : Obs.Metrics.counter array;  (* label handles, per M *)
+  mtrip_children : Obs.Metrics.counter array;
+      (* label handles, per M: violation retirements at a step *)
   mretire_children : Obs.Metrics.counter array;
+      (* admissible-forever retirements *)
 }
 
 let empty_slots ~stride ~cap =
@@ -446,17 +441,23 @@ let make monitors roots =
           monitors;
         a
   in
-  let count p = Array.fold_left (fun n pd -> if p pd then n + 1 else n) 0 in
-  let nvacuous = count (fun pd -> pd.Packed_dfa.vacuous) monitors
-  and npretripped = count (fun pd -> pd.Packed_dfa.pre_tripped) monitors in
-  let groups, at = planned monitors roots in
   let m = Array.length monitors in
+  let nvacuous =
+    Array.fold_left
+      (fun n pd -> if pd.Packed_dfa.vacuous then n + 1 else n)
+      0 monitors
+  and pretripped =
+    Array.of_list
+      (List.filter
+         (fun mi -> monitors.(mi).Packed_dfa.pre_tripped)
+         (List.init m Fun.id))
+  in
+  let groups, at = planned monitors roots in
   let where = Array.make m (-1) in
   Array.iteri
     (fun g gr ->
       Array.iteri (fun j mi -> where.(mi) <- (g lsl 6) lor j) gr.members)
     groups;
-  let mslots = max m 1 in
   (* Label handles are interned eagerly: engine creation is a cold
      main-domain path, and children are keyed by canonical-key hash, so
      engines over the same monitors share series. *)
@@ -467,14 +468,12 @@ let make monitors roots =
       monitors
   in
   let stride = 1 + (2 * Array.length groups) in
-  ( { monitors; alphabet; nvacuous; npretripped; groups; where; stride;
+  ( { monitors; alphabet; nvacuous; pretripped; groups; where; stride;
       slots = empty_slots ~stride ~cap:4; ntraces = 0;
       trip_at = { keys = Array.make 64 (-1); vals = Array.make 64 0; used = 0 };
       smax = smax_of monitors;
-      nmembers = m - nvacuous - npretripped;
+      nmembers = m - nvacuous - Array.length pretripped;
       events = 0; tripped = 0; retired_ok = 0; live_pairs = 0; hook = None;
-      mtrips = Array.make mslots 0; mretires = Array.make mslots 0;
-      mtrips0 = Array.make mslots 0; mretires0 = Array.make mslots 0;
       mtrip_children = children v_monitor_trips;
       mretire_children = children v_monitor_retires },
     at )
@@ -484,9 +483,16 @@ let create ~monitors () =
 
 let monitors eng = eng.monitors
 
+let fire eng ~trace ~monitor ~position ~tripped =
+  match eng.hook with
+  | None -> ()
+  | Some h -> h ~trace ~monitor ~position ~tripped
+
 (* The slot offset of trace [id], materializing it on first use: every
    group starts in its state 0 with nothing tripped, and pre-tripped
-   (empty property) monitors are born violated at position 0. *)
+   (empty property) monitors are born violated at position 0 — their
+   bad prefix is the empty word, so each trips through the hook there,
+   in ascending index, before the trace's first event steps. *)
 let materialize eng id =
   if id < 0 then invalid_arg "Engine: negative trace id";
   let base = id * eng.stride in
@@ -499,16 +505,14 @@ let materialize eng id =
   end;
   if Array.unsafe_get eng.slots base < 0 then begin
     eng.slots.(base) <- 0;
-    eng.tripped <- eng.tripped + eng.npretripped;
+    eng.tripped <- eng.tripped + Array.length eng.pretripped;
     eng.live_pairs <- eng.live_pairs + eng.nmembers;
-    if id >= eng.ntraces then eng.ntraces <- id + 1
+    if id >= eng.ntraces then eng.ntraces <- id + 1;
+    for i = 0 to Array.length eng.pretripped - 1 do
+      fire eng ~trace:id ~monitor:eng.pretripped.(i) ~position:0 ~tripped:true
+    done
   end;
   base
-
-let fire eng ~trace ~monitor ~position ~tripped =
-  match eng.hook with
-  | None -> ()
-  | Some h -> h ~trace ~monitor ~position ~tripped
 
 (* An edge that trips or retires members: record those not already
    tripped, in ascending monitor index. [slot] is the group's state
@@ -533,12 +537,12 @@ let emit eng gr ~id ~slot ~edge ~position =
             ((id * Array.length eng.where) + m)
             ((position * eng.smax) + gr.tuples.((p * k) + !j));
           eng.tripped <- eng.tripped + 1;
-          eng.mtrips.(m) <- eng.mtrips.(m) + 1;
+          Obs.Metrics.incr eng.mtrip_children.(m);
           fire eng ~trace:id ~monitor:m ~position ~tripped:true
         end
         else begin
           eng.retired_ok <- eng.retired_ok + 1;
-          eng.mretires.(m) <- eng.mretires.(m) + 1;
+          Obs.Metrics.incr eng.mretire_children.(m);
           fire eng ~trace:id ~monitor:m ~position ~tripped:false
         end
       end;
@@ -580,18 +584,9 @@ let check_symbol eng symbol =
       (Printf.sprintf "Engine: symbol %d outside alphabet [0, %d)" symbol
          eng.alphabet)
 
-(* Snapshot the per-monitor cumulative arrays into the epilogue scratch
-   (callers do this only when collection is enabled, before stepping). *)
-let snapshot_monitors eng =
-  let m = Array.length eng.monitors in
-  Array.blit eng.mtrips 0 eng.mtrips0 0 m;
-  Array.blit eng.mretires 0 eng.mretires0 0 m
-
 (* Record the chunk's telemetry from deltas of the engine's own
-   counters. [n] events were just stepped; [t0_us]/[mw0] and the
-   monitor snapshot were read before the loop (only when collection was
-   already enabled). Label handles were interned at engine creation, so
-   flushing a delta is one hashtable-free counter add per monitor. *)
+   counters. [n] events were just stepped; [t0_us]/[mw0] were read
+   before the loop (only when collection was already enabled). *)
 let record_chunk eng ~n ~t0_us ~mw0 ~tripped0 ~retired0 =
   let dt_ns = int_of_float ((Obs.Clock.now_us () -. t0_us) *. 1e3) in
   let mw = int_of_float (Gc.minor_words () -. mw0) in
@@ -604,25 +599,11 @@ let record_chunk eng ~n ~t0_us ~mw0 ~tripped0 ~retired0 =
   Obs.Metrics.observe h_stage_feed dt_ns;
   Obs.Metrics.observe h_chunk_events n;
   Obs.Metrics.add m_minor_words mw;
-  if n > 0 then Obs.Metrics.set g_minor_words_per_event (mw / n);
-  for m = 0 to Array.length eng.monitors - 1 do
-    let dt = eng.mtrips.(m) - eng.mtrips0.(m)
-    and dr = eng.mretires.(m) - eng.mretires0.(m) in
-    if dt > 0 then Obs.Metrics.add eng.mtrip_children.(m) dt;
-    if dr > 0 then Obs.Metrics.add eng.mretire_children.(m) dr
-  done
+  if n > 0 then Obs.Metrics.set g_minor_words_per_event (mw / n)
 
 let step eng ~trace ~symbol =
   check_symbol eng symbol;
-  if not (Obs.is_enabled ()) then step_trace eng trace symbol
-  else begin
-    let t0_us = Obs.Clock.now_us () in
-    let mw0 = Gc.minor_words () in
-    let tripped0 = eng.tripped and retired0 = eng.retired_ok in
-    snapshot_monitors eng;
-    step_trace eng trace symbol;
-    record_chunk eng ~n:1 ~t0_us ~mw0 ~tripped0 ~retired0
-  end
+  step_trace eng trace symbol
 
 let feed eng ?(off = 0) ~n ~traces ~symbols () =
   if off < 0 || n < 0 || off + n > Array.length traces
@@ -641,7 +622,6 @@ let feed eng ?(off = 0) ~n ~traces ~symbols () =
     let t0_us = Obs.Clock.now_us () in
     let mw0 = Gc.minor_words () in
     let tripped0 = eng.tripped and retired0 = eng.retired_ok in
-    snapshot_monitors eng;
     (match run () with
     | () -> ()
     | exception e ->
@@ -738,7 +718,7 @@ let trace_summary eng id =
   match base_of eng id with
   | None -> None
   | Some base ->
-      let live = ref 0 and tripped = ref eng.npretripped in
+      let live = ref 0 and tripped = ref (Array.length eng.pretripped) in
       Array.iteri
         (fun g gr ->
           let p = eng.slots.(base + 1 + (2 * g))
@@ -910,7 +890,8 @@ let restore ~monitors traces =
         eng.tripped <- eng.tripped + tripped;
         eng.live_pairs <- eng.live_pairs + live;
         eng.retired_ok <-
-          eng.retired_ok + eng.nmembers + eng.npretripped - live - tripped)
+          eng.retired_ok + eng.nmembers + Array.length eng.pretripped - live
+          - tripped)
       (trace_summary eng id)
   done;
   eng

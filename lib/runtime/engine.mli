@@ -50,8 +50,10 @@ val monitors : t -> Packed_dfa.t array
 val step : t -> trace:int -> symbol:int -> unit
 (** Feed one event. Trace ids are dense nonnegative ints (see
     [Ingest]); a fresh id takes its slots in the flat trace table on
-    first use. @raise Invalid_argument if the symbol is outside the
-    alphabet. *)
+    first use. Records no chunk telemetry and no span, so a caller that
+    steps one event at a time pays no clock read per event; only the
+    per-monitor retirement counters move, as in {!feed}.
+    @raise Invalid_argument if the symbol is outside the alphabet. *)
 
 val feed :
   t -> ?off:int -> n:int -> traces:int array -> symbols:int array ->
@@ -59,7 +61,8 @@ val feed :
 (** Batched ingestion of [n] events from parallel arrays
     [traces.(off..)] / [symbols.(off..)] — the chunk shape produced by
     [Ingest]. Equivalent to [n] calls to {!step}, without per-event
-    call/option overhead. *)
+    call/option overhead; while collection is enabled it also records
+    an [engine.feed] span and the chunk's engine metrics. *)
 
 val verdict : t -> trace:int -> monitor:int -> verdict
 (** Current verdict of a distinct monitor on a trace (never-seen traces
@@ -81,17 +84,24 @@ val set_retire_hook :
     admissible-forever ([position] is the event at which no rejecting
     state remained reachable). Each monitor instance retires at most
     once ever, so the hook fires at most [ntraces * nmonitors] times
-    over a run. Pre-tripped (empty-property) monitors and vacuous
-    monitors never pass through the hook — they retire at trace
-    materialization, not at a step; callers see them in {!monitors}.
+    over a run. The hook is the one source of verdict events: a
+    pre-tripped (empty-property) monitor, whose bad prefix is the empty
+    word, trips through it at [position = 0] when a trace is
+    materialized, before that trace's first event steps; a step trips
+    at [position >= 1]. Vacuous monitors never retire and never pass
+    through the hook.
 
     Ordering: the hook fires in exact event order, from inside the
     step that retires the monitor, so {!feed} and the equivalent
-    sequence of {!step} calls fire the same sequence. Monitors retiring
-    at the same event fire in ascending monitor index, trips and
-    admissible retirements interleaved, whatever group they are in. The hook must not
+    sequence of {!step} calls fire the same sequence. A new trace's
+    pre-tripped monitors fire first, in ascending index; monitors
+    retiring at the same event fire in ascending monitor index, trips
+    and admissible retirements interleaved, whatever group they are
+    in. Each firing at a step also bumps the retiring monitor's
+    [engine_monitor_trips_total] or [engine_monitor_retires_total]
+    series (pre-tripped firings count in neither). The hook must not
     call back into the engine's stepping API. Restoring a snapshot
-    fires no hooks. *)
+    fires no hooks: restored traces are already materialized. *)
 
 (** {1 Metrics counters} *)
 

@@ -432,14 +432,12 @@ let scan_eof sc =
   end;
   scan_flush sc
 
-let scan_channel ?chunk_size ?(buf_size = 65536) ~alphabet t ic ~on_chunk
-    ~on_error =
-  if buf_size <= 0 then invalid_arg "Ingest.scan_channel";
-  let sc = scanner ?chunk_size ~alphabet t ~on_chunk ~on_error in
-  let buf = Bytes.create buf_size in
+let scan_channel ~alphabet t ic ~on_chunk ~on_error =
+  let sc = scanner ~alphabet t ~on_chunk ~on_error in
+  let buf = Bytes.create 65536 in
   let continue = ref true in
   while !continue do
-    let n = input ic buf 0 buf_size in
+    let n = input ic buf 0 (Bytes.length buf) in
     if n = 0 then continue := false else scan_bytes sc buf 0 n
   done;
   scan_eof sc

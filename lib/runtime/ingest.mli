@@ -123,7 +123,8 @@ val scan_eof : scanner -> unit
     remaining partial chunk. *)
 
 val scan_channel :
-  ?chunk_size:int -> ?buf_size:int -> alphabet:int -> t -> in_channel ->
-  on_chunk:(chunk -> unit) -> on_error:(error -> unit) -> unit
-(** Block-read the channel to EOF through a {!scanner} ([buf_size]
-    bytes per read, default 65536) — the [slc monitor] ingest path. *)
+  alphabet:int -> t -> in_channel -> on_chunk:(chunk -> unit) ->
+  on_error:(error -> unit) -> unit
+(** Block-read the channel to EOF, 65536 bytes per read, through a
+    {!scanner} with its default chunk size — the [slc monitor] ingest
+    path. *)

@@ -2,7 +2,7 @@ open Sl_runtime
 module Obs = Sl_obs.Obs
 
 (* Pipeline-stage timing: time spent rendering verdict records (the
-   retire hook plus pre-tripped announcements) during one feed.
+   retire hook) during one feed.
    Retirements are rare — at most monitors x traces over a whole run —
    so the two clock reads per firing stay off the per-event path; the
    accumulated delta is observed once per chunk. *)
@@ -46,10 +46,6 @@ type t = {
          property-id order *)
   mutable prop_names : string array;  (* property-id order *)
   mutable prop_monitors : int array;  (* property id -> monitor index *)
-  mutable pretripped_props : string list;
-  mutable announced : int;
-      (* trace ids below this had their pre-tripped verdicts emitted
-         (or predate the daemon and are covered by EOF dumps) *)
   mutable out : Buffer.t option;
       (* the feeding connection's scratch buffer, installed for the
          duration of a [feed] — the retire hook renders into it
@@ -68,14 +64,6 @@ let props_by_monitor registry =
     (List.rev (Registry.props registry));
   buckets
 
-let pretripped_of registry =
-  let monitors = Registry.monitors registry in
-  List.filter_map
-    (fun (p : Registry.prop) ->
-      if monitors.(p.monitor).Packed_dfa.pre_tripped then Some p.name
-      else None)
-    (Registry.props registry)
-
 let install_hook d =
   Engine.set_retire_hook (Session.engine d.session)
     (Some
@@ -88,8 +76,11 @@ let install_hook d =
              List.iter
                (fun prop ->
                  if tripped then
+                   (* a trip at position 0 is a pre-tripped monitor's,
+                      fired as its trace materializes *)
                    Records.add_verdict_violation buf ~trace:tname ~prop
-                     ~position ~cause:"trip"
+                     ~position
+                     ~cause:(if position = 0 then "pretripped" else "trip")
                  else
                    Records.add_verdict_admissible buf ~trace:tname ~prop
                      ~cause:"retire")
@@ -104,8 +95,6 @@ let adopt d session =
   let props = Array.of_list (Registry.props registry) in
   d.prop_names <- Array.map (fun (p : Registry.prop) -> p.name) props;
   d.prop_monitors <- Array.map (fun (p : Registry.prop) -> p.monitor) props;
-  d.pretripped_props <- pretripped_of registry;
-  d.announced <- Engine.ntraces (Session.engine session);
   install_hook d
 
 let make ?(pool = 8) session =
@@ -115,8 +104,6 @@ let make ?(pool = 8) session =
       props_of_monitor = [||];
       prop_names = [||];
       prop_monitors = [||];
-      pretripped_props = [];
-      announced = 0;
       out = None;
       render_us = 0.;
       pool_max = pool;
@@ -143,24 +130,6 @@ let feed d ~buf (chunk : Ingest.chunk) =
     (fun () ->
       Engine.feed eng ~n:chunk.Ingest.len ~traces:chunk.Ingest.trace_ids
         ~symbols:chunk.Ingest.symbols ());
-  let after = Engine.ntraces eng in
-  if after > d.announced then begin
-    (if d.pretripped_props <> [] then begin
-       let t0 = if Obs.is_enabled () then Obs.Clock.now_us () else 0. in
-       let ing = Session.ingest d.session in
-       for id = d.announced to after - 1 do
-         let trace = Ingest.name ing id in
-         List.iter
-           (fun prop ->
-             Records.add_verdict_violation buf ~trace ~prop ~position:0
-               ~cause:"pretripped")
-           d.pretripped_props
-       done;
-       if t0 > 0. then
-         d.render_us <- d.render_us +. (Obs.Clock.now_us () -. t0)
-     end);
-    d.announced <- after
-  end;
   if Obs.is_enabled () && d.render_us > 0. then
     Obs.Metrics.observe h_stage_render (int_of_float (d.render_us *. 1e3))
 

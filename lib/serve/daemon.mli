@@ -11,9 +11,11 @@
     firings to whichever sink is feeding right now: {!feed} installs the
     caller's sink for the duration of the engine feed, so incremental
     trip/retire records land on the connection that delivered the
-    triggering chunk. Pre-tripped (empty-property) verdicts — which
-    retire at trace materialization, below the hook — are announced by
-    {!feed} for every newly materialized trace. The per-trace EOF
+    triggering chunk. Pre-tripped (empty-property) verdicts come through
+    the same hook: the engine fires them at position 0 as a trace
+    materializes, and the hook renders them with cause ["pretripped"]
+    (["trip"] at any later position), ahead of that trace's first
+    step records. The per-trace EOF
     {!dump} then re-states every property's current verdict, making each
     connection's total output a superset of the offline report rows for
     the traces it touched. *)
@@ -23,8 +25,8 @@ type t
 val make : ?pool:int -> Sl_runtime.Session.t -> t
 (** Wrap a session (fresh or restored) and install the retire hook on
     its engine. Traces already present (a [--resume]d snapshot) are
-    treated as announced: their verdicts surface via {!dump}, not as
-    spurious incremental records. [pool] bounds the free list of
+    already materialized, so the engine fires nothing for them: their
+    verdicts surface via {!dump}, not as spurious incremental records. [pool] bounds the free list of
     connection buffer sets (default 8; [0] gives every connection fresh
     buffers). *)
 
@@ -37,8 +39,9 @@ val fingerprint : t -> string
 
 val feed : t -> buf:Buffer.t -> Sl_runtime.Ingest.chunk -> unit
 (** Feed one chunk through the engine, appending the NDJSON verdict
-    records it causes (trips, admissible retirements, and pre-tripped
-    announcements for traces materialized by this chunk) to [buf] — the
+    records it causes (trips, admissible retirements, and the
+    pre-tripped verdicts of traces this chunk materializes, each at its
+    trace's first event) to [buf] — the
     caller's reusable scratch buffer, so a whole chunk's records
     coalesce into one output slab. The buffer is installed as the hook's
     target only for the duration of the call. *)
@@ -103,8 +106,8 @@ val give_bufs : t -> max_slab:int -> bufs -> unit
 val swap_session : t -> Sl_runtime.Session.t -> unit
 (** Hot-reload commit point: detach the hook from the old engine,
     adopt [s] and install the hook there. All monitor/property lookup
-    tables are rebuilt from the new registry; traces present in [s]
-    count as announced. [s] must share the running session's interner
+    tables are rebuilt from the new registry; traces present in [s] are
+    already materialized, so they get no pre-tripped records. [s] must share the running session's interner
     and alphabet, as {!Reload.carry_over}'s sessions do: live and
     pooled scanners keep interning into it.
     @raise Invalid_argument otherwise. *)

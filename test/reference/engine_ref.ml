@@ -3,8 +3,9 @@
    live list per trace kept in ascending monitor order.
    [Sl_runtime.Engine] now steps the fleet as a shadow product; this is
    the reference it is pinned against (test/test_runtime.ml). Kept
-   verbatim up to telemetry, sharing the engine's verdict and
-   trace-state types. *)
+   verbatim up to telemetry and the retire hook's pre-tripped firings
+   at materialization, sharing the engine's verdict and trace-state
+   types. *)
 
 module Packed_dfa = Sl_runtime.Packed_dfa
 module Engine = Sl_runtime.Engine
@@ -88,6 +89,13 @@ let mk_trace eng =
   init_trace eng tr;
   tr
 
+let fire eng ~trace ~monitor ~position ~tripped =
+  match eng.hook with
+  | None -> ()
+  | Some h -> h ~trace ~monitor ~position ~tripped
+
+(* A new trace's pre-tripped monitors trip through the hook at position
+   0, in ascending index. *)
 let get_trace eng id =
   if id < 0 then invalid_arg "Engine: negative trace id";
   if id >= Array.length eng.traces then begin
@@ -102,12 +110,12 @@ let get_trace eng id =
       let tr = mk_trace eng in
       eng.traces.(id) <- Some tr;
       if id >= eng.ntraces then eng.ntraces <- id + 1;
+      Array.iteri
+        (fun m pd ->
+          if pd.Packed_dfa.pre_tripped then
+            fire eng ~trace:id ~monitor:m ~position:0 ~tripped:true)
+        eng.plan.monitors;
       tr
-
-let fire eng ~trace ~monitor ~position ~tripped =
-  match eng.hook with
-  | None -> ()
-  | Some h -> h ~trace ~monitor ~position ~tripped
 
 (* Step every live monitor of the trace; the live list stays ascending,
    so the monitors retiring at one event fire in ascending index. *)

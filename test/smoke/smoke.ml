@@ -457,6 +457,39 @@ let split_fleet () =
   say "served = offline over the 120-word fleet (%s product groups)"
     (Option.get groups)
 
+(* The example fleet plus the empty property [G a & G !a], whose bad
+   prefix is the empty word, over two clients split by trace: served =
+   offline, and each trace gets exactly one "pretripped" record, on the
+   client that sent it. *)
+let pretripped_fleet () =
+  let empty = "G a & G !a" and path = file "pretripped.props" in
+  write_file path (read_file props ^ empty ^ "\n");
+  let offline = offline ~props:path example in
+  let lines = lines_of example in
+  let only id =
+    String.concat ""
+      (List.filter (String.starts_with ~prefix:(id ^ " ")) lines)
+  in
+  let daemon = start ~props:path [] in
+  let replies = finish [ client (only "req-1"); client (only "req-2") ] in
+  stop "pre-tripped fleet" daemon;
+  same_verdicts "pre-tripped fleet" ~offline replies;
+  List.iter2
+    (fun id reply ->
+      let pre =
+        List.filter
+          (fun r -> J.member "cause" r = Some (J.Str "pretripped"))
+          (Served.records_of_type "verdict" reply)
+      in
+      check
+        (List.map (fun r -> (str "trace" r, str "prop" r, int "position" r)) pre
+        = [ (id, empty, 0) ])
+        "pre-tripped fleet: %s got %d pretripped records, expected one for \
+         its own trace" id (List.length pre))
+    [ "req-1"; "req-2" ] replies;
+  say "served = offline with the empty property, one pretripped record per \
+       trace"
+
 (* A SIGHUP reload that keeps G !(a & X a) while every trace sits just
    after an [a], and adds a fresh G !(a & X !a). The fresh monitor
    starts at its start state mid-trace: a state pair the product built
@@ -890,7 +923,8 @@ let () =
     | [ "trace-jsonl"; path ] -> trace_jsonl path
     | [ "report-size" ] -> report_size ()
     | [ "serve" ] ->
-        served_offline (); split_fleet (); fresh_monitor_reload ();
+        served_offline (); split_fleet (); pretripped_fleet ();
+        fresh_monitor_reload ();
         over_cap_reload (); framing (); fd_exhaustion ();
         many_connections ();
         slow_reader (); restart (); soak ()

@@ -178,6 +178,66 @@ let test_pretripped_announced () =
   let offline = offline_tuples ~props [ ("x", 1); ("y", 0) ] in
   check "still equal to offline" true (Tuples.equal offline (served_tuples out))
 
+(* The empty property trips through the engine's retire hook at
+   position 0 as its trace materializes: the pre-tripped record comes
+   at the trace's first event, on the connection that fed it, before
+   that event's own trip. *)
+let test_pretripped_at_first_event () =
+  let props = [ "a & !a"; "a" ] in
+  let daemon = mk_daemon ~props () in
+  let pretripped r = jopt Json.str "cause" r = Some "pretripped" in
+  let of_trace t out =
+    List.filter
+      (fun r -> jopt Json.str "trace" r = Some t)
+      (records_of_type "verdict" out)
+  in
+  (* one connection, one read *)
+  let conn = Conn.create daemon in
+  Conn.on_bytes conn "x 1
+y 0
+x 1
+";
+  Conn.on_eof conn;
+  let out = Conn.drain_output conn in
+  List.iter
+    (fun t ->
+      check_int (t ^ ": one pretripped record") 1
+        (List.length (List.filter pretripped (of_trace t out))))
+    [ "x"; "y" ];
+  (match
+     List.filter
+       (fun r -> jopt Json.str "cause" r <> Some "eof")
+       (of_trace "x" out)
+   with
+  | [ first; second ] ->
+      check "x: pretripped record first" true
+        (pretripped first && jstr "prop" first = "a & !a"
+        && jint "position" first = 0);
+      check "x: then the trip of a at event 1" true
+        (jopt Json.str "cause" second = Some "trip"
+        && jstr "prop" second = "a" && jint "position" second = 1)
+  | l -> Alcotest.failf "x: %d incremental records, expected 2" (List.length l));
+  check "one read: served = offline" true
+    (Tuples.equal
+       (offline_tuples ~props [ ("x", 1); ("y", 0); ("x", 1) ])
+       (served_tuples out));
+  (* two more connections on the same daemon: each new trace's record
+     lands on the connection that fed its first event, and a trace
+     already seen gets none *)
+  let a = Conn.create daemon and b = Conn.create daemon in
+  Conn.on_bytes a "u 0
+";
+  Conn.on_bytes b "x 0
+v 0
+u 0
+";
+  let out_a = Conn.drain_output a and out_b = Conn.drain_output b in
+  let traces_of out =
+    List.map (jstr "trace") (List.filter pretripped (records_of_type "verdict" out))
+  in
+  check "a: u's pretripped record only" true (traces_of out_a = [ "u" ]);
+  check "b: v's pretripped record only" true (traces_of out_b = [ "v" ])
+
 (* {2 QCheck: equivalence at random streams and random framings} *)
 
 let qcheck_served_equals_offline =
@@ -830,6 +890,59 @@ let test_monitors_census () =
        (fun acc r -> acc + jint "tripped" r)
        0 (jarr "monitors" v2))
 
+(* The per-monitor retirement series of /metrics move where the retire
+   hook fires: after a random served stream, each monitor's
+   [engine_monitor_trips_total] and [engine_monitor_retires_total]
+   equal its census. Pre-tripped trips are the census' but not the
+   series'; vacuous monitors count nothing in either. *)
+let test_monitor_series_census () =
+  let props = props_src @ [ "a & !a"; "F a" ] in
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.disable ();
+      Obs.reset ())
+    (fun () ->
+      List.iter
+        (fun seed ->
+          Obs.reset ();
+          Obs.enable ();
+          let daemon = mk_daemon ~props () in
+          let st = Random.State.make [| seed |] in
+          let events =
+            List.init 300 (fun _ ->
+                (Printf.sprintf "t%d" (Random.State.int st 12),
+                 Random.State.int st 2))
+          in
+          let conn = Conn.create daemon in
+          Conn.on_bytes conn (render_lines events);
+          ignore (Conn.drain_output conn);
+          let metrics = Obs.Metrics.to_prometheus () in
+          let series family key =
+            let line =
+              Printf.sprintf "%s{monitor=\"%s\"} " family key
+            in
+            match find_sub metrics line with
+            | None -> Alcotest.failf "no %s series for %s" family key
+            | Some i ->
+                let from = i + String.length line in
+                int_of_string
+                  (String.sub metrics from
+                     (String.index_from metrics from '\n' - from))
+          in
+          let eng = Daemon.engine daemon in
+          Array.iteri
+            (fun m (c : Engine.monitor_counts) ->
+              let pd = (Engine.monitors eng).(m) in
+              let key = Sl_core.Wire.fnv64_hex pd.Packed_dfa.key in
+              let what = Printf.sprintf "seed %d, monitor %d" seed m in
+              check_int (what ^ ": trips")
+                (if pd.Packed_dfa.pre_tripped then 0 else c.mc_tripped)
+                (series "engine_monitor_trips_total" key);
+              check_int (what ^ ": retires") c.mc_retired
+                (series "engine_monitor_retires_total" key))
+            (Engine.monitor_counts eng))
+        [ 1; 2; 3; 4; 5 ])
+
 (* Scraping /metrics and /status mid-stream — including against a
    back-pressured connection — must succeed and must not disturb the
    served verdicts. *)
@@ -1042,4 +1155,8 @@ let tests =
     QCheck_alcotest.to_alcotest qcheck_add_int;
     Alcotest.test_case "unterminated GET at EOF = terminated GET" `Quick
       test_http_unterminated_at_eof;
+    Alcotest.test_case "pre-tripped record at the trace's first event" `Quick
+      test_pretripped_at_first_event;
+    Alcotest.test_case "per-monitor retirement series = census" `Quick
+      test_monitor_series_census;
   ]
