@@ -345,46 +345,13 @@ let planned monitors roots =
   Obs.Span.exit sp;
   (groups, at)
 
-(* The trip table: position and trip state of each tripped (trace,
-   monitor), keyed [trace * M + monitor], in open addressing over two
-   int arrays, so a trip adds no block for the GC to walk. Trace ids are
-   dense, so the key is its own hash: the trips of a batch of new
-   traces land in neighbouring slots. A [keys] slot is -1 when free. *)
-type trip_table = {
-  mutable keys : int array;
-  mutable vals : int array;
-  mutable used : int;  (* slots not free *)
-}
-
-let trip_slot t key =
-  let mask = Array.length t.keys - 1 in
-  let h = ref (key land mask) in
-  while t.keys.(!h) <> -1 && t.keys.(!h) <> key do
-    h := (!h + 1) land mask
-  done;
-  !h
-
-let rec trip_set t key v =
-  if 2 * (t.used + 1) > Array.length t.keys then begin
-    let keys = t.keys and vals = t.vals in
-    t.keys <- Array.make (2 * Array.length keys) (-1);
-    t.vals <- Array.make (2 * Array.length keys) 0;
-    t.used <- 0;
-    Array.iteri (fun i k -> if k >= 0 then trip_set t k vals.(i)) keys
-  end;
-  let h = trip_slot t key in
-  if t.keys.(h) = -1 then begin
-    t.keys.(h) <- key;
-    t.used <- t.used + 1
-  end;
-  t.vals.(h) <- v
-
 (* Per-trace run state lives in [slots], [stride] ints per trace id:
    the trace's event count ([-1] while the id is not materialized),
    then per group its product state and tripped mask. Trip positions
-   live in the sparse [trip_at] table, as [position * smax + state]
-   with the state the monitor tripped in: a trace that never trips
-   takes nothing there. *)
+   live in the sparse [trip_at] table, keyed [trace * M + monitor], as
+   [position * smax + state] with the state the monitor tripped in: a
+   trace that never trips takes nothing there, and a trip adds no block
+   for the GC to walk. *)
 type t = {
   monitors : Packed_dfa.t array;
   alphabet : int;
@@ -396,7 +363,7 @@ type t = {
   stride : int;
   mutable slots : int array;
   mutable ntraces : int;
-  trip_at : trip_table;
+  trip_at : Sl_core.Int_table.t;
   smax : int;
   nmembers : int;  (* monitors in groups: live on a fresh trace *)
   mutable events : int;
@@ -410,6 +377,9 @@ type t = {
     (trace:int -> monitor:int -> position:int -> tripped:bool -> unit) option;
       (** incremental retirement callback; [None] (the default) keeps
           the hot path at one comparison per retirement *)
+  mutable hook_words : int;
+      (* minor words the hook allocated in the current feed, while
+         telemetry is on: the feed's allocation gauges leave them out *)
   mtrip_children : Obs.Metrics.counter array;
       (* label handles, per M: violation retirements at a step *)
   mretire_children : Obs.Metrics.counter array;
@@ -470,10 +440,11 @@ let make monitors roots =
   let stride = 1 + (2 * Array.length groups) in
   ( { monitors; alphabet; nvacuous; pretripped; groups; where; stride;
       slots = empty_slots ~stride ~cap:4; ntraces = 0;
-      trip_at = { keys = Array.make 64 (-1); vals = Array.make 64 0; used = 0 };
+      trip_at = Sl_core.Int_table.create ();
       smax = smax_of monitors;
       nmembers = m - nvacuous - Array.length pretripped;
       events = 0; tripped = 0; retired_ok = 0; live_pairs = 0; hook = None;
+      hook_words = 0;
       mtrip_children = children v_monitor_trips;
       mretire_children = children v_monitor_retires },
     at )
@@ -483,10 +454,21 @@ let create ~monitors () =
 
 let monitors eng = eng.monitors
 
+(* With telemetry on, what the hook allocates (a daemon renders its
+   records there) is set apart from the engine's own allocation.
+   [Gc.minor_words] is unboxed, and the count is kept as an int, so the
+   bookkeeping allocates nothing itself. *)
 let fire eng ~trace ~monitor ~position ~tripped =
   match eng.hook with
   | None -> ()
-  | Some h -> h ~trace ~monitor ~position ~tripped
+  | Some h ->
+      if Obs.is_enabled () then begin
+        let w0 = Gc.minor_words () in
+        h ~trace ~monitor ~position ~tripped;
+        eng.hook_words <-
+          eng.hook_words + int_of_float (Gc.minor_words () -. w0)
+      end
+      else h ~trace ~monitor ~position ~tripped
 
 (* The slot offset of trace [id], materializing it on first use: every
    group starts in its state 0 with nothing tripped, and pre-tripped
@@ -533,7 +515,7 @@ let emit eng gr ~id ~slot ~edge ~position =
         if trips land (1 lsl !j) <> 0 then begin
           (* a trip edge is a self-loop: the successor holds the state
              the monitor tripped in *)
-          trip_set eng.trip_at
+          Sl_core.Int_table.replace eng.trip_at
             ((id * Array.length eng.where) + m)
             ((position * eng.smax) + gr.tuples.((p * k) + !j));
           eng.tripped <- eng.tripped + 1;
@@ -586,10 +568,11 @@ let check_symbol eng symbol =
 
 (* Record the chunk's telemetry from deltas of the engine's own
    counters. [n] events were just stepped; [t0_us]/[mw0] were read
-   before the loop (only when collection was already enabled). *)
+   before the loop (only when collection was already enabled), and
+   [hook_words] counts from zero since then. *)
 let record_chunk eng ~n ~t0_us ~mw0 ~tripped0 ~retired0 =
   let dt_ns = int_of_float ((Obs.Clock.now_us () -. t0_us) *. 1e3) in
-  let mw = int_of_float (Gc.minor_words () -. mw0) in
+  let mw = int_of_float (Gc.minor_words () -. mw0) - eng.hook_words in
   Obs.Metrics.add m_events n;
   Obs.Metrics.incr m_chunks;
   Obs.Metrics.add m_retired_tripped (eng.tripped - tripped0);
@@ -622,6 +605,7 @@ let feed eng ?(off = 0) ~n ~traces ~symbols () =
     let t0_us = Obs.Clock.now_us () in
     let mw0 = Gc.minor_words () in
     let tripped0 = eng.tripped and retired0 = eng.retired_ok in
+    eng.hook_words <- 0;
     (match run () with
     | () -> ()
     | exception e ->
@@ -658,8 +642,9 @@ let rec popcount x = if x = 0 then 0 else 1 + popcount (x land (x - 1))
 
 (* Position and state of a tripped (trace, monitor). *)
 let trip_entry eng id m =
-  let t = eng.trip_at in
-  let v = t.vals.(trip_slot t ((id * Array.length eng.where) + m)) in
+  let v =
+    Sl_core.Int_table.find eng.trip_at ((id * Array.length eng.where) + m)
+  in
   (v / eng.smax, v mod eng.smax)
 
 (* [f m state ~tripped ~live] for every member monitor of a
@@ -874,7 +859,7 @@ let restore ~monitors traces =
                   let p = ts.ts_tripped_at.(mi) in
                   if p >= 0 then begin
                     t := !t lor (1 lsl j);
-                    trip_set eng.trip_at ((id * m) + mi)
+                    Sl_core.Int_table.replace eng.trip_at ((id * m) + mi)
                       ((p * smax) + ts.ts_states.(mi))
                   end)
                 gr.members;

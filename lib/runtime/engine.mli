@@ -62,7 +62,10 @@ val feed :
     [traces.(off..)] / [symbols.(off..)] — the chunk shape produced by
     [Ingest]. Equivalent to [n] calls to {!step}, without per-event
     call/option overhead; while collection is enabled it also records
-    an [engine.feed] span and the chunk's engine metrics. *)
+    an [engine.feed] span and the chunk's engine metrics. The
+    [engine_minor_words_total] and [engine_minor_words_per_event]
+    metrics count the engine's own allocation: whatever the retire
+    hook allocates is left out. *)
 
 val verdict : t -> trace:int -> monitor:int -> verdict
 (** Current verdict of a distinct monitor on a trace (never-seen traces

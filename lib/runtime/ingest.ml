@@ -43,12 +43,17 @@ type t = {
   mutable slots : int array;  (* open addressing: 0 = empty, else id+1 *)
   mutable mask : int;  (* Array.length slots - 1, power of two minus 1 *)
   mutable r_sym : int;
-      (* symbol of the last event [scan_event] accepted — an out-param
-         cell so the hot path returns two ints without allocating *)
+  mutable r_id_off : int;
+  mutable r_id_len : int;
+  mutable r_hash : int;
+      (* the last event line [scan_event] accepted: its symbol, its
+         trace id's bounds and hash — out-param cells, so the hot path
+         returns them without allocating *)
 }
 
 let create () =
-  { names = [||]; n = 0; slots = Array.make 64 0; mask = 63; r_sym = 0 }
+  { names = [||]; n = 0; slots = Array.make 64 0; mask = 63; r_sym = 0;
+    r_id_off = 0; r_id_len = 0; r_hash = 0 }
 
 let ntraces t = t.n
 
@@ -66,13 +71,43 @@ let hash_slice s off len =
   done;
   !h land max_int
 
+external get64u : string -> int -> int64 = "%caml_string_get64u"
+
+(* The bytes a string's heap block spans: its length plus the padding
+   that rounds it up to whole words (at least one byte, which holds the
+   padding count). A load that ends within it stays inside the block. *)
+let block_end s =
+  if Sys.word_size = 64 then (String.length s lor 7) + 1
+  else (String.length s lor 3) + 1
+
+(* [name] (of length [len]) = [s.[off, off+len)], a word at a time. The
+   last partial word is loaded whole from both strings, and the bytes
+   past [len] are shifted out of the difference (the low bytes come
+   first on a little-endian host, the high ones on a big-endian host),
+   unless a load would pass the end of a block: then it is compared a
+   byte at a time. *)
 let eq_slice name s off len =
   let i = ref 0 in
-  while !i < len && String.unsafe_get name !i = String.unsafe_get s (off + !i)
-  do
-    incr i
+  while !i + 8 <= len && (get64u name !i : int64) = get64u s (off + !i) do
+    i := !i + 8
   done;
-  !i = len
+  let i = !i in
+  if i + 8 <= len then false
+  else if i = len then true
+  else if i + 8 <= block_end name && off + i + 8 <= block_end s then begin
+    let past = 64 - (8 * (len - i)) in
+    let x = Int64.logxor (get64u name i) (get64u s (off + i)) in
+    if Sys.big_endian then Int64.shift_right_logical x past = 0L
+    else Int64.shift_left x past = 0L
+  end
+  else begin
+    let j = ref i in
+    while !j < len && String.unsafe_get name !j = String.unsafe_get s (off + !j)
+    do
+      incr j
+    done;
+    !j = len
+  end
 
 (* Index of the slot holding the slice's id, or of the first empty slot
    of its probe sequence. The table is kept under half full, so the
@@ -137,20 +172,26 @@ let intern t s = intern_slice t s 0 (String.length s)
 (* First '\n' in [s[off], s[stop])], or -1 — C memchr, word-at-a-time
    where the OCaml byte loop is not. The explicit [stop] bound makes it
    safe on a reusable read buffer whose bytes beyond the fill are
-   stale. *)
+   stale. Only lines the walk in [scan_event] does not take go through
+   it. *)
 external find_newline : string -> int -> int -> int = "sl_ingest_memchr_nl"
 [@@noalloc]
 
-(* One L1-resident load instead of three compare-branches — this test
-   runs for every byte of every token walk. *)
-let space_tbl =
+(* Byte classes, one L1-resident load instead of four compare-branches
+   — this test runs for every byte of every line walk: '\000' for a
+   token byte, '\001' for a separator, '\002' for the newline. *)
+let class_tbl =
   let b = Bytes.make 256 '\000' in
   Bytes.set b (Char.code ' ') '\001';
   Bytes.set b (Char.code '\t') '\001';
   Bytes.set b (Char.code '\r') '\001';
+  Bytes.set b (Char.code '\n') '\002';
   Bytes.unsafe_to_string b
 
-let is_space c = String.unsafe_get space_tbl (Char.code c) <> '\000'
+let byte_class s i =
+  String.unsafe_get class_tbl (Char.code (String.unsafe_get s i))
+
+let is_space c = String.unsafe_get class_tbl (Char.code c) = '\001'
 
 type error = {
   e_line : int;
@@ -181,63 +222,60 @@ let create_chunk size =
 
 (* --- Zero-copy line scan ---
 
-   One line as a byte slice [off, off+len) of [s], in one fused pass
-   that allocates nothing for an event line of a known trace id: the
-   trace-id walk folds the FNV-1a interner hash in as it finds the token
-   bound, and the symbol walk accumulates the strict decimal value
-   (digits only: the 0x/0o/0b radix prefixes, '_' separators and a
-   leading '+' that [int_of_string_opt] would take are protocol errors)
-   — no byte is read twice. The result is the interned trace id, with
-   the symbol parked in [r_sym]: two ints, no heap. Every other line
-   (blank, comment, malformed, out-of-alphabet) is [-1], touching
-   neither the interner nor [r_sym] — a rejected line never grows the
-   interner, which the byte-identity of session snapshots depends on —
-   and [line_error] says why. *)
-let scan_event t ~alphabet s off len =
-  let stop = off + len in
+   One line, from byte [off] of [s] to its newline or to [stop],
+   whichever comes first, in one fused pass that allocates nothing: the
+   trace-id walk folds the FNV-1a interner hash in as it finds the
+   token bound, and the symbol walk accumulates the strict decimal
+   value (digits only: the 0x/0o/0b radix prefixes, '_' separators and
+   a leading '+' that [int_of_string_opt] would take are protocol
+   errors) — no byte is read twice, and the walk finds the line's end
+   itself. For an event line the result is that end (the newline's
+   index, or [stop]), with the symbol and the trace id's bounds and
+   hash parked in the out-param cells; the caller interns the id once
+   it knows the line is whole. Every other line (blank, comment,
+   malformed, out-of-alphabet) is [-1], touching neither the interner
+   nor the cells — a rejected line never grows the interner, which the
+   byte-identity of session snapshots depends on — and [line_error]
+   says why. *)
+let scan_event t ~alphabet s off stop =
   let i = ref off in
-  while !i < stop && is_space (String.unsafe_get s !i) do incr i done;
-  if !i = stop then -1
+  while !i < stop && byte_class s !i = '\001' do incr i done;
+  let t0 = !i in
+  let h = ref 0x811c9dc5 in
+  while !i < stop && byte_class s !i = '\000' do
+    h := (!h lxor Char.code (String.unsafe_get s !i)) * 0x01000193;
+    incr i
+  done;
+  let t1 = !i in
+  if t1 = t0 || String.unsafe_get s t0 = '#' then -1  (* blank, comment *)
   else begin
-    let t0 = !i in
-    let h = ref 0x811c9dc5 in
-    while !i < stop && not (is_space (String.unsafe_get s !i)) do
-      h := (!h lxor Char.code (String.unsafe_get s !i)) * 0x01000193;
-      incr i
-    done;
-    let t1 = !i in
-    if String.unsafe_get s t0 = '#' then -1
-    else begin
-      while !i < stop && is_space (String.unsafe_get s !i) do incr i done;
-      if !i = stop then -1  (* one field *)
+    while !i < stop && byte_class s !i = '\001' do incr i done;
+    (* A non-digit ('-', 'x', …), overflow or a missing symbol falls
+       back for the exact error. *)
+    let d0 = !i in
+    let v = ref 0 in
+    let ok = ref true in
+    while !ok && !i < stop && byte_class s !i = '\000' do
+      let c = Char.code (String.unsafe_get s !i) - Char.code '0' in
+      if c < 0 || c > 9 then ok := false
+      else if !v > overflow_div || (!v = overflow_div && c > overflow_rem)
+      then ok := false  (* overflow *)
       else begin
-        (* [t0 < stop] and [s.[!i]] is non-space, so the digit loop
-           always examines at least one byte: [ok] with zero digits is
-           impossible. A non-digit ('-', 'x', …) or overflow falls back
-           for the exact error. *)
-        let v = ref 0 in
-        let ok = ref true in
-        while !ok && !i < stop && not (is_space (String.unsafe_get s !i)) do
-          let c = Char.code (String.unsafe_get s !i) - Char.code '0' in
-          if c < 0 || c > 9 then ok := false
-          else if
-            !v > overflow_div || (!v = overflow_div && c > overflow_rem)
-          then ok := false  (* overflow *)
-          else begin
-            v := (!v * 10) + c;
-            incr i
-          end
-        done;
-        if not !ok then -1
-        else begin
-          while !i < stop && is_space (String.unsafe_get s !i) do incr i done;
-          if !i < stop then -1  (* extra fields *)
-          else if !v >= alphabet then -1
-          else begin
-            t.r_sym <- !v;
-            intern_slice_h t s t0 (t1 - t0) (!h land max_int)
-          end
-        end
+        v := (!v * 10) + c;
+        incr i
+      end
+    done;
+    if (not !ok) || !i = d0 then -1
+    else begin
+      while !i < stop && byte_class s !i = '\001' do incr i done;
+      if !i < stop && byte_class s !i <> '\002' then -1  (* extra fields *)
+      else if !v >= alphabet then -1
+      else begin
+        t.r_sym <- !v;
+        t.r_id_off <- t0;
+        t.r_id_len <- t1 - t0;
+        t.r_hash <- !h land max_int;
+        !i
       end
     end
   end
@@ -335,17 +373,20 @@ let scan_flush sc =
     chunk.len <- 0
   end
 
+(* Batch the event line [scan_event] just accepted in [s]. *)
+let push sc s =
+  let t = sc.s_ingest in
+  let id = intern_slice_h t s t.r_id_off t.r_id_len t.r_hash in
+  let chunk = sc.s_chunk in
+  Array.unsafe_set chunk.trace_ids chunk.len id;
+  Array.unsafe_set chunk.symbols chunk.len t.r_sym;
+  chunk.len <- chunk.len + 1;
+  if chunk.len = Array.length chunk.trace_ids then scan_flush sc
+
 (* One complete line, already counted in [s_lineno]. *)
 let scan_handle sc s off len =
-  let t = sc.s_ingest in
-  let id = scan_event t ~alphabet:sc.s_alphabet s off len in
-  if id >= 0 then begin
-    let chunk = sc.s_chunk in
-    Array.unsafe_set chunk.trace_ids chunk.len id;
-    Array.unsafe_set chunk.symbols chunk.len t.r_sym;
-    chunk.len <- chunk.len + 1;
-    if chunk.len = Array.length chunk.trace_ids then scan_flush sc
-  end
+  if scan_event sc.s_ingest ~alphabet:sc.s_alphabet s off (off + len) >= 0
+  then push sc s
   else
     match line_error ~alphabet:sc.s_alphabet s off len with
     | None -> ()
@@ -400,15 +441,28 @@ let scan_string sc s off len =
   let stop = off + len in
   let i = ref off in
   while !i < stop do
-    let j = find_newline s !i stop in
-    if j >= 0 then begin
-      scan_complete sc s !i (j - !i);
-      i := j + 1
+    (* The common line, a whole event line within the cap and nothing
+       carried, is walked once in place; any other line is cut at its
+       newline and takes the general path. *)
+    let e =
+      if sc.s_oversized || Buffer.length sc.s_carry > 0 then -1
+      else scan_event sc.s_ingest ~alphabet:sc.s_alphabet s !i stop
+    in
+    if e >= 0 && e < stop && e - !i <= sc.s_max_line then begin
+      sc.s_lineno <- sc.s_lineno + 1;
+      push sc s;
+      i := e + 1
     end
-    else begin
-      scan_partial sc s !i (stop - !i);
-      i := stop
-    end
+    else
+      let j = find_newline s !i stop in
+      if j >= 0 then begin
+        scan_complete sc s !i (j - !i);
+        i := j + 1
+      end
+      else begin
+        scan_partial sc s !i (stop - !i);
+        i := stop
+      end
   done;
   if enabled then
     Obs.Metrics.observe h_stage_parse

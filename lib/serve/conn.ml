@@ -43,7 +43,7 @@ let released =
         ~on_chunk:ignore ~on_error:ignore;
     scratch = Buffer.create 1;
     slab = Bytes.empty;
-    touched = Daemon.Ids.create 1;
+    touched = Sl_core.Int_table.create ();
   }
 
 type t = {
@@ -155,9 +155,8 @@ let greet c =
 let on_chunk c (chunk : Ingest.chunk) =
   greet c;
   let { Daemon.touched; scratch; _ } = c.bufs in
-  for k = 0 to chunk.Ingest.len - 1 do
-    Daemon.Ids.replace touched chunk.Ingest.trace_ids.(k) ()
-  done;
+  Sl_core.Int_table.add_all touched chunk.Ingest.trace_ids
+    ~len:chunk.Ingest.len;
   c.conn_events <- c.conn_events + chunk.Ingest.len;
   Obs.Metrics.add c.ev_child chunk.Ingest.len;
   Daemon.feed c.daemon ~buf:scratch chunk;
@@ -310,13 +309,7 @@ let on_bytes_raw c b off len =
   on_bytes_str c (Bytes.unsafe_to_string b) off len
 
 let touched_ids c =
-  let ids = Array.make (Daemon.Ids.length c.bufs.touched) 0 in
-  let n = ref 0 in
-  Daemon.Ids.iter
-    (fun id () ->
-      ids.(!n) <- id;
-      incr n)
-    c.bufs.touched;
+  let ids = Sl_core.Int_table.keys c.bufs.touched in
   Array.sort Int.compare ids;
   ids
 

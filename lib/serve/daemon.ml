@@ -19,29 +19,22 @@ let h_stage_render =
    also walks the daemon's whole trace table, so a short connection
    must not leave them behind as garbage. *)
 
-module Ids = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash (id : int) = id
-end)
-
 type bufs = {
   scanner : Ingest.scanner;
   scratch : Buffer.t;
   mutable slab : Bytes.t;
-  touched : unit Ids.t;
+  touched : Sl_core.Int_table.t;
 }
 
 let slab_size = 65536
 
-(* A table holding more ids than this keeps a bucket array too large to
-   park in the free list ([Ids.clear] keeps the array). *)
+(* A set holding more ids than this keeps arrays too large to park in
+   the free list ([Int_table.clear] keeps them). *)
 let touched_cap = 65536
 
 type t = {
   mutable session : Session.t;
-  mutable props_of_monitor : string list array;
+  mutable props_of_monitor : string array array;
       (* distinct monitor index -> property names riding on it, in
          property-id order *)
   mutable prop_names : string array;  (* property-id order *)
@@ -62,7 +55,7 @@ let props_by_monitor registry =
     (fun (p : Registry.prop) ->
       buckets.(p.monitor) <- p.name :: buckets.(p.monitor))
     (List.rev (Registry.props registry));
-  buckets
+  Array.map Array.of_list buckets
 
 let install_hook d =
   Engine.set_retire_hook (Session.engine d.session)
@@ -73,18 +66,18 @@ let install_hook d =
          | Some buf ->
              let t0 = if Obs.is_enabled () then Obs.Clock.now_us () else 0. in
              let tname = Ingest.name (Session.ingest d.session) trace in
-             List.iter
-               (fun prop ->
-                 if tripped then
-                   (* a trip at position 0 is a pre-tripped monitor's,
-                      fired as its trace materializes *)
-                   Records.add_verdict_violation buf ~trace:tname ~prop
-                     ~position
-                     ~cause:(if position = 0 then "pretripped" else "trip")
-                 else
-                   Records.add_verdict_admissible buf ~trace:tname ~prop
-                     ~cause:"retire")
-               d.props_of_monitor.(monitor);
+             let props = d.props_of_monitor.(monitor) in
+             for i = 0 to Array.length props - 1 do
+               if tripped then
+                 (* a trip at position 0 is a pre-tripped monitor's,
+                    fired as its trace materializes *)
+                 Records.add_verdict_violation buf ~trace:tname
+                   ~prop:props.(i) ~position
+                   ~cause:(if position = 0 then "pretripped" else "trip")
+               else
+                 Records.add_verdict_admissible buf ~trace:tname
+                   ~prop:props.(i) ~cause:"retire"
+             done;
              if t0 > 0. then
                d.render_us <- d.render_us +. (Obs.Clock.now_us () -. t0)))
 
@@ -248,17 +241,17 @@ let take_bufs d =
             ~on_chunk:ignore ~on_error:ignore;
         scratch = Buffer.create 4096;
         slab = Bytes.create slab_size;
-        touched = Ids.create 16;
+        touched = Sl_core.Int_table.create ();
       }
 
 let give_bufs d ~max_slab b =
   if
     d.pooled < d.pool_max
     && Bytes.length b.slab <= max_slab
-    && Ids.length b.touched <= touched_cap
+    && Sl_core.Int_table.length b.touched <= touched_cap
   then begin
     Buffer.clear b.scratch;
-    Ids.clear b.touched;
+    Sl_core.Int_table.clear b.touched;
     d.pool <- b :: d.pool;
     d.pooled <- d.pooled + 1
   end

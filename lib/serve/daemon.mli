@@ -82,16 +82,15 @@ val render_page : t -> snapshot -> Buffer.t -> limit:int -> bool
     for every connection, recycled through a small free list owned by
     the daemon. *)
 
-module Ids : Hashtbl.S with type key = int
-(** Trace-id sets hashed by identity. *)
-
 type bufs = {
   scanner : Sl_runtime.Ingest.scanner;
       (** the connection's line framer, bound to the daemon's interner;
           its chunk and carry buffers are pooled with it *)
   scratch : Buffer.t;  (** records rendered by one call *)
   mutable slab : Bytes.t;  (** unwritten output bytes *)
-  touched : unit Ids.t;  (** trace ids fed *)
+  touched : Sl_core.Int_table.t;
+      (** the trace ids fed, as the keys of an int table: a known id
+          costs one probe and no allocation *)
 }
 
 val take_bufs : t -> bufs
@@ -101,7 +100,9 @@ val take_bufs : t -> bufs
 val give_bufs : t -> max_slab:int -> bufs -> unit
 (** Return a set once its owner is done with it. It is dropped instead
     when the free list is full, when its slab grew past [max_slab]
-    bytes, or when it touched more than 65536 traces. *)
+    bytes, or when it touched more than 65536 traces (the pooling cap:
+    clearing keeps the touched set's arrays, which such a set has grown
+    past 2 MiB, and costs a pass over them on every reuse). *)
 
 val swap_session : t -> Sl_runtime.Session.t -> unit
 (** Hot-reload commit point: detach the hook from the old engine,

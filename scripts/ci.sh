@@ -11,6 +11,11 @@ dune build @runtest
 dune build bin examples bench test/smoke
 SMOKE=_build/default/test/smoke/smoke.exe
 
+# The library's size, so that a change's net lines can be read off.
+lib_lines=$(find lib \( -name '*.ml' -o -name '*.mli' -o -name '*.c' \) \
+              -exec cat {} + | wc -l | tr -d ' ')
+echo "--- lib/ holds $lib_lines lines of .ml/.mli/.c"
+
 # Examples are documentation that must keep executing.
 for ex in quickstart ltl_classification buchi_decomposition \
           ctl_classification security_monitor model_checking; do

@@ -1331,6 +1331,164 @@ let prop_retirement_oracle =
             (List.filter (fun (_, m) -> m = monitor) fleet))
         !retired)
 
+(* --- The interner's word-wise probe ---
+
+   A known id is compared with its candidate a word at a time, the last
+   partial word masked, and a byte at a time only where a word load
+   would pass the end of a string's block. Each case is a stream whose
+   ids stress one of those paths, scanned in two blocks split at every
+   byte, each block its own string of exactly its length (so a load
+   near a block's end really is near the end of its heap block). The
+   scan must equal the reference reader's, and both must equal the
+   interning computed here by plain string equality, so a probe that
+   conflated two ids would fail even though the reference interns
+   through the same table. *)
+let drive_blocks ~alphabet s k =
+  let ing = Ingest.create () in
+  let events = ref [] and errors = ref [] in
+  let sc =
+    Ingest.scanner ~chunk_size:3 ~alphabet ing
+      ~on_chunk:(fun c ->
+        for j = 0 to c.Ingest.len - 1 do
+          events := (c.Ingest.trace_ids.(j), c.Ingest.symbols.(j)) :: !events
+        done)
+      ~on_error:(fun e -> errors := e.Ingest.e_line :: !errors)
+  in
+  let n = String.length s in
+  Ingest.scan_string sc (String.sub s 0 k) 0 k;
+  Ingest.scan_string sc (String.sub s k (n - k)) 0 (n - k);
+  Ingest.scan_eof sc;
+  (Array.to_list (Ingest.names ing), List.rev !events, !errors)
+
+(* Names in first-seen order and the events as (name index, symbol),
+   by string equality alone. *)
+let first_seen events =
+  let index = Hashtbl.create 16 and names = ref [] in
+  let evs =
+    List.map
+      (fun (name, sym) ->
+        match Hashtbl.find_opt index name with
+        | Some i -> (i, sym)
+        | None ->
+            let i = Hashtbl.length index in
+            Hashtbl.add index name i;
+            names := name :: !names;
+            (i, sym))
+      events
+  in
+  (List.rev !names, evs)
+
+let check_interner_case what events ~pad =
+  let s =
+    String.concat ""
+      (List.mapi
+         (fun i (name, sym) ->
+           Printf.sprintf "%s%s %d\n" (String.make (i * pad mod 8) ' ') name
+             sym)
+         events)
+  in
+  let names, evs = first_seen events in
+  let reference = drive_reference ~alphabet:2 s in
+  check (what ^ ": reference = string equality") true
+    (reference = (names, evs, []));
+  for k = 0 to String.length s do
+    if drive_blocks ~alphabet:2 s k <> (names, evs, []) then
+      Alcotest.failf "%s: split at %d differs from the reference" what k
+  done;
+  (* [intern] on whole strings is the same probe *)
+  let ing = Ingest.create () in
+  List.iter2
+    (fun (name, _) (id, _) ->
+      check_int (what ^ ": intern " ^ name) id (Ingest.intern ing name))
+    events evs
+
+let test_interner_cases () =
+  let base len =
+    String.init len (fun i -> Char.chr (Char.code 'a' + (i mod 26)))
+  in
+  (* ids of length 1-24 differing only in their last byte, each seen
+     twice. FNV-1a's last step maps last bytes that differ in their low
+     six bits to distinct home slots of a 64-slot table; the last bytes
+     '!', 'a', '\xa1' and '\xe1' share them, so these ids share a home
+     slot and each probe compares them with one another. *)
+  for len = 1 to 24 do
+    let ids =
+      List.map
+        (fun c -> base (len - 1) ^ String.make 1 c)
+        [ '!'; 'a'; '\xa1'; '\xe1'; 'b'; 'c' ]
+    in
+    let events =
+      List.concat_map
+        (fun r -> List.mapi (fun j id -> (id, (r + j) mod 2)) ids)
+        [ 0; 1 ]
+    in
+    check_interner_case (Printf.sprintf "last byte, length %d" len) events
+      ~pad:(len mod 3 + 1)
+  done;
+  (* one id a prefix of another, both ways round, across word bounds *)
+  let prefixes =
+    List.concat_map
+      (fun (a, b) -> [ (base a, 0); (base b, 1); (base a, 1); (base b, 0) ])
+      [ (1, 2); (7, 8); (8, 9); (8, 16); (15, 16); (16, 17); (3, 24) ]
+  in
+  check_interner_case "prefix ids" prefixes ~pad:1;
+  check_interner_case "prefix ids, shifted" (List.rev prefixes) ~pad:3;
+  (* short lines packed so that ids end at every offset from a block's
+     end: the splits put ids on the last byte of the first block and
+     complete them in the carry *)
+  check_interner_case "short ids at block ends"
+    (List.init 40 (fun i -> (base (1 + (i mod 5)), i mod 2)))
+    ~pad:0
+
+(* The feed's allocation gauges count the engine alone: an engine whose
+   retire hook allocates reports the same [engine_minor_words_total]
+   and [engine_minor_words_per_event] as the same engine, fed the same
+   chunks, without a hook. *)
+let test_hook_words_left_out () =
+  let reg = Registry.create () in
+  check "props load" true
+    (Registry.load_lines reg
+       [ "G a"; "F !a"; "a & F !a"; "G (a -> X !a)"; "a & !a"; "!a" ]
+    = []);
+  let st = Random.State.make [| 11 |] in
+  let n = 3000 in
+  let traces = Array.init n (fun _ -> Random.State.int st 200) in
+  let symbols = Array.init n (fun _ -> Random.State.int st 2) in
+  let fired = ref 0 in
+  let run hook =
+    Obs.reset ();
+    Obs.enable ();
+    Fun.protect
+      ~finally:(fun () -> Obs.disable (); Obs.reset ())
+      (fun () ->
+        let eng = Engine.create ~monitors:(Registry.monitors reg) () in
+        Engine.set_retire_hook eng hook;
+        let per_chunk = ref [] in
+        for c = 0 to (n / 100) - 1 do
+          Engine.feed eng ~off:(c * 100) ~n:100 ~traces ~symbols ();
+          per_chunk :=
+            Option.get (Obs.Metrics.value "engine_minor_words_per_event")
+            :: !per_chunk
+        done;
+        (Option.get (Obs.Metrics.value "engine_minor_words_total"),
+         !per_chunk))
+  in
+  let dark = run None in
+  let lit =
+    run
+      (Some
+         (fun ~trace ~monitor ~position ~tripped ->
+           incr fired;
+           ignore
+             (Sys.opaque_identity
+                (List.init 16 (fun i ->
+                     (trace, monitor + i, position, tripped))))))
+  in
+  check "the hook fired" true (!fired > 100);
+  check_int "engine_minor_words_total" (fst dark) (fst lit);
+  Alcotest.(check (list int))
+    "engine_minor_words_per_event, chunk by chunk" (snd dark) (snd lit)
+
 let tests =
   [ Alcotest.test_case "packed compilation" `Quick test_packed_shape;
     Alcotest.test_case "vacuity on Rem p0-p6" `Quick
@@ -1372,4 +1530,8 @@ let tests =
     Alcotest.test_case "the oracle sees late trips" `Quick
       test_oracle_sees_late_trips;
     QCheck_alcotest.to_alcotest prop_lasso_oracle;
-    QCheck_alcotest.to_alcotest prop_retirement_oracle ]
+    QCheck_alcotest.to_alcotest prop_retirement_oracle;
+    Alcotest.test_case "interner: word-wise probe cases" `Quick
+      test_interner_cases;
+    Alcotest.test_case "allocation gauges leave the hook out" `Quick
+      test_hook_words_left_out ]

@@ -1106,6 +1106,80 @@ let test_record_escaping () =
                ~cause:"eof")))
     names
 
+(* {2 The touched set}
+
+   Each connection keeps the trace ids it fed in an int table drawn
+   from the daemon's buffer pool. One daemon serves every case, its
+   interner primed so that the name [t<i>] is trace id [i], up to ids
+   past the pooling cap (65536). *)
+let touched_daemon =
+  lazy
+    (let d = mk_daemon () in
+     let ing = Daemon.ingest d in
+     for i = 0 to 70_000 do
+       ignore (Ingest.intern ing (Printf.sprintf "t%d" i))
+     done;
+     d)
+
+let feed_ids conn ids =
+  Conn.on_bytes conn
+    (render_lines (List.map (fun i -> (Printf.sprintf "t%d" i, i mod 2)) ids))
+
+(* Over duplicate-heavy streams of small ids and ids past the cap,
+   enough distinct ones to grow the table: [Conn.touched] is the sorted
+   distinct ids fed, also for a connection whose set was filled and
+   handed back to the pool first — a reused set starts empty. *)
+let qcheck_touched_set =
+  let ids =
+    QCheck.(
+      list_of_size
+        Gen.(0 -- 300)
+        (oneof [ int_range 0 30; int_range 65_530 70_000 ]))
+  in
+  QCheck.Test.make ~count:40
+    ~name:"touched set = sorted distinct ids fed, also when reused"
+    QCheck.(pair ids ids)
+    (fun (first, second) ->
+      let d = Lazy.force touched_daemon in
+      let expect ids = List.sort_uniq Int.compare ids in
+      let a = Conn.create d in
+      feed_ids a first;
+      let ok_a = Conn.touched a = expect first in
+      Conn.on_eof a;
+      ignore (Conn.drain_output a);
+      (* a set filled outside a connection, returned, then taken *)
+      let b = Daemon.take_bufs d in
+      Sl_core.Int_table.add_all b.Daemon.touched (Array.of_list first)
+        ~len:(List.length first);
+      Daemon.give_bufs d ~max_slab:max_int b;
+      let c = Conn.create d in
+      let slab, _, _ = Conn.output c in
+      let reused = slab == b.Daemon.slab in
+      let empty = Conn.touched c = [] in
+      feed_ids c second;
+      let ok_c = Conn.touched c = expect second in
+      Conn.release c;
+      ok_a && reused && empty && ok_c)
+
+(* The pooling cap: a set that held 65536 ids is pooled and comes back
+   empty; one that held more is dropped. *)
+let test_touched_pooling_cap () =
+  let d = Lazy.force touched_daemon in
+  let cycle n =
+    let b = Daemon.take_bufs d in
+    Sl_core.Int_table.add_all b.Daemon.touched (Array.init n Fun.id) ~len:n;
+    check_int "filled" n (Sl_core.Int_table.length b.Daemon.touched);
+    Daemon.give_bufs d ~max_slab:max_int b;
+    let b' = Daemon.take_bufs d in
+    (b' == b, Sl_core.Int_table.length b'.Daemon.touched)
+  in
+  let pooled, left = cycle 65536 in
+  check "65536 ids: pooled" true pooled;
+  check_int "65536 ids: comes back empty" 0 left;
+  let pooled, left = cycle 65537 in
+  check "65537 ids: dropped" false pooled;
+  check_int "65537 ids: a fresh set" 0 left
+
 let tests =
   [
     Alcotest.test_case "served = offline at byte splits and one-shot"
@@ -1159,4 +1233,7 @@ let tests =
       test_pretripped_at_first_event;
     Alcotest.test_case "per-monitor retirement series = census" `Quick
       test_monitor_series_census;
+    QCheck_alcotest.to_alcotest qcheck_touched_set;
+    Alcotest.test_case "touched set pooling cap" `Quick
+      test_touched_pooling_cap;
   ]
