@@ -188,45 +188,47 @@ let parse_exn input =
 
 (* --- Model checking --- *)
 
-let sat (k : Kripke.t) formula =
+(* Least fixpoint of  b v (a ^ EX Z), swept until stable. *)
+let eu (k : Kripke.t) a b =
+  let v = Array.copy b in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    for q = 0 to k.nstates - 1 do
+      if
+        (not v.(q)) && a.(q)
+        && List.exists (fun q' -> v.(q')) k.successors.(q)
+      then begin
+        v.(q) <- true;
+        changed := true
+      end
+    done
+  done;
+  v
+
+(* Greatest fixpoint of  a ^ EX Z, swept until stable. *)
+let eg (k : Kripke.t) a =
+  let v = Array.copy a in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    for q = 0 to k.nstates - 1 do
+      if v.(q) && not (List.exists (fun q' -> v.(q')) k.successors.(q))
+      then begin
+        v.(q) <- false;
+        changed := true
+      end
+    done
+  done;
+  v
+
+let label (k : Kripke.t) ~fair ~eg formula =
   let n = k.nstates in
   let ex set =
+    let set = fair set in
     Array.init n (fun q -> List.exists (fun q' -> set.(q')) k.successors.(q))
   in
-  (* Least fixpoint of  b v (a ^ EX Z). *)
-  let eu a b =
-    let v = Array.copy b in
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      for q = 0 to n - 1 do
-        if
-          (not v.(q)) && a.(q)
-          && List.exists (fun q' -> v.(q')) k.successors.(q)
-        then begin
-          v.(q) <- true;
-          changed := true
-        end
-      done
-    done;
-    v
-  in
-  (* Greatest fixpoint of  a ^ EX Z. *)
-  let eg a =
-    let v = Array.copy a in
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      for q = 0 to n - 1 do
-        if v.(q) && not (List.exists (fun q' -> v.(q')) k.successors.(q))
-        then begin
-          v.(q) <- false;
-          changed := true
-        end
-      done
-    done;
-    v
-  in
+  let eu a b = eu k a (fair b) in
   let nota = Array.map not in
   let conj a b = Array.init n (fun q -> a.(q) && b.(q)) in
   let rec go = function
@@ -257,6 +259,8 @@ let sat (k : Kripke.t) formula =
         Array.init n (fun q -> (not bad.(q)) && not eg_nb.(q))
   in
   go formula
+
+let sat k formula = label k ~fair:Fun.id ~eg:(eg k) formula
 
 let holds_at k f q = (sat k f).(q)
 let holds (k : Kripke.t) f = holds_at k f k.initial

@@ -40,9 +40,23 @@ val propositions : t -> string list
 
 val sat : Sl_kripke.Kripke.t -> t -> bool array
 (** The labeling algorithm: [sat k f] marks the states whose unwinding
-    satisfies [f]. Core modalities [EX], [EU], [EG] are computed by
-    fixpoints ([EU] least, [EG] greatest via successor-pruning); the rest
-    reduce by the standard dualities. Linear passes per subformula. *)
+    satisfies [f]. It is {!label} with every state fair and {!eg} for
+    [EG]; the other modalities reduce by the standard dualities. Boolean
+    and [EX] subformulas cost one pass; each [EU]/[EG] fixpoint sweeps
+    all states until stable, O(states × edges) in the worst case. *)
+
+val eu : Sl_kripke.Kripke.t -> bool array -> bool array -> bool array
+(** [eu k a b]: [E (a U b)], the least fixpoint of [b ∨ (a ∧ EX Z)]. *)
+
+val eg : Sl_kripke.Kripke.t -> bool array -> bool array
+(** [eg k a]: [EG a], the greatest fixpoint of [a ∧ EX Z]. *)
+
+val label :
+  Sl_kripke.Kripke.t -> fair:(bool array -> bool array) ->
+  eg:(bool array -> bool array) -> t -> bool array
+(** The one recursion over formulas behind {!sat} and {!Fair.sat}: [fair]
+    cuts the targets of [EX] and [EU] down to the states where a fair
+    path starts, and [eg] computes [EG]. *)
 
 val holds : Sl_kripke.Kripke.t -> t -> bool
 (** Truth at the initial state. *)

@@ -2,19 +2,7 @@ module Kripke = Sl_kripke.Kripke
 
 (* States from which a target set is reachable (in >= 0 steps). *)
 let can_reach (k : Kripke.t) target =
-  let v = Array.copy target in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for q = 0 to k.nstates - 1 do
-      if (not v.(q)) && List.exists (fun q' -> v.(q')) k.successors.(q)
-      then begin
-        v.(q) <- true;
-        changed := true
-      end
-    done
-  done;
-  v
+  Ctl.eu k (Array.make k.nstates true) target
 
 (* Is [q] on a cycle all of whose states satisfy [inside]? *)
 let on_cycle_inside (k : Kripke.t) inside q =

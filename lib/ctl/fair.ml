@@ -18,61 +18,11 @@ let eg (k : Kripke.t) constraints f =
 let fair_states k constraints =
   eg k constraints (Array.make k.Kripke.nstates true)
 
-let sat (k : Kripke.t) constraints formula =
-  let n = k.nstates in
+let sat k constraints formula =
   let fair = fair_states k constraints in
-  let ex set =
-    Array.init n (fun q -> List.exists (fun q' -> set.(q')) k.successors.(q))
-  in
-  let conj a b = Array.init n (fun q -> a.(q) && b.(q)) in
-  let nota = Array.map not in
-  let eu a b =
-    let v = Array.copy b in
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      for q = 0 to n - 1 do
-        if
-          (not v.(q)) && a.(q)
-          && List.exists (fun q' -> v.(q')) k.successors.(q)
-        then begin
-          v.(q) <- true;
-          changed := true
-        end
-      done
-    done;
-    v
-  in
-  let fair_ex set = ex (conj set fair) in
-  let fair_eu a b = eu a (conj b fair) in
-  let fair_eg = eg k constraints in
-  let rec go : Ctl.t -> bool array = function
-    | True -> Array.make n true
-    | False -> Array.make n false
-    | Prop p -> Array.init n (fun q -> Kripke.holds k q p)
-    | Not f -> nota (go f)
-    | And (a, b) -> conj (go a) (go b)
-    | Or (a, b) ->
-        let va = go a and vb = go b in
-        Array.init n (fun q -> va.(q) || vb.(q))
-    | Implies (a, b) ->
-        let va = go a and vb = go b in
-        Array.init n (fun q -> (not va.(q)) || vb.(q))
-    | EX f -> fair_ex (go f)
-    | AX f -> nota (fair_ex (nota (go f)))
-    | EF f -> fair_eu (Array.make n true) (go f)
-    | AF f -> nota (fair_eg (nota (go f)))
-    | EG f -> fair_eg (go f)
-    | AG f -> nota (fair_eu (Array.make n true) (nota (go f)))
-    | EU (a, b) -> fair_eu (go a) (go b)
-    | AU (a, b) ->
-        let va = go a and vb = go b in
-        let nb = nota vb in
-        let bad = fair_eu nb (conj (nota va) nb) in
-        let eg_nb = fair_eg nb in
-        Array.init n (fun q -> (not bad.(q)) && not eg_nb.(q))
-  in
-  go formula
+  Ctl.label k
+    ~fair:(Array.mapi (fun q v -> v && fair.(q)))
+    ~eg:(eg k constraints) formula
 
 let holds (k : Kripke.t) constraints formula =
   (sat k constraints formula).(k.initial)

@@ -26,9 +26,9 @@ val eg : Kripke.t -> constraints -> bool array -> bool array
     graph. *)
 
 val sat : Kripke.t -> constraints -> Ctl.t -> bool array
-(** Full fair-CTL labeling: existential modalities are relativized by
-    conjoining {!fair_states} at the appropriate points; universal ones
-    come out by duality. *)
+(** Full fair-CTL labeling: {!Ctl.label} with the targets of [EX] and
+    [EU] conjoined with {!fair_states} and {!eg} for [EG]; universal
+    modalities come out by duality. *)
 
 val holds : Kripke.t -> constraints -> Ctl.t -> bool
 

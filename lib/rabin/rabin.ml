@@ -214,9 +214,9 @@ let accepts_buchi b t =
    for every pair, C ∩ green = ∅ or C ∩ red ≠ ∅. Classic recursive SCC
    peeling (the violating condition is a Streett condition), with the SCC
    decomposition of each induced subgraph delegated to the shared CSR
-   kernel — the run graph is materialized once per strategy. *)
-let run_graph_violates ~npos ~succ ~reachable ~state_of ~pairs =
-  let g = Digraph.of_fn ~nodes:npos succ in
+   kernel. *)
+let run_graph_violates g ~reachable ~state_of ~pairs =
+  let npos = Digraph.nodes g in
   let in_nodes = Array.make npos false in
   let sccs nodes =
     Array.fill in_nodes 0 npos false;
@@ -282,24 +282,20 @@ let accepts_general b t =
     if pos = npos then begin
       (* Evaluate this strategy: reachable positions must all have a move
          and no violating closed walk may be reachable. *)
-      let succ v =
-        match choice_lists.(v) with
-        | [] -> []
-        | l -> List.nth l assignment.(v)
+      let g =
+        Digraph.of_fn ~nodes:npos (fun v ->
+            match choice_lists.(v) with
+            | [] -> []
+            | l -> List.nth l assignment.(v))
       in
-      let reachable = Array.make npos false in
+      let reachable = Digraph.reachable g [ start ] in
       let dead = ref false in
-      let rec visit v =
-        if not reachable.(v) then begin
-          reachable.(v) <- true;
-          if choice_lists.(v) = [] then dead := true
-          else List.iter visit (succ v)
-        end
-      in
-      visit start;
+      Array.iteri
+        (fun v r -> if r && choice_lists.(v) = [] then dead := true)
+        reachable;
       (not !dead)
       && not
-           (run_graph_violates ~npos ~succ ~reachable
+           (run_graph_violates g ~reachable
               ~state_of:(fun v -> v / t.Rtree.nstates)
               ~pairs:b.pairs)
     end

@@ -31,16 +31,18 @@ let of_rtree (r : Rtree.t) =
 let successors t q =
   Array.to_list t.children.(q) |> List.filter_map Fun.id
 
-let reachable t =
+let restricted_reachable t ~keep =
   let seen = Array.make t.nstates false in
   let rec visit q =
-    if not seen.(q) then begin
+    if keep q && not seen.(q) then begin
       seen.(q) <- true;
       List.iter visit (successors t q)
     end
   in
   visit t.root;
   seen
+
+let reachable t = restricted_reachable t ~keep:(fun _ -> true)
 
 let has_hole t =
   (* A reachable leaf: a state with no present children. In the paper's
@@ -56,95 +58,37 @@ let has_hole t =
     reach;
   !found
 
-let restricted_reachable t ~keep =
-  let seen = Array.make t.nstates false in
-  let rec visit q =
-    if keep q && not seen.(q) then begin
-      seen.(q) <- true;
-      List.iter visit (successors t q)
-    end
+let is_total t = not (has_hole t)
+
+(* Some [reach]-state satisfying [pred] returns to itself in >= 1 step
+   without leaving [within]-states. *)
+let exists_cycle t ~reach ~pred ~within =
+  let returns src =
+    let seen = Array.make t.nstates false in
+    let found = ref false in
+    let rec visit q =
+      if within q && not seen.(q) then begin
+        seen.(q) <- true;
+        if q = src then found := true else List.iter visit (successors t q)
+      end
+    in
+    List.iter visit (successors t src);
+    !found
   in
-  visit t.root;
-  seen
+  let result = ref false in
+  Array.iteri (fun q r -> if r && pred q && returns q then result := true)
+    reach;
+  !result
 
 let has_cycle_within t ~keep =
   let inside = restricted_reachable t ~keep in
-  (* A cycle within the restricted reachable subgraph: some state in it
-     reaches itself in >= 1 step without leaving. *)
-  let reaches_self src =
-    let seen = Array.make t.nstates false in
-    let found = ref false in
-    let rec visit q =
-      if inside.(q) && not seen.(q) then begin
-        seen.(q) <- true;
-        if q = src then found := true;
-        List.iter visit (successors t q)
-      end
-      else if inside.(q) && q = src then found := true
-    in
-    List.iter (fun q -> if inside.(q) then visit q) (successors t src);
-    !found
-  in
-  let result = ref false in
-  Array.iteri (fun q r -> if r && reaches_self q then result := true) inside;
-  !result
+  exists_cycle t ~reach:inside ~pred:(fun _ -> true) ~within:(Array.get inside)
 
 let has_reachable_cycle_through t ~pred =
-  let reach = reachable t in
-  (* A pred-state on a reachable cycle. *)
-  let on_cycle src =
-    let seen = Array.make t.nstates false in
-    let found = ref false in
-    let rec visit q =
-      if not seen.(q) then begin
-        seen.(q) <- true;
-        if q = src then found := true;
-        List.iter visit (successors t q)
-      end
-      else if q = src then found := true
-    in
-    List.iter visit (successors t src);
-    !found
-  in
-  let result = ref false in
-  Array.iteri
-    (fun q r -> if r && pred q && on_cycle q then result := true)
-    reach;
-  !result
+  exists_cycle t ~reach:(reachable t) ~pred ~within:(fun _ -> true)
 
 let has_reachable_cycle_inside t ~pred =
-  let reach = reachable t in
-  (* A pred-state, reachable from the root by any path, that returns to
-     itself through pred-states only. *)
-  let self_loop_inside src =
-    let seen = Array.make t.nstates false in
-    let found = ref false in
-    let rec visit q =
-      if pred q && not seen.(q) then begin
-        seen.(q) <- true;
-        if q = src then found := true;
-        List.iter visit (successors t q)
-      end
-      else if pred q && q = src then found := true
-    in
-    List.iter visit (successors t src);
-    !found
-  in
-  let result = ref false in
-  Array.iteri
-    (fun q r -> if r && pred q && self_loop_inside q then result := true)
-    reach;
-  !result
-
-let is_total t =
-  let reach = reachable t in
-  let ok = ref true in
-  Array.iteri
-    (fun q r ->
-      if r && not (Array.exists Option.is_some t.children.(q)) then
-        ok := false)
-    reach;
-  !ok
+  exists_cycle t ~reach:(reachable t) ~pred ~within:pred
 
 let to_kripke t ~prop_of_label =
   if not (is_total t) then

@@ -394,6 +394,62 @@ let test_theorem5_preconditions () =
       check (name ^ " not EL") false c.Tclosure.existentially_live)
     [ "q4a"; "q5a" ]
 
+let test_fair_targets () =
+  (* 0(p) -> 0, 0 -> 1(q), 1 -> 1. Under "visit state 0 infinitely
+     often" state 1 starts no fair path, so a fair EX/EU may not end
+     there. *)
+  let k =
+    Kripke.make ~nstates:2 ~initial:0
+      ~successors:[| [ 0; 1 ]; [ 1 ] |]
+      ~ap:[| "p"; "q" |]
+      ~labels:[| [| true; false |]; [| false; true |] |]
+  in
+  let c = [ [| true; false |] ] in
+  Alcotest.(check (array bool)) "fair states" [| true; false |]
+    (Fair.fair_states k c);
+  List.iter
+    (fun s ->
+      check ("classically " ^ s) true (Ctl.holds k (Ctl.parse_exn s));
+      check ("fairly not " ^ s) false (Fair.holds k c (Ctl.parse_exn s)))
+    [ "EX q"; "E (p U q)"; "EF q" ];
+  check "fairly AG p" true (Fair.holds k c (Ctl.parse_exn "AG p"))
+
+(* The tree layer's cycle searches against the CTL/CTL* model checkers on
+   the same presentations: two independent implementations. *)
+let test_tree_cycles_vs_ctlstar () =
+  let module Ptree = Sl_tree.Ptree in
+  let three_states =
+    List.filter
+      (fun (t : Ptree.t) -> t.nstates = 3)
+      (Ptree.enumerate_total ~alphabet:2 ~k:2 ~max_states:3)
+  in
+  List.iter
+    (fun (t : Ptree.t) ->
+      let k =
+        Ptree.to_kripke t ~prop_of_label:(fun l -> if l = 0 then "a" else "b")
+      in
+      let root v = v.(t.root) in
+      let is_a q = t.label.(q) = 0 in
+      List.iter
+        (fun (name, pred, prop) ->
+          let agree what by_ctl by_tree =
+            if by_ctl <> by_tree then
+              Alcotest.failf "%s %s on %a: CTL %b, tree %b" what name
+                Ptree.pp t by_ctl by_tree
+          in
+          agree "cycle through"
+            (root (Ctlstar.e_gf k ~pred))
+            (Ptree.has_reachable_cycle_through t ~pred);
+          agree "cycle inside"
+            (root (Ctlstar.e_fg k ~pred))
+            (Ptree.has_reachable_cycle_inside t ~pred);
+          agree "cycle within"
+            (root (Ctl.sat k (Ctl.EG prop)))
+            (Ptree.has_cycle_within t ~keep:pred))
+        [ ("a", is_a, Ctl.Prop "a");
+          ("!a", (fun q -> not (is_a q)), Ctl.Not (Ctl.Prop "a")) ])
+    (Examples.sample @ three_states)
+
 let tests =
   [ Alcotest.test_case "parser" `Quick test_parser;
     Alcotest.test_case "modalities on a diamond" `Quick test_modalities;
@@ -423,4 +479,8 @@ let tests =
     Alcotest.test_case "closure lattice facts" `Slow
       test_closure_lattice_facts;
     Alcotest.test_case "theorem 5 preconditions" `Slow
-      test_theorem5_preconditions ]
+      test_theorem5_preconditions;
+    Alcotest.test_case "tree cycle searches = CTL*" `Quick
+      test_tree_cycles_vs_ctlstar;
+    Alcotest.test_case "fair CTL: EX/EU end in fair states" `Quick
+      test_fair_targets ]

@@ -56,15 +56,15 @@ let test_fixpoints_on_ring () =
   Alcotest.(check (array bool)) "totality" [| true; true; true |]
     (ok_sat k (Mu.parse_exn "nu X . <> X"))
 
+let embedding_formulas =
+  [ "EX p"; "AX p"; "EF q"; "AF q"; "EG p"; "AG (p -> EF q)";
+    "E (p U q)"; "A (p U q)"; "EF EG p"; "AG AF q" ]
+
 let test_ctl_embedding () =
   let structures =
     [ Kripke.token_ring 4; Kripke.mutex ();
       Kripke.random ~seed:5 ~nstates:7 ~ap:[| "p"; "q" |] ~density:0.3 ();
       Kripke.random ~seed:9 ~nstates:5 ~ap:[| "p"; "q" |] ~density:0.5 () ]
-  in
-  let formulas =
-    [ "EX p"; "AX p"; "EF q"; "AF q"; "EG p"; "AG (p -> EF q)";
-      "E (p U q)"; "A (p U q)"; "EF EG p"; "AG AF q" ]
   in
   List.iter
     (fun k ->
@@ -77,8 +77,27 @@ let test_ctl_embedding () =
                 ("embedding: " ^ s)
                 (Ctl.sat k f)
                 (ok_sat k (Mu.of_ctl f)))
-        formulas)
+        embedding_formulas)
     structures
+
+(* Three evaluators of the same CTL formula on random structures: the
+   labeling algorithm, the mu-calculus embedding, and fair CTL with no
+   constraints. *)
+let prop_ctl_evaluators_agree =
+  QCheck.Test.make ~name:"random structures: CTL = mu embedding = fair CTL"
+    ~count:200
+    QCheck.(triple (int_bound 10_000) (int_range 1 9) (int_range 1 9))
+    (fun (seed, nstates, tenths) ->
+      let k =
+        Kripke.random ~seed ~nstates ~ap:[| "p"; "q" |]
+          ~density:(float_of_int tenths /. 10.) ()
+      in
+      List.for_all
+        (fun s ->
+          let f = Ctl.parse_exn s in
+          let v = Ctl.sat k f in
+          v = ok_sat k (Mu.of_ctl f) && v = Sl_ctl.Fair.sat k [] f)
+        embedding_formulas)
 
 let test_alternation_example () =
   (* nu X . mu Y . ((p & <> X) | <> Y): "some path visits p infinitely
@@ -107,4 +126,5 @@ let tests =
       test_fixpoints_on_ring;
     Alcotest.test_case "CTL embedding" `Quick test_ctl_embedding;
     Alcotest.test_case "alternation: E GF p" `Quick
-      test_alternation_example ]
+      test_alternation_example;
+    QCheck_alcotest.to_alcotest prop_ctl_evaluators_agree ]

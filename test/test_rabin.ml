@@ -145,6 +145,22 @@ let test_general_rabin_condition () =
       check "AFG a via Rabin pair" expected (Rabin.accepts fin_b t))
     sample
 
+let test_general_condition_dead_ends () =
+  (* AG a and EF b with their Büchi pair listed twice: no longer
+     Büchi-shaped, so membership enumerates strategies, and a reachable
+     position with no move (AG a reading b) must reject. *)
+  let twice (b : Rabin.t) =
+    Rabin.make ~alphabet:b.alphabet ~k:b.k ~nstates:b.nstates ~start:b.start
+      ~delta:b.delta ~pairs:(b.pairs @ b.pairs)
+  in
+  List.iter
+    (fun (name, b, oracle) ->
+      let b = twice b in
+      check (name ^ ": not Büchi shaped") false (Rabin.is_buchi_shaped b);
+      List.iter (fun t -> check name (oracle t) (Rabin.accepts b t)) sample)
+    [ ("AG a", Rpatterns.ag_a, oracle_ag_a);
+      ("EF b", Rpatterns.ef_b, oracle_ef_b) ]
+
 let test_union () =
   let u = Rabin.union Rpatterns.ag_a Rpatterns.ef_b in
   List.iter
@@ -228,4 +244,6 @@ let tests =
     Alcotest.test_case "decomposition pieces" `Quick
       test_decomposition_pieces;
     Alcotest.test_case "truncation consistency" `Quick
-      test_truncation_unfold_consistency ]
+      test_truncation_unfold_consistency;
+    Alcotest.test_case "general condition: dead ends reject" `Quick
+      test_general_condition_dead_ends ]
