@@ -52,8 +52,6 @@ let sccs b =
 let on_cycle_of (r : Digraph.scc) nstates =
   Array.init nstates (fun q -> r.Digraph.nontrivial.(r.Digraph.comp.(q)))
 
-let on_cycle b = on_cycle_of (Digraph.sccs (graph b)) b.nstates
-
 let live_states_of g b =
   (* Live: can reach an accepting state on a cycle — backward reachability
      (on the transposed CSR graph) from the accepting members of
@@ -108,56 +106,21 @@ let is_empty b =
   let reach, live = reach_and_live b in
   not (reach.(b.start) && live.(b.start))
 
-(* BFS shortest path in the labeled graph from [src] to any state in
-   [targets]; returns the word and the state reached. [min_steps] forces at
-   least that many transitions (used to find nonempty cycles). *)
-let bfs_word b ~src ~targets ~min_steps =
-  let g = graph b in
-  let n = b.nstates in
-  (* Layer 0 is src with 0 steps; track (state, steps>=min as flag). *)
-  let seen = Array.make_matrix n 2 false in
-  let parent = Hashtbl.create 16 in
-  let queue = Queue.create () in
-  let flag0 = if min_steps = 0 then 1 else 0 in
-  seen.(src).(flag0) <- true;
-  Queue.push (src, flag0) queue;
-  let result = ref None in
-  while !result = None && not (Queue.is_empty queue) do
-    let q, f = Queue.pop queue in
-    if f = 1 && targets q then result := Some q
-    else
-      (* After one or more steps the min-step obligation (0 or 1 here) is
-         met, so successors always carry flag 1. *)
-      for s = 0 to b.alphabet - 1 do
-        Digraph.iter_succ_sym g q s (fun q' ->
-            if not seen.(q').(1) then begin
-              seen.(q').(1) <- true;
-              Hashtbl.replace parent (q', 1) (q, f, s);
-              Queue.push (q', 1) queue
-            end)
-      done
-  done;
-  Option.map
-    (fun target ->
-      let rec unwind node acc =
-        match Hashtbl.find_opt parent node with
-        | None -> acc
-        | Some (p, pf, s) -> unwind (p, pf) (s :: acc)
-      in
-      (unwind (target, 1) [], target))
-    !result
-
+(* The spoke is the least shortest word to an accepting state on a
+   cycle (reachable, since the search starts at the start state); the
+   cycle is the least shortest nonempty word from there back to it. *)
 let nonempty_witness b =
-  let reach = reachable b in
-  let cyc = on_cycle b in
-  let good q = reach.(q) && b.accepting.(q) && cyc.(q) in
-  match bfs_word b ~src:b.start ~targets:good ~min_steps:0 with
-  | None -> None
-  | Some (spoke_word, f) -> (
-      match bfs_word b ~src:f ~targets:(fun q -> q = f) ~min_steps:1 with
-      | None -> None (* impossible: f is on a cycle *)
-      | Some (cycle_word, _) ->
-          Some (Lasso.make ~prefix:spoke_word ~cycle:cycle_word))
+  let g = graph b in
+  let cyc = on_cycle_of (Digraph.sccs g) b.nstates in
+  let word = List.map fst in
+  Option.bind
+    (Digraph.shortest_path g ~src:b.start ~target:(fun q ->
+         b.accepting.(q) && cyc.(q)))
+    (fun spoke ->
+      let f = List.fold_left (fun _ (_, q) -> q) b.start spoke in
+      Option.map
+        (fun cycle -> Lasso.make ~prefix:(word spoke) ~cycle:(word cycle))
+        (Digraph.shortest_path ~nonempty:true g ~src:f ~target:(( = ) f)))
 
 type lasso_product = {
   graph : Digraph.t;

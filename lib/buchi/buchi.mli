@@ -51,10 +51,6 @@ val sccs : t -> int array * int list list
     graph. Returns the component id of each state and the components in
     reverse topological order. *)
 
-val on_cycle : t -> bool array
-(** [on_cycle b q] iff [q] lies on some cycle ([q] reaches itself in one or
-    more steps): a nontrivial SCC, or a self loop. *)
-
 val live_states : t -> bool array
 (** States [q] with [L(B(q)) ≠ ∅]: those reaching an accepting state that
     lies on a cycle. These are the states the paper's closure operator
@@ -74,8 +70,10 @@ val is_empty : t -> bool
 (** [L(B) = ∅], via accepting-cycle reachability. *)
 
 val nonempty_witness : t -> Lasso.t option
-(** A lasso in the language, if nonempty (shortest-path BFS for both the
-    spoke and the cycle). *)
+(** A lasso in the language, if nonempty: the spoke is the least
+    shortest word to an accepting state on a cycle, the cycle the least
+    shortest nonempty word back to that state (both by
+    {!Sl_core.Digraph.shortest_path}). *)
 
 type lasso_product = {
   graph : Sl_core.Digraph.t;

@@ -1,15 +1,43 @@
-type t = {
-  original : Buchi.t;
-  safety : Buchi.t;
-  liveness : Buchi.t;
+type 'a decomposition = 'a Sl_core.Theory.decomposition = {
+  element : 'a;
+  safety : 'a;
+  liveness : 'a;
 }
+
+type t = Buchi.t decomposition
 
 let lcl = Closure.bcl
 
-let decompose b =
-  let safety = Closure.bcl b in
-  let liveness = Ops.union b (Complement.complement_closed safety) in
-  { original = b; safety; liveness }
+let language_lattice ~alphabet :
+    (module Sl_core.Theory.COMPLEMENTED with type t = Buchi.t) =
+  (module struct
+    type nonrec t = Buchi.t
+
+    let equal = Lang.equal
+    let leq = Lang.subset
+    let meet = Ops.intersect
+    let join = Ops.union
+    let bot = Buchi.empty_language ~alphabet
+    let top = Buchi.universal ~alphabet
+
+    let pp fmt b =
+      Format.fprintf fmt "<buchi %s>" (Buchi.size_info b)
+
+    let complement b =
+      match Complement.negate b with
+      | c -> Some c
+      | exception Complement.Too_large _ -> None
+  end)
+
+(* Theorem 3 at cl1 = cl2 = bcl: [bcl B] is closure-shaped, so its
+   complement is the subset construction and never exceeds a budget. *)
+let decompose (b : Buchi.t) =
+  let module T =
+    Sl_core.Theory.Make ((val language_lattice ~alphabet:b.alphabet))
+  in
+  match T.decompose ~cl2:lcl b with
+  | Some d -> d
+  | None -> assert false
 
 let check_claims ~intersection_ok d =
   let failures = ref [] in
@@ -37,22 +65,22 @@ let verify_via_negation d ~negation =
       let meet = Ops.intersect d.safety d.liveness in
       if not (Buchi.is_empty (Ops.intersect meet negation)) then
         Some "L(B_S) /\\ L(B_L) not included in L(B)"
-      else if not (Lang.subset d.original d.safety) then
+      else if not (Lang.subset d.element d.safety) then
         Some "L(B) not included in L(B_S)"
       else if
         not
           (Buchi.is_empty
-             (Ops.intersect d.original (Ops.intersect negation d.safety)))
+             (Ops.intersect d.element (Ops.intersect negation d.safety)))
       then Some "L(B) not included in L(B_L)"
       else None)
 
 let verify_exact d =
-  verify_via_negation d ~negation:(Complement.negate d.original)
+  verify_via_negation d ~negation:(Complement.negate d.element)
 
 let verify_sampled ~max_prefix ~max_cycle d =
   check_claims d ~intersection_ok:(fun () ->
       let meet = Ops.intersect d.safety d.liveness in
-      match Lang.separating_lasso ~max_prefix ~max_cycle meet d.original with
+      match Lang.separating_lasso ~max_prefix ~max_cycle meet d.element with
       | None -> None
       | Some w ->
           Some
@@ -93,24 +121,3 @@ let classify_via_negation b ~negation =
   if not (Buchi.is_empty (Ops.intersect b negation)) then
     invalid_arg "Decompose.classify_via_negation: negation overlaps language";
   classify_against b ~negation
-
-let language_lattice ~alphabet :
-    (module Sl_core.Theory.COMPLEMENTED with type t = Buchi.t) =
-  (module struct
-    type nonrec t = Buchi.t
-
-    let equal = Lang.equal
-    let leq = Lang.subset
-    let meet = Ops.intersect
-    let join = Ops.union
-    let bot = Buchi.empty_language ~alphabet
-    let top = Buchi.universal ~alphabet
-
-    let pp fmt b =
-      Format.fprintf fmt "<buchi %s>" (Buchi.size_info b)
-
-    let complement b =
-      match Complement.negate b with
-      | c -> Some c
-      | exception Complement.Too_large _ -> None
-  end)

@@ -5,16 +5,21 @@
     [B_S = bcl B] recognizes a safety property, [B_L = B ∪ ¬(bcl B)] a
     liveness property, and [L(B) = L(B_S) ∩ L(B_L)]. *)
 
-type t = {
-  original : Buchi.t;
-  safety : Buchi.t;  (** [bcl B]: the strongest safety part (Theorem 6). *)
-  liveness : Buchi.t;  (** [B ∪ ¬(bcl B)]: the weakest liveness part
-                           (Theorem 7 — the language lattice is
-                           distributive). *)
+type 'a decomposition = 'a Sl_core.Theory.decomposition = {
+  element : 'a;
+  safety : 'a;
+  liveness : 'a;
 }
 
+type t = Buchi.t decomposition
+(** [element] is [B]; [safety] is [bcl B], the strongest safety part
+    (Theorem 6); [liveness] is [B ∪ ¬(bcl B)], the weakest liveness part
+    (Theorem 7 — the language lattice is distributive). *)
+
 val decompose : Buchi.t -> t
-(** Always succeeds: only safety-complementation is needed. *)
+(** Theorem 3 itself: [Sl_core.Theory.Make]'s [decompose ~cl2:lcl] over
+    {!language_lattice}. Always succeeds: [bcl B] is closure-shaped, so
+    {!Complement.negate} complements it by the subset construction. *)
 
 val verify_via_negation : t -> negation:Buchi.t -> (string * string) list
 (** Exact checks of the three claims (safety part closed, liveness part

@@ -135,6 +135,52 @@ let reachable_from ?filter g seeds =
   reach_into g keep seen worklist;
   seen
 
+(* Breadth-first from [src], symbols in ascending order, successors in
+   storage order: nodes are discovered in the order of their least
+   shortest paths (paths compare by length, then edge by edge: symbol,
+   then storage position), so the first target discovered ends the
+   least shortest path to any target. A parent entry is the extent
+   index [v * nsyms + s] of the discovering edge. Only [filter]-nodes
+   are expanded; [src] is expanded first whatever [filter] says and
+   never again, and only with [nonempty] can an edge discover it. *)
+let shortest_path ?filter ?(nonempty = false) g ~src ~target =
+  if (not nonempty) && target src then Some []
+  else begin
+    let keep = Option.value filter ~default:always in
+    let k = g.nsyms in
+    let parent = Array.make g.nodes (-1) in
+    let queue = Array.make g.nodes src in
+    let head = ref 0 and tail = ref 1 in
+    let found = ref (-1) in
+    while !found < 0 && !head < !tail do
+      let v = queue.(!head) in
+      incr head;
+      let base = v * k in
+      for e = base to base + k - 1 do
+        for i = g.off.(e) to g.off.(e + 1) - 1 do
+          let w = g.succ.(i) in
+          if !found < 0 && parent.(w) < 0 && (nonempty || w <> src) then begin
+            parent.(w) <- e;
+            if target w then found := w
+            else if keep w && w <> src then begin
+              queue.(!tail) <- w;
+              incr tail
+            end
+          end
+        done
+      done
+    done;
+    if !found < 0 then None
+    else begin
+      let rec unwind w acc =
+        let e = parent.(w) in
+        let acc = (e mod k, w) :: acc in
+        if e / k = src then acc else unwind (e / k) acc
+      in
+      Some (unwind !found [])
+    end
+  end
+
 let reverse g =
   let n = g.nodes in
   let off = Array.make (n + 1) 0 in

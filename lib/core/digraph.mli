@@ -73,6 +73,22 @@ val reachable_from : ?filter:(int -> bool) -> t -> bool array -> bool array
 (** As {!reachable} with a seed set given as a flag array. To compute
     {e backward} reachability, pass the {!reverse} graph. *)
 
+val shortest_path :
+  ?filter:(int -> bool) -> ?nonempty:bool -> t -> src:int ->
+  target:(int -> bool) -> (int * int) list option
+(** [shortest_path g ~src ~target]: the [(symbol, node)] edges of a
+    shortest path from [src] to a node satisfying [target], or [None].
+    Breadth-first, successors tried symbol by symbol in storage order:
+    the path returned ends at the first target discovered, the least
+    shortest path (paths compare by length, then edge by edge: symbol,
+    then storage position) — on a deterministic graph, the least word
+    of minimal length in (length, lexicographic) order. Intermediate
+    nodes must satisfy [filter] (default: all); the endpoint only
+    [target], and [src] is expanded whatever [filter] says. With
+    [~nonempty:true] the path takes at least one step, so [src] is
+    reached again only along a cycle; otherwise a [target] [src] gives
+    [Some []]. *)
+
 val reverse : t -> t
 (** The transpose graph (symbols erased, [nsyms = 1]). *)
 

@@ -25,11 +25,12 @@ module Make (L : COMPLEMENTED) = struct
   let is_liveness cl a = L.equal (cl a) L.top
 
   let decompose ?cl1 ~cl2 a =
-    let cl1 = Option.value cl1 ~default:cl2 in
-    match L.complement (cl2 a) with
+    let closed = cl2 a in
+    match L.complement closed with
     | None -> None
     | Some b ->
-        Some { element = a; safety = cl1 a; liveness = L.join a b }
+        let safety = match cl1 with None -> closed | Some cl1 -> cl1 a in
+        Some { element = a; safety; liveness = L.join a b }
 
   let verify ~cl1 ~cl2 d =
     let failures = ref [] in

@@ -4,38 +4,19 @@ module Kripke = Sl_kripke.Kripke
 let can_reach (k : Kripke.t) target =
   Ctl.eu k (Array.make k.nstates true) target
 
-(* Is [q] on a cycle all of whose states satisfy [inside]? *)
-let on_cycle_inside (k : Kripke.t) inside q =
-  if not (inside q) then false
-  else begin
-    let seen = Array.make k.nstates false in
-    let found = ref false in
-    let rec visit s =
-      if inside s && not seen.(s) then begin
-        seen.(s) <- true;
-        if s = q then found := true;
-        List.iter visit k.successors.(s)
-      end
-      else if inside s && s = q then found := true
-    in
-    List.iter visit k.successors.(q);
-    !found
-  end
-
+(* E GF pred = νZ. EX EF (pred ∧ Z): some successor reaches a pred-state
+   that again satisfies Z. Iterated down from all states until stable. *)
 let e_gf (k : Kripke.t) ~pred =
-  (* Reach a pred-state lying on any cycle. *)
-  let target =
-    Array.init k.nstates (fun q ->
-        pred q && on_cycle_inside k (fun _ -> true) q)
+  let rec fix z =
+    let ef = can_reach k (Array.mapi (fun q zq -> zq && pred q) z) in
+    let z' = Array.map (List.exists (fun q' -> ef.(q'))) k.successors in
+    if z' = z then z else fix z'
   in
-  can_reach k target
+  fix (Array.make k.nstates true)
 
+(* E FG pred = EF EG pred. *)
 let e_fg (k : Kripke.t) ~pred =
-  (* Reach a pred-state lying on an all-pred cycle. *)
-  let target =
-    Array.init k.nstates (fun q -> pred q && on_cycle_inside k pred q)
-  in
-  can_reach k target
+  can_reach k (Ctl.eg k (Array.init k.nstates pred))
 
 let a_gf k ~pred = Array.map not (e_fg k ~pred:(fun q -> not (pred q)))
 let a_fg k ~pred = Array.map not (e_gf k ~pred:(fun q -> not (pred q)))

@@ -5,8 +5,10 @@
     On finite Kripke structures these reduce to cycle analysis: a path
     with infinitely many [p]-states exists iff a reachable cycle contains
     a [p]-state; a path with eventually only [p]-states exists iff a
-    reachable cycle lies entirely inside [p]-states. The [A] forms are the
-    negations of the dual [E] forms. *)
+    reachable cycle lies entirely inside [p]-states. Both are computed
+    with the CTL fixpoints {!Ctl.eu} and {!Ctl.eg}: [E FG p = EF EG p]
+    and [E GF p = νZ. EX EF (p ∧ Z)]. The [A] forms are the negations of
+    the dual [E] forms. *)
 
 val e_gf : Sl_kripke.Kripke.t -> pred:(int -> bool) -> bool array
 (** Per state: some path from it visits [pred]-states infinitely often. *)

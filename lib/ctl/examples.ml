@@ -48,14 +48,8 @@ let q3b : Tclosure.property =
       (fun x ->
         root_is_a x
         && (Ptree.has_hole x
-           || begin
-                let reach = Ptree.reachable x in
-                let non_a = ref false in
-                Array.iteri
-                  (fun q r -> if r && not (state_is_a x q) then non_a := true)
-                  reach;
-                !non_a
-              end)) }
+           || Array.to_seqi (Ptree.reachable x)
+              |> Seq.exists (fun (q, r) -> r && not (state_is_a x q)))) }
 
 let q4a : Tclosure.property =
   (* A FG ¬a: along every path, finitely many a. A prefix extends iff no

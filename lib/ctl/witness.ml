@@ -1,4 +1,5 @@
 module Kripke = Sl_kripke.Kripke
+module Digraph = Sl_core.Digraph
 
 type path = { spoke : int list; cycle : int list }
 
@@ -17,49 +18,13 @@ let states_of_path p i =
   let ns = List.length p.spoke and nc = List.length p.cycle in
   if i < ns then List.nth p.spoke i else List.nth p.cycle ((i - ns) mod nc)
 
-(* BFS path from [src] to a state satisfying [target]; intermediate
-   states must satisfy [keep], the endpoint only [target]. Returns the
-   state list src..target. *)
-let bfs_path (k : Kripke.t) ~keep ~src ~target =
-  if not (keep src || target src) then None
-  else begin
-    let parent = Array.make k.nstates (-2) in
-    parent.(src) <- -1;
-    let queue = Queue.create () in
-    Queue.push src queue;
-    let found = ref None in
-    while !found = None && not (Queue.is_empty queue) do
-      let q = Queue.pop queue in
-      if target q then found := Some q
-      else
-        List.iter
-          (fun q' ->
-            if (keep q' || target q') && parent.(q') = -2 then begin
-              parent.(q') <- q;
-              Queue.push q' queue
-            end)
-          k.successors.(q)
-    done;
-    Option.map
-      (fun dest ->
-        let rec unwind q acc =
-          if parent.(q) = -1 then q :: acc else unwind parent.(q) (q :: acc)
-        in
-        unwind dest [])
-      !found
-  end
-
-(* A cycle through states satisfying [keep], starting and ending at [src]
-   (one or more steps); returns the cycle without the repeated endpoint. *)
-let cycle_from (k : Kripke.t) ~keep ~src =
-  let step_back = List.filter keep k.successors.(src) in
-  List.find_map
-    (fun first ->
-      Option.map
-        (fun back ->
-          src :: List.filteri (fun i _ -> i < List.length back - 1) back)
-        (bfs_path k ~keep ~src:first ~target:(fun q -> q = src)))
-    step_back
+(* A kernel path from [src] as the states before its endpoint, and the
+   endpoint. *)
+let split src edges =
+  let rev_before, last =
+    List.fold_left (fun (acc, v) (_, w) -> (v :: acc, w)) ([], src) edges
+  in
+  (List.rev rev_before, last)
 
 (* Any lasso continuation from a state (keep = everything). *)
 let any_continuation k ~src =
@@ -82,9 +47,19 @@ let any_continuation k ~src =
 
 let witness (k : Kripke.t) formula q =
   let sat f = Ctl.sat k f in
+  let graph = Kripke.graph k in
   let prepend prefix p =
     (* prefix ends where p starts. *)
     { p with spoke = prefix @ p.spoke }
+  in
+  (* A path through [filter]-states to a [target]-state, continued by
+     any lasso from there. *)
+  let reach ?filter target =
+    Option.map
+      (fun edges ->
+        let spoke, last = split q edges in
+        prepend spoke (any_continuation k ~src:last))
+      (Digraph.shortest_path ?filter graph ~src:q ~target)
   in
   match (formula : Ctl.t) with
   | EX g ->
@@ -96,50 +71,31 @@ let witness (k : Kripke.t) formula q =
         k.successors.(q)
   | EF g ->
       let vg = sat g in
-      Option.map
-        (fun path ->
-          match List.rev path with
-          | last :: _ ->
-              prepend
-                (List.filteri (fun i _ -> i < List.length path - 1) path)
-                (any_continuation k ~src:last)
-          | [] -> assert false)
-        (bfs_path k ~keep:(fun _ -> true) ~src:q ~target:(fun s -> vg.(s)))
+      reach (fun s -> vg.(s))
   | EU (g, h) ->
       let vg = sat g and vh = sat h in
       (* A g-path to an h-state: intermediates within g, endpoint h. *)
-      Option.map
-        (fun path ->
-          match List.rev path with
-          | last :: _ ->
-              prepend
-                (List.filteri (fun i _ -> i < List.length path - 1) path)
-                (any_continuation k ~src:last)
-          | [] -> assert false)
-        (bfs_path k ~keep:(fun s -> vg.(s)) ~src:q
-           ~target:(fun s -> vh.(s)))
+      if vg.(q) || vh.(q) then
+        reach ~filter:(fun s -> vg.(s)) (fun s -> vh.(s))
+      else None
   | EG g ->
+      (* Within g-states: reach a state of a nontrivial g-SCC, then the
+         shortest g-cycle through it. *)
       let vg = sat g in
-      if not (Ctl.sat k (Ctl.EG g)).(q) then None
-      else begin
-        (* Within g-states: reach a state on a g-cycle. *)
-        let on_g_cycle s =
-          vg.(s) && cycle_from k ~keep:(fun x -> vg.(x)) ~src:s <> None
-        in
+      let inside s = vg.(s) in
+      let r = Digraph.sccs ~filter:inside graph in
+      let on_g_cycle s = inside s && r.nontrivial.(r.comp.(s)) in
+      if not (inside q) then None
+      else
         Option.bind
-          (bfs_path k ~keep:(fun s -> vg.(s)) ~src:q ~target:on_g_cycle)
-          (fun path ->
-            match List.rev path with
-            | last :: _ ->
-                Option.map
-                  (fun cyc ->
-                    { spoke =
-                        List.filteri (fun i _ -> i < List.length path - 1)
-                          path;
-                      cycle = cyc })
-                  (cycle_from k ~keep:(fun x -> vg.(x)) ~src:last)
-            | [] -> None)
-      end
+          (Digraph.shortest_path ~filter:inside graph ~src:q
+             ~target:on_g_cycle)
+          (fun edges ->
+            let spoke, last = split q edges in
+            Option.map
+              (fun cycle -> { spoke; cycle = fst (split last cycle) })
+              (Digraph.shortest_path ~nonempty:true ~filter:inside graph
+                 ~src:last ~target:(( = ) last)))
   | _ -> None
 
 let counterexample (k : Kripke.t) formula q =

@@ -60,35 +60,9 @@ end
 let reachable d = Digraph.reachable (graph d) [ d.start ]
 
 let some_accepted_word d =
-  (* BFS from the start recording a parent edge per state. *)
-  let parent = Array.make d.nstates None in
-  let seen = Array.make d.nstates false in
-  let queue = Queue.create () in
-  seen.(d.start) <- true;
-  Queue.push d.start queue;
-  let found = ref None in
-  while !found = None && not (Queue.is_empty queue) do
-    let q = Queue.pop queue in
-    if d.accepting.(q) then found := Some q
-    else
-      Array.iteri
-        (fun s q' ->
-          if not seen.(q') then begin
-            seen.(q') <- true;
-            parent.(q') <- Some (q, s);
-            Queue.push q' queue
-          end)
-        d.delta.(q)
-  done;
-  Option.map
-    (fun target ->
-      let rec unwind q acc =
-        match parent.(q) with
-        | None -> acc
-        | Some (p, s) -> unwind p (s :: acc)
-      in
-      unwind target [])
-    !found
+  Digraph.shortest_path (graph d) ~src:d.start ~target:(fun q ->
+      d.accepting.(q))
+  |> Option.map (List.map fst)
 
 let is_empty d = some_accepted_word d = None
 

@@ -46,7 +46,9 @@ val is_empty : t -> bool
 (** No reachable accepting state. *)
 
 val some_accepted_word : t -> int list option
-(** A shortest accepted word, if any (BFS). *)
+(** The least shortest accepted word (in length, then lexicographic
+    order), if any: {!Sl_core.Digraph.shortest_path} to an accepting
+    state. *)
 
 val equivalent : t -> t -> bool
 (** Language equality via emptiness of the symmetric difference. *)

@@ -114,11 +114,6 @@ let minimal p =
     (fun x -> not (List.exists (fun y -> lt p y x) (elements p)))
     (elements p)
 
-let maximal p =
-  List.filter
-    (fun x -> not (List.exists (fun y -> lt p x y) (elements p)))
-    (elements p)
-
 let bottom p =
   List.find_opt (fun b -> List.for_all (fun x -> leq p b x) (elements p))
     (elements p)

@@ -78,7 +78,6 @@ val covers_of : t -> elt -> elt list
 (** {1 Extremal elements and bounds} *)
 
 val minimal : t -> elt list
-val maximal : t -> elt list
 val bottom : t -> elt option
 (** The least element, if one exists. *)
 

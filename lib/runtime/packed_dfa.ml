@@ -52,6 +52,11 @@ let key_of ~alphabet ~trans ~accepting =
   Array.iter (fun a -> Buffer.add_char buf (if a then '*' else '.')) accepting;
   Buffer.contents buf
 
+(* The flat table as a kernel graph. *)
+let graph ~alphabet ~nstates trans =
+  Digraph.of_array_delta
+    (Array.init nstates (fun q -> Array.sub trans (q * alphabet) alphabet))
+
 (* Everything beyond (alphabet, trans, accepting) is a pure function of
    those three fields. A monitor can still trip in state q iff some
    rejecting state is reachable from q (backward reachability on the
@@ -61,11 +66,7 @@ let key_of ~alphabet ~trans ~accepting =
    this derivation between [pack] and [decode] is what makes a decoded
    artifact field-for-field identical to a fresh compile. *)
 let derive ~alphabet ~nstates ~trans ~accepting =
-  let delta2 =
-    Array.init nstates (fun q ->
-        Array.init alphabet (fun s -> trans.((q * alphabet) + s)))
-  in
-  let g = Digraph.of_array_delta delta2 in
+  let g = graph ~alphabet ~nstates trans in
   let can_trip =
     Digraph.reachable_from (Digraph.reverse g) (Array.map not accepting)
   in
@@ -118,39 +119,17 @@ let is_accepting pd q = pd.accepting.(q)
 let can_trip pd q = pd.can_trip.(q)
 let key pd = pd.key
 
-(* The monitor's certificate: BFS over the flat table from the start,
-   trying symbols in ascending order, stopping at the first rejecting
-   state discovered. Words are discovered in (length, lexicographic)
-   order, so the path found is the least of the shortest bad prefixes —
-   a function of the language alone, unchanged by minimization. *)
+(* The monitor's certificate: the kernel's least shortest path from the
+   start to a rejecting state. It is a function of the language alone,
+   unchanged by minimization. *)
 let shortest_bad_prefix pd =
-  if pd.pre_tripped then Some []
-  else if pd.vacuous then None
-  else begin
-    let parent = Array.make pd.nstates (-1) in
-    let queue = Queue.create () in
-    parent.(start) <- start;
-    Queue.push start queue;
-    let found = ref (-1) in
-    while !found < 0 do
-      let q = Queue.pop queue in
-      for s = 0 to pd.alphabet - 1 do
-        let q' = step pd q s in
-        if !found < 0 && parent.(q') < 0 then begin
-          parent.(q') <- (q * pd.alphabet) + s;
-          if not pd.accepting.(q') then found := q';
-          Queue.push q' queue
-        end
-      done
-    done;
-    let rec unwind q acc =
-      if q = start then acc
-      else
-        let e = parent.(q) in
-        unwind (e / pd.alphabet) ((e mod pd.alphabet) :: acc)
-    in
-    Some (unwind !found [])
-  end
+  if pd.vacuous then None
+  else
+    Digraph.shortest_path
+      (graph ~alphabet:pd.alphabet ~nstates:pd.nstates pd.trans)
+      ~src:start
+      ~target:(fun q -> not pd.accepting.(q))
+    |> Option.map (List.map fst)
 
 (* Fused megatable: every monitor's transition rows concatenated into
    one contiguous array, each entry carrying the successor together

@@ -49,10 +49,10 @@ val key : t -> string
 val shortest_bad_prefix : t -> int list option
 (** The monitor's certificate: the least (in length, then
     lexicographic order) finite word that no member of the property's
-    safety part extends — a BFS path from {!start} to a rejecting
-    state. [Some []] when the monitor is [pre_tripped] (the empty
-    property), [None] when it is [vacuous] (pure liveness: no bad
-    prefix exists). *)
+    safety part extends — the {!Sl_core.Digraph.shortest_path} from
+    {!start} to a rejecting state. [Some []] when the monitor is
+    [pre_tripped] (the empty property), [None] when it is [vacuous]
+    (pure liveness: no bad prefix exists). *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -325,6 +325,24 @@ let prop_decomposition_random =
       let d = Decompose.decompose b in
       Decompose.verify_sampled ~max_prefix:2 ~max_cycle:3 d = [])
 
+(* [decompose] is Theorem 3 through the generic functor; its complement
+   of [bcl B] must take the subset route (closure-shaped or empty, so
+   [negate] never falls through to the rank-based construction), and the
+   parts must be exactly [bcl B] and [B ∪ complement_closed (bcl B)]. *)
+let prop_decompose_subset_route =
+  QCheck.Test.make ~name:"decompose complements bcl B by the subset route"
+    ~count:60
+    QCheck.(pair (int_bound 10_000) (int_range 1 6))
+    (fun (seed, n) ->
+      let b = random_buchi seed n in
+      let c = Closure.bcl b in
+      let d = Decompose.decompose b in
+      (Buchi.is_empty c || Closure.is_closure_shaped c)
+      && Complement.negate c = Complement.complement_closed c
+      && d.Decompose.element == b
+      && d.Decompose.safety = c
+      && d.Decompose.liveness = Ops.union b (Complement.complement_closed c))
+
 let prop_closure_extensive_idempotent =
   QCheck.Test.make ~name:"random bcl: extensive and idempotent" ~count:60
     QCheck.(pair (int_bound 10_000) (int_range 1 6))
@@ -590,4 +608,5 @@ let tests =
     QCheck_alcotest.to_alcotest prop_rank_complement_random;
     QCheck_alcotest.to_alcotest prop_lemma3_languages;
     Alcotest.test_case "negate complements membership" `Quick
-      test_negate_complements ]
+      test_negate_complements;
+    QCheck_alcotest.to_alcotest prop_decompose_subset_route ]

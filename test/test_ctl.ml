@@ -205,6 +205,10 @@ let test_counterexamples () =
   | None -> Alcotest.fail "AU should be refuted"
   | Some p -> check "AU cex valid" true (Witness.check_path k p)
 
+(* At every state of a random structure, a witness exists exactly where
+   the formula holds, starts at that state, and shows the formula on the
+   path itself: EF reaches p, EG stays in p (cycle included), E (p U q)
+   reaches q through p, EX steps to q. *)
 let prop_witness_random =
   QCheck.Test.make ~name:"random structures: witnesses are valid paths"
     ~count:40
@@ -212,17 +216,56 @@ let prop_witness_random =
     (fun seed ->
       let k = Kripke.random ~seed ~nstates:6 ~ap:[| "p"; "q" |]
           ~density:0.3 () in
-      let formulas =
-        [ Ctl.parse_exn "EF p"; Ctl.parse_exn "EG p";
-          Ctl.parse_exn "E (p U q)"; Ctl.parse_exn "EX q" ]
+      let p s = Kripke.holds k s "p" and q s = Kripke.holds k s "q" in
+      let states w = w.Witness.spoke @ w.Witness.cycle in
+      let rec until = function
+        | [] -> false
+        | s :: rest -> q s || (p s && until rest)
+      in
+      let shows =
+        [ ("EF p", fun w -> List.exists p (states w));
+          ("EG p", fun w -> List.for_all p (states w));
+          ("E (p U q)", fun w -> until (states w));
+          ("EX q", fun w ->
+             match states w with _ :: s :: _ -> q s | _ -> false) ]
       in
       List.for_all
-        (fun f ->
-          let holds = (Ctl.sat k f).(0) in
-          match Witness.witness k f 0 with
-          | Some p -> holds && Witness.check_path k p
-          | None -> not holds)
-        formulas)
+        (fun s ->
+          List.for_all
+            (fun (f, shows) ->
+              let f = Ctl.parse_exn f in
+              match Witness.witness k f s with
+              | Some w ->
+                  (Ctl.sat k f).(s) && Witness.check_path k w
+                  && List.hd (states w) = s && shows w
+              | None -> not (Ctl.sat k f).(s))
+            shows)
+        (List.init k.Kripke.nstates Fun.id))
+
+(* The CTL* limit modalities against SCC analysis on the kernel graph:
+   E GF p iff a p-state of a nontrivial component is reachable, E FG p
+   iff a nontrivial component of the p-restricted graph is. *)
+let prop_ctlstar_vs_sccs =
+  QCheck.Test.make ~count:200
+    ~name:"random structures: CTL* limit modalities = SCC oracle"
+    QCheck.(int_bound 10_000)
+    (fun seed ->
+      let module Digraph = Sl_core.Digraph in
+      let k =
+        Kripke.random ~seed ~nstates:(1 + (seed mod 8)) ~ap:[| "p" |]
+          ~density:0.25 ()
+      in
+      let pred = Ctlstar.prop_pred k "p" in
+      let g = Kripke.graph k in
+      let reaches_cycle ?filter () =
+        let r = Digraph.sccs ?filter g in
+        Digraph.reachable_from (Digraph.reverse g)
+          (Array.init k.Kripke.nstates (fun s ->
+               pred s && r.Digraph.comp.(s) >= 0
+               && r.Digraph.nontrivial.(r.Digraph.comp.(s))))
+      in
+      Ctlstar.e_gf k ~pred = reaches_cycle ()
+      && Ctlstar.e_fg k ~pred = reaches_cycle ~filter:pred ())
 
 (* --- Fair CTL --- *)
 
@@ -483,4 +526,5 @@ let tests =
     Alcotest.test_case "tree cycle searches = CTL*" `Quick
       test_tree_cycles_vs_ctlstar;
     Alcotest.test_case "fair CTL: EX/EU end in fair states" `Quick
-      test_fair_targets ]
+      test_fair_targets;
+    QCheck_alcotest.to_alcotest prop_ctlstar_vs_sccs ]

@@ -324,6 +324,119 @@ let test_deep_path_no_overflow () =
     r.Digraph.nontrivial.(r.Digraph.comp.(n - 1));
   check "path states trivial" false r.Digraph.nontrivial.(r.Digraph.comp.(0))
 
+(* --- Least shortest paths, against brute force. Paths of each length
+   are enumerated in order (edge by edge: symbol, then storage
+   position) and the first ending in a target is taken. Intermediate
+   nodes must satisfy [keep]; with [nonempty] the empty path does not
+   count. --- *)
+
+let brute_shortest g ?(keep = fun _ -> true) ?(nonempty = false) ~max_len
+    ~src target =
+  let rec paths n v ~first =
+    if n = 0 then Seq.return []
+    else if not (first || keep v) then Seq.empty
+    else
+      Seq.init (Digraph.nsyms g) Fun.id
+      |> Seq.concat_map (fun s ->
+             List.to_seq (Digraph.succs_sym g v s)
+             |> Seq.concat_map (fun w ->
+                    Seq.map (fun p -> (s, w) :: p)
+                      (paths (n - 1) w ~first:false)))
+  in
+  let ends_in_target p =
+    target (List.fold_left (fun _ (_, w) -> w) src p)
+  in
+  Seq.init (max_len + 1) Fun.id
+  |> Seq.filter (fun n -> n > 0 || not nonempty)
+  |> Seq.concat_map (fun n -> paths n src ~first:true)
+  |> Seq.find ends_in_target
+
+(* Words over the DFA's alphabet up to [max_len], in (length,
+   lexicographic) order. *)
+let words_upto ~alphabet ~max_len =
+  let rec of_len n =
+    if n = 0 then [ [] ]
+    else
+      List.concat_map
+        (fun s -> List.map (fun w -> s :: w) (of_len (n - 1)))
+        (List.init alphabet Fun.id)
+  in
+  List.concat_map of_len (List.init (max_len + 1) Fun.id)
+
+let random_dfa st =
+  let nstates = 1 + Random.State.int st 6 in
+  let alphabet = 1 + Random.State.int st 3 in
+  Sl_nfa.Dfa.make ~alphabet ~nstates ~start:(Random.State.int st nstates)
+    ~delta:
+      (Array.init nstates (fun _ ->
+           Array.init alphabet (fun _ -> Random.State.int st nstates)))
+    ~accepting:(Array.init nstates (fun _ -> Random.State.int st 3 = 0))
+
+let prop_least_accepted_and_bad_word =
+  QCheck.Test.make ~count:300
+    ~name:"least shortest accepted word and bad prefix = brute force"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let d = random_dfa (Random.State.make [| seed |]) in
+      let first p =
+        List.find_opt p
+          (words_upto ~alphabet:d.Sl_nfa.Dfa.alphabet
+             ~max_len:(d.Sl_nfa.Dfa.nstates - 1))
+      in
+      Sl_nfa.Dfa.some_accepted_word d = first (Sl_nfa.Dfa.accepts d)
+      && Sl_runtime.Packed_dfa.shortest_bad_prefix
+           (Sl_runtime.Packed_dfa.of_dfa d)
+         = first (fun w -> not (Sl_nfa.Dfa.accepts d w)))
+
+let prop_least_shortest_path =
+  QCheck.Test.make ~count:300
+    ~name:"shortest_path = first path in (length, edge) order"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let nstates = 1 + Random.State.int st 6 in
+      let b =
+        Buchi.random ~seed ~alphabet:(1 + Random.State.int st 2) ~nstates
+          ~density:(0.1 +. Random.State.float st 0.4)
+          ~accepting_fraction:0.3 ()
+      in
+      let g = Buchi.graph b in
+      let keep v = b.Buchi.accepting.(v) || v mod 2 = 0 in
+      let agrees ?filter ?nonempty ~src target =
+        Digraph.shortest_path ?filter ?nonempty g ~src ~target
+        = brute_shortest g ?keep:filter ?nonempty ~max_len:nstates ~src
+            target
+      in
+      let r = Digraph.sccs g in
+      let on_cycle =
+        Array.map (fun c -> r.Digraph.nontrivial.(c)) r.Digraph.comp
+      in
+      let witness =
+        Option.bind
+          (brute_shortest g ~max_len:nstates ~src:b.Buchi.start (fun v ->
+               b.Buchi.accepting.(v) && on_cycle.(v)))
+          (fun spoke ->
+            let f = List.fold_left (fun _ (_, v) -> v) b.Buchi.start spoke in
+            Option.map
+              (fun cycle ->
+                Sl_word.Lasso.make ~prefix:(List.map fst spoke)
+                  ~cycle:(List.map fst cycle))
+              (brute_shortest g ~nonempty:true ~max_len:nstates ~src:f
+                 (( = ) f)))
+      in
+      Buchi.nonempty_witness b = witness
+      && List.for_all
+        (fun q ->
+          (* A shortest cycle through q, None when q is on no cycle. *)
+          agrees ~nonempty:true ~src:q (( = ) q)
+          && (Digraph.shortest_path ~nonempty:true g ~src:q ~target:(( = ) q)
+              <> None)
+             = on_cycle.(q)
+          && agrees ~src:q (fun v -> b.Buchi.accepting.(v))
+          && agrees ~filter:keep ~src:q (fun v -> v = nstates - 1)
+          && agrees ~filter:keep ~nonempty:true ~src:q (( = ) q))
+        (List.init nstates Fun.id))
+
 let tests =
   [ Alcotest.test_case "sccs agree with recursive reference" `Quick
       test_sccs_agree;
@@ -345,4 +458,6 @@ let tests =
       test_labeled_access;
     Alcotest.test_case "builder validation" `Quick test_builder_validation;
     Alcotest.test_case "deep path does not overflow the stack" `Quick
-      test_deep_path_no_overflow ]
+      test_deep_path_no_overflow;
+    QCheck_alcotest.to_alcotest prop_least_accepted_and_bad_word;
+    QCheck_alcotest.to_alcotest prop_least_shortest_path ]
