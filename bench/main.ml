@@ -18,8 +18,11 @@
    end: the 100-property registry compile, session
    snapshot/restore/resume, the two hot-reload commits, the
    observability dark-mode probes and the introspection renders. The
-   rows are printed only; the engine, ingest and connection paths are
-   measured by perfbench. *)
+   ingest rows time the line scanner and interner in process, one 64 KiB
+   block per run (also printed per event), so a scanner change can be
+   sized without a perfbench pair. The rows are printed only; the
+   engine and connection paths, and ingest end to end, are measured by
+   perfbench. *)
 
 module Lattice = Sl_lattice.Lattice
 module Named = Sl_lattice.Named
@@ -331,6 +334,75 @@ let serve_reload_registry =
        (monitor_fleet_props @ [ Sl_ltl.Formula.(g (prop "a")) ]);
      r)
 
+(* INGEST fixtures: a stream in perfbench's line shape, [<prefix><base-36
+   digits> <symbol>\n], over a pool of ids of one length, picked at
+   random, cut into 64 KiB blocks the way a connection reads it (lines
+   straddle block ends). Every id is interned by one pass over the whole
+   stream before timing, so a run is the known-id path: one block
+   scanned, the next block on the next run. *)
+let ingest_block = 65536
+
+let ingest_fixture ~ids ~id_len ~events =
+  let st = Random.State.make [| 37; ids; id_len |] in
+  let digits = "0123456789abcdefghijklmnopqrstuvwxyz" in
+  (* 't', then [k] in base 36, most significant digit first *)
+  let id k =
+    let b = Bytes.make id_len 't' and k = ref k in
+    for i = id_len - 1 downto 1 do
+      Bytes.set b i digits.[!k mod 36];
+      k := !k / 36
+    done;
+    Bytes.to_string b
+  in
+  let pool = Array.init ids id in
+  let line = id_len + 3 in
+  let nblocks = ((events * line) + ingest_block - 1) / ingest_block in
+  let buf = Buffer.create (nblocks * ingest_block) in
+  while Buffer.length buf + line <= nblocks * ingest_block do
+    Buffer.add_string buf pool.(Random.State.int st ids);
+    Buffer.add_char buf ' ';
+    Buffer.add_char buf (if Random.State.bool st then '1' else '0');
+    Buffer.add_char buf '\n'
+  done;
+  (* a blank line to the last block's end, so the blocks scan in a
+     cycle *)
+  let gap = (nblocks * ingest_block) - Buffer.length buf in
+  if gap > 0 then begin
+    Buffer.add_string buf (String.make (gap - 1) ' ');
+    Buffer.add_char buf '\n'
+  end;
+  let stream = Buffer.contents buf in
+  let blocks =
+    Array.init nblocks (fun b ->
+        String.sub stream (b * ingest_block) ingest_block)
+  in
+  let ing = Sl_runtime.Ingest.create () in
+  let sc =
+    Sl_runtime.Ingest.scanner ~alphabet:2 ing ~on_chunk:ignore
+      ~on_error:(fun _ -> failwith "bench ingest: malformed line")
+  in
+  Array.iter
+    (fun b -> Sl_runtime.Ingest.scan_string sc b 0 ingest_block)
+    blocks;
+  let next = ref 0 in
+  fun () ->
+    let b = blocks.(!next) in
+    next := (!next + 1) mod nblocks;
+    Sl_runtime.Ingest.scan_string sc b 0 ingest_block
+
+(* Rows that scan one 64 KiB block per run, with the events a block
+   holds: their estimate is also printed per event. *)
+let ingest_rows =
+  [ ("ingest/steady-9B", 300, 6); ("ingest/id-12B", 300, 12);
+    ("ingest/distinct-300k", 300_000, 6) ]
+
+let events_per_run name =
+  List.find_map
+    (fun (row, _, id_len) ->
+      if row = name then Some (float ingest_block /. float (id_len + 3))
+      else None)
+    ingest_rows
+
 let make_tests () =
   let t name f = Test.make ~name (Staged.stage f) in
   let scaling name make_input f sizes =
@@ -582,6 +654,13 @@ let make_tests () =
              Sl_serve.Introspect.handler intro "/status");
          t "obs/monitors-render" (fun () ->
              Sl_serve.Introspect.handler intro "/monitors") ]);
+      (* INGEST: the known-id line scan and interner probe (ROADMAP
+         item 13), for short ids, ids past one word, and a pool too big
+         for the caches. *)
+      List.map
+        (fun (name, ids, id_len) ->
+          t name (ingest_fixture ~ids ~id_len ~events:(max 600_000 (2 * ids))))
+        ingest_rows;
       (* Structural hierarchy classification. *)
       [ t "hierarchy/classify-128" (fun () ->
             Sl_buchi.Hierarchy.classify_structural (random_automaton 128)) ];
@@ -629,8 +708,10 @@ let run_benchmarks () =
       Hashtbl.iter
         (fun name ols_result ->
           let estimate =
-            match Analyze.OLS.estimates ols_result with
-            | Some (x :: _) -> Printf.sprintf "%12.1f ns/run" x
+            match Analyze.OLS.estimates ols_result, events_per_run name with
+            | Some (x :: _), Some e ->
+                Printf.sprintf "%12.1f ns/run %8.1f ns/event" x (x /. e)
+            | Some (x :: _), None -> Printf.sprintf "%12.1f ns/run" x
             | _ -> "            n/a"
           in
           Format.printf "%-34s %s@." name estimate)

@@ -276,12 +276,23 @@ let monitor_oneshot s trace =
   | Ok f -> (
       let registry = Registry.create () in
       let alphabet = Registry.alphabet registry in
-      match List.find_opt (fun sym -> sym < 0 || sym >= alphabet) trace with
-      | Some sym ->
+      (* the default registry's letters valuate [a] alone: any other
+         proposition would read false on every letter *)
+      match
+        ( List.find_opt (fun p -> p <> "a") (Sl_ltl.Formula.propositions f),
+          List.find_opt (fun sym -> sym < 0 || sym >= alphabet) trace )
+      with
+      | Some p, _ ->
+          Format.eprintf
+            "monitor: unknown proposition %s (one-shot letters valuate a \
+             only)@."
+            p;
+          2
+      | None, Some sym ->
           Format.eprintf "monitor: symbol %d outside alphabet [0, %d)@." sym
             alphabet;
           2
-      | None -> (
+      | None, None -> (
           let monitor =
             Registry.monitor_of_prop registry (Registry.add_formula registry f)
           in
@@ -420,7 +431,9 @@ let monitor_stream ~props_file ~trace_file ~json ~snapshot ~snapshot_every
 let monitor_cmd =
   let formula_opt_arg =
     let doc =
-      "LTL formula to monitor (one-shot mode; ignored with $(b,--props))."
+      "LTL formula over the proposition 'a' to monitor (one-shot mode; \
+       ignored with $(b,--props)). A formula naming another proposition \
+       is refused (exit 2)."
     in
     Arg.(value & pos 0 (some string) None & info [] ~docv:"FORMULA" ~doc)
   in

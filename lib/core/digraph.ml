@@ -51,8 +51,27 @@ let of_delta delta =
 
 let of_successors rows = of_delta (Array.map (fun l -> [| l |]) rows)
 
+(* One edge per (node, symbol): the offsets are the identity, and the
+   targets the rows laid end to end — no list cell per edge. The checks
+   and their messages are [of_delta]'s. *)
 let of_array_delta delta =
-  of_delta (Array.map (Array.map (fun w -> [ w ])) delta)
+  let nodes = Array.length delta in
+  let nsyms = if nodes = 0 then 1 else Array.length delta.(0) in
+  if nodes > 0 && nsyms = 0 then invalid_arg "Digraph.of_delta: zero symbols";
+  let off = Array.init ((nodes * nsyms) + 1) Fun.id in
+  let succ = Array.make (nodes * nsyms) 0 in
+  Array.iteri
+    (fun v row ->
+      if Array.length row <> nsyms then
+        invalid_arg "Digraph.of_delta: ragged rows";
+      Array.iteri
+        (fun s w ->
+          if w < 0 || w >= nodes then
+            invalid_arg "Digraph.of_delta: target out of range";
+          succ.((v * nsyms) + s) <- w)
+        row)
+    delta;
+  { nodes; nsyms; off; succ }
 
 let of_fn ~nodes f = of_successors (Array.init nodes f)
 

@@ -9,13 +9,17 @@
 
    The incremental [scanner] is the one line framer: [slc monitor] and
    every serve connection read through it. It walks the raw read
-   buffer in place: token bounds are byte offsets, symbols parse with a
-   strict decimal digit loop, and trace-id interning probes a hash
-   computed over the byte slice — a string is materialized only on
-   first sight of a new id (or on the cold error path). The QCheck pin
-   in test_runtime holds it byte-for-byte equal to a line-at-a-time
+   buffer in place, from one 8-byte load per line: a line with an id
+   of up to 7 bytes and a one-digit symbol is whole after that word and
+   two byte loads; any other line carries on a byte at a time, with a
+   strict decimal digit loop for the symbol. Trace-id interning probes
+   by a key computed over the byte slice (a short id's packed bytes, a
+   longer one's FNV-1a hash) — a string is materialized only on first
+   sight of a new id (or on the cold error path). The QCheck pins in
+   test_runtime hold it byte-for-byte equal to a line-at-a-time
    reference reader (test/reference, [Ingest_ref]), with and without a
-   line cap, over hostile streams at every block boundary. *)
+   line cap, over hostile streams and ids of every length from 1 to 24
+   bytes, at every block boundary. *)
 
 module Obs = Sl_obs.Obs
 
@@ -33,27 +37,38 @@ let h_stage_parse =
 (* --- Interner ---
 
    Open-addressed hash table over byte slices: [slots] holds id+1 (0 =
-   empty) at positions probed from an FNV-1a hash of the id's bytes,
-   resolved by content comparison against [names]. Lookups of known ids
-   allocate nothing — the point of the zero-copy path — and [intern] on
-   a whole string is the same probe. *)
+   empty), resolved against [names]. An id of at most [short_max] (7)
+   bytes is keyed by its bytes packed into one int, [(bytes lsl 3) lor
+   len], low byte first: the key times one odd constant, top bits
+   taken, is its home slot, and a candidate is confirmed by its length
+   and one masked word load of its name (a name that short fills one
+   word of its heap block). A longer id is homed by the FNV-1a hash of
+   its bytes and confirmed by [eq_slice]. Lookups of known ids allocate
+   nothing — the point of the zero-copy path — and [intern] on a whole
+   string is the same probe.
+
+   The slot stays one int: storing each id's key beside it (a pair
+   table) saves the name load on a hit, but costs a word per slot for
+   ever, and churn never frees an id (~+20% daemon RSS on serve-churn,
+   measured). *)
 type t = {
   mutable names : string array;  (* id -> name, dense in [0, n) *)
   mutable n : int;
   mutable slots : int array;  (* open addressing: 0 = empty, else id+1 *)
   mutable mask : int;  (* Array.length slots - 1, power of two minus 1 *)
+  mutable shift : int;  (* 63 - log2 (Array.length slots) *)
   mutable r_sym : int;
   mutable r_id_off : int;
   mutable r_id_len : int;
   mutable r_hash : int;
       (* the last event line [scan_event] accepted: its symbol, its
-         trace id's bounds and hash — out-param cells, so the hot path
-         returns them without allocating *)
+         trace id's bounds and key or hash — out-param cells, so the
+         hot path returns them without allocating *)
 }
 
 let create () =
-  { names = [||]; n = 0; slots = Array.make 64 0; mask = 63; r_sym = 0;
-    r_id_off = 0; r_id_len = 0; r_hash = 0 }
+  { names = [||]; n = 0; slots = Array.make 64 0; mask = 63; shift = 57;
+    r_sym = 0; r_id_off = 0; r_id_len = 0; r_hash = 0 }
 
 let ntraces t = t.n
 
@@ -63,13 +78,18 @@ let name t id =
 
 let names t = Array.sub t.names 0 t.n
 
-(* FNV-1a over a byte slice, truncated to a nonnegative OCaml int. *)
-let hash_slice s off len =
-  let h = ref 0x811c9dc5 in
+(* FNV-1a over a byte slice, continued from hash [h]. *)
+let fnv h s off len =
+  let h = ref h in
   for i = off to off + len - 1 do
     h := (!h lxor Char.code (String.unsafe_get s i)) * 0x01000193
   done;
-  !h land max_int
+  !h
+
+let fnv_basis = 0x811c9dc5
+
+(* FNV-1a, truncated to a nonnegative OCaml int. *)
+let hash_slice s off len = fnv fnv_basis s off len land max_int
 
 external get64u : string -> int -> int64 = "%caml_string_get64u"
 
@@ -109,38 +129,95 @@ let eq_slice name s off len =
     !j = len
   end
 
+(* Ids this long or shorter are keyed by their packed bytes (none on a
+   32-bit host, whose ints hold too few). [word_step]: the host loads a
+   string's bytes low byte first into a 64-bit word, so a masked word
+   load is a packed key and [scan_event] may start with one. *)
+let short_max = if Sys.word_size = 64 then 7 else 0
+let word_step = Sys.word_size = 64 && not Sys.big_endian
+
+(* The low [n] bytes of a word, n <= 7. *)
+let low_bytes n = (1 lsl (8 * n)) - 1
+
+(* [s.[off, off+len)], len <= [short_max], packed low byte first: one
+   masked word load where that load stays inside the string's block,
+   else a byte loop. *)
+let short_bytes s off len =
+  if word_step && off + 8 <= block_end s then
+    Int64.to_int (get64u s off) land low_bytes len
+  else begin
+    let b = ref 0 in
+    for i = off + len - 1 downto off do
+      b := (!b lsl 8) lor Char.code (String.unsafe_get s i)
+    done;
+    !b
+  end
+
+let short_key s off len = (short_bytes s off len lsl 3) lor len
+
+(* The interner's key of an id slice: the packed bytes of a short id,
+   the FNV-1a hash of a longer one. *)
+let slice_key s off len =
+  if len <= short_max then short_key s off len else hash_slice s off len
+
+(* The home slot of an id by its key or hash: a short id's key mixed by
+   one multiply (Fibonacci hashing; the top bits of the product depend
+   on every bit of the key), a longer id's hash masked. *)
+let home t len h =
+  if len <= short_max then (h * 0x1E3779B97F4A7C15) lsr t.shift
+  else h land t.mask
+
 (* Index of the slot holding the slice's id, or of the first empty slot
-   of its probe sequence. The table is kept under half full, so the
-   probe terminates. *)
+   of its probe sequence; [h] is the slice's [slice_key]. The table is kept
+   under half full, so the probe terminates. *)
 let find_slot t s off len h =
   let mask = t.mask in
-  let i = ref (h land mask) in
+  let i = ref (home t len h) in
   let res = ref (-1) in
-  while !res < 0 do
-    let v = Array.unsafe_get t.slots !i in
-    if v = 0 then res := !i
-    else begin
-      let nm = Array.unsafe_get t.names (v - 1) in
-      if String.length nm = len && eq_slice nm s off len then res := !i
-      else i := (!i + 1) land mask
-    end
-  done;
+  if len <= short_max then begin
+    let bytes = h lsr 3 and low = low_bytes len in
+    while !res < 0 do
+      let v = Array.unsafe_get t.slots !i in
+      if v = 0 then res := !i
+      else begin
+        let nm = Array.unsafe_get t.names (v - 1) in
+        if String.length nm = len
+           && (if word_step then Int64.to_int (get64u nm 0) land low
+               else short_bytes nm 0 len)
+              = bytes
+        then res := !i
+        else i := (!i + 1) land mask
+      end
+    done
+  end
+  else
+    while !res < 0 do
+      let v = Array.unsafe_get t.slots !i in
+      if v = 0 then res := !i
+      else begin
+        let nm = Array.unsafe_get t.names (v - 1) in
+        if String.length nm = len && eq_slice nm s off len then res := !i
+        else i := (!i + 1) land mask
+      end
+    done;
   !res
+
+let home_slot t nm =
+  let len = String.length nm in
+  home t len (slice_key nm 0 len)
 
 let rehash t =
   let ncap = 2 * (t.mask + 1) in
-  let slots = Array.make ncap 0 in
-  let mask = ncap - 1 in
+  t.slots <- Array.make ncap 0;
+  t.mask <- ncap - 1;
+  t.shift <- t.shift - 1;
   for id = 0 to t.n - 1 do
-    let nm = t.names.(id) in
-    let i = ref (hash_slice nm 0 (String.length nm) land mask) in
-    while slots.(!i) <> 0 do
-      i := (!i + 1) land mask
+    let i = ref (home_slot t t.names.(id)) in
+    while t.slots.(!i) <> 0 do
+      i := (!i + 1) land t.mask
     done;
-    slots.(!i) <- id + 1
-  done;
-  t.slots <- slots;
-  t.mask <- mask
+    t.slots.(!i) <- id + 1
+  done
 
 let intern_slice_h t s off len h =
   let slot = find_slot t s off len h in
@@ -166,7 +243,7 @@ let intern_slice_h t s off len h =
     id
   end
 
-let intern_slice t s off len = intern_slice_h t s off len (hash_slice s off len)
+let intern_slice t s off len = intern_slice_h t s off len (slice_key s off len)
 let intern t s = intern_slice t s 0 (String.length s)
 
 (* First '\n' in [s[off], s[stop])], or -1 — C memchr, word-at-a-time
@@ -223,62 +300,130 @@ let create_chunk size =
 (* --- Zero-copy line scan ---
 
    One line, from byte [off] of [s] to its newline or to [stop],
-   whichever comes first, in one fused pass that allocates nothing: the
-   trace-id walk folds the FNV-1a interner hash in as it finds the
-   token bound, and the symbol walk accumulates the strict decimal
-   value (digits only: the 0x/0o/0b radix prefixes, '_' separators and
-   a leading '+' that [int_of_string_opt] would take are protocol
-   errors) — no byte is read twice, and the walk finds the line's end
-   itself. For an event line the result is that end (the newline's
-   index, or [stop]), with the symbol and the trace id's bounds and
-   hash parked in the out-param cells; the caller interns the id once
-   it knows the line is whole. Every other line (blank, comment,
-   malformed, out-of-alphabet) is [-1], touching neither the interner
-   nor the cells — a rejected line never grows the interner, which the
+   whichever comes first, in one fused pass that allocates nothing.
+
+   The pass starts with one 8-byte load (on a 64-bit little-endian
+   host; a big-endian one skips this step). The has-less-than trick
+   finds the word's first byte <= 0x20, where every separator and the
+   newline lie. A line [ID SP D NL] with a 1-7 byte id — the common
+   event line — is then whole after two more byte loads: the symbol and
+   the newline. The same word, masked to the id's bytes, is the id's
+   packed interner key. Any other line carries on with the byte walk
+   from where the word leaves off: the trace-id walk folds the FNV-1a
+   interner hash in as it finds the token bound, and the symbol walk
+   accumulates the strict decimal value (digits only: the 0x/0o/0b
+   radix prefixes, '_' separators and a leading '+' that
+   [int_of_string_opt] would take are protocol errors) — no byte is
+   read twice, and the walk finds the line's end itself.
+
+   For an event line the result is that end (the newline's index, or
+   [stop]), with the symbol and the trace id's bounds and key parked in
+   the out-param cells; the caller interns the id once it knows the
+   line is whole. Every other line (blank, comment, malformed,
+   out-of-alphabet) is [-1], touching neither the interner nor the
+   cells — a rejected line never grows the interner, which the
    byte-identity of session snapshots depends on — and [line_error]
    says why. *)
-let scan_event t ~alphabet s off stop =
-  let i = ref off in
+
+(* The line after its trace id [s.[t0, t1)], whose interner key is [key]:
+   separators, the symbol, separators, then the newline or [stop]. *)
+let scan_symbol t ~alphabet s t0 t1 stop key =
+  let i = ref t1 in
   while !i < stop && byte_class s !i = '\001' do incr i done;
-  let t0 = !i in
-  let h = ref 0x811c9dc5 in
+  (* A non-digit ('-', 'x', …), overflow or a missing symbol falls
+     back for the exact error. *)
+  let d0 = !i in
+  let v = ref 0 in
+  let ok = ref true in
+  while !ok && !i < stop && byte_class s !i = '\000' do
+    let c = Char.code (String.unsafe_get s !i) - Char.code '0' in
+    if c < 0 || c > 9 then ok := false
+    else if !v > overflow_div || (!v = overflow_div && c > overflow_rem)
+    then ok := false  (* overflow *)
+    else begin
+      v := (!v * 10) + c;
+      incr i
+    end
+  done;
+  if (not !ok) || !i = d0 then -1
+  else begin
+    while !i < stop && byte_class s !i = '\001' do incr i done;
+    if !i < stop && byte_class s !i <> '\002' then -1  (* extra fields *)
+    else if !v >= alphabet then -1
+    else begin
+      t.r_sym <- !v;
+      t.r_id_off <- t0;
+      t.r_id_len <- t1 - t0;
+      t.r_hash <- key;
+      !i
+    end
+  end
+
+(* The byte walk of a trace id starting at [t0], resumed at [i] with
+   the FNV-1a hash [h] of [s.[t0, i)]. *)
+let scan_token t ~alphabet s t0 i stop h =
+  let i = ref i and h = ref h in
   while !i < stop && byte_class s !i = '\000' do
     h := (!h lxor Char.code (String.unsafe_get s !i)) * 0x01000193;
     incr i
   done;
   let t1 = !i in
   if t1 = t0 || String.unsafe_get s t0 = '#' then -1  (* blank, comment *)
-  else begin
-    while !i < stop && byte_class s !i = '\001' do incr i done;
-    (* A non-digit ('-', 'x', …), overflow or a missing symbol falls
-       back for the exact error. *)
-    let d0 = !i in
-    let v = ref 0 in
-    let ok = ref true in
-    while !ok && !i < stop && byte_class s !i = '\000' do
-      let c = Char.code (String.unsafe_get s !i) - Char.code '0' in
-      if c < 0 || c > 9 then ok := false
-      else if !v > overflow_div || (!v = overflow_div && c > overflow_rem)
-      then ok := false  (* overflow *)
-      else begin
-        v := (!v * 10) + c;
-        incr i
-      end
-    done;
-    if (not !ok) || !i = d0 then -1
+  else
+    let len = t1 - t0 in
+    scan_symbol t ~alphabet s t0 t1 stop
+      (if len <= short_max then short_key s t0 len else !h land max_int)
+
+(* The byte walk of a whole line: leading separators, then the id. *)
+let scan_bytewise t ~alphabet s off stop =
+  let i = ref off in
+  while !i < stop && byte_class s !i = '\001' do incr i done;
+  scan_token t ~alphabet s !i !i stop fnv_basis
+
+let scan_event t ~alphabet s off stop =
+  if word_step && off + 8 <= stop then begin
+    let w = get64u s off in
+    (* bit 8k set where byte k is <= 0x20: exact at the first such byte,
+       while a borrow out of it may mark later ones too *)
+    let lt =
+      Int64.to_int
+        (Int64.shift_right_logical
+           (Int64.logand
+              (Int64.logand (Int64.sub w 0x2121212121212121L) (Int64.lognot w))
+              0x8080808080808080L)
+           7)
+    in
+    if lt = 0 then
+      (* eight token bytes: an id of 8 bytes or more *)
+      scan_token t ~alphabet s off (off + 8) stop (fnv fnv_basis s off 8)
     else begin
-      while !i < stop && byte_class s !i = '\001' do incr i done;
-      if !i < stop && byte_class s !i <> '\002' then -1  (* extra fields *)
-      else if !v >= alphabet then -1
+      let x = lt land -lt in
+      let p = (x * 0x0001020304050607) lsr 56 in  (* that byte's index *)
+      if p = 0 || byte_class s (off + p) = '\000' then
+        (* a leading separator or a control byte in the id *)
+        scan_bytewise t ~alphabet s off stop
+      else if String.unsafe_get s off = '#' then -1  (* comment *)
       else begin
-        t.r_sym <- !v;
-        t.r_id_off <- t0;
-        t.r_id_len <- t1 - t0;
-        t.r_hash <- !h land max_int;
-        !i
+        let key = ((Int64.to_int w land (x - 1)) lsl 3) lor p in
+        let e = off + p + 2 in
+        let d =
+          if e < stop && String.unsafe_get s e = '\n'
+             && String.unsafe_get s (off + p) = ' '
+          then Char.code (String.unsafe_get s (e - 1)) - Char.code '0'
+          else -1
+        in
+        if d >= 0 && d <= 9 && d < alphabet then begin
+          t.r_sym <- d;
+          t.r_id_off <- off;
+          t.r_id_len <- p;
+          t.r_hash <- key;
+          e
+        end
+        else scan_symbol t ~alphabet s off (off + p) stop key
       end
     end
   end
+  else scan_bytewise t ~alphabet s off stop
 
 (* The cold path, for a line [scan_event] rejected: [None] for a blank
    or comment line (allocation-free), else the trace-id field and the

@@ -14,9 +14,10 @@
 type t
 (** The trace-id interner: string ids to the dense ints the engine
     indexes traces by, in first-seen order. Internally an
-    open-addressed hash table probed by a hash computed over the byte
-    slice, so looking up a known id from the middle of a read buffer
-    allocates nothing. *)
+    open-addressed table of one int per slot, probed from a key
+    computed over the byte slice (a short id's packed bytes, a longer
+    one's hash), so looking up a known id from the middle of a read
+    buffer allocates nothing. *)
 
 val create : unit -> t
 val ntraces : t -> int
@@ -29,6 +30,13 @@ val names : t -> string array
     assignment exactly. *)
 
 val intern : t -> string -> int
+
+val home_slot : t -> string -> int
+(** The slot of [t]'s current table where the probe for an id starts
+    (its home): for an id of at most 7 bytes, its bytes and length
+    packed into one int, mixed by one multiply; for a longer one, its
+    FNV-1a hash. Ids with the same home are compared with one another
+    on lookup — the tests build such ids from it. *)
 
 type error = {
   e_line : int;  (** 1-based line number in the input stream *)

@@ -101,13 +101,26 @@ let count_letter w s =
     `Finitely
       (Array.fold_left (fun n x -> if x = s then n + 1 else n) 0 w.prefix)
 
+(* Letters print back to back, unless one prints as a number of two or
+   more digits: then they are separated by spaces, so that [1 12] and
+   [11 2] print apart. *)
 let pp ?alphabet () fmt w =
-  let sym s =
-    match alphabet with
-    | Some a when Alphabet.mem a s -> Alphabet.label a s
-    | _ -> string_of_int s
+  let labeled s =
+    match alphabet with Some a -> Alphabet.mem a s | None -> false
   in
-  let render v = String.concat "" (List.map sym (Array.to_list v)) in
-  Format.fprintf fmt "%s(%s)^w" (render w.prefix) (render w.cycle)
+  let sym s =
+    if labeled s then Alphabet.label (Option.get alphabet) s
+    else string_of_int s
+  in
+  let multi s = (not (labeled s)) && (s >= 10 || s < 0) in
+  let sep =
+    if Array.exists multi w.prefix || Array.exists multi w.cycle then " "
+    else ""
+  in
+  let render v = String.concat sep (List.map sym (Array.to_list v)) in
+  let spoke = render w.prefix in
+  Format.fprintf fmt "%s%s(%s)^w" spoke
+    (if spoke = "" then "" else sep)
+    (render w.cycle)
 
 let to_string ?alphabet w = Format.asprintf "%a" (pp ?alphabet ()) w

@@ -63,4 +63,9 @@ val count_letter : t -> int -> [ `Finitely of int | `Infinitely ]
     word is ultimately periodic; used to cross-check Rem's p4/p5. *)
 
 val pp : ?alphabet:Alphabet.t -> unit -> Format.formatter -> t -> unit
+(** [u(v)^w], each letter printed by its [alphabet] label, or else as
+    its number. The letters are printed back to back, unless one prints
+    as a number of two or more digits: then they are separated by
+    spaces, as in [9 (9 9 10 10 12 12)^w]. *)
+
 val to_string : ?alphabet:Alphabet.t -> t -> string

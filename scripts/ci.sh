@@ -66,8 +66,8 @@ echo "$dout" | grep -qx "L(B) = L(B_S) ∩ L(B_L): verified" \
   || { echo "slc decompose under ulimit -v: not verified"; exit 1; }
 
 # One-shot monitor: the empty property's certificate is the empty
-# prefix, and a symbol outside the alphabet is refused before any
-# output, exit 2 like malformed streaming input, never an escaped
+# prefix, and a symbol outside the alphabet or a proposition other
+# than a is refused before any output, exit 2 like malformed streaming input, never an escaped
 # exception.
 echo "--- slc monitor one-shot smoke"
 status=0
@@ -85,6 +85,14 @@ if grep -q "uncaught exception" "$oerr"; then
 fi
 grep -qx "monitor: symbol 5 outside alphabet \[0, 2)" "$oerr" \
   || { echo "slc monitor 'G a' 5: unexpected message"; exit 1; }
+# A proposition other than a is refused the same way: the one-shot
+# letters would read it as false.
+status=0
+oout=$(_build/default/bin/slc.exe monitor "b & a" 2> "$oerr") || status=$?
+[ "$status" -eq 2 ] || { echo "slc monitor 'b & a': exit $status"; exit 1; }
+[ -z "$oout" ] || { echo "slc monitor 'b & a': output before refusal"; exit 1; }
+[ "$(wc -l < "$oerr")" -eq 1 ] && grep -q "unknown proposition b" "$oerr" \
+  || { echo "slc monitor 'b & a': unexpected message"; exit 1; }
 rm -f "$oerr"
 
 # A rank-based complement past its --max-states budget is refused like

@@ -437,6 +437,18 @@ let prop_least_shortest_path =
           && agrees ~filter:keep ~nonempty:true ~src:q (( = ) q))
         (List.init nstates Fun.id))
 
+(* The deterministic builder lays the table out straight; it must build
+   the very graph [of_delta] builds from singleton lists. *)
+let prop_of_array_delta =
+  QCheck.Test.make ~count:300 ~name:"of_array_delta = of_delta on singletons"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let d = random_dfa (Random.State.make [| seed |]) in
+      let delta = d.Sl_nfa.Dfa.delta in
+      Digraph.of_array_delta delta
+      = Digraph.of_delta (Array.map (Array.map (fun w -> [ w ])) delta)
+      && Digraph.of_array_delta [||] = Digraph.of_delta [||])
+
 let tests =
   [ Alcotest.test_case "sccs agree with recursive reference" `Quick
       test_sccs_agree;
@@ -460,4 +472,5 @@ let tests =
     Alcotest.test_case "deep path does not overflow the stack" `Quick
       test_deep_path_no_overflow;
     QCheck_alcotest.to_alcotest prop_least_accepted_and_bad_word;
-    QCheck_alcotest.to_alcotest prop_least_shortest_path ]
+    QCheck_alcotest.to_alcotest prop_least_shortest_path;
+    QCheck_alcotest.to_alcotest prop_of_array_delta ]

@@ -1352,13 +1352,15 @@ let drive_blocks ~alphabet s k =
         for j = 0 to c.Ingest.len - 1 do
           events := (c.Ingest.trace_ids.(j), c.Ingest.symbols.(j)) :: !events
         done)
-      ~on_error:(fun e -> errors := e.Ingest.e_line :: !errors)
+      ~on_error:(fun e ->
+        errors := (e.Ingest.e_line, e.Ingest.e_trace, e.Ingest.e_reason)
+                  :: !errors)
   in
   let n = String.length s in
   Ingest.scan_string sc (String.sub s 0 k) 0 k;
   Ingest.scan_string sc (String.sub s k (n - k)) 0 (n - k);
   Ingest.scan_eof sc;
-  (Array.to_list (Ingest.names ing), List.rev !events, !errors)
+  (Array.to_list (Ingest.names ing), List.rev !events, List.rev !errors)
 
 (* Names in first-seen order and the events as (name index, symbol),
    by string equality alone. *)
@@ -1402,28 +1404,92 @@ let check_interner_case what events ~pad =
       check_int (what ^ ": intern " ^ name) id (Ingest.intern ing name))
     events evs
 
+(* Token bytes an id may hold: all but the separators and the newline
+   ('#' only past an id's first byte, where it would start a comment). *)
+let id_bytes =
+  List.filter
+    (fun c -> not (List.mem c [ ' '; '\t'; '\r'; '\n' ]))
+    (List.init 256 Char.chr)
+
 let test_interner_cases () =
   let base len =
     String.init len (fun i -> Char.chr (Char.code 'a' + (i mod 26)))
   in
   (* ids of length 1-24 differing only in their last byte, each seen
-     twice. FNV-1a's last step maps last bytes that differ in their low
-     six bits to distinct home slots of a 64-slot table; the last bytes
-     '!', 'a', '\xa1' and '\xe1' share them, so these ids share a home
-     slot and each probe compares them with one another. *)
+     twice: the most ids of one length whose home slot in a fresh
+     (64-slot) table is the same — by the packed key's multiply up to 7
+     bytes, by FNV-1a past that — so each probe steps past mismatched
+     candidates of equal length, then two ids of other homes *)
   for len = 1 to 24 do
-    let ids =
-      List.map
-        (fun c -> base (len - 1) ^ String.make 1 c)
-        [ '!'; 'a'; '\xa1'; '\xe1'; 'b'; 'c' ]
+    let cands =
+      List.filter_map
+        (fun c ->
+          if len = 1 && c = '#' then None
+          else Some (base (len - 1) ^ String.make 1 c))
+        id_bytes
     in
+    let fresh = Ingest.create () in
+    let by_home = Hashtbl.create 64 in
+    List.iter
+      (fun id -> Hashtbl.add by_home (Ingest.home_slot fresh id) id)
+      (List.rev cands);
+    let same =
+      Hashtbl.fold
+        (fun h _ best ->
+          let ids = Hashtbl.find_all by_home h in
+          if List.length ids > List.length best then ids else best)
+        by_home []
+    in
+    if List.length same < 3 then
+      Alcotest.failf "length %d: no three ids share a home slot" len;
+    let same = List.filteri (fun i _ -> i < 4) same in
+    let home = Ingest.home_slot fresh (List.hd same) in
+    let others =
+      List.filteri (fun i _ -> i < 2)
+        (List.filter (fun id -> Ingest.home_slot fresh id <> home) cands)
+    in
+    let ids = same @ others in
     let events =
       List.concat_map
         (fun r -> List.mapi (fun j id -> (id, (r + j) mod 2)) ids)
         [ 0; 1 ]
     in
-    check_interner_case (Printf.sprintf "last byte, length %d" len) events
+    check_interner_case (Printf.sprintf "same home, length %d" len) events
       ~pad:(len mod 3 + 1)
+  done;
+  (* [u] and [u ^ "\000"] pack to the same bytes and differ only in
+     length, which the key holds, so their homes differ. Fillers homed
+     on every slot from [u]'s home up to the other's push whichever of
+     the two comes first onto the other's home, where the other's probe
+     meets it at once. *)
+  for len = 1 to 6 do
+    let u = base len in
+    let v = u ^ "\000" in
+    let fresh = Ingest.create () in
+    let home = Ingest.home_slot fresh in
+    let need =
+      List.init ((home v - home u) land 63) (fun k -> (home u + k) land 63)
+    in
+    let fillers =
+      List.filter_map
+        (fun j ->
+          List.find_map
+            (fun k ->
+              let f = Printf.sprintf "F%03d" k in
+              if home f = j then Some f else None)
+            (List.init 1000 Fun.id))
+        need
+    in
+    check_int (Printf.sprintf "length %d: a filler per slot" len)
+      (List.length need) (List.length fillers);
+    let case first second =
+      List.map (fun f -> (f, 0)) fillers
+      @ [ (first, 0); (second, 1); (first, 1); (second, 0) ]
+    in
+    check_interner_case (Printf.sprintf "NUL-extended id, length %d" len)
+      (case u v) ~pad:2;
+    check_interner_case (Printf.sprintf "NUL-extended id first, length %d" len)
+      (case v u) ~pad:1
   done;
   (* one id a prefix of another, both ways round, across word bounds *)
   let prefixes =
@@ -1489,6 +1555,94 @@ let test_hook_words_left_out () =
   Alcotest.(check (list int))
     "engine_minor_words_per_event, chunk by chunk" (snd dark) (snd lit)
 
+(* --- The scan's word step ---
+
+   [scan_event] starts a line with one 8-byte load and takes a line
+   [ID SP D NL] with a 1-7 byte id from that word and two more bytes;
+   every other line falls back to the byte walk where the word leaves
+   off. The random streams below mix both: ids of every length from 1
+   to 24 bytes, holding bytes >= 0x80 and token-class control bytes
+   (where the word's first byte <= 0x20 is not a separator), '#' at an
+   id's start (a comment) and inside one, and symbols of one digit,
+   several, with leading zeros, out of the alphabet or not decimal.
+   Scanned in two blocks split at every byte, each its own string, the
+   lines near a split end in a block's last 8 bytes. *)
+let gen_word_stream =
+  let open QCheck.Gen in
+  let id_byte =
+    frequency
+      [ (8, map Char.chr (int_range (Char.code 'a') (Char.code 'z')));
+        (2, map Char.chr (int_range 0x80 0xff));
+        (1, oneofl [ '\001'; '\031'; '\000'; '#' ]) ]
+  in
+  let id =
+    int_range 1 24 >>= fun len ->
+    string_size ~gen:id_byte (return len) >>= fun id ->
+    frequency [ (6, return id); (1, return ("#" ^ id)) ]
+  in
+  let symbol =
+    frequency
+      [ (6, map string_of_int (int_range 0 9));
+        (2, oneofl [ "10"; "00"; "007"; "11"; "99" ]);
+        (1, oneofl [ "x"; "-1"; "1x"; "+1"; "99999999999999999999" ]) ]
+  in
+  let sep = frequency [ (8, return " "); (1, oneofl [ "\t"; "  "; " \r" ]) ] in
+  let line =
+    frequency
+      [ (12, map3 (fun i p d -> i ^ p ^ d) id sep symbol);
+        (1, map (fun i -> "  " ^ i ^ " 1") id);
+        (1, map (fun i -> i ^ " 1 0") id);
+        (1, id);
+        (1, return "") ]
+  in
+  list_size (int_range 0 10) line >>= fun lines ->
+  bool >|= fun nl -> String.concat "\n" lines ^ if nl then "\n" else ""
+
+let prop_word_step_equals_reference =
+  QCheck.Test.make ~name:"word step = reference parser (every split)"
+    ~count:200
+    (QCheck.make ~print:String.escaped gen_word_stream)
+    (fun s ->
+      let reference = drive_reference ~alphabet:11 s in
+      let ok = ref true in
+      for k = 0 to String.length s do
+        if drive_blocks ~alphabet:11 s k <> reference then ok := false
+      done;
+      !ok)
+
+(* Scanning a block of known ids allocates nothing per event: the word
+   step's [Int64] arithmetic stays unboxed. The block holds whole lines
+   only (no carry), in perfbench's shape and with 12-byte ids. *)
+let test_word_step_no_alloc () =
+  let ing = Ingest.create () in
+  let sc =
+    Ingest.scanner ~chunk_size:64 ~alphabet:2 ing ~on_chunk:ignore
+      ~on_error:(fun _ -> Alcotest.fail "unexpected error")
+  in
+  let block =
+    String.concat ""
+      (List.init 2000 (fun i ->
+           if i mod 3 = 0 then
+             Printf.sprintf "lng%09d %d\n" (i mod 97) (i land 1)
+           else Printf.sprintf "t%05d %d\n" (i mod 300) (i land 1)))
+  in
+  Ingest.scan_string sc block 0 (String.length block);
+  let known = Ingest.ntraces ing in
+  let words f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let baseline = words ignore in
+  let scanned =
+    words (fun () ->
+        for _ = 1 to 10 do
+          Ingest.scan_string sc block 0 (String.length block)
+        done)
+  in
+  check_int "no new id" known (Ingest.ntraces ing);
+  check "0 minor words over 20000 events" true (scanned = baseline)
+
 let tests =
   [ Alcotest.test_case "packed compilation" `Quick test_packed_shape;
     Alcotest.test_case "vacuity on Rem p0-p6" `Quick
@@ -1534,4 +1688,7 @@ let tests =
     Alcotest.test_case "interner: word-wise probe cases" `Quick
       test_interner_cases;
     Alcotest.test_case "allocation gauges leave the hook out" `Quick
-      test_hook_words_left_out ]
+      test_hook_words_left_out;
+    QCheck_alcotest.to_alcotest prop_word_step_equals_reference;
+    Alcotest.test_case "word step allocates nothing" `Quick
+      test_word_step_no_alloc ]

@@ -128,7 +128,11 @@ let test_pp_with_alphabet () =
   let w = Lasso.make ~prefix:[ 0 ] ~cycle:[ 1 ] in
   Alcotest.(check string) "named letters" "a(b)^w"
     (Lasso.to_string ~alphabet:Alphabet.binary w);
-  Alcotest.(check string) "numeric fallback" "0(1)^w" (Lasso.to_string w)
+  Alcotest.(check string) "numeric fallback" "0(1)^w" (Lasso.to_string w);
+  Alcotest.(check string) "multi-digit letters apart" "9 (9 10)^w"
+    (Lasso.to_string (Lasso.make ~prefix:[ 9 ] ~cycle:[ 9; 10 ]));
+  Alcotest.(check string) "no spoke" "(1 12)^w"
+    (Lasso.to_string (Lasso.make ~prefix:[] ~cycle:[ 1; 12 ]))
 
 let tests =
   [ Alcotest.test_case "alphabets" `Quick test_alphabet;
